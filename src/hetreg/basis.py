@@ -80,6 +80,12 @@ class SampledFunction:
 
         return simpson_integral(lambda x: self(x) ** 2)
 
+    def inner(self, f) -> float:
+        """L2[0,1] inner product with the function f (fixed Simpson rule)."""
+        from .models import simpson_integral
+
+        return simpson_integral(lambda x: self(x) * f(x))
+
 
 def as_sampled(f, name: str = "") -> SampledFunction:
     return f if isinstance(f, SampledFunction) else SampledFunction(f, name=name)

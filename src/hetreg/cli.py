@@ -23,6 +23,7 @@ from .experiments import (
 )
 from .models import NoiseSpec, generate_observations, substream
 from .selection import EstimatorOutput, estimate
+from .weights import default_sequences
 
 _STUDIES = {
     "risk": risk_study,
@@ -51,14 +52,13 @@ def _cmd_estimate(args) -> int:
     if data.dtype.names is None or "y" not in data.dtype.names:
         raise SystemExit("dataset must be a CSV with a 'y' column")
     y = np.asarray(data["y"], dtype=float)
-    grid = DesignGrid(len(y))
-    cfg_rho = args.rho
-    from .weights import default_sequences
-
-    seqs = default_sequences(grid.n, rho=cfg_rho)
-    out = estimate(y, grid, seqs)
-    payload = _estimator_output_json(out, grid)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        grid = DesignGrid(len(y))
+        out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
+        payload = _estimator_output_json(out, grid)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise SystemExit(f"hetreg estimate: {err}") from err
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -28,6 +28,7 @@ from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale,
 from .selection import estimate, select
 from .theory import (
     SobolevBall,
+    cell_integrals,
     ellipsoid_coeff,
     exact_fourier_coeff,
     oracle_index,
@@ -83,6 +84,8 @@ class ExperimentConfig:
                 raise ValueError(f"all n must be odd and >= 3, got {n}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        for n in self.n_grid:
+            self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -199,15 +202,8 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
             resolved.append((name, np.zeros(n)))
         else:
             raise ValueError(f"unknown estimator {name!r}")
-    # step-extension L2 loss needs per-cell integrals of S and S^2 only once
-    from .theory import _GAUSS_NODES, _GAUSS_WEIGHTS
-
-    left = np.arange(0, n, dtype=float) / n
-    xs = left[:, None] + (0.5 + 0.5 * _GAUSS_NODES[None, :]) / n
-    sv = S(xs.ravel()).reshape(n, len(_GAUSS_NODES))
-    w = 0.5 * _GAUSS_WEIGHTS / n
-    cell_int_s = sv @ w
-    s_l2_sq = float(np.sum((sv**2) @ w))
+    # the step-extension L2 loss needs int S per cell and int S^2 only once
+    cell_int_s, s_l2_sq = cell_integrals(S, n)
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S=S, S_design=S_design,
         theta_n=theta_n, g_design=g_design, noise=noise, noise_idx=noise_idx,
@@ -490,14 +486,18 @@ def efficiency_study(cfg: ExperimentConfig):
     return rows, summary, None
 
 
-def _bayes_estimator(name: str, cfg: ExperimentConfig):
+def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
+    """Coefficient-vector estimator for design size n, as bayes_risk_mc takes it."""
     if name == "zero":
         return lambda Y, grid: np.zeros(grid.n)
     if name == "projection":
         return lambda Y, grid: basis_matrix(grid).T @ np.asarray(Y, dtype=float) / grid.n
     if name == "adaptive":
+        seqs = cfg.sequences(n)
+        family = weight_family(n, seqs)
+
         def run(Y, grid):
-            out = estimate(Y, grid, cfg.sequences(grid.n))
+            out = estimate(Y, grid, seqs, family)
             return out.lambda_hat * out.coeffs.theta_hat
 
         return run
@@ -547,7 +547,7 @@ def lower_bound_study(cfg: ExperimentConfig):
         ))
         for name in bayes_estimators:
             risk, se = bayes_risk_mc(
-                _bayes_estimator(name, cfg), prior, scale, grid,
+                _bayes_estimator(name, cfg, n), prior, scale, grid,
                 reps=cfg.reps, seed=cfg.seed,
             )
             rec["bayes_risks"][name] = {"risk": risk, "se": se,

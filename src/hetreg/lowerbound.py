@@ -16,13 +16,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, basis_eval_matrix
+# basis_eval_matrix is unused here but stays importable from this module:
+# bench/tracing.py patches it at this lookup site.
+from .basis import DesignGrid, SampledFunction, basis_eval_matrix  # noqa: F401
 from .models import (
-    SIMPSON_PANELS,
     NoiseSpec,
     ScaleModel,
     mollifier_cdf,
     simpson_integral,
+    simpson_rule,
     substream,
 )
 from .theory import pinsker_constant
@@ -141,12 +143,9 @@ def kernel_function(z, family: KernelFamily, x):
 
 @lru_cache(maxsize=32)
 def _ebar_cached(j: int, eta: float, power: int) -> float:
-    x = np.linspace(-1.0, 1.0, SIMPSON_PANELS + 1)
-    y = local_basis(j, x) ** 2 * mollified_indicator(eta, x) ** power
-    w = np.ones(len(x))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(2.0 / (3.0 * SIMPSON_PANELS) * (w @ y))
+    return simpson_integral(
+        lambda v: local_basis(j, v) ** 2 * mollified_indicator(eta, v) ** power, -1.0, 1.0
+    )
 
 
 def ebar(j: int, eta: float, power: int = 1) -> float:
@@ -331,7 +330,8 @@ class VanTreesReport(NamedTuple):
 
 
 class _LinearCombo(SampledFunction):
-    """sum_p z_p f_p with an exact L2 norm supplied via the Gram matrix."""
+    """sum_p z_p f_p; with the Gram matrix G of the f_p, the L2 norm z'Gz and
+    the inner product (Gz)_p with a member f_p are exact algebra."""
 
     def __init__(self, fns, z, gram=None):
         self._combo_fns = fns
@@ -350,6 +350,13 @@ class _LinearCombo(SampledFunction):
         if self._gram is not None:
             return float(self._z @ self._gram @ self._z)
         return super().l2_norm_sq()
+
+    def inner(self, f) -> float:
+        if self._gram is not None:
+            for p, fp in enumerate(self._combo_fns):
+                if fp is f:
+                    return float(self._gram[p] @ self._z)
+        return super().inner(f)
 
 
 def van_trees_bound(
@@ -399,11 +406,7 @@ def van_trees_bound(
 def _family_gram(family: KernelFamily) -> np.ndarray:
     """L2 Gram of the flattened D_{m,j}: block diagonal, h * int e_j e_j' chi^2."""
     N, eta, h = family.N, family.eta, family.h
-    v = np.linspace(-1.0, 1.0, SIMPSON_PANELS + 1)
-    w = np.ones(len(v))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= 2.0 / (3.0 * SIMPSON_PANELS)
+    v, w = simpson_rule(-1.0, 1.0)
     E = np.stack([local_basis(j, v) * mollified_indicator(eta, v) for j in range(1, N + 1)])
     block = h * (E * w) @ E.T
     G = np.zeros((family.M * N, family.M * N))
@@ -461,6 +464,29 @@ def lower_bound_target(prior: LeastFavorablePrior) -> float:
     )
 
 
+def _trig_inner_products(n: int, weighted: np.ndarray) -> np.ndarray:
+    """(n, P) matrix of sum_k weighted[p, k] phi_j(k / K), k = 0..K.
+
+    `weighted` holds P functions sampled on the K + 1 nodes of the [0, 1]
+    Simpson rule, times its weights.  Every phi_j is 1-periodic, so node K
+    folds onto node 0, and one FFT over the K nodes gives
+    F_q = sum_k a_k exp(-2 pi i q k / K): phi_1 takes the sum, phi_{2q}
+    takes sqrt(2) Re F_q and phi_{2q+1} takes -sqrt(2) Im F_q (q mod K for
+    frequencies beyond the grid).  Equal to the dense product with
+    `basis_eval_matrix` to rounding error, without forming the (K + 1, n)
+    basis matrix.
+    """
+    K = weighted.shape[1] - 1
+    folded = weighted[:, :K].copy()
+    folded[:, 0] += weighted[:, K]
+    F = np.fft.fft(folded, axis=1)[:, np.arange((n + 1) // 2) % K]
+    out = np.empty((n, weighted.shape[0]))
+    out[0] = F[:, 0].real
+    out[1::2] = math.sqrt(2.0) * F[:, 1:].real.T
+    out[2::2] = -math.sqrt(2.0) * F[:, 1:].imag.T
+    return out
+
+
 def bayes_risk_mc(
     estimator,
     prior: LeastFavorablePrior,
@@ -473,38 +499,37 @@ def bayes_risk_mc(
     """Average continuous-norm loss over prior draws and Gaussian noise.
 
     `estimator(Y, grid)` may return either a length-n vector of basis
-    coefficients or a callable; the loss integral runs on the fixed Simpson
+    coefficients or a callable.  For a coefficient vector c the loss is exact
+    algebra, ||c||^2 - 2 c'C t + t'G t with t the flattened prior draw, G the
+    family Gram matrix and C the inner products of the phi_j with the family
+    (built once per call); a callable is integrated on the fixed Simpson
     grid.  Returns (mean, standard error).
     """
     if noise is None:
         noise = NoiseSpec("gaussian")
     fam = prior.family
-    xq = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
-    wq = np.ones(len(xq))
-    wq[1:-1:2] = 4.0
-    wq[2:-1:2] = 2.0
-    wq /= 3.0 * SIMPSON_PANELS
+    xq, wq = simpson_rule()
     Dq = fam.design_tensor(xq).reshape(fam.M * fam.N, -1)
     Dn = fam.design_tensor(grid.points).reshape(fam.M * fam.N, -1)
-    Phi_q = None
+    fns = _family_fns(fam)
+    gram = _family_gram(fam)
+    cross = None
     losses = np.empty(reps)
     for rep in range(reps):
         rng = substream(seed, 13, grid.n, rep)
         theta, _ = sample_prior(prior, rng)
         tflat = theta.ravel()
-        S_design = tflat @ Dn
-        S_quad = tflat @ Dq
-        S_fn = SampledFunction(lambda x: kernel_function(theta, fam, x))
+        S_fn = _LinearCombo(fns, tflat, gram=gram)
         xi = noise.draw(rng, grid.n)
-        Y = S_design + np.sqrt(np.asarray(scale.g2(grid.points, S_fn), dtype=float)) * xi
+        Y = tflat @ Dn + np.sqrt(np.asarray(scale.g2(grid.points, S_fn), dtype=float)) * xi
         out = estimator(Y, grid)
         if isinstance(out, np.ndarray):
-            if Phi_q is None:
-                Phi_q = basis_eval_matrix(grid.n, xq)
-            est_quad = Phi_q @ out
+            if cross is None:
+                cross = _trig_inner_products(grid.n, Dq * wq)
+            losses[rep] = float(out @ out - 2.0 * out @ (cross @ tflat) + tflat @ gram @ tflat)
         else:
             est_quad = np.asarray(out(xq), dtype=float)
-        losses[rep] = float(wq @ (est_quad - S_quad) ** 2)
+            losses[rep] = float(wq @ (est_quad - tflat @ Dq) ** 2)
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return mean, se

@@ -2,8 +2,12 @@
 
 Scale models carry g(x, S) together with the Frechet derivative of g^2 and,
 when available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.
-All quadrature in this package is composite Simpson on 2^14 + 1 fixed points,
-which keeps every numeric result deterministic.
+Integrals of general functions use one composite Simpson rule on 2^14 + 1
+fixed points (`simpson_rule`), which keeps every numeric result
+deterministic.  Where the integrand is known in closed form the package uses
+exact algebra instead: Parseval for trigonometric series, the Gram matrix of
+the lower-bound kernel family, and 10-node Gauss per design cell for the
+step-extension loss (`theory.cell_integrals`).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .basis import DesignGrid, SampledFunction, as_sampled
 __all__ = [
     "SIMPSON_PANELS",
     "substream",
+    "simpson_rule",
     "simpson_integral",
     "mollifier",
     "mollifier_cdf",
@@ -45,45 +50,50 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key)))
 
 
-def simpson_integral(f, a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule with an even, fixed number of panels."""
+@lru_cache(maxsize=8)
+def simpson_rule(a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the composite Simpson rule on [a, b]."""
     if panels % 2:
         raise ValueError("panel count must be even")
     x = np.linspace(a, b, panels + 1)
-    y = np.asarray(f(x), dtype=float)
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float((b - a) / (3.0 * panels) * (w @ y))
+    w *= (b - a) / (3.0 * panels)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def simpson_integral(f, a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> float:
+    """Composite Simpson rule with an even, fixed number of panels."""
+    x, w = simpson_rule(a, b, panels)
+    return float(w @ np.asarray(f(x), dtype=float))
+
+
+def _bump(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
 
 
 def mollifier(u) -> np.ndarray:
     """Bump kernel c * exp(-1/(1-u^2)) on |u| < 1, normalized to unit integral."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui**2))
-    return out / _mollifier_norm()
+    return _bump(u) / _mollifier_norm()
 
 
 @lru_cache(maxsize=1)
 def _mollifier_norm() -> float:
-    x = np.linspace(-1.0, 1.0, SIMPSON_PANELS + 1)
-    y = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    y[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    w = np.ones(len(x))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(2.0 / (3.0 * SIMPSON_PANELS) * (w @ y))
+    return simpson_integral(_bump, -1.0, 1.0)
 
 
 @lru_cache(maxsize=1)
 def _mollifier_cdf_table() -> tuple[np.ndarray, np.ndarray]:
     from scipy.integrate import cumulative_simpson
 
-    u = np.linspace(-1.0, 1.0, SIMPSON_PANELS + 1)
+    u, _ = simpson_rule(-1.0, 1.0)
     cdf = cumulative_simpson(mollifier(u), x=u, initial=0.0)
     cdf /= cdf[-1]  # unit mass exactly, so ramps hit 0 and 1
     return u, cdf
@@ -138,7 +148,7 @@ def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0
     def frechet(x, S, f):
         S = as_sampled(S)
         f = as_sampled(f)
-        cross = simpson_integral(lambda t: S(t) * f(t)) if c3 else 0.0
+        cross = S.inner(f) if c3 else 0.0
         return 2.0 * c2 * S(np.asarray(x, dtype=float)) * f(np.asarray(x, dtype=float)) + 2.0 * c3 * cross
 
     def varsigma_exact(S):

@@ -127,7 +127,17 @@ def estimate(
     seqs: TuningSequences | None = None,
     family: list[tuple[WeightIndex, np.ndarray]] | None = None,
 ) -> EstimatorOutput:
-    """Full pipeline: transform, noise proxy, weight family, selection."""
+    """Full pipeline: transform, noise proxy, weight family, selection.
+
+    Raises ValueError when Y holds NaN or infinite values.
+    """
+    Y = np.asarray(Y, dtype=float)
+    bad = ~np.isfinite(Y)
+    if bad.any():
+        raise ValueError(
+            f"observations must be finite: {int(bad.sum())} of {Y.size} values are "
+            f"NaN or infinite (first at index {int(np.argmax(bad))})"
+        )
     if seqs is None:
         seqs = default_sequences(grid.n)
     if family is None:

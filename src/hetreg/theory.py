@@ -34,6 +34,7 @@ __all__ = [
     "asymptotic_upper_risk",
     "oracle_index",
     "step_extension",
+    "cell_integrals",
     "step_l2_distance_sq",
     "exact_fourier_coeff",
     "tail_energy_bound",
@@ -137,23 +138,30 @@ def step_extension(values, grid: DesignGrid) -> SampledFunction:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def step_l2_distance_sq(values, S, grid: DesignGrid) -> float:
-    """||T(f) - S||^2 over [0,1] with per-cell Gauss quadrature.
+def cell_integrals(S, n: int) -> tuple[np.ndarray, float]:
+    """(int S over every cell [(l-1)/n, l/n], int_0^1 S^2) by per-cell Gauss.
 
-    T(f) is constant on each cell, so only int S and int S^2 per cell are
-    needed; 10-node Gauss is effectively exact for the smooth targets used.
+    10-node Gauss on each cell is effectively exact for the smooth targets
+    used.
     """
-    values = np.asarray(values, dtype=float)
     S = as_sampled(S)
-    n = grid.n
     left = np.arange(0, n, dtype=float) / n
     # map nodes from [-1,1] into every cell at once
     xs = left[:, None] + (0.5 + 0.5 * _GAUSS_NODES[None, :]) / n
     sv = S(xs.ravel()).reshape(n, len(_GAUSS_NODES))
     w = 0.5 * _GAUSS_WEIGHTS / n
-    int_s = sv @ w
-    int_s2 = (sv**2) @ w
-    return float(np.sum(values**2 / n - 2.0 * values * int_s + int_s2))
+    return sv @ w, float(np.sum((sv**2) @ w))
+
+
+def step_l2_distance_sq(values, S, grid: DesignGrid) -> float:
+    """||T(f) - S||^2 over [0,1] with per-cell Gauss quadrature.
+
+    T(f) is constant on each cell, so only int S per cell and int S^2 are
+    needed.
+    """
+    values = np.asarray(values, dtype=float)
+    int_s, s_l2_sq = cell_integrals(S, grid.n)
+    return float(np.sum(values**2) / grid.n - 2.0 * values @ int_s + s_l2_sq)
 
 
 def exact_fourier_coeff(S, j: int) -> float:

@@ -46,8 +46,10 @@ class TuningSequences:
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if not (0.0 < self.rho <= 1.0 / 3.0):
-            raise ValueError(f"rho must lie in (0, 1/3], got {self.rho}")
+        # the oracle-inequality factor (1 + 3 rho - 2 rho^2) / (1 - 3 rho)
+        # needs rho < 1/3
+        if not (0.0 < self.rho < 1.0 / 3.0):
+            raise ValueError(f"rho must lie in (0, 1/3), got {self.rho}")
         if self.k_star < 1 or self.m < 1:
             raise ValueError("k_star and m must be >= 1")
 

@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n_grid=[50])
 
+    def test_rejects_rho_one_third(self):
+        # refused when the config is built, before any oracle replicate runs
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\)"):
+            small_config(rho=1.0 / 3.0)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus": 1})
@@ -311,6 +316,38 @@ class TestCli:
         cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "77"])
         text = (out_dir / "risk.csv").read_text()
         assert text.splitlines()[1].split(",")[-1] == "77"
+
+    def test_estimate_rejects_nan(self, tmp_path):
+        y = np.sin(np.arange(51.0))
+        y[7] = np.nan
+        data_path = tmp_path / "nan.csv"
+        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+        assert exc.value.code not in (0, None)
+        assert "must be finite" in str(exc.value.code)
+        assert "index 7" in str(exc.value.code)
+        assert not out_path.exists()
+
+    def test_estimate_never_writes_nan_tokens(self, tmp_path, monkeypatch):
+        import hetreg.cli
+
+        real = hetreg.cli.estimate
+
+        def nan_level(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.varsigma_hat = math.nan
+            return out
+
+        monkeypatch.setattr(hetreg.cli, "estimate", nan_level)
+        data_path = tmp_path / "ok.csv"
+        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in np.sin(np.arange(51.0))) + "\n")
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+        assert "not JSON compliant" in str(exc.value.code)
+        assert not out_path.exists()
 
     def test_save_losses(self, tmp_path):
         cfg = dict(small_config(reps=5, save_losses=True).__dict__)

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from hetreg.basis import DesignGrid, SampledFunction, TrigPolynomial
+from hetreg.basis import (
+    DesignGrid,
+    SampledFunction,
+    TrigPolynomial,
+    basis_eval_matrix,
+    basis_matrix,
+)
 from hetreg.lowerbound import (
+    _family_fns,
+    _family_gram,
+    _LinearCombo,
+    _trig_inner_products,
     bayes_risk_mc,
     check_conditions_A,
     conditions_trend,
@@ -27,9 +37,11 @@ from hetreg.models import (
     econometric_scale,
     homogeneous_scale,
     simpson_integral,
+    simpson_rule,
     substream,
 )
 from hetreg.selection import estimate
+from hetreg.weights import default_sequences, weight_family
 
 
 class TestMollifiedIndicator:
@@ -284,3 +296,97 @@ class TestNormalizedCorridor:
         target = lower_bound_target(pr)
         normalized = n ** (2.0 / 3.0) * rep.bound
         assert 0.5 * target <= normalized <= 1.1 * target
+
+
+class TestExactAlgebra:
+    """The lower-bound layer's Gram/Parseval algebra against Simpson quadrature."""
+
+    SCALE = econometric_scale(1.0, 1.0, 0.5, 0.5)
+
+    def prior(self, n):
+        zero = TrigPolynomial([0.0])
+        return least_favorable_prior(1, 1.0, n, eps=0.2, g0=lambda x: self.SCALE.g(x, zero))
+
+    def draws(self, prior, count=3):
+        return [sample_prior(prior, substream(31, prior.n, i))[0].ravel() for i in range(count)]
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_loss_matches_simpson_path(self, n):
+        # a coefficient vector takes the exact loss, a callable the Simpson one;
+        # both see the same prior draws and noise
+        grid = DesignGrid(n)
+        pr = self.prior(n)
+        seqs = default_sequences(n)
+        family = weight_family(n, seqs)
+
+        def adaptive(Y, g):
+            out = estimate(Y, g, seqs, family)
+            return out.lambda_hat * out.coeffs.theta_hat
+
+        estimators = {
+            "zero": lambda Y, g: np.zeros(g.n),
+            "projection": lambda Y, g: basis_matrix(g).T @ Y / g.n,
+            "adaptive": adaptive,
+        }
+        for name, est in estimators.items():
+            exact = bayes_risk_mc(est, pr, self.SCALE, grid, reps=4, seed=8)
+            simpson = bayes_risk_mc(
+                lambda Y, g: TrigPolynomial(est(Y, g)), pr, self.SCALE, grid, reps=4, seed=8
+            )
+            np.testing.assert_allclose(exact, simpson, rtol=1e-9, err_msg=name)
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_combo_inner_and_norm(self, n):
+        fam = self.prior(n).family
+        fns = _family_fns(fam)
+        gram = _family_gram(fam)
+        for z in self.draws(self.prior(n)):
+            S = _LinearCombo(fns, z, gram=gram)
+            quad = _LinearCombo(fns, z)  # no Gram: Simpson path
+            assert S.l2_norm_sq() == pytest.approx(simpson_integral(lambda x: S(x) ** 2), rel=1e-9)
+            assert quad.l2_norm_sq() == pytest.approx(S.l2_norm_sq(), rel=1e-9)
+            for fp in fns:
+                ref = simpson_integral(lambda x: S(x) * fp(x))
+                assert S.inner(fp) == pytest.approx(ref, rel=1e-9)
+                assert quad.inner(fp) == pytest.approx(ref, rel=1e-12)
+
+    def test_combo_inner_with_outside_function(self):
+        fam = self.prior(101).family
+        fns = _family_fns(fam)
+        z = self.draws(self.prior(101), count=1)[0]
+        S = _LinearCombo(fns, z, gram=_family_gram(fam))
+        f = SampledFunction(lambda x: np.cos(3.0 * x))
+        assert S.inner(f) == simpson_integral(lambda x: S(x) * f(x))
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_frechet_unchanged(self, n):
+        c2, c3 = 0.5, 0.5
+        grid = DesignGrid(n)
+        x = grid.points
+        fam = self.prior(n).family
+        fns = _family_fns(fam)
+        gram = _family_gram(fam)
+        for z in self.draws(self.prior(n)):
+            S = _LinearCombo(fns, z, gram=gram)
+            for fp in fns:
+                quad = 2.0 * c2 * S(x) * fp(x) + 2.0 * c3 * simpson_integral(
+                    lambda t: S(t) * fp(t)
+                )
+                np.testing.assert_allclose(
+                    self.SCALE.frechet(x, S, fp), quad, rtol=1e-10, atol=1e-14
+                )
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_fft_cross_matrix_equals_dense(self, n):
+        fam = self.prior(n).family
+        xq, wq = simpson_rule()
+        weighted = fam.design_tensor(xq).reshape(fam.M * fam.N, -1) * wq
+        dense = basis_eval_matrix(n, xq).T @ weighted.T
+        np.testing.assert_allclose(_trig_inner_products(n, weighted), dense, rtol=0, atol=1e-14)
+
+    def test_fft_cross_matrix_aliases_beyond_grid(self):
+        # 16 panels: frequencies up to 25 wrap around the 16-point grid
+        x, w = simpson_rule(0.0, 1.0, 16)
+        weighted = np.stack([np.exp(-x), x**2]) * w
+        dense = basis_eval_matrix(51, x).T @ weighted.T
+        np.testing.assert_allclose(_trig_inner_products(51, weighted), dense, rtol=0, atol=1e-13)

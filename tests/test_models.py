@@ -5,6 +5,7 @@ import pytest
 
 from hetreg.basis import DesignGrid, TrigPolynomial
 from hetreg.models import (
+    SIMPSON_PANELS,
     NoiseSpec,
     econometric_scale,
     generate_observations,
@@ -13,6 +14,7 @@ from hetreg.models import (
     mollifier,
     nonperiodic_transform,
     simpson_integral,
+    simpson_rule,
     smooth_cutoff,
     substream,
 )
@@ -29,6 +31,18 @@ class TestSimpson:
 
     def test_mollifier_mass(self):
         assert simpson_integral(mollifier, -1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_rule_is_shared_and_read_only(self):
+        x, w = simpson_rule(-1.0, 1.0)
+        assert simpson_rule(-1.0, 1.0)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        assert (x[0], x[-1], len(x)) == (-1.0, 1.0, SIMPSON_PANELS + 1)
+        assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
+        np.testing.assert_allclose(w[:4] / w[0], [1.0, 4.0, 2.0, 4.0])
+
+    def test_odd_panels_rejected(self):
+        with pytest.raises(ValueError):
+            simpson_integral(lambda x: x, panels=7)
 
 
 class TestEconometricScale:

@@ -7,6 +7,16 @@ from hetreg.selection import cost, cost_terms, estimate, select, varsigma_hat
 from hetreg.weights import WeightIndex, default_sequences, weight_family
 
 
+class TestEstimateInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        g = DesignGrid(51)
+        y = np.zeros(51)
+        y[3] = bad
+        with pytest.raises(ValueError, match=r"must be finite: 1 of 51 .* index 3"):
+            estimate(y, g)
+
+
 class TestVarsigmaHat:
     def test_no_tail_energy(self):
         g = DesignGrid(11)

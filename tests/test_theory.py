@@ -8,6 +8,7 @@ from hetreg.models import simpson_integral
 from hetreg.theory import (
     SobolevBall,
     asymptotic_upper_risk,
+    cell_integrals,
     ellipsoid_coeff,
     ellipsoid_membership,
     exact_fourier_coeff,
@@ -125,6 +126,15 @@ class TestStepExtension:
         vals = np.arange(11.0)
         T = step_extension(vals, g)
         np.testing.assert_allclose(T(g.points), vals)
+
+    def test_cell_integrals_of_trig_polynomial(self):
+        S = TrigPolynomial([0.5, 2.0, 0.0, 0.0, 1.0])
+        int_s, s_l2_sq = cell_integrals(S, 51)
+        assert int_s.shape == (51,)
+        assert float(np.sum(int_s)) == pytest.approx(0.5, abs=1e-13)
+        assert s_l2_sq == pytest.approx(S.l2_norm_sq(), rel=1e-13)
+        # cell 1 is [0, 1/51]
+        assert int_s[0] == pytest.approx(simpson_integral(S, 0.0, 1.0 / 51), rel=1e-12)
 
     def test_norm_identity(self):
         rng = np.random.default_rng(1)
