@@ -3,10 +3,14 @@
 Everything here is exact linear algebra on the equidistant design grid
 x_j = j/n with odd n: the sampled basis vectors form an orthonormal basis
 of R^n under the empiric inner product (u, v)_n = (1/n) sum u_l v_l.
+Analysis and synthesis on the grid are one real FFT each (Cooley and Tukey
+1965); `basis_eval_matrix` is the one dense evaluator, and its value on the
+grid, `basis_matrix`, is the reference the tests hold the FFTs to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,6 +25,9 @@ __all__ = [
     "trig_basis_eval",
     "basis_matrix",
     "basis_eval_matrix",
+    "pack_spectrum",
+    "fourier_rows",
+    "grid_values",
     "discrete_fourier",
     "trig_series",
     "synthesize",
@@ -132,39 +139,68 @@ def trig_basis_eval(j: int, x):
     return np.sqrt(2.0) * (np.cos(arg) if j % 2 == 0 else np.sin(arg))
 
 
+def basis_eval_matrix(n: int, x) -> np.ndarray:
+    """(len(x), n) matrix of phi_1..phi_n at arbitrary points: the one dense evaluator."""
+    x = np.asarray(x, dtype=float).ravel()
+    angles = 2.0 * np.pi * np.outer(x, np.arange(1, n // 2 + 1, dtype=float))
+    mat = np.empty((len(x), n))
+    mat[:, 0] = 1.0
+    mat[:, 1::2] = np.sqrt(2.0) * np.cos(angles)
+    mat[:, 2::2] = np.sqrt(2.0) * np.sin(angles[:, : (n - 1) // 2])
+    return mat
+
+
 @lru_cache(maxsize=3)
 def _basis_matrix(n: int) -> np.ndarray:
     # column j-1 holds phi_j sampled on the grid; n odd so columns are orthonormal
-    x = np.arange(1, n + 1, dtype=float) / n
-    mat = np.empty((n, n))
-    mat[:, 0] = 1.0
-    half = (n - 1) // 2
-    if half:
-        angles = 2.0 * np.pi * np.outer(x, np.arange(1, half + 1, dtype=float))
-        mat[:, 1:n:2] = np.sqrt(2.0) * np.cos(angles)
-        mat[:, 2:n:2] = np.sqrt(2.0) * np.sin(angles)
+    mat = basis_eval_matrix(n, np.arange(1, n + 1, dtype=float) / n)
     mat.flags.writeable = False
     return mat
 
 
 def basis_matrix(grid: DesignGrid) -> np.ndarray:
-    """(n, n) matrix of phi_j(x_l); read-only and cached per n."""
+    """(n, n) matrix of phi_j(x_l), read-only and cached per n; the tests' dense reference."""
     return _basis_matrix(grid.n)
 
 
-def basis_eval_matrix(n: int, x) -> np.ndarray:
-    """(len(x), n) matrix of phi_j at arbitrary points, for batched synthesis."""
-    x = np.asarray(x, dtype=float).ravel()
-    mat = np.empty((len(x), n))
-    mat[:, 0] = 1.0
-    half = (n - 1) // 2 if n % 2 == 1 else n // 2
-    if half:
-        angles = 2.0 * np.pi * np.outer(x, np.arange(1, half + 1, dtype=float))
-        cos_block = np.sqrt(2.0) * np.cos(angles)
-        sin_block = np.sqrt(2.0) * np.sin(angles)
-        mat[:, 1:n:2] = cos_block[:, : mat[:, 1:n:2].shape[1]]
-        mat[:, 2:n:2] = sin_block[:, : mat[:, 2:n:2].shape[1]]
-    return mat
+def pack_spectrum(F, n: int) -> np.ndarray:
+    """Coefficients (..., n) of phi_1..phi_n, n odd, from DFT bins F_q (..., >= (n+1)/2).
+
+    The one map from FFT bins to basis indices: phi_1 takes Re F_0, phi_{2q}
+    takes sqrt(2) Re F_q and phi_{2q+1} takes -sqrt(2) Im F_q.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"transform length must be odd and positive, got n={n}")
+    ri = np.ascontiguousarray(F[..., : (n + 1) // 2], dtype=complex).view(float)
+    out = ri[..., 1:] * math.sqrt(2.0)  # sqrt(2) (Im F_0, Re F_1, Im F_1, ...)
+    out[..., 0] = ri[..., 0]
+    out[..., 2::2] *= -1.0
+    return out
+
+
+def fourier_rows(Y) -> np.ndarray:
+    """theta_hat_j = (Y, phi_j)_n along the last axis (odd length n), by one real FFT.
+
+    Reversed and conjugated, the FFT puts x_n = 1, i.e. 0, first without a rolled copy.
+    """
+    Y = np.asarray(Y, dtype=float)
+    return pack_spectrum(np.fft.rfft(Y[..., ::-1], norm="forward").conj(), Y.shape[-1])
+
+
+def grid_values(c) -> np.ndarray:
+    """sum_j c_j phi_j(l/n), l = 1..n, along the last axis: `fourier_rows` inverted.
+
+    The half spectrum is the conjugate of the one `pack_spectrum` maps to c;
+    reversing the inverse FFT undoes the conjugation and puts x_n last.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.shape[-1]
+    if n % 2 == 0:
+        raise ValueError(f"transform length must be odd and positive, got n={n}")
+    X = np.zeros(c.shape[:-1] + ((n + 1) // 2,), dtype=complex)
+    X[..., 0] = c[..., 0]
+    X.view(float)[..., 2:] = c[..., 1:] / math.sqrt(2.0)  # Re X_1, Im X_1, Re X_2, ...
+    return np.fft.irfft(X, n, norm="forward")[..., ::-1]
 
 
 def discrete_fourier(Y, grid: DesignGrid) -> FourierCoeffs:
@@ -177,38 +213,25 @@ def discrete_fourier(Y, grid: DesignGrid) -> FourierCoeffs:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (grid.n,):
         raise ValueError(f"observation vector must have length n={grid.n}")
-    theta = basis_matrix(grid).T @ Y / grid.n
-    return FourierCoeffs(grid.n, theta)
+    return FourierCoeffs(grid.n, fourier_rows(Y))
 
 
-def trig_series(coeffs, x, chunk: int = 4096):
-    """Evaluate sum_j coeffs[j-1] phi_j(x) at arbitrary points."""
+def trig_series(coeffs, x):
+    """Evaluate sum_j coeffs[j-1] phi_j(x) at arbitrary points, 2^20 matrix entries at a time."""
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xf = np.atleast_1d(x).ravel()
-    d = len(coeffs)
-    half = (d - 1) // 2 if d % 2 == 1 else d // 2
-    c_cos = coeffs[1:d:2]
-    c_sin = coeffs[2:d:2]
-    out = np.full(xf.shape, coeffs[0], dtype=float)
-    ps = np.arange(1, half + 1, dtype=float)
-    for lo in range(0, len(xf), chunk):
-        xs = xf[lo : lo + chunk]
-        if len(ps):
-            angles = 2.0 * np.pi * np.outer(xs, ps)
-            out[lo : lo + chunk] += np.sqrt(2.0) * (
-                np.cos(angles[:, : len(c_cos)]) @ c_cos
-                + np.sin(angles[:, : len(c_sin)]) @ c_sin
-            )
-    out = out.reshape(np.atleast_1d(x).shape)
-    return float(out[0]) if scalar else out
+    xf = x.ravel()
+    chunk = max(1, 2**20 // len(coeffs))
+    out = np.empty(x.size)
+    for lo in range(0, x.size, chunk):
+        out[lo : lo + chunk] = basis_eval_matrix(len(coeffs), xf[lo : lo + chunk]) @ coeffs
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def synthesize(lam, coeffs: FourierCoeffs, x):
     """Weighted series S_lam(x) = sum_j lam_j theta_hat_j phi_j(x).
 
-    `x` may be a scalar, an array of points, or a DesignGrid (exact matrix path).
+    `x` may be a scalar, an array of points, or a DesignGrid (inverse FFT).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (coeffs.n,):
@@ -217,5 +240,5 @@ def synthesize(lam, coeffs: FourierCoeffs, x):
     if isinstance(x, DesignGrid):
         if x.n != coeffs.n:
             raise ValueError("grid size does not match coefficients")
-        return basis_matrix(x) @ weighted
+        return grid_values(weighted)
     return trig_series(weighted, x)

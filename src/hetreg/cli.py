@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DesignGrid
+from .basis import DesignGrid, grid_values
 from .experiments import (
     ExperimentConfig,
     efficiency_study,
@@ -43,7 +43,7 @@ def _estimator_output_json(out: EstimatorOutput, grid: DesignGrid) -> dict:
         "costs": [
             {"beta": a.beta, "t": a.t, "cost": c} for a, c in out.costs.items()
         ],
-        "estimate_at_grid": out.estimate(grid.points).tolist(),
+        "estimate_at_grid": grid_values(out.lambda_hat * out.coeffs.theta_hat).tolist(),
     }
 
 
@@ -51,7 +51,7 @@ def _cmd_estimate(args) -> int:
     data = np.genfromtxt(args.data, delimiter=",", names=True)
     if data.dtype.names is None or "y" not in data.dtype.names:
         raise SystemExit("dataset must be a CSV with a 'y' column")
-    y = np.asarray(data["y"], dtype=float)
+    y = np.atleast_1d(np.asarray(data["y"], dtype=float))  # a one-row file gives a 0-d array
     try:
         grid = DesignGrid(len(y))
         out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DesignGrid, FourierCoeffs, SampledFunction, TrigPolynomial, basis_matrix
+from .basis import DesignGrid, SampledFunction, TrigPolynomial, fourier_rows, grid_values
 from .lowerbound import (
     bayes_risk_mc,
     check_conditions_A,
@@ -25,7 +25,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substream
-from .selection import estimate, select
+from .selection import estimate, select_rows
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -34,7 +34,12 @@ from .theory import (
     oracle_index,
     pinsker_constant,
 )
-from .weights import default_sequences, pinsker_weights, weight_family
+from .weights import WeightFamily, default_sequences, pinsker_weights, weight_family
+
+# basis_matrix and select are unused here but stay importable from this
+# module: bench/tracing.py patches them at this lookup site.
+from .basis import basis_matrix  # noqa: F401
+from .selection import select  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -126,16 +131,11 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
     refuse to run when it is negative.
     """
     spec = cfg.test_function
+    preset = spec.get("preset", "S1")
+    if preset == "S1" and "trig_coeffs" not in spec:
+        spec = {"trig_coeffs": [0.0, 2.0, 0.0, 0.0, 1.0], "name": "S1"}
     if "trig_coeffs" in spec:
         S = TrigPolynomial(spec["trig_coeffs"], name=spec.get("name", "custom"))
-        k = (cfg.ball or {}).get("k", 1)
-        exact = S.sobolev_norm_sq(k)
-        r = (cfg.ball or {}).get("r") or exact
-        ball = SobolevBall(k, r)
-        return S, ball, r - exact
-    preset = spec.get("preset", "S1")
-    if preset == "S1":
-        S = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0], name="S1")
         k = (cfg.ball or {}).get("k", 1)
         exact = S.sobolev_norm_sq(k)
         r = (cfg.ball or {}).get("r") or exact
@@ -161,8 +161,7 @@ class _StudyContext:
 
     grid: DesignGrid
     seqs: object
-    family: list
-    S: SampledFunction
+    family: WeightFamily
     S_design: np.ndarray
     theta_n: np.ndarray
     g_design: np.ndarray
@@ -182,7 +181,7 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
     seqs = cfg.sequences(n)
     family = weight_family(n, seqs)
     S_design = S.on_grid(grid)
-    theta_n = basis_matrix(grid).T @ S_design / n
+    theta_n = fourier_rows(S_design)
     g_design = scale.g(grid.points, S)
     resolved = []
     for name in estimators:
@@ -205,7 +204,7 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     return _StudyContext(
-        grid=grid, seqs=seqs, family=family, S=S, S_design=S_design,
+        grid=grid, seqs=seqs, family=family, S_design=S_design,
         theta_n=theta_n, g_design=g_design, noise=noise, noise_idx=noise_idx,
         seed=cfg.seed, estimators=resolved, cell_int_s=cell_int_s,
         s_l2_sq=s_l2_sq, sweep_family=sweep_family,
@@ -215,39 +214,28 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
 def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
     """Losses for replicates [rep_lo, rep_hi): (B, E, 2) plus family sweep (B, K)."""
     n = ctx.grid.n
-    Phi = basis_matrix(ctx.grid)
     B = rep_hi - rep_lo
     Y = np.empty((B, n))
     for i, rep in enumerate(range(rep_lo, rep_hi)):
         rng = substream(ctx.seed, _TAG_RISK, n, ctx.noise_idx, rep)
         Y[i] = ctx.S_design + ctx.g_design * ctx.noise.draw(rng, n)
-    theta_hat = Y @ Phi / n
+    theta_hat = fourier_rows(Y)
+    W = ctx.family.W
     out = np.empty((B, len(ctx.estimators), 2))
     sweep = None
     if ctx.sweep_family:
-        W = np.stack([lam for _, lam in ctx.family])
         # ||S_lam - S||_n^2 = sum_j (lam_j th_j - theta_nj)^2, expanded so the
         # whole family is two matmuls per block
         th2 = theta_hat**2
         cross = theta_hat * ctx.theta_n
         sweep = th2 @ (W**2).T - 2.0 * cross @ W.T + float(np.sum(ctx.theta_n**2))
-    for i in range(B):
-        coeffs_i = None
-        for e, (name, lam) in enumerate(ctx.estimators):
-            if lam is None:
-                if coeffs_i is None:
-                    coeffs_i = FourierCoeffs(n, theta_hat[i])
-                lam_i = select(ctx.family, coeffs_i, ctx.seqs).lambda_hat
-            else:
-                lam_i = lam
-            c = lam_i * theta_hat[i]
-            out[i, e, 0] = float(np.sum((c - ctx.theta_n) ** 2))
-            design_vals = Phi @ c
-            out[i, e, 1] = float(
-                np.sum(design_vals**2) / n
-                - 2.0 * design_vals @ ctx.cell_int_s
-                + ctx.s_l2_sq
-            )
+    for e, (_, lam) in enumerate(ctx.estimators):
+        if lam is None:
+            lam = W[select_rows(W, theta_hat, ctx.seqs)[0]]
+        c = lam * theta_hat
+        out[:, e, 0] = np.sum((c - ctx.theta_n) ** 2, axis=1)
+        vals = grid_values(c)  # at the design points
+        out[:, e, 1] = np.sum(vals**2, axis=1) / n - 2.0 * vals @ ctx.cell_int_s + ctx.s_l2_sq
     return out, sweep
 
 
@@ -319,6 +307,11 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool
     varsigma = scale.varsigma(S)
     gamma = pinsker_constant(ball.k, ball.r, varsigma)
     rate = 2.0 * ball.k / (2.0 * ball.k + 1.0)
+
+    def row(name, label, n, m_n, se_n, m_2=math.nan, se_2=math.nan):
+        ratio = n**rate * m_n / gamma
+        return RiskRow(name, label, n, m_n, se_n, m_2, se_2, ratio, gamma, cfg.seed)
+
     rows: list[RiskRow] = []
     sweeps: dict[tuple[int, str], np.ndarray] = {}
     per_noise: dict[tuple[str, str, int], tuple] = {}
@@ -334,21 +327,12 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool
             if "per_family" in estimators:
                 for kk, (alpha, _) in enumerate(ctx.family):
                     m_f, se_f = _mean_se(sweep[:, kk])
-                    rows.append(RiskRow(
-                        estimator=f"lambda[{alpha.beta},{alpha.t:.6g}]",
-                        noise=noise.label, n=n,
-                        risk_empiric=m_f, se_empiric=se_f,
-                        risk_l2=math.nan, se_l2=math.nan,
-                        normalized_ratio=n**rate * m_f / gamma, gamma_k=gamma, seed=cfg.seed,
-                    ))
+                    label = f"lambda[{alpha.beta},{alpha.t:.6g}]"
+                    rows.append(row(label, noise.label, n, m_f, se_f))
             for e, name in enumerate(named):
                 m_n, se_n = _mean_se(losses[:, e, 0])
                 m_2, se_2 = _mean_se(losses[:, e, 1])
-                rows.append(RiskRow(
-                    estimator=name, noise=noise.label, n=n,
-                    risk_empiric=m_n, se_empiric=se_n, risk_l2=m_2, se_l2=se_2,
-                    normalized_ratio=n**rate * m_n / gamma, gamma_k=gamma, seed=cfg.seed,
-                ))
+                rows.append(row(name, noise.label, n, m_n, se_n, m_2, se_2))
                 key = (name, "menu_max", n)
                 if key not in per_noise or m_n > per_noise[key][0]:
                     per_noise[key] = (m_n, se_n, m_2, se_2)
@@ -360,11 +344,7 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool
     if len(cfg.noise_menu) > 1:
         # lower envelope of the sup over the noise family, labeled as such
         for (name, label, n), (m_n, se_n, m_2, se_2) in per_noise.items():
-            rows.append(RiskRow(
-                estimator=name, noise=label, n=n,
-                risk_empiric=m_n, se_empiric=se_n, risk_l2=m_2, se_l2=se_2,
-                normalized_ratio=n**rate * m_n / gamma, gamma_k=gamma, seed=cfg.seed,
-            ))
+            rows.append(row(name, label, n, m_n, se_n, m_2, se_2))
     return rows, sweeps, (S, ball, scale, gamma, rate)
 
 
@@ -491,7 +471,7 @@ def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
     if name == "zero":
         return lambda Y, grid: np.zeros(grid.n)
     if name == "projection":
-        return lambda Y, grid: basis_matrix(grid).T @ np.asarray(Y, dtype=float) / grid.n
+        return lambda Y, grid: fourier_rows(Y)
     if name == "adaptive":
         seqs = cfg.sequences(n)
         family = weight_family(n, seqs)

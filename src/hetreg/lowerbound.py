@@ -18,7 +18,7 @@ import numpy as np
 
 # basis_eval_matrix is unused here but stays importable from this module:
 # bench/tracing.py patches it at this lookup site.
-from .basis import DesignGrid, SampledFunction, basis_eval_matrix  # noqa: F401
+from .basis import DesignGrid, SampledFunction, basis_eval_matrix, pack_spectrum  # noqa: F401
 from .models import (
     NoiseSpec,
     ScaleModel,
@@ -470,9 +470,8 @@ def _trig_inner_products(n: int, weighted: np.ndarray) -> np.ndarray:
     `weighted` holds P functions sampled on the K + 1 nodes of the [0, 1]
     Simpson rule, times its weights.  Every phi_j is 1-periodic, so node K
     folds onto node 0, and one FFT over the K nodes gives
-    F_q = sum_k a_k exp(-2 pi i q k / K): phi_1 takes the sum, phi_{2q}
-    takes sqrt(2) Re F_q and phi_{2q+1} takes -sqrt(2) Im F_q (q mod K for
-    frequencies beyond the grid).  Equal to the dense product with
+    F_q = sum_k a_k exp(-2 pi i q k / K), read by `pack_spectrum` (q mod K
+    for frequencies beyond the grid).  Equal to the dense product with
     `basis_eval_matrix` to rounding error, without forming the (K + 1, n)
     basis matrix.
     """
@@ -480,11 +479,7 @@ def _trig_inner_products(n: int, weighted: np.ndarray) -> np.ndarray:
     folded = weighted[:, :K].copy()
     folded[:, 0] += weighted[:, K]
     F = np.fft.fft(folded, axis=1)[:, np.arange((n + 1) // 2) % K]
-    out = np.empty((n, weighted.shape[0]))
-    out[0] = F[:, 0].real
-    out[1::2] = math.sqrt(2.0) * F[:, 1:].real.T
-    out[2::2] = -math.sqrt(2.0) * F[:, 1:].imag.T
-    return out
+    return pack_spectrum(F, n).T
 
 
 def bayes_risk_mc(

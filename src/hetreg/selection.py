@@ -14,7 +14,7 @@ from .basis import (
     discrete_fourier,
     trig_series,
 )
-from .weights import TuningSequences, WeightIndex, default_sequences, weight_family
+from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
 
 __all__ = [
     "CostTerms",
@@ -22,6 +22,8 @@ __all__ = [
     "varsigma_hat",
     "cost_terms",
     "cost",
+    "family_costs",
+    "select_rows",
     "select",
     "estimate",
 ]
@@ -87,35 +89,58 @@ def cost(lam, coeffs: FourierCoeffs, varsigma: float, rho: float) -> float:
     return cost_terms(lam, coeffs, varsigma, rho).total
 
 
+def family_costs(W: np.ndarray, theta_hat, seqs: TuningSequences) -> np.ndarray:
+    """J_n (..., K) of every taper row of W (K, n) for every row of theta_hat (..., n)."""
+    W2 = W**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        th2 = np.asarray(theta_hat, dtype=float) ** 2
+        n = th2.shape[-1]
+        vs = np.sum(th2[..., seqs.l_n :], axis=-1, keepdims=True)
+        quadratic = th2 @ W2.T
+        cross = -2.0 * ((th2 - vs / n) @ W.T)
+        costs = quadratic + cross + seqs.rho * W2.sum(axis=1) * vs / n
+    if not np.isfinite(costs).all():
+        raise ValueError(
+            f"cost J_n is not finite (varsigma_hat up to {float(np.max(vs)):.3g}): "
+            "the squared Fourier coefficients overflow"
+        )
+    return costs
+
+
+def select_rows(W: np.ndarray, theta_hat, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
+    """Selected row of W (...) and costs J_n (..., K) for every row of theta_hat.
+
+    Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
+    """
+    costs = family_costs(W, theta_hat, seqs)
+    return np.argmin(costs, axis=-1), costs
+
+
 def select(
-    family: list[tuple[WeightIndex, np.ndarray]],
+    family: WeightFamily | list[tuple[WeightIndex, np.ndarray]],
     coeffs: FourierCoeffs,
     seqs: TuningSequences,
 ) -> EstimatorOutput:
     """argmin of J_n over the family; ties go to the smaller (beta, t).
 
     All candidates are evaluated (no early stopping) with shared vectorized
-    sums, so the costs map supports an exhaustive audit.
+    sums, so the costs map supports an exhaustive audit.  A list of pairs is
+    stacked here; a WeightFamily brings its stack along.
     """
     if not family:
         raise ValueError("weight family must be nonempty")
-    vs = varsigma_hat(coeffs, seqs.l_n)
+    if not isinstance(family, WeightFamily):
+        family = WeightFamily(family)
     th = coeffs.theta_hat
-    theta_tilde = th**2 - vs / coeffs.n
-    W = np.stack([lam for _, lam in family])
-    W2 = W**2
-    costs_vec = W2 @ (th**2) - 2.0 * (W @ theta_tilde) + seqs.rho * W2.sum(axis=1) * vs / coeffs.n
-    # family is enumerated in (beta, t) order and argmin returns the first
-    # minimizer, which is the lexicographic tie rule
-    best = int(np.argmin(costs_vec))
-    alpha_hat, lam_hat = family[best]
+    best, costs_vec = select_rows(family.W, th, seqs)
+    alpha_hat, lam_hat = family[int(best)]
     weighted = lam_hat * th
     est = SampledFunction(lambda x: trig_series(weighted, x), name="adaptive")
     return EstimatorOutput(
         coeffs=coeffs,
         selected=alpha_hat,
         lambda_hat=lam_hat,
-        varsigma_hat=vs,
+        varsigma_hat=varsigma_hat(coeffs, seqs.l_n),
         costs={alpha: float(c) for (alpha, _), c in zip(family, costs_vec)},
         estimate=est,
     )
@@ -125,7 +150,7 @@ def estimate(
     Y,
     grid: DesignGrid,
     seqs: TuningSequences | None = None,
-    family: list[tuple[WeightIndex, np.ndarray]] | None = None,
+    family: WeightFamily | list[tuple[WeightIndex, np.ndarray]] | None = None,
 ) -> EstimatorOutput:
     """Full pipeline: transform, noise proxy, weight family, selection.
 

@@ -21,6 +21,7 @@ __all__ = [
     "a_beta",
     "omega",
     "pinsker_weights",
+    "WeightFamily",
     "weight_family",
 ]
 
@@ -124,11 +125,23 @@ def pinsker_weights(alpha: WeightIndex, n: int, seqs: TuningSequences) -> np.nda
     return lam
 
 
-def weight_family(n: int, seqs: TuningSequences) -> list[tuple[WeightIndex, np.ndarray]]:
+class WeightFamily(tuple):
+    """(WeightIndex, taper) pairs whose tapers are the read-only rows of one stack W (K, n)."""
+
+    def __new__(cls, pairs):
+        pairs = list(pairs)
+        W = np.array([lam for _, lam in pairs], dtype=float)
+        W.flags.writeable = False
+        family = super().__new__(cls, ((alpha, lam) for (alpha, _), lam in zip(pairs, W)))
+        family.W = W
+        return family
+
+
+def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     """All k* x m members, enumerated in increasing (beta, t) order."""
     family = []
     for beta in range(1, seqs.k_star + 1):
         for i in range(1, seqs.m + 1):
             alpha = WeightIndex(beta, i * seqs.eps)
             family.append((alpha, pinsker_weights(alpha, n, seqs)))
-    return family
+    return WeightFamily(family)

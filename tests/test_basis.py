@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hetreg.basis import (
     DesignGrid,
     TrigPolynomial,
+    basis_eval_matrix,
     basis_matrix,
     discrete_fourier,
     empiric_inner_product,
+    fourier_rows,
+    grid_values,
     synthesize,
     trig_basis_eval,
+    trig_series,
 )
+
+odd_n = st.integers(min_value=1, max_value=150).map(lambda h: 2 * h + 1)  # 3..301
+leading = st.sampled_from([(), (1,), (3,), (2, 2)])
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestEmpiricInnerProduct:
@@ -95,6 +105,39 @@ class TestDiscreteFourier:
         Y = rng.standard_normal(101)
         coeffs = discrete_fourier(Y, g)
         np.testing.assert_allclose(synthesize(np.ones(101), coeffs, g), Y, atol=1e-10)
+
+
+class TestFourierTransforms:
+    @given(n=odd_n, shape=leading, seed=seeds)
+    def test_fft_equals_dense_dft(self, n, shape, seed):
+        Y = np.random.default_rng(seed).standard_normal(shape + (n,))
+        dense = Y @ basis_matrix(DesignGrid(n)) / n
+        np.testing.assert_allclose(fourier_rows(Y), dense, rtol=0, atol=1e-13)
+        # an even length has no such basis: both directions refuse it
+        for transform in (fourier_rows, grid_values):
+            with pytest.raises(ValueError, match="odd"):
+                transform(Y[..., 1:])
+
+    @given(n=odd_n, shape=leading, seed=seeds, scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_round_trip_and_parseval(self, n, shape, seed, scale):
+        Y = scale * np.random.default_rng(seed).standard_normal(shape + (n,))
+        theta = fourier_rows(Y)
+        np.testing.assert_allclose(grid_values(theta), Y, rtol=0, atol=1e-12 * scale)
+        energy = np.mean(Y**2, axis=-1)
+        np.testing.assert_allclose(np.sum(theta**2, axis=-1), energy, rtol=1e-12)
+
+    @given(n=odd_n, seed=seeds)
+    def test_series_on_grid_equals_grid_values(self, n, seed):
+        c = np.random.default_rng(seed).standard_normal(n)
+        np.testing.assert_allclose(trig_series(c, DesignGrid(n).points), grid_values(c),
+                                   rtol=0, atol=1e-11)
+
+    def test_series_chunks_cover_every_point(self):
+        # 4097 coefficients give chunks of 255 points, so 600 points take three
+        c = np.random.default_rng(4).standard_normal(4097)
+        x = np.linspace(0.0, 1.0, 600).reshape(20, 30)
+        expected = (basis_eval_matrix(4097, x) @ c).reshape(20, 30)
+        np.testing.assert_allclose(trig_series(c, x), expected, rtol=0, atol=1e-12)
 
 
 class TestSynthesize:

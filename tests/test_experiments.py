@@ -54,6 +54,14 @@ class TestConfig:
             _, ball, margin = resolve_test_function(cfg)
             assert margin >= 0.0
 
+    def test_s1_preset_is_its_trig_coeffs(self):
+        S, ball, margin = resolve_test_function(small_config(test_function={"preset": "S1"}))
+        T, ball_t, margin_t = resolve_test_function(
+            small_config(test_function={"trig_coeffs": [0.0, 2.0, 0.0, 0.0, 1.0], "name": "S1"})
+        )
+        assert (S.name, ball, margin) == (T.name, ball_t, margin_t) == ("S1", ball, 0.0)
+        np.testing.assert_array_equal(S.coeffs, T.coeffs)
+
     def test_refuses_function_outside_ball(self):
         cfg = small_config(ball={"k": 1, "r": 1.0})  # S1 needs r ~ 320
         with pytest.raises(ValueError, match="margin"):
@@ -120,6 +128,29 @@ class TestMcRisk:
 
         assert NoiseSpec("uniform_normalized").kind == "uniform"
         assert NoiseSpec("student_t_normalized", df=7).kind == "student_t"
+
+    def test_batched_losses_match_per_replicate_estimate(self):
+        # the block path selects for all replicates at once; each replicate's
+        # losses must equal those of estimate() on that replicate's data
+        from hetreg.basis import DesignGrid, discrete_fourier
+        from hetreg.experiments import resolve_scale
+        from hetreg.models import NoiseSpec, substream
+        from hetreg.selection import estimate
+        from hetreg.theory import step_l2_distance_sq
+
+        cfg = small_config(reps=40, n_grid=[51, 101], estimators=["adaptive"], save_losses=True)
+        _, _, losses = risk_study(cfg)
+        S, _, _ = resolve_test_function(cfg)
+        scale = resolve_scale(cfg.scale)
+        for _, _, n, rep, loss_n, loss_l2 in losses:
+            g = DesignGrid(n)
+            rng = substream(cfg.seed, 3, n, 0, rep)
+            y = S.on_grid(g) + scale.g(g.points, S) * NoiseSpec("gaussian").draw(rng, n)
+            out = estimate(y, g, cfg.sequences(n))
+            theta_n = discrete_fourier(S.on_grid(g), g).theta_hat
+            expected = float(np.sum((out.lambda_hat * out.coeffs.theta_hat - theta_n) ** 2))
+            assert loss_n == pytest.approx(expected, rel=1e-10)
+            assert loss_l2 == pytest.approx(step_l2_distance_sq(out.estimate(g.points), S, g), rel=1e-10)
 
     def test_empiric_vs_continuous_norm_consistency(self):
         # norm transfer at delta = 1/2: R_n >= R_l2 / 2 - r / n^2
@@ -329,6 +360,23 @@ class TestCli:
         assert "must be finite" in str(exc.value.code)
         assert "index 7" in str(exc.value.code)
         assert not out_path.exists()
+
+    def test_estimate_rejects_overflowing_costs(self, tmp_path):
+        data_path = tmp_path / "huge.csv"
+        y = 1e200 * np.linspace(1.0, 2.0, 51)
+        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+        assert "hetreg estimate: cost J_n is not finite" in str(exc.value.code)
+        assert not out_path.exists()
+
+    def test_estimate_rejects_one_row(self, tmp_path):
+        data_path = tmp_path / "one.csv"
+        data_path.write_text("y\n1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path)])
+        assert str(exc.value.code) == "hetreg estimate: need odd n >= 3, got 1"
 
     def test_estimate_never_writes_nan_tokens(self, tmp_path, monkeypatch):
         import hetreg.cli

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hetreg.basis import DesignGrid, TrigPolynomial, discrete_fourier, trig_basis_eval
+from hetreg.basis import (
+    DesignGrid,
+    FourierCoeffs,
+    TrigPolynomial,
+    discrete_fourier,
+    fourier_rows,
+    trig_basis_eval,
+)
 from hetreg.models import NoiseSpec, generate_observations, homogeneous_scale, substream
-from hetreg.selection import cost, cost_terms, estimate, select, varsigma_hat
+from hetreg.selection import (
+    cost,
+    cost_terms,
+    estimate,
+    family_costs,
+    select,
+    select_rows,
+    varsigma_hat,
+)
 from hetreg.weights import WeightIndex, default_sequences, weight_family
 
 
@@ -15,6 +32,52 @@ class TestEstimateInput:
         y[3] = bad
         with pytest.raises(ValueError, match=r"must be finite: 1 of 51 .* index 3"):
             estimate(y, g)
+
+    def test_overflowing_costs_rejected(self):
+        # finite but so large that theta_hat^2 overflows: no taper may be selected
+        y = 1e200 * np.linspace(1.0, 2.0, 51)
+        with pytest.raises(ValueError, match="not finite"):
+            estimate(y, DesignGrid(51))
+
+
+def noisy_rows(n: int, rows: int, seed: int) -> np.ndarray:
+    """theta_hat of S1 plus unit noise, the regime the selector works in."""
+    x = DesignGrid(n).points
+    S = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])(x)
+    return fourier_rows(S + np.random.default_rng(seed).standard_normal((rows, n)))
+
+
+class TestFamilyCosts:
+    @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1),
+           s=st.floats(min_value=1e-3, max_value=1e3))
+    def test_two_homogeneous(self, n, seed, s):
+        seqs = default_sequences(n)
+        W = weight_family(n, seqs).W
+        th = noisy_rows(n, 3, seed)
+        base = family_costs(W, th, seqs)
+        np.testing.assert_allclose(family_costs(W, s * th, seqs), s**2 * base,
+                                   rtol=1e-9, atol=1e-12 * s**2 * np.abs(base).max())
+
+    @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(min_value=-60, max_value=60))
+    def test_argmin_scale_invariant(self, n, seed, k):
+        # a power of two scales every cost exactly, so the argmin cannot move
+        seqs = default_sequences(n)
+        W = weight_family(n, seqs).W
+        th = noisy_rows(n, 3, seed)
+        np.testing.assert_array_equal(select_rows(W, 2.0**k * th, seqs)[0],
+                                      select_rows(W, th, seqs)[0])
+
+    @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1))
+    def test_batched_argmin_equals_select(self, n, seed):
+        seqs = default_sequences(n)
+        fam = weight_family(n, seqs)
+        th = noisy_rows(n, 8, seed)
+        best, costs = select_rows(fam.W, th, seqs)
+        for row, b, c in zip(th, best, costs):
+            out = select(fam, FourierCoeffs(n, row), seqs)
+            assert out.selected == fam[b][0]
+            np.testing.assert_allclose(list(out.costs.values()), c, rtol=1e-12, atol=1e-15)
 
 
 class TestVarsigmaHat:
@@ -107,6 +170,13 @@ class TestSelect:
         coeffs = discrete_fourier(np.ones(51), g)
         out = select(fam, coeffs, seqs)
         assert out.selected == WeightIndex(1, 0.1)
+
+    def test_pair_list_selects_like_family(self):
+        seqs = default_sequences(101)
+        fam = weight_family(101, seqs)
+        coeffs = FourierCoeffs(101, noisy_rows(101, 1, 5)[0])
+        a, b = select(fam, coeffs, seqs), select(list(fam), coeffs, seqs)
+        assert (a.selected, a.costs) == (b.selected, b.costs)
 
     def test_empty_family(self):
         g = DesignGrid(51)

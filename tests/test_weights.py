@@ -141,6 +141,14 @@ class TestWeightFamily:
         assert idx == sorted(idx)
         assert len(set(idx)) == len(idx)
 
+    def test_tapers_are_rows_of_one_stack(self):
+        s = default_sequences(101)
+        fam = weight_family(101, s)
+        assert fam.W.shape == (len(fam), 101) and not fam.W.flags.writeable
+        for alpha, lam in fam:
+            assert np.shares_memory(lam, fam.W)
+            np.testing.assert_array_equal(lam, pinsker_weights(alpha, 101, s))
+
     def test_members_in_unit_cube(self):
         s = default_sequences(301)
         for _, lam in weight_family(301, s):
