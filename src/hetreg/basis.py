@@ -63,22 +63,36 @@ class FourierCoeffs:
 
 
 class SampledFunction:
-    """A real function on [0,1] evaluable anywhere, with cached design-grid samples."""
+    """A real function on [0,1] evaluable anywhere, with cached design-grid samples.
+
+    The cache holds, per n, the read-only `points` array of the grid it was
+    filled on and the values there.  A call on that very array object returns
+    the cached values; any other array, even an equal or writable copy of the
+    points, goes through the function.
+    """
 
     def __init__(self, fn, name: str = ""):
         self._fn = fn
         self.name = name
-        self._grid_cache: dict[int, np.ndarray] = {}
+        self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, x):
+        hit = self._grid_cache.get(len(x)) if isinstance(x, np.ndarray) and x.ndim == 1 else None
+        if hit is not None and hit[0] is x:
+            return hit[1]
         return self._fn(np.asarray(x, dtype=float))
 
     def on_grid(self, grid: DesignGrid) -> np.ndarray:
-        vals = self._grid_cache.get(grid.n)
-        if vals is None:
-            vals = np.asarray(self._fn(grid.points), dtype=float)
-            vals.flags.writeable = False
-            self._grid_cache[grid.n] = vals
+        hit = self._grid_cache.get(grid.n)
+        if hit is None:
+            return self._set_grid(grid, self._fn(grid.points))
+        return hit[1]
+
+    def _set_grid(self, grid: DesignGrid, values) -> np.ndarray:
+        """Cache `values` as the samples at grid.points; they must equal fn there."""
+        vals = np.asarray(values, dtype=float)
+        vals.flags.writeable = False
+        self._grid_cache[grid.n] = (grid.points, vals)
         return vals
 
     def l2_norm_sq(self) -> float:

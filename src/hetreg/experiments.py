@@ -25,7 +25,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substream
-from .selection import estimate, select_rows
+from .selection import select_rows
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -36,10 +36,10 @@ from .theory import (
 )
 from .weights import WeightFamily, default_sequences, pinsker_weights, weight_family
 
-# basis_matrix and select are unused here but stay importable from this
-# module: bench/tracing.py patches them at this lookup site.
+# basis_matrix, estimate and select are unused here but stay importable from
+# this module: bench/tracing.py patches them at this lookup site.
 from .basis import basis_matrix  # noqa: F401
-from .selection import select  # noqa: F401
+from .selection import estimate, select  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -477,8 +477,9 @@ def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
         family = weight_family(n, seqs)
 
         def run(Y, grid):
-            out = estimate(Y, grid, seqs, family)
-            return out.lambda_hat * out.coeffs.theta_hat
+            th = fourier_rows(Y)
+            best, _ = select_rows(family.W, th, seqs)
+            return family.W[best] * th
 
         return run
     raise ValueError(f"unknown bayes estimator {name!r}")

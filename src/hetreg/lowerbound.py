@@ -329,15 +329,30 @@ class VanTreesReport(NamedTuple):
     prior_sd: np.ndarray
 
 
+def _member_index(fns) -> dict[int, int]:
+    """{id(f_p): p}; a repeated f_p has equal Gram rows, so either p serves."""
+    return {id(f): p for p, f in enumerate(fns)}
+
+
 class _LinearCombo(SampledFunction):
     """sum_p z_p f_p; with the Gram matrix G of the f_p, the L2 norm z'Gz and
-    the inner product (Gz)_p with a member f_p are exact algebra."""
+    the inner product (Gz)_p with a member f_p are exact algebra.
 
-    def __init__(self, fns, z, gram=None):
+    `index` maps id(f_p) to p (built here when not given; a caller making many
+    draws over the same f_p builds it once).  `design` = (grid, D) with row p
+    of D the values of f_p at grid.points seeds the grid cache with z @ D;
+    other points go through every f_p.
+    """
+
+    def __init__(self, fns, z, gram=None, index=None, design=None):
         self._combo_fns = fns
         self._z = np.asarray(z, dtype=float)
         self._gram = gram
+        self._index = _member_index(fns) if index is None else index
         super().__init__(self._eval, name="linear-combo")
+        if design is not None:
+            grid, D = design
+            self._set_grid(grid, self._z @ D)
 
     def _eval(self, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
@@ -352,10 +367,10 @@ class _LinearCombo(SampledFunction):
         return super().l2_norm_sq()
 
     def inner(self, f) -> float:
-        if self._gram is not None:
-            for p, fp in enumerate(self._combo_fns):
-                if fp is f:
-                    return float(self._gram[p] @ self._z)
+        # the f_p stay alive in self._combo_fns, so no other object shares their ids
+        p = self._index.get(id(f))
+        if self._gram is not None and p is not None:
+            return float(self._gram[p] @ self._z)
         return super().inner(f)
 
 
@@ -384,13 +399,16 @@ def van_trees_bound(
     if tau_bar.shape != (P,) or prior_sd.shape != (P,):
         raise ValueError("tau_bar and prior_sd must match the number of directions")
     x = grid.points
+    # the design rows of the f_p (cached samples for a seeded family) give
+    # every draw's design values as one product z @ sens_design
     sens_design = np.stack([np.asarray(f(x), dtype=float) for f in sens_fns])
+    index = _member_index(sens_fns)
     rng = substream(seed, 11, grid.n, P)
     ginv2 = np.zeros(grid.n)
     bias = np.zeros(P)
     for _ in range(mc_reps):
         z = rng.standard_normal(P) * prior_sd
-        S_z = _LinearCombo(sens_fns, z, gram=gram)
+        S_z = _LinearCombo(sens_fns, z, gram, index, (grid, sens_design))
         g2 = np.asarray(scale.g2(x, S_z), dtype=float)
         ginv2 += 1.0 / g2
         for p, fp in enumerate(sens_fns):
@@ -415,13 +433,19 @@ def _family_gram(family: KernelFamily) -> np.ndarray:
     return G
 
 
-def _family_fns(family: KernelFamily) -> list[SampledFunction]:
+def _family_fns(family: KernelFamily, grid: DesignGrid | None = None) -> list[SampledFunction]:
+    """The D_{m,j} in (m, j) order; with a grid, each one's grid cache holds
+    its row of one `design_tensor` call."""
     fns = []
     for m in range(1, family.M + 1):
         for j in range(1, family.N + 1):
             fns.append(SampledFunction(
                 lambda x, m=m, j=j: family.element(m, j, x), name=f"D[{m},{j}]"
             ))
+    if grid is not None:
+        Dn = family.design_tensor(grid.points).reshape(len(fns), grid.n)
+        for f, row in zip(fns, Dn):
+            f._set_grid(grid, row)
     return fns
 
 
@@ -440,7 +464,7 @@ def prior_van_trees_bound(
     ])
     prior_sd = prior.t.ravel()
     return van_trees_bound(
-        _family_fns(fam), tau_bar, prior_sd, scale, grid,
+        _family_fns(fam, grid), tau_bar, prior_sd, scale, grid,
         mc_reps=mc_reps, seed=seed, gram=_family_gram(fam),
     )
 
@@ -505,8 +529,9 @@ def bayes_risk_mc(
     fam = prior.family
     xq, wq = simpson_rule()
     Dq = fam.design_tensor(xq).reshape(fam.M * fam.N, -1)
-    Dn = fam.design_tensor(grid.points).reshape(fam.M * fam.N, -1)
-    fns = _family_fns(fam)
+    fns = _family_fns(fam, grid)
+    Dn = np.stack([f.on_grid(grid) for f in fns])
+    index = _member_index(fns)
     gram = _family_gram(fam)
     cross = None
     losses = np.empty(reps)
@@ -514,9 +539,9 @@ def bayes_risk_mc(
         rng = substream(seed, 13, grid.n, rep)
         theta, _ = sample_prior(prior, rng)
         tflat = theta.ravel()
-        S_fn = _LinearCombo(fns, tflat, gram=gram)
+        S_fn = _LinearCombo(fns, tflat, gram, index, (grid, Dn))
         xi = noise.draw(rng, grid.n)
-        Y = tflat @ Dn + np.sqrt(np.asarray(scale.g2(grid.points, S_fn), dtype=float)) * xi
+        Y = S_fn.on_grid(grid) + np.sqrt(np.asarray(scale.g2(grid.points, S_fn), dtype=float)) * xi
         out = estimator(Y, grid)
         if isinstance(out, np.ndarray):
             if cross is None:

@@ -34,6 +34,7 @@ from hetreg.theory import (
     tail_energy_bound,
     pinsker_constant,
 )
+from hetreg.weights import default_sequences, weight_family
 
 
 def report(criterion, passed, detail=""):
@@ -205,8 +206,12 @@ def test_criterion_6_van_trees_sanity():
     zero_fn = TrigPolynomial([0.0])
     g0 = lambda x: scale.g(x, zero_fn)
 
+    # the sequences and family estimate(Y, g) would build on every call, built once per n
+    tuning = {n: default_sequences(n) for n in (51, 101)}
+    families = {n: weight_family(n, seqs) for n, seqs in tuning.items()}
+
     def adaptive(Y, g):
-        out = estimate(Y, g)
+        out = estimate(Y, g, tuning[g.n], families[g.n])
         return out.lambda_hat * out.coeffs.theta_hat
 
     def projection(Y, g):

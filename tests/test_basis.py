@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hetreg.basis import (
     DesignGrid,
+    SampledFunction,
     TrigPolynomial,
     basis_eval_matrix,
     basis_matrix,
@@ -180,6 +181,48 @@ class TestTrigPolynomial:
         S = TrigPolynomial([1.0, 0.5])
         x = np.linspace(0, 1, 17)
         np.testing.assert_allclose(S(x), 1.0 + 0.5 * np.sqrt(2) * np.cos(2 * np.pi * x))
+
+
+class TestGridCache:
+    """A SampledFunction serves cached samples only for the grid's own points array."""
+
+    @staticmethod
+    def counted(calls):
+        def fn(x):
+            calls.append(x)
+            return np.cos(3.0 * x) + x**2
+
+        return SampledFunction(fn)
+
+    @pytest.mark.parametrize("n", [3, 51, 101])
+    def test_grid_points_equal_a_copy(self, n):
+        g = DesignGrid(n)
+        calls = []
+        f = self.counted(calls)
+        cached = f.on_grid(g)
+        assert f(g.points) is cached
+        assert len(calls) == 1
+        np.testing.assert_array_equal(f(g.points), f(g.points.copy()))
+        assert len(calls) == 2
+
+    def test_other_arrays_of_the_same_length_go_through_fn(self):
+        g = DesignGrid(51)
+        calls = []
+        f = self.counted(calls)
+        f._set_grid(g, np.full(51, -7.0))  # a sentinel no call of fn returns
+        others = [
+            g.points.copy(),
+            DesignGrid(51).points,            # equal and read-only, another object
+            np.linspace(0.0, 1.0, 51),
+            g.points[::-1].copy(),
+        ]
+        for x in others:
+            np.testing.assert_array_equal(f(x), np.cos(3.0 * x) + x**2)
+        assert len(calls) == len(others)
+        assert calls[-1] is others[-1]
+        np.testing.assert_array_equal(f(g.points), -7.0)
+        with pytest.raises(ValueError):
+            f.on_grid(g)[0] = 0.0  # cached samples are read-only
 
 
 class TestBasisSquareSums:

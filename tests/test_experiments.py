@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hetreg.basis import DesignGrid, grid_values
 from hetreg.cli import main as cli_main
 from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _bayes_estimator,
     efficiency_study,
     lower_bound_study,
     mc_risk,
@@ -17,6 +19,8 @@ from hetreg.experiments import (
     risk_study,
     write_csv,
 )
+from hetreg.selection import estimate
+from hetreg.weights import weight_family
 
 
 def small_config(**over):
@@ -168,7 +172,7 @@ class TestBayesMinimaxOrdering:
         # averaging over the prior cannot exceed the worst sampled S
         import numpy as np
 
-        from hetreg.basis import DesignGrid
+        from hetreg.basis import DesignGrid, grid_values
         from hetreg.lowerbound import bayes_risk_mc, kernel_function, least_favorable_prior, sample_prior
         from hetreg.models import SIMPSON_PANELS, NoiseSpec, homogeneous_scale, substream
         from hetreg.selection import estimate as run_estimate
@@ -257,6 +261,22 @@ class TestLowerBoundStudy:
         for name, br in rec["bayes_risks"].items():
             assert br["risk"] + 5.0 * br["se"] >= rec["bound"]
         assert any(r.estimator == "van_trees_bound" for r in rows)
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_adaptive_bayes_estimator_is_estimate(self, n):
+        cfg = small_config(n_grid=[n])
+        seqs = cfg.sequences(n)
+        family = weight_family(n, seqs)
+        run = _bayes_estimator("adaptive", cfg, n)
+        grid = DesignGrid(n)
+        rng = np.random.default_rng(n)
+        picked = set()
+        for decay in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):  # coefficient decay j^-decay
+            Y = grid_values(np.arange(1, n + 1) ** -decay * rng.standard_normal(n))
+            out = estimate(Y, grid, seqs, family)
+            picked.add(out.selected)
+            np.testing.assert_array_equal(run(Y, grid), out.lambda_hat * out.coeffs.theta_hat)
+        assert len(picked) > 1
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from hetreg.basis import (
     basis_matrix,
 )
 from hetreg.lowerbound import (
+    KernelFamily,
     _family_fns,
     _family_gram,
     _LinearCombo,
@@ -390,3 +391,98 @@ class TestExactAlgebra:
         weighted = np.stack([np.exp(-x), x**2]) * w
         dense = basis_eval_matrix(51, x).T @ weighted.T
         np.testing.assert_allclose(_trig_inner_products(51, weighted), dense, rtol=0, atol=1e-13)
+
+
+class TestDesignCache:
+    """Prior draws on the design read one `design_tensor` call, never a kernel element."""
+
+    SCALE = TestExactAlgebra.SCALE
+    prior = TestExactAlgebra.prior
+    draws = TestExactAlgebra.draws
+
+    @staticmethod
+    def estimators(n):
+        seqs = default_sequences(n)
+        family = weight_family(n, seqs)
+
+        def adaptive(Y, g):
+            out = estimate(Y, g, seqs, family)
+            return out.lambda_hat * out.coeffs.theta_hat
+
+        return {
+            "zero": lambda Y, g: np.zeros(g.n),
+            "projection": lambda Y, g: basis_matrix(g).T @ Y / g.n,
+            "adaptive": adaptive,
+        }
+
+    @staticmethod
+    def uncached(monkeypatch):
+        # grid samples are computed on every request and never stored
+        monkeypatch.setattr(
+            SampledFunction, "_set_grid", lambda self, grid, values: np.asarray(values, dtype=float)
+        )
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_combo_on_design_equals_sum_off_cache(self, n):
+        grid = DesignGrid(n)
+        pr = self.prior(n)
+        fns = _family_fns(pr.family, grid)
+        Dn = np.stack([f.on_grid(grid) for f in fns])
+        off = grid.points.copy()
+        for z in self.draws(pr):
+            S = _LinearCombo(fns, z, _family_gram(pr.family), design=(grid, Dn))
+            ref = sum(zp * fp(off) for zp, fp in zip(z, fns))
+            np.testing.assert_allclose(S(grid.points), ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(S(off), ref, rtol=1e-14, atol=0)
+
+    def test_draw_reads_the_given_design_rows(self):
+        grid = DesignGrid(101)
+        fns = _family_fns(self.prior(101).family)
+        rows = np.arange(len(fns) * grid.n, dtype=float).reshape(len(fns), grid.n)
+        z = np.linspace(1.0, 2.0, len(fns))
+        S = _LinearCombo(fns, z, design=(grid, rows))
+        np.testing.assert_array_equal(S(grid.points), z @ rows)
+        assert not np.array_equal(S(grid.points.copy()), z @ rows)
+
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_bound_and_risks_match_uncached_path(self, n, monkeypatch):
+        grid = DesignGrid(n)
+        pr = self.prior(n)
+
+        def run():
+            bound = prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=40, seed=606).bound
+            risks = {
+                name: bayes_risk_mc(est, pr, self.SCALE, grid, reps=40, seed=607)
+                for name, est in self.estimators(n).items()
+            }
+            return bound, risks
+
+        bound, risks = run()
+        self.uncached(monkeypatch)
+        ref_bound, ref_risks = run()
+        assert bound == pytest.approx(ref_bound, rel=1e-12)
+        for name, risk in risks.items():
+            np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-12, err_msg=name)
+
+    def test_element_calls_do_not_grow_with_reps(self, monkeypatch):
+        calls = [0]
+        element = KernelFamily.element
+
+        def counted(self, m, j, x):
+            calls[0] += 1
+            return element(self, m, j, x)
+
+        monkeypatch.setattr(KernelFamily, "element", counted)
+        grid = DesignGrid(51)
+        pr = self.prior(51)
+        project = self.estimators(51)["projection"]
+
+        def count(reps):
+            calls[0] = 0
+            prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=reps, seed=1)
+            bayes_risk_mc(project, pr, self.SCALE, grid, reps=reps, seed=2)
+            return calls[0]
+
+        assert count(3) == count(12)
+        self.uncached(monkeypatch)
+        assert count(3) < count(12)  # the counter sees the per-draw path
