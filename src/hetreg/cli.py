@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -66,8 +67,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     S, ball, _ = resolve_test_function(cfg)
     scale = resolve_scale(cfg.scale)
     noise = NoiseSpec(**cfg.noise_menu[0])
@@ -76,7 +76,7 @@ def _cmd_simulate(args) -> int:
     rng = substream(cfg.seed, 1, n, 0, 0)
     y = generate_observations(S, scale, noise, grid, rng)
     s_true = S.on_grid(grid)
-    out = args.out or "dataset.csv"
+    out = out or "dataset.csv"
     with open(out, "w", newline="\n") as fh:
         fh.write("x,y,s_true\n")
         for x, yy, ss in zip(grid.points, y, s_true):
@@ -86,26 +86,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file, then HETREG_SEED / HETREG_WORKERS, then flags; validated as a whole."""
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    env_seed = os.environ.get("HETREG_SEED")
-    env_workers = os.environ.get("HETREG_WORKERS")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
-    if env_workers is not None:
-        cfg.workers = int(env_workers)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg.reps = args.reps
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
+    over = {}
+    for key in ("seed", "workers"):
+        env = os.environ.get(f"HETREG_{key.upper()}")
+        if env is not None:
+            try:
+                over[key] = int(env)
+            except ValueError:
+                raise ValueError(f"HETREG_{key.upper()} must be an integer, got {env!r}") from None
+    for key in ("seed", "reps", "workers"):
+        if getattr(args, key, None) is not None:
+            over[key] = getattr(args, key)
     if getattr(args, "out", None):
-        cfg.output_path = args.out
-    return cfg
+        over["output_path"] = args.out
+    return dataclasses.replace(cfg, **over)
 
 
-def _cmd_study(name: str, args) -> int:
-    cfg = _load_config(args)
+def _cmd_study(name: str, cfg: ExperimentConfig) -> int:
     rows, summary, losses = _STUDIES[name](cfg)
     out_dir = Path(cfg.output_path)
     stem = name.replace("-", "_")
@@ -138,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="experiment config JSON")
     ps.add_argument("--out", help="output CSV path")
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--reps", type=int)
-    ps.add_argument("--workers", type=int)
 
     for name in _STUDIES:
         q = sub.add_parser(name, help=f"run the {name} study (config JSON -> CSV + JSON)")
@@ -155,9 +152,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "estimate":
         return _cmd_estimate(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_study(args.command, args)
+    try:
+        cfg = _load_config(args)
+        if args.command == "simulate":
+            return _cmd_simulate(cfg, args.out)
+        return _cmd_study(args.command, cfg)
+    except ValueError as err:
+        raise SystemExit(f"hetreg {args.command}: {err}") from err
 
 
 if __name__ == "__main__":

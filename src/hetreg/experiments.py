@@ -3,7 +3,9 @@
 Replicates are embarrassingly parallel: replicate r of a study always draws
 from the substream keyed by (seed, study tag, n, noise index, r), and
 results are reduced in fixed replicate order, so worker count never changes
-any output byte.
+any output byte.  Every study estimator is a taper row of one stack cut to its
+support, so a block's two losses for all of them, and the family sweep that
+every study keeps, are a few matmuls on its coefficients, with no inverse FFT.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, TrigPolynomial, fourier_rows, grid_values
+from .basis import DesignGrid, SampledFunction, TrigPolynomial, fourier_rows
 from .lowerbound import (
     bayes_risk_mc,
     check_conditions_A,
@@ -87,8 +89,9 @@ class ExperimentConfig:
         for n in self.n_grid:
             if n % 2 == 0 or n < 3:
                 raise ValueError(f"all n must be odd and >= 3, got {n}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for key in ("reps", "workers"):
+            if not isinstance(getattr(self, key), int) or getattr(self, key) < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
         for n in self.n_grid:
             self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
 
@@ -157,62 +160,71 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
 
 @dataclass
 class _StudyContext:
-    """Per-(n, noise) precomputed quantities shared by every replicate."""
+    """Per-(n, noise) quantities shared by every replicate.
+
+    L: the family's tapers, then the fixed estimators' weights, cut to their
+    support; `columns`: each named estimator's row of L, -1 for the adaptive pick."""
 
     grid: DesignGrid
     seqs: object
     family: WeightFamily
     S_design: np.ndarray
-    theta_n: np.ndarray
     g_design: np.ndarray
     noise: NoiseSpec
     noise_idx: int
     seed: int
-    estimators: list      # (name, fixed lambda or None)
-    cell_int_s: np.ndarray
-    s_l2_sq: float
-    sweep_family: bool
+    L: np.ndarray
+    columns: np.ndarray
+    targets: np.ndarray  # (2, m): theta_n, and n * fourier_rows(int S per cell)
+    consts: np.ndarray   # (2,): ||theta_n||^2 over all n coefficients, ||S||^2
 
 
 def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: int,
-                  estimators: list[str], sweep_family: bool,
-                  S: SampledFunction, ball: SobolevBall, scale: ScaleModel) -> _StudyContext:
+                  estimators: list[str], S: SampledFunction, ball: SobolevBall,
+                  scale: ScaleModel) -> _StudyContext:
     grid = DesignGrid(n)
     seqs = cfg.sequences(n)
     family = weight_family(n, seqs)
     S_design = S.on_grid(grid)
     theta_n = fourier_rows(S_design)
-    g_design = scale.g(grid.points, S)
-    resolved = []
+    rows, columns = [family.W], []
+    widths = {"projection": n, "zero": 0}
     for name in estimators:
         if name == "adaptive":
-            resolved.append((name, None))
-        elif name == "oracle_weight":
-            alpha = oracle_index(ball, scale.varsigma(S), n, seqs)
-            resolved.append((name, pinsker_weights(alpha, n, seqs)))
-        elif name == "projection":
-            resolved.append((name, np.ones(n)))
-        elif name.startswith("projection:"):
-            d = int(name.split(":", 1)[1])
-            lam = np.zeros(n)
-            lam[:d] = 1.0
-            resolved.append((name, lam))
-        elif name == "zero":
-            resolved.append((name, np.zeros(n)))
+            columns.append(-1)
+            continue
+        if name == "oracle_weight":
+            rows.append(pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs))
+        elif name in widths or name.startswith("projection:"):
+            d = widths[name] if name in widths else int(name.split(":", 1)[1])
+            if d < 0:
+                raise ValueError(f"estimator {name!r} must keep d >= 0 coefficients")
+            rows.append((np.arange(n) < d).astype(float))  # keeps the first d coefficients
         else:
             raise ValueError(f"unknown estimator {name!r}")
+        columns.append(len(family) + len(rows) - 2)
+    L = np.vstack(rows)
+    m = int(np.flatnonzero(L.any(axis=0))[-1]) + 1  # every taper is 0 past column m
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        theta_n=theta_n, g_design=g_design, noise=noise, noise_idx=noise_idx,
-        seed=cfg.seed, estimators=resolved, cell_int_s=cell_int_s,
-        s_l2_sq=s_l2_sq, sweep_family=sweep_family,
+        g_design=scale.g(grid.points, S), noise=noise, noise_idx=noise_idx, seed=cfg.seed,
+        L=np.ascontiguousarray(L[:, :m]), columns=np.array(columns, dtype=int),
+        targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :m],
+        consts=np.array([np.sum(theta_n**2), s_l2_sq]),
     )
 
 
 def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
-    """Losses for replicates [rep_lo, rep_hi): (B, E, 2) plus family sweep (B, K)."""
+    """Losses for replicates [rep_lo, rep_hi): (B, E, 2) plus family sweep (B, K).
+
+    Every estimator is a row lam of ctx.L, so by Parseval both of its losses are
+    sum_j lam_j^2 th_j^2 - 2 sum_j lam_j th_j t_j + c: the empiric ||S_lam - S||_n^2
+    with t = theta_n, c = |theta_n|^2, and the step extension's ||T(S_lam) - S||^2
+    with t_j = sum_l phi_j(l/n) int_cell_l S, c = ||S||^2.  One stack of matmuls
+    gives both for every row; the adaptive estimator is its pick's row.
+    """
     n = ctx.grid.n
     B = rep_hi - rep_lo
     Y = np.empty((B, n))
@@ -220,23 +232,13 @@ def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
         rng = substream(ctx.seed, _TAG_RISK, n, ctx.noise_idx, rep)
         Y[i] = ctx.S_design + ctx.g_design * ctx.noise.draw(rng, n)
     theta_hat = fourier_rows(Y)
-    W = ctx.family.W
-    out = np.empty((B, len(ctx.estimators), 2))
-    sweep = None
-    if ctx.sweep_family:
-        # ||S_lam - S||_n^2 = sum_j (lam_j th_j - theta_nj)^2, expanded so the
-        # whole family is two matmuls per block
-        th2 = theta_hat**2
-        cross = theta_hat * ctx.theta_n
-        sweep = th2 @ (W**2).T - 2.0 * cross @ W.T + float(np.sum(ctx.theta_n**2))
-    for e, (_, lam) in enumerate(ctx.estimators):
-        if lam is None:
-            lam = W[select_rows(W, theta_hat, ctx.seqs)[0]]
-        c = lam * theta_hat
-        out[:, e, 0] = np.sum((c - ctx.theta_n) ** 2, axis=1)
-        vals = grid_values(c)  # at the design points
-        out[:, e, 1] = np.sum(vals**2, axis=1) / n - 2.0 * vals @ ctx.cell_int_s + ctx.s_l2_sq
-    return out, sweep
+    K, m = len(ctx.family), ctx.L.shape[1]
+    th = theta_hat[:, :m]
+    quad = th**2 @ (ctx.L**2).T
+    loss = quad - 2.0 * (th * ctx.targets[:, None, :]) @ ctx.L.T + ctx.consts[:, None, None]
+    pick, _ = select_rows(ctx.L[:K], theta_hat, ctx.seqs)
+    cols = np.where(ctx.columns < 0, pick[:, None], ctx.columns)
+    return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, :K]
 
 
 def _run_replicates(ctx: _StudyContext, reps: int, workers: int):
@@ -246,9 +248,7 @@ def _run_replicates(ctx: _StudyContext, reps: int, workers: int):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda b: _block_losses(ctx, *b), blocks))
-    losses = np.concatenate([r[0] for r in results], axis=0)
-    sweep = np.concatenate([r[1] for r in results], axis=0) if ctx.sweep_family else None
-    return losses, sweep
+    return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -295,9 +295,8 @@ def write_csv(rows: list[RiskRow], path) -> None:
             fh.write(row.as_csv() + "\n")
 
 
-def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool = False,
-                losses_sink: list | None = None):
-    """Risk rows for every (estimator, noise, n) plus optional family sweeps."""
+def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list | None = None):
+    """Risk rows for every (estimator, noise, n) plus the family sweeps."""
     S, ball, margin = resolve_test_function(cfg)
     if margin < 0.0:
         raise ValueError(
@@ -316,14 +315,12 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool
     sweeps: dict[tuple[int, str], np.ndarray] = {}
     per_noise: dict[tuple[str, str, int], tuple] = {}
     named = [e for e in estimators if e != "per_family"]
-    sweep_family = sweep_family or "per_family" in estimators
     for n in cfg.n_grid:
         for noise_idx, nspec in enumerate(cfg.noise_menu):
             noise = NoiseSpec(**nspec)
-            ctx = _make_context(cfg, n, noise, noise_idx, named, sweep_family, S, ball, scale)
+            ctx = _make_context(cfg, n, noise, noise_idx, named, S, ball, scale)
             losses, sweep = _run_replicates(ctx, cfg.reps, cfg.workers)
-            if sweep is not None:
-                sweeps[(n, noise.label)] = sweep
+            sweeps[(n, noise.label)] = sweep
             if "per_family" in estimators:
                 for kk, (alpha, _) in enumerate(ctx.family):
                     m_f, se_f = _mean_se(sweep[:, kk])
@@ -337,10 +334,8 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], sweep_family: bool
                 if key not in per_noise or m_n > per_noise[key][0]:
                     per_noise[key] = (m_n, se_n, m_2, se_2)
                 if losses_sink is not None:
-                    for rep in range(cfg.reps):
-                        losses_sink.append(
-                            (name, noise.label, n, rep, losses[rep, e, 0], losses[rep, e, 1])
-                        )
+                    losses_sink.extend((name, noise.label, n, rep, *losses[rep, e])
+                                       for rep in range(cfg.reps))
     if len(cfg.noise_menu) > 1:
         # lower envelope of the sup over the noise family, labeled as such
         for (name, label, n), (m_n, se_n, m_2, se_2) in per_noise.items():
@@ -379,9 +374,7 @@ def oracle_study(cfg: ExperimentConfig):
     the inequality already holds outright, and the n * slack trend must grow
     slower than sqrt(n).
     """
-    rows, sweeps, (S, ball, scale, gamma, rate) = _study_rows(
-        cfg, ["adaptive"], sweep_family=True
-    )
+    rows, sweeps, (S, ball, scale, gamma, rate) = _study_rows(cfg, ["adaptive"])
     per_n = {}
     for n in cfg.n_grid:
         coeff = oracle_coefficient(cfg.sequences(n).rho)

@@ -90,14 +90,19 @@ def cost(lam, coeffs: FourierCoeffs, varsigma: float, rho: float) -> float:
 
 
 def family_costs(W: np.ndarray, theta_hat, seqs: TuningSequences) -> np.ndarray:
-    """J_n (..., K) of every taper row of W (K, n) for every row of theta_hat (..., n)."""
+    """J_n (..., K) of every taper row of W (K, m) for every row of theta_hat (..., n), m <= n.
+
+    Tapers zero past column m may come cut to width m, as the study block's do:
+    the quadratic and cross terms sum over those m columns, varsigma_hat over all n.
+    """
     W2 = W**2
+    m = W.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         th2 = np.asarray(theta_hat, dtype=float) ** 2
         n = th2.shape[-1]
         vs = np.sum(th2[..., seqs.l_n :], axis=-1, keepdims=True)
-        quadratic = th2 @ W2.T
-        cross = -2.0 * ((th2 - vs / n) @ W.T)
+        quadratic = th2[..., :m] @ W2.T
+        cross = -2.0 * ((th2[..., :m] - vs / n) @ W.T)
         costs = quadratic + cross + seqs.rho * W2.sum(axis=1) * vs / n
     if not np.isfinite(costs).all():
         raise ValueError(

@@ -127,6 +127,15 @@ class TestFourierTransforms:
         energy = np.mean(Y**2, axis=-1)
         np.testing.assert_allclose(np.sum(theta**2, axis=-1), energy, rtol=1e-12)
 
+    @given(n=odd_n, shape=leading, seed=seeds)
+    def test_synthesis_is_n_times_the_adjoint_of_analysis(self, n, shape, seed):
+        # the identities that let a study take grid losses from coefficients alone
+        rng = np.random.default_rng(seed)
+        c, v = rng.standard_normal(shape + (n,)), rng.standard_normal(n)
+        vals = grid_values(c)
+        np.testing.assert_allclose(vals @ v, c @ (n * fourier_rows(v)), rtol=1e-12, atol=1e-12 * n)
+        np.testing.assert_allclose(np.sum(vals**2, axis=-1) / n, np.sum(c**2, axis=-1), rtol=1e-12)
+
     @given(n=odd_n, seed=seeds)
     def test_series_on_grid_equals_grid_values(self, n, seed):
         c = np.random.default_rng(seed).standard_normal(n)

@@ -38,6 +38,46 @@ def small_config(**over):
     return ExperimentConfig.from_dict(base)
 
 
+ESTIMATOR_KINDS = ["adaptive", "oracle_weight", "projection", "projection:5", "zero"]
+
+
+def direct_losses(cfg):
+    """Per replicate, each estimator's (empiric, L2) loss and every taper's empiric
+    loss, computed one replicate at a time off the dense evaluator."""
+    from hetreg.basis import discrete_fourier, trig_series
+    from hetreg.experiments import resolve_scale
+    from hetreg.models import NoiseSpec, substream
+    from hetreg.theory import oracle_index, step_l2_distance_sq
+    from hetreg.weights import pinsker_weights
+
+    S, ball, _ = resolve_test_function(cfg)
+    scale = resolve_scale(cfg.scale)
+    expected, per_taper = {}, {}
+    for n in cfg.n_grid:
+        g, seqs = DesignGrid(n), cfg.sequences(n)
+        family = weight_family(n, seqs)
+        fixed = {
+            "oracle_weight": pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs),
+            "projection": np.ones(n),
+            "projection:5": np.where(np.arange(n) < 5, 1.0, 0.0),
+            "zero": np.zeros(n),
+        }
+        theta_n = discrete_fourier(S.on_grid(g), g).theta_hat
+        sweep = []
+        for rep in range(cfg.reps):
+            rng = substream(cfg.seed, 3, n, 0, rep)
+            y = S.on_grid(g) + scale.g(g.points, S) * NoiseSpec("gaussian").draw(rng, n)
+            out = estimate(y, g, seqs, family)
+            th = out.coeffs.theta_hat
+            for name, lam in [("adaptive", out.lambda_hat), *fixed.items()]:
+                c = lam * th
+                expected[name, n, rep] = (float(np.sum((c - theta_n) ** 2)),
+                                          step_l2_distance_sq(trig_series(c, g.points), S, g))
+            sweep.append(np.sum((family.W * th - theta_n) ** 2, axis=1))
+        per_taper[n] = np.array(sweep)
+    return expected, per_taper
+
+
 class TestConfig:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
@@ -47,6 +87,12 @@ class TestConfig:
         # refused when the config is built, before any oracle replicate runs
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\)"):
             small_config(rho=1.0 / 3.0)
+
+    @pytest.mark.parametrize("key", ["reps", "workers"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "2"])
+    def test_rejects_bad_reps_and_workers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+            small_config(**{key: value})
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -65,6 +111,11 @@ class TestConfig:
         )
         assert (S.name, ball, margin) == (T.name, ball_t, margin_t) == ("S1", ball, 0.0)
         np.testing.assert_array_equal(S.coeffs, T.coeffs)
+
+    @pytest.mark.parametrize("name", ["projection:-3", "projection:x", "lasso"])
+    def test_refuses_unknown_or_negative_estimators(self, name):
+        with pytest.raises(ValueError):
+            risk_study(small_config(reps=4, estimators=["adaptive", name]))
 
     def test_refuses_function_outside_ball(self):
         cfg = small_config(ball={"k": 1, "r": 1.0})  # S1 needs r ~ 320
@@ -134,27 +185,37 @@ class TestMcRisk:
         assert NoiseSpec("student_t_normalized", df=7).kind == "student_t"
 
     def test_batched_losses_match_per_replicate_estimate(self):
-        # the block path selects for all replicates at once; each replicate's
-        # losses must equal those of estimate() on that replicate's data
-        from hetreg.basis import DesignGrid, discrete_fourier
-        from hetreg.experiments import resolve_scale
-        from hetreg.models import NoiseSpec, substream
-        from hetreg.selection import estimate
-        from hetreg.theory import step_l2_distance_sq
+        # the block gets every estimator's two losses and the family sweep from
+        # one stack of matmuls; each must equal the direct loss on that replicate
+        from hetreg.experiments import _study_rows
 
-        cfg = small_config(reps=40, n_grid=[51, 101], estimators=["adaptive"], save_losses=True)
-        _, _, losses = risk_study(cfg)
-        S, _, _ = resolve_test_function(cfg)
-        scale = resolve_scale(cfg.scale)
-        for _, _, n, rep, loss_n, loss_l2 in losses:
-            g = DesignGrid(n)
-            rng = substream(cfg.seed, 3, n, 0, rep)
-            y = S.on_grid(g) + scale.g(g.points, S) * NoiseSpec("gaussian").draw(rng, n)
-            out = estimate(y, g, cfg.sequences(n))
-            theta_n = discrete_fourier(S.on_grid(g), g).theta_hat
-            expected = float(np.sum((out.lambda_hat * out.coeffs.theta_hat - theta_n) ** 2))
-            assert loss_n == pytest.approx(expected, rel=1e-10)
-            assert loss_l2 == pytest.approx(step_l2_distance_sq(out.estimate(g.points), S, g), rel=1e-10)
+        for preset in ("S1", "S2"):  # S2's theta_n fills every coefficient
+            cfg = small_config(reps=40, n_grid=[51, 101], estimators=ESTIMATOR_KINDS + ["per_family"],
+                               test_function={"preset": preset}, save_losses=True)
+            rows, _, losses = risk_study(cfg)
+            _, sweeps, _ = _study_rows(cfg, ["adaptive"])  # the oracle study's sweep
+            expected, per_taper = direct_losses(cfg)
+            for n in cfg.n_grid:
+                np.testing.assert_allclose(sweeps[n, "gaussian"], per_taper[n], rtol=1e-10)
+                for (alpha, _), col in zip(weight_family(n, cfg.sequences(n)), per_taper[n].T):
+                    label = f"lambda[{alpha.beta},{alpha.t:.6g}]"
+                    row = next(r for r in rows if r.n == n and r.estimator == label)
+                    assert row.risk_empiric == pytest.approx(col.mean(), rel=1e-10)
+            assert len(losses) == len(expected) == len(ESTIMATOR_KINDS) * len(cfg.n_grid) * cfg.reps
+            for name, _, n, rep, loss_n, loss_l2 in losses:
+                assert loss_n == pytest.approx(expected[name, n, rep][0], rel=1e-10)
+                assert loss_l2 == pytest.approx(expected[name, n, rep][1], rel=1e-10)
+
+    def test_studies_run_without_an_inverse_fft(self, monkeypatch):
+        # both losses come from the coefficients, never from synthesized grid values
+        def no_irfft(*args, **kwargs):
+            raise AssertionError("a study replicate called the inverse FFT")
+
+        monkeypatch.setattr(np.fft, "irfft", no_irfft)
+        kinds = ESTIMATOR_KINDS + ["per_family"]
+        rows, _, _ = risk_study(small_config(reps=8, n_grid=[51, 101], estimators=kinds))
+        assert len(rows) > len(kinds)
+        oracle_study(small_config(reps=8, n_grid=[51, 101], rho=0.25))
 
     def test_empiric_vs_continuous_norm_consistency(self):
         # norm transfer at delta = 1/2: R_n >= R_l2 / 2 - r / n^2
@@ -367,6 +428,35 @@ class TestCli:
         cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "77"])
         text = (out_dir / "risk.csv").read_text()
         assert text.splitlines()[1].split(",")[-1] == "77"
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--reps", "0"], {}, "hetreg risk: reps must be an integer >= 1, got 0"),
+        (["--workers", "-3"], {}, "hetreg risk: workers must be an integer >= 1, got -3"),
+        ([], {"HETREG_WORKERS": "x"}, "hetreg risk: HETREG_WORKERS must be an integer, got 'x'"),
+        ([], {"HETREG_SEED": "1.5"}, "hetreg risk: HETREG_SEED must be an integer, got '1.5'"),
+        ([], {"HETREG_WORKERS": "0"}, "hetreg risk: workers must be an integer >= 1, got 0"),
+    ])
+    def test_study_overrides_are_validated(self, tmp_path, monkeypatch, argv, env, message):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--out", str(out_dir), *argv])
+        assert str(exc.value.code) == message
+        assert not out_dir.exists()
+
+    def test_config_workers_are_validated(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"workers": 2.5}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == "hetreg oracle: workers must be an integer >= 1, got 2.5"
+
+    @pytest.mark.parametrize("flag", ["--reps", "--workers"])
+    def test_simulate_has_no_study_knobs(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--out", str(tmp_path / "d.csv"), flag, "2"])
+        assert exc.value.code == 2  # argparse: unrecognized argument
 
     def test_estimate_rejects_nan(self, tmp_path):
         y = np.sin(np.arange(51.0))

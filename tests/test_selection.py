@@ -80,6 +80,22 @@ class TestFamilyCosts:
             np.testing.assert_allclose(list(out.costs.values()), c, rtol=1e-12, atol=1e-15)
 
 
+    @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1),
+           extra=st.integers(min_value=0, max_value=400))
+    def test_tapers_cut_past_their_support(self, n, seed, extra):
+        # W is 0 past column m: cutting it there changes neither a cost nor the pick
+        seqs = default_sequences(n)
+        W = weight_family(n, seqs).W
+        m = min(n, int(np.flatnonzero(W.any(axis=0))[-1]) + 1 + extra)
+        th = noisy_rows(n, 8, seed)
+        full_best, full = select_rows(W, th, seqs)
+        cut_best, cut = select_rows(np.ascontiguousarray(W[:, :m]), th, seqs)
+        np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(cut_best, full_best)
+        np.testing.assert_allclose(family_costs(W[:, :m], th[0], seqs), full[0],
+                                   rtol=1e-12, atol=1e-15)
+
+
 class TestVarsigmaHat:
     def test_no_tail_energy(self):
         g = DesignGrid(11)
