@@ -34,6 +34,8 @@ __all__ = [
     "as_sampled",
 ]
 
+BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of float64)
+
 
 @dataclass(frozen=True)
 class DesignGrid:
@@ -63,36 +65,26 @@ class FourierCoeffs:
 
 
 class SampledFunction:
-    """A real function on [0,1] evaluable anywhere, with cached design-grid samples.
+    """A real function on [0,1] evaluable anywhere, with its design-grid samples cached per n.
 
-    The cache holds, per n, the read-only `points` array of the grid it was
-    filled on and the values there.  A call on that very array object returns
-    the cached values; any other array, even an equal or writable copy of the
-    points, goes through the function.
+    `on_grid` evaluates the function at grid.points the first time it sees a
+    grid of that size and returns the same read-only array after that; a
+    call evaluates the function at the points it is given.
     """
 
     def __init__(self, fn, name: str = ""):
         self._fn = fn
         self.name = name
-        self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._grid_cache: dict[int, np.ndarray] = {}
 
     def __call__(self, x):
-        hit = self._grid_cache.get(len(x)) if isinstance(x, np.ndarray) and x.ndim == 1 else None
-        if hit is not None and hit[0] is x:
-            return hit[1]
         return self._fn(np.asarray(x, dtype=float))
 
     def on_grid(self, grid: DesignGrid) -> np.ndarray:
-        hit = self._grid_cache.get(grid.n)
-        if hit is None:
-            return self._set_grid(grid, self._fn(grid.points))
-        return hit[1]
-
-    def _set_grid(self, grid: DesignGrid, values) -> np.ndarray:
-        """Cache `values` as the samples at grid.points; they must equal fn there."""
-        vals = np.asarray(values, dtype=float)
-        vals.flags.writeable = False
-        self._grid_cache[grid.n] = (grid.points, vals)
+        vals = self._grid_cache.get(grid.n)
+        if vals is None:
+            vals = self._grid_cache[grid.n] = np.asarray(self._fn(grid.points), dtype=float)
+            vals.flags.writeable = False
         return vals
 
     def l2_norm_sq(self) -> float:
@@ -100,12 +92,6 @@ class SampledFunction:
         from .models import simpson_integral  # local import to avoid a cycle
 
         return simpson_integral(lambda x: self(x) ** 2)
-
-    def inner(self, f) -> float:
-        """L2[0,1] inner product with the function f (fixed Simpson rule)."""
-        from .models import simpson_integral
-
-        return simpson_integral(lambda x: self(x) * f(x))
 
 
 def as_sampled(f, name: str = "") -> SampledFunction:
@@ -231,11 +217,11 @@ def discrete_fourier(Y, grid: DesignGrid) -> FourierCoeffs:
 
 
 def trig_series(coeffs, x):
-    """Evaluate sum_j coeffs[j-1] phi_j(x) at arbitrary points, 2^20 matrix entries at a time."""
+    """Evaluate sum_j coeffs[j-1] phi_j(x) at arbitrary points, in blocks of BLOCK_ENTRIES entries."""
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     xf = x.ravel()
-    chunk = max(1, 2**20 // len(coeffs))
+    chunk = max(1, BLOCK_ENTRIES // len(coeffs))
     out = np.empty(x.size)
     for lo in range(0, x.size, chunk):
         out[lo : lo + chunk] = basis_eval_matrix(len(coeffs), xf[lo : lo + chunk]) @ coeffs

@@ -65,6 +65,10 @@ CSV_COLUMNS = (
 
 _TAG_RISK = 3
 _BLOCK = 32  # fixed replicate block size, independent of worker count
+_BAYES_ESTIMATORS = ("zero", "projection", "adaptive")
+_LOWERBOUND_DEFAULTS = {
+    "eps": 0.2, "eta": 0.05, "prior_mc": 500, "bayes_estimators": _BAYES_ESTIMATORS,
+}
 
 
 @dataclass
@@ -94,6 +98,17 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
         for n in self.n_grid:
             self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
+        if not isinstance(self.lowerbound, dict):
+            raise ValueError(f"lowerbound must be a mapping, got {self.lowerbound!r}")
+        unknown = set(self.lowerbound) - set(_LOWERBOUND_DEFAULTS)
+        if unknown:
+            raise ValueError(f"unknown lowerbound keys: {sorted(unknown)}")
+        lb = {**_LOWERBOUND_DEFAULTS, **self.lowerbound}
+        if not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
+            raise ValueError(f"lowerbound prior_mc must be an integer >= 1, got {lb['prior_mc']!r}")
+        for name in lb["bayes_estimators"]:
+            if name not in _BAYES_ESTIMATORS:
+                raise ValueError(f"unknown bayes estimator {name!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -480,11 +495,9 @@ def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
 
 def lower_bound_study(cfg: ExperimentConfig):
     """van Trees bound for the constructed prior vs MC Bayes risks (Gaussian noise)."""
-    lb = cfg.lowerbound
-    eps = lb.get("eps", 0.2)
-    eta = lb.get("eta", 0.05)
-    prior_mc = lb.get("prior_mc", 500)
-    bayes_estimators = lb.get("bayes_estimators", ["zero", "projection", "adaptive"])
+    lb = {**_LOWERBOUND_DEFAULTS, **cfg.lowerbound}
+    eps = lb["eps"]
+    eta = lb["eta"]
     S, ball, _ = resolve_test_function(cfg)
     scale = resolve_scale(cfg.scale)
     zero = TrigPolynomial([0.0], name="S0")
@@ -496,7 +509,7 @@ def lower_bound_study(cfg: ExperimentConfig):
         grid = DesignGrid(n)
         prior = least_favorable_prior(ball.k, ball.r, n, eps=eps, g0=g0, eta=eta)
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
-        report = prior_van_trees_bound(prior, scale, grid, mc_reps=prior_mc, seed=cfg.seed)
+        report = prior_van_trees_bound(prior, scale, grid, mc_reps=lb["prior_mc"], seed=cfg.seed)
         target = lower_bound_target(prior)
         conds = check_conditions_A(prior)
         rec = {
@@ -519,7 +532,7 @@ def lower_bound_study(cfg: ExperimentConfig):
             normalized_ratio=n**rate * report.bound / gamma0,
             gamma_k=gamma0, seed=cfg.seed,
         ))
-        for name in bayes_estimators:
+        for name in lb["bayes_estimators"]:
             risk, se = bayes_risk_mc(
                 _bayes_estimator(name, cfg, n), prior, scale, grid,
                 reps=cfg.reps, seed=cfg.seed,

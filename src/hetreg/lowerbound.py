@@ -16,9 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# basis_eval_matrix is unused here but stays importable from this module:
-# bench/tracing.py patches it at this lookup site.
-from .basis import DesignGrid, SampledFunction, basis_eval_matrix, pack_spectrum  # noqa: F401
+from .basis import BLOCK_ENTRIES, DesignGrid, SampledFunction, pack_spectrum
 from .models import (
     NoiseSpec,
     ScaleModel,
@@ -28,6 +26,10 @@ from .models import (
     substream,
 )
 from .theory import pinsker_constant
+
+# basis_eval_matrix is unused here but stays importable from this module:
+# bench/tracing.py patches it at this lookup site.
+from .basis import basis_eval_matrix  # noqa: F401
 
 __all__ = [
     "mollified_indicator",
@@ -329,49 +331,9 @@ class VanTreesReport(NamedTuple):
     prior_sd: np.ndarray
 
 
-def _member_index(fns) -> dict[int, int]:
-    """{id(f_p): p}; a repeated f_p has equal Gram rows, so either p serves."""
-    return {id(f): p for p, f in enumerate(fns)}
-
-
-class _LinearCombo(SampledFunction):
-    """sum_p z_p f_p; with the Gram matrix G of the f_p, the L2 norm z'Gz and
-    the inner product (Gz)_p with a member f_p are exact algebra.
-
-    `index` maps id(f_p) to p (built here when not given; a caller making many
-    draws over the same f_p builds it once).  `design` = (grid, D) with row p
-    of D the values of f_p at grid.points seeds the grid cache with z @ D;
-    other points go through every f_p.
-    """
-
-    def __init__(self, fns, z, gram=None, index=None, design=None):
-        self._combo_fns = fns
-        self._z = np.asarray(z, dtype=float)
-        self._gram = gram
-        self._index = _member_index(fns) if index is None else index
-        super().__init__(self._eval, name="linear-combo")
-        if design is not None:
-            grid, D = design
-            self._set_grid(grid, self._z @ D)
-
-    def _eval(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for zp, fp in zip(self._z, self._combo_fns):
-            if zp != 0.0:
-                out += zp * fp(x)
-        return out
-
-    def l2_norm_sq(self) -> float:
-        if self._gram is not None:
-            return float(self._z @ self._gram @ self._z)
-        return super().l2_norm_sq()
-
-    def inner(self, f) -> float:
-        # the f_p stay alive in self._combo_fns, so no other object shares their ids
-        p = self._index.get(id(f))
-        if self._gram is not None and p is not None:
-            return float(self._gram[p] @ self._z)
-        return super().inner(f)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r . b_r for every row r, each one BLAS dot as in a single draw's a_r @ b_r."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def van_trees_bound(
@@ -389,34 +351,42 @@ def van_trees_bound(
 
     F_p sums f_p^2(x_i) E g^-2(x_i, S_z) over design points; B_p averages the
     squared Frechet response of g^2 in direction f_p over the prior.  Both
-    expectations run over `mc_reps` prior draws with a fixed substream.
+    expectations run over `mc_reps` prior draws, one (mc_reps, P) array from
+    a fixed substream.  With D the f_p on the design and G their Gram matrix
+    (`gram`, or the Simpson rule's when None), a block of draws Z has S_z on
+    the design Z @ D, ||S_z||^2 = z'Gz and <S_z, f_p> = (Gz)_p, so F_p and B_p
+    are matmuls over BLOCK_ENTRIES (draw, direction, design point) entries at a time.
     """
     if scale.frechet is None:
         raise ValueError("scale model without a Frechet derivative is unsupported")
+    if mc_reps < 1:
+        raise ValueError(f"mc_reps must be >= 1, got {mc_reps}")
     tau_bar = np.asarray(tau_bar, dtype=float)
     prior_sd = np.asarray(prior_sd, dtype=float)
     P = len(sens_fns)
     if tau_bar.shape != (P,) or prior_sd.shape != (P,):
         raise ValueError("tau_bar and prior_sd must match the number of directions")
     x = grid.points
-    # the design rows of the f_p (cached samples for a seeded family) give
-    # every draw's design values as one product z @ sens_design
-    sens_design = np.stack([np.asarray(f(x), dtype=float) for f in sens_fns])
-    index = _member_index(sens_fns)
-    rng = substream(seed, 11, grid.n, P)
+    D = np.stack([np.asarray(f(x), dtype=float) for f in sens_fns])
+    if gram is None:
+        xq, wq = simpson_rule()
+        Dq = np.stack([np.asarray(f(xq), dtype=float) for f in sens_fns])
+        gram = (Dq * wq) @ Dq.T
+    Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * prior_sd
     ginv2 = np.zeros(grid.n)
     bias = np.zeros(P)
-    for _ in range(mc_reps):
-        z = rng.standard_normal(P) * prior_sd
-        S_z = _LinearCombo(sens_fns, z, gram, index, (grid, sens_design))
-        g2 = np.asarray(scale.g2(x, S_z), dtype=float)
-        ginv2 += 1.0 / g2
-        for p, fp in enumerate(sens_fns):
-            L = np.asarray(scale.frechet(x, S_z, fp), dtype=float)
-            bias[p] += 0.5 * float(np.sum(L**2 / g2**2))
+    step = max(1, BLOCK_ENTRIES // (P * grid.n))
+    for lo in range(0, mc_reps, step):
+        z = Z[lo : lo + step]
+        s = z @ D
+        Gz = z @ gram
+        g2 = scale.g2(x, s, _row_dots(Gz, z)[:, None])
+        L = scale.frechet(x, s[:, None, :], D, Gz[:, :, None])
+        ginv2 += np.sum(1.0 / g2, axis=0)
+        bias += np.sum(0.5 * np.sum(L**2 / g2[:, None, :] ** 2, axis=2), axis=0)
     ginv2 /= mc_reps
     bias /= mc_reps
-    fisher = sens_design**2 @ ginv2
+    fisher = D**2 @ ginv2
     bound = float(np.sum(tau_bar**2 / (fisher + bias + prior_sd**-2.0)))
     return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
 
@@ -433,19 +403,14 @@ def _family_gram(family: KernelFamily) -> np.ndarray:
     return G
 
 
-def _family_fns(family: KernelFamily, grid: DesignGrid | None = None) -> list[SampledFunction]:
-    """The D_{m,j} in (m, j) order; with a grid, each one's grid cache holds
-    its row of one `design_tensor` call."""
+def _family_fns(family: KernelFamily) -> list[SampledFunction]:
+    """The D_{m,j} in (m, j) order."""
     fns = []
     for m in range(1, family.M + 1):
         for j in range(1, family.N + 1):
             fns.append(SampledFunction(
                 lambda x, m=m, j=j: family.element(m, j, x), name=f"D[{m},{j}]"
             ))
-    if grid is not None:
-        Dn = family.design_tensor(grid.points).reshape(len(fns), grid.n)
-        for f, row in zip(fns, Dn):
-            f._set_grid(grid, row)
     return fns
 
 
@@ -464,7 +429,7 @@ def prior_van_trees_bound(
     ])
     prior_sd = prior.t.ravel()
     return van_trees_bound(
-        _family_fns(fam, grid), tau_bar, prior_sd, scale, grid,
+        _family_fns(fam), tau_bar, prior_sd, scale, grid,
         mc_reps=mc_reps, seed=seed, gram=_family_gram(fam),
     )
 
@@ -515,41 +480,48 @@ def bayes_risk_mc(
     seed: int = 0,
     noise: NoiseSpec | None = None,
 ) -> tuple[float, float]:
-    """Average continuous-norm loss over prior draws and Gaussian noise.
+    """Average continuous-norm loss over prior draws and noise.
 
-    `estimator(Y, grid)` may return either a length-n vector of basis
-    coefficients or a callable.  For a coefficient vector c the loss is exact
-    algebra, ||c||^2 - 2 c'C t + t'G t with t the flattened prior draw, G the
-    family Gram matrix and C the inner products of the phi_j with the family
-    (built once per call); a callable is integrated on the fixed Simpson
-    grid.  Returns (mean, standard error).
+    Replicate r draws its prior coefficients t and then its noise from its own
+    substream.  A block of replicates, BLOCK_ENTRIES design entries at most,
+    is one (B, n) stack of observations Y = T @ D + g * noise, with D the
+    family on the design, ||S_t||^2 = t'Gt and G the family Gram matrix.
+    `estimator(Y_r, grid)` runs once per row and must return the length-n
+    vector c of basis coefficients of its estimate; the loss is exact algebra,
+    ||c||^2 - 2 c'C t + t'G t with C the inner products of the phi_j with the
+    family (built once per call).  Returns (mean, standard error).
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if noise is None:
         noise = NoiseSpec("gaussian")
     fam = prior.family
+    n = grid.n
     xq, wq = simpson_rule()
-    Dq = fam.design_tensor(xq).reshape(fam.M * fam.N, -1)
-    fns = _family_fns(fam, grid)
-    Dn = np.stack([f.on_grid(grid) for f in fns])
-    index = _member_index(fns)
+    D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
     gram = _family_gram(fam)
-    cross = None
+    cross = _trig_inner_products(n, fam.design_tensor(xq).reshape(fam.M * fam.N, -1) * wq)
     losses = np.empty(reps)
-    for rep in range(reps):
-        rng = substream(seed, 13, grid.n, rep)
-        theta, _ = sample_prior(prior, rng)
-        tflat = theta.ravel()
-        S_fn = _LinearCombo(fns, tflat, gram, index, (grid, Dn))
-        xi = noise.draw(rng, grid.n)
-        Y = S_fn.on_grid(grid) + np.sqrt(np.asarray(scale.g2(grid.points, S_fn), dtype=float)) * xi
-        out = estimator(Y, grid)
-        if isinstance(out, np.ndarray):
-            if cross is None:
-                cross = _trig_inner_products(grid.n, Dq * wq)
-            losses[rep] = float(out @ out - 2.0 * out @ (cross @ tflat) + tflat @ gram @ tflat)
-        else:
-            est_quad = np.asarray(out(xq), dtype=float)
-            losses[rep] = float(wq @ (est_quad - tflat @ Dq) ** 2)
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, reps, step):
+        B = min(step, reps - lo)
+        T = np.empty((B, len(D)))
+        xi = np.empty((B, n))
+        for i in range(B):
+            rng = substream(seed, 13, n, lo + i)
+            T[i] = sample_prior(prior, rng)[0].ravel()
+            xi[i] = noise.draw(rng, n)
+        s = T @ D
+        norm_sq = _row_dots(T @ gram, T)
+        Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
+        c = np.empty((B, n))
+        for i, row in enumerate(Y):
+            out = estimator(row, grid)
+            if np.shape(out) != (n,):
+                raise ValueError(f"estimator must return a length-{n} coefficient vector, "
+                                 f"got shape {np.shape(out)}")
+            c[i] = out
+        losses[lo : lo + B] = _row_dots(c, c) - 2.0 * _row_dots(c, T @ cross.T) + norm_sq
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return mean, se

@@ -1,7 +1,10 @@
 """Heteroscedastic data generation: scale operators, noise menu, smooth cutoff.
 
-Scale models carry g(x, S) together with the Frechet derivative of g^2 and,
-when available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.
+Scale models carry g^2 together with its Frechet derivative and, when
+available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.  Every
+model here needs S only through S(x), ||S||^2 and <S, f>, so g^2 and the
+derivative take those values, for one S or for a whole stack of draws at once;
+only `ScaleModel.g` and `ScaleModel.varsigma` take the function S.
 Integrals of general functions use one composite Simpson rule on 2^14 + 1
 fixed points (`simpson_rule`), which keeps every numeric result
 deterministic.  Where the integrand is known in closed form the package uses
@@ -108,25 +111,34 @@ def mollifier_cdf(t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaleModel:
-    """Scale operator sigma_j(S) = g(x_j, S) with the derivative of g^2.
+    """Scale operator sigma_j(S) = g(x_j, S) with the derivative of g^2, on values.
 
-    g2(x, S) must stay bounded away from zero on the function class in use;
-    frechet(x, S, f) is the linear response of g^2 at S in direction f.
+    g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2;
+    frechet(x, s, f, cross) is the linear response of g^2 at S in the
+    direction f, given f(x) and cross = <S, f>.  The arguments broadcast as
+    arrays whose last axis runs over x, so a (B, n) stack of draws passes
+    norm_sq as (B, 1) and gets its B rows of g^2 in one call.  g2 must stay
+    bounded away from zero on the function class in use; varsigma_exact, when
+    given, is int g^2 as a function of ||S||^2.
     """
 
-    g2: Callable[[np.ndarray, SampledFunction], np.ndarray]
-    frechet: Optional[Callable[[np.ndarray, SampledFunction, SampledFunction], np.ndarray]] = None
-    varsigma_exact: Optional[Callable[[SampledFunction], float]] = None
+    g2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    frechet: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    varsigma_exact: Optional[Callable[[float], float]] = None
     name: str = ""
 
     def g(self, x, S) -> np.ndarray:
-        return np.sqrt(self.g2(np.asarray(x, dtype=float), S))
+        S = as_sampled(S)
+        x = np.asarray(x, dtype=float)
+        return np.sqrt(self.g2(x, S(x), S.l2_norm_sq()))
 
     def varsigma(self, S) -> float:
         """int g^2(x, S) dx, exact when the model provides it."""
+        S = as_sampled(S)
+        norm_sq = S.l2_norm_sq()
         if self.varsigma_exact is not None:
-            return float(self.varsigma_exact(S))
-        return simpson_integral(lambda x: self.g2(x, S))
+            return float(self.varsigma_exact(norm_sq))
+        return simpson_integral(lambda x: self.g2(x, S(x), norm_sq))
 
 
 def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0) -> ScaleModel:
@@ -140,21 +152,14 @@ def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0
     if min(c1, c2, c3) < 0.0:
         raise ValueError("scale constants must be nonnegative")
 
-    def g2(x, S):
-        S = as_sampled(S)
-        x = np.asarray(x, dtype=float)
-        return c0 + c1 * x + c2 * S(x) ** 2 + c3 * S.l2_norm_sq()
+    def g2(x, s, norm_sq):
+        return c0 + c1 * np.asarray(x, dtype=float) + c2 * s**2 + c3 * norm_sq
 
-    def frechet(x, S, f):
-        S = as_sampled(S)
-        f = as_sampled(f)
-        cross = S.inner(f) if c3 else 0.0
-        return 2.0 * c2 * S(np.asarray(x, dtype=float)) * f(np.asarray(x, dtype=float)) + 2.0 * c3 * cross
+    def frechet(x, s, f, cross):
+        return 2.0 * c2 * s * f + 2.0 * c3 * cross
 
-    def varsigma_exact(S):
-        return c0 + 0.5 * c1 + (c2 + c3) * as_sampled(S).l2_norm_sq()
-
-    return ScaleModel(g2=g2, frechet=frechet, varsigma_exact=varsigma_exact,
+    return ScaleModel(g2=g2, frechet=frechet,
+                      varsigma_exact=lambda norm_sq: c0 + 0.5 * c1 + (c2 + c3) * norm_sq,
                       name=f"econometric({c0},{c1},{c2},{c3})")
 
 
@@ -164,9 +169,9 @@ def homogeneous_scale(sigma: float = 1.0) -> ScaleModel:
         raise ValueError("sigma must be positive")
     s2 = float(sigma) ** 2
     return ScaleModel(
-        g2=lambda x, S: np.full_like(np.asarray(x, dtype=float), s2),
-        frechet=lambda x, S, f: np.zeros_like(np.asarray(x, dtype=float)),
-        varsigma_exact=lambda S: s2,
+        g2=lambda x, s, norm_sq: np.full(np.broadcast(x, s, norm_sq).shape, s2),
+        frechet=lambda x, s, f, cross: np.zeros(np.broadcast(x, s, f, cross).shape),
+        varsigma_exact=lambda norm_sq: s2,
         name=f"homogeneous({sigma})",
     )
 
@@ -274,19 +279,13 @@ def nonperiodic_transform(
 
     eps2 = float(epsilon) ** 2
 
-    def g2_t(x, S):
-        x = np.asarray(x, dtype=float)
-        return scale.g2(x, S) * chi(x) ** 2 + eps2
+    def g2_t(x, s, norm_sq):
+        return scale.g2(x, s, norm_sq) * chi(x) ** 2 + eps2
 
-    def frechet_t(x, S, f):
+    def frechet_t(x, s, f, cross):
         if scale.frechet is None:
             raise ValueError("base scale model has no Frechet derivative")
-        x = np.asarray(x, dtype=float)
-        return scale.frechet(x, S, f) * chi(x) ** 2
+        return scale.frechet(x, s, f, cross) * chi(x) ** 2
 
-    def varsigma_t(S):
-        return simpson_integral(lambda x: scale.g2(x, S) * chi(x) ** 2) + eps2
-
-    tilted = ScaleModel(g2=g2_t, frechet=frechet_t, varsigma_exact=varsigma_t,
-                        name=f"{scale.name}*chi+eps({epsilon})")
+    tilted = ScaleModel(g2=g2_t, frechet=frechet_t, name=f"{scale.name}*chi+eps({epsilon})")
     return Y_t, tilted

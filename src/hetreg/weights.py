@@ -9,7 +9,7 @@ member shrinks empirical Fourier coefficients with the taper
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,10 +53,6 @@ class TuningSequences:
             raise ValueError(f"rho must lie in (0, 1/3), got {self.rho}")
         if self.k_star < 1 or self.m < 1:
             raise ValueError("k_star and m must be >= 1")
-
-    def with_rho(self, rho: float) -> "TuningSequences":
-        """Force the penalty coefficient, keeping L_n = 1/rho - 3 consistent."""
-        return replace(self, rho=rho, L_n=1.0 / rho - 3.0)
 
 
 def default_sequences(

@@ -193,7 +193,7 @@ class TestTrigPolynomial:
 
 
 class TestGridCache:
-    """A SampledFunction serves cached samples only for the grid's own points array."""
+    """`on_grid` samples a SampledFunction once per n, read-only; a call always evaluates."""
 
     @staticmethod
     def counted(calls):
@@ -209,29 +209,33 @@ class TestGridCache:
         calls = []
         f = self.counted(calls)
         cached = f.on_grid(g)
-        assert f(g.points) is cached
+        assert f.on_grid(g) is cached and f.on_grid(DesignGrid(n)) is cached
         assert len(calls) == 1
-        np.testing.assert_array_equal(f(g.points), f(g.points.copy()))
-        assert len(calls) == 2
+        np.testing.assert_array_equal(f(g.points), cached)
+        np.testing.assert_array_equal(f(g.points.copy()), cached)
+        assert len(calls) == 3
+        with pytest.raises(ValueError):
+            cached[0] = 0.0  # cached samples are read-only
 
     def test_other_arrays_of_the_same_length_go_through_fn(self):
         g = DesignGrid(51)
         calls = []
         f = self.counted(calls)
-        f._set_grid(g, np.full(51, -7.0))  # a sentinel no call of fn returns
+        f.on_grid(g)
         others = [
+            g.points,
             g.points.copy(),
-            DesignGrid(51).points,            # equal and read-only, another object
+            DesignGrid(51).points,
             np.linspace(0.0, 1.0, 51),
             g.points[::-1].copy(),
         ]
         for x in others:
             np.testing.assert_array_equal(f(x), np.cos(3.0 * x) + x**2)
-        assert len(calls) == len(others)
+        assert len(calls) == 1 + len(others)
         assert calls[-1] is others[-1]
-        np.testing.assert_array_equal(f(g.points), -7.0)
-        with pytest.raises(ValueError):
-            f.on_grid(g)[0] = 0.0  # cached samples are read-only
+        # each n has its own entry
+        np.testing.assert_array_equal(f.on_grid(DesignGrid(101)), f(DesignGrid(101).points))
+        assert f.on_grid(g) is f.on_grid(DesignGrid(51)) and len(f.on_grid(g)) == 51
 
 
 class TestBasisSquareSums:

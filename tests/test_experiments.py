@@ -98,6 +98,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("lowerbound", [
+        {"prior_mcc": 50}, {"prior_mc": 0}, {"prior_mc": "500"},
+        {"bayes_estimators": ["lasso"]}, [],
+    ])
+    def test_rejects_bad_lowerbound(self, lowerbound):
+        with pytest.raises(ValueError):
+            small_config(lowerbound=lowerbound)
+
+    def test_accepts_every_lowerbound_key(self):
+        small_config(lowerbound={"eps": 0.1, "eta": 0.1, "prior_mc": 1,
+                                 "bayes_estimators": ["zero", "projection", "adaptive"]})
+
     def test_presets_have_nonnegative_margin(self):
         for preset in ("S1", "S2", "S3"):
             cfg = small_config(test_function={"preset": preset}, ball=None)
@@ -451,6 +463,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert str(exc.value.code) == "hetreg oracle: workers must be an integer >= 1, got 2.5"
+
+    @pytest.mark.parametrize("lowerbound, message", [
+        ({"prior_mcc": 50}, "unknown lowerbound keys: ['prior_mcc']"),
+        ({"prior_mc": 0}, "lowerbound prior_mc must be an integer >= 1, got 0"),
+        ({"prior_mc": -3}, "lowerbound prior_mc must be an integer >= 1, got -3"),
+        ({"prior_mc": 2.5}, "lowerbound prior_mc must be an integer >= 1, got 2.5"),
+        ({"bayes_estimators": ["zero", "lasso"]}, "unknown bayes estimator 'lasso'"),
+    ])
+    def test_lower_bound_config_is_validated(self, tmp_path, lowerbound, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, "lowerbound": lowerbound}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lower-bound", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg lower-bound: {message}"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_has_no_study_knobs(self, tmp_path, flag):

@@ -1,25 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from hetreg import lowerbound
 from hetreg.basis import (
     DesignGrid,
     SampledFunction,
     TrigPolynomial,
     basis_eval_matrix,
     basis_matrix,
+    fourier_rows,
+    trig_series,
 )
 from hetreg.lowerbound import (
     KernelFamily,
     _family_fns,
     _family_gram,
-    _LinearCombo,
     _trig_inner_products,
     bayes_risk_mc,
     check_conditions_A,
     conditions_trend,
+    ebar,
     kernel_family,
     kernel_function,
     lagrange_solution,
@@ -239,11 +243,38 @@ class TestVanTrees:
     def test_missing_frechet_rejected(self):
         from hetreg.models import ScaleModel
 
-        bare = ScaleModel(g2=lambda x, S: np.ones_like(np.asarray(x, dtype=float)))
+        bare = ScaleModel(g2=lambda x, s, norm_sq: np.ones_like(np.asarray(x, dtype=float)))
         grid = DesignGrid(51)
         one = SampledFunction(lambda x: np.ones_like(x))
         with pytest.raises(ValueError):
             van_trees_bound([one], np.array([1.0]), np.array([1.0]), bare, grid)
+
+    def test_draws_are_one_array_of_the_per_draw_stream(self):
+        # (mc_reps, P) normals from one generator are the mc_reps size-P draws, bit for bit
+        rng = substream(606, 11, 101, 7)
+        rows = np.stack([rng.standard_normal(7) for _ in range(50)])
+        np.testing.assert_array_equal(substream(606, 11, 101, 7).standard_normal((50, 7)), rows)
+
+    @pytest.mark.parametrize("mc_reps", [0, -3])
+    def test_refuses_no_draws(self, mc_reps):
+        grid = DesignGrid(51)
+        one = SampledFunction(lambda x: np.ones_like(x))
+        with pytest.raises(ValueError, match="mc_reps must be >= 1"):
+            van_trees_bound([one], np.array([1.0]), np.array([1.0]), homogeneous_scale(1.0), grid,
+                            mc_reps=mc_reps)
+
+    def test_simpson_gram_by_default(self):
+        # gram=None integrates the f_p by the Simpson rule; the family Gram is the same matrix
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        grid = DesignGrid(51)
+        pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)
+        fam = pr.family
+        fns = _family_fns(fam)
+        args = (fns, np.ones(len(fns)), pr.t.ravel(), scale, grid)
+        default = van_trees_bound(*args, mc_reps=20, seed=3)
+        exact = van_trees_bound(*args, mc_reps=20, seed=3, gram=_family_gram(fam))
+        assert default.bound == pytest.approx(exact.bound, rel=1e-10)
+        np.testing.assert_allclose(default.bias, exact.bias, rtol=1e-9)
 
     def test_zero_estimator_beats_bound(self):
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
@@ -272,6 +303,45 @@ class TestBayesRisk:
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
         risk, _ = bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=20, seed=4)
         assert risk >= 0.0
+
+    def test_refuses_no_replicates_and_bad_estimates(self):
+        grid = DesignGrid(51)
+        pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
+        scale = homogeneous_scale(1.0)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=0)
+        for bad in (lambda Y, g: np.zeros(g.n + 1), lambda Y, g: 0.0,
+                    lambda Y, g: TrigPolynomial(np.zeros(g.n))):
+            with pytest.raises(ValueError, match="length-51 coefficient vector"):
+                bayes_risk_mc(bad, pr, scale, grid, reps=3)
+
+    @pytest.mark.parametrize("rows", [3, 24])
+    def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
+        # blocks of `rows` replicates, and of rows / 8 draws for the bound,
+        # give the one-block numbers
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        grid = DesignGrid(51)
+        pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)  # P = 8 directions
+
+        def project(Y, g):
+            return fourier_rows(Y)
+
+        def run():
+            risk = bayes_risk_mc(project, pr, scale, grid, reps=10, seed=9)
+            return risk, prior_van_trees_bound(pr, scale, grid, mc_reps=10, seed=9).bound
+
+        whole = run()
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * grid.n)
+        blocked = run()
+        assert blocked[0] == whole[0]
+        assert blocked[1] == pytest.approx(whole[1], rel=1e-13)
+
+    def test_row_dots_are_single_row_dots(self):
+        # every loss term rounds as the one-draw product c @ c would
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 40, 101))
+        dots = lowerbound._row_dots(a, b)
+        assert all(dots[r] == a[r] @ b[r] for r in range(40))
 
     def test_adaptive_beats_bound(self):
         scale = homogeneous_scale(1.0)
@@ -313,68 +383,52 @@ class TestExactAlgebra:
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_loss_matches_simpson_path(self, n):
-        # a coefficient vector takes the exact loss, a callable the Simpson one;
-        # both see the same prior draws and noise
+        # the exact loss against the Simpson one of the same draws and noise,
+        # with S_theta by `kernel_function` and the estimate by `trig_series`
         grid = DesignGrid(n)
         pr = self.prior(n)
-        seqs = default_sequences(n)
-        family = weight_family(n, seqs)
-
-        def adaptive(Y, g):
-            out = estimate(Y, g, seqs, family)
-            return out.lambda_hat * out.coeffs.theta_hat
-
-        estimators = {
-            "zero": lambda Y, g: np.zeros(g.n),
-            "projection": lambda Y, g: basis_matrix(g).T @ Y / g.n,
-            "adaptive": adaptive,
-        }
-        for name, est in estimators.items():
+        xq, wq = simpson_rule()
+        for name, est in TestDesignCache.estimators(n).items():
+            losses = []
+            for rep in range(4):
+                rng = substream(8, 13, n, rep)
+                theta, _ = sample_prior(pr, rng)
+                S = SampledFunction(lambda x: kernel_function(theta, pr.family, x))
+                Y = S(grid.points) + self.SCALE.g(grid.points, S) * rng.standard_normal(n)
+                losses.append(wq @ (trig_series(est(Y, grid), xq) - S(xq)) ** 2)
+            simpson = (np.mean(losses), np.std(losses, ddof=1) / 2.0)
             exact = bayes_risk_mc(est, pr, self.SCALE, grid, reps=4, seed=8)
-            simpson = bayes_risk_mc(
-                lambda Y, g: TrigPolynomial(est(Y, g)), pr, self.SCALE, grid, reps=4, seed=8
-            )
             np.testing.assert_allclose(exact, simpson, rtol=1e-9, err_msg=name)
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_combo_inner_and_norm(self, n):
+        # for S_z = sum_p z_p D_p: ||S_z||^2 = z'Gz and <S_z, D_p> = (Gz)_p
         fam = self.prior(n).family
         fns = _family_fns(fam)
         gram = _family_gram(fam)
         for z in self.draws(self.prior(n)):
-            S = _LinearCombo(fns, z, gram=gram)
-            quad = _LinearCombo(fns, z)  # no Gram: Simpson path
-            assert S.l2_norm_sq() == pytest.approx(simpson_integral(lambda x: S(x) ** 2), rel=1e-9)
-            assert quad.l2_norm_sq() == pytest.approx(S.l2_norm_sq(), rel=1e-9)
-            for fp in fns:
+            S = SampledFunction(lambda x: kernel_function(z.reshape(fam.M, fam.N), fam, x))
+            assert z @ gram @ z == pytest.approx(simpson_integral(lambda x: S(x) ** 2), rel=1e-9)
+            for p, fp in enumerate(fns):
                 ref = simpson_integral(lambda x: S(x) * fp(x))
-                assert S.inner(fp) == pytest.approx(ref, rel=1e-9)
-                assert quad.inner(fp) == pytest.approx(ref, rel=1e-12)
-
-    def test_combo_inner_with_outside_function(self):
-        fam = self.prior(101).family
-        fns = _family_fns(fam)
-        z = self.draws(self.prior(101), count=1)[0]
-        S = _LinearCombo(fns, z, gram=_family_gram(fam))
-        f = SampledFunction(lambda x: np.cos(3.0 * x))
-        assert S.inner(f) == simpson_integral(lambda x: S(x) * f(x))
+                assert (gram @ z)[p] == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_frechet_unchanged(self, n):
+        # the Frechet response fed (Gz)_p equals the one with a quadrature cross term
         c2, c3 = 0.5, 0.5
-        grid = DesignGrid(n)
-        x = grid.points
+        x = DesignGrid(n).points
         fam = self.prior(n).family
         fns = _family_fns(fam)
         gram = _family_gram(fam)
         for z in self.draws(self.prior(n)):
-            S = _LinearCombo(fns, z, gram=gram)
-            for fp in fns:
+            S = SampledFunction(lambda t: kernel_function(z.reshape(fam.M, fam.N), fam, t))
+            for p, fp in enumerate(fns):
                 quad = 2.0 * c2 * S(x) * fp(x) + 2.0 * c3 * simpson_integral(
                     lambda t: S(t) * fp(t)
                 )
                 np.testing.assert_allclose(
-                    self.SCALE.frechet(x, S, fp), quad, rtol=1e-10, atol=1e-14
+                    self.SCALE.frechet(x, S(x), fp(x), (gram @ z)[p]), quad, rtol=1e-10, atol=1e-14
                 )
 
     @pytest.mark.parametrize("n", [51, 101])
@@ -394,7 +448,7 @@ class TestExactAlgebra:
 
 
 class TestDesignCache:
-    """Prior draws on the design read one `design_tensor` call, never a kernel element."""
+    """Prior draws on the design are matmuls over one family sample, never a kernel element."""
 
     SCALE = TestExactAlgebra.SCALE
     prior = TestExactAlgebra.prior
@@ -415,74 +469,91 @@ class TestDesignCache:
             "adaptive": adaptive,
         }
 
-    @staticmethod
-    def uncached(monkeypatch):
-        # grid samples are computed on every request and never stored
-        monkeypatch.setattr(
-            SampledFunction, "_set_grid", lambda self, grid, values: np.asarray(values, dtype=float)
-        )
-
     @pytest.mark.parametrize("n", [51, 101])
     def test_combo_on_design_equals_sum_off_cache(self, n):
+        # a block of draws on the design, Z @ D with D one design_tensor sample,
+        # equals sum_p z_p D_p evaluated element by element
         grid = DesignGrid(n)
         pr = self.prior(n)
-        fns = _family_fns(pr.family, grid)
-        Dn = np.stack([f.on_grid(grid) for f in fns])
-        off = grid.points.copy()
-        for z in self.draws(pr):
-            S = _LinearCombo(fns, z, _family_gram(pr.family), design=(grid, Dn))
-            ref = sum(zp * fp(off) for zp, fp in zip(z, fns))
-            np.testing.assert_allclose(S(grid.points), ref, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(S(off), ref, rtol=1e-14, atol=0)
+        fns = _family_fns(pr.family)
+        D = pr.family.design_tensor(grid.points).reshape(len(fns), grid.n)
+        Z = np.stack(self.draws(pr))
+        for z, row in zip(Z, Z @ D):
+            ref = sum(zp * fp(grid.points) for zp, fp in zip(z, fns))
+            np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0)
+            kernel = kernel_function(z.reshape(pr.t.shape), pr.family, grid.points)
+            np.testing.assert_allclose(row, kernel, rtol=1e-14, atol=0)
 
-    def test_draw_reads_the_given_design_rows(self):
-        grid = DesignGrid(101)
-        fns = _family_fns(self.prior(101).family)
-        rows = np.arange(len(fns) * grid.n, dtype=float).reshape(len(fns), grid.n)
-        z = np.linspace(1.0, 2.0, len(fns))
-        S = _LinearCombo(fns, z, design=(grid, rows))
-        np.testing.assert_array_equal(S(grid.points), z @ rows)
-        assert not np.array_equal(S(grid.points.copy()), z @ rows)
+    def reference(self, pr, grid, mc_reps, reps):
+        """The bound and the risks by a plain loop: one draw at a time, S_z on the
+        design by `kernel_function`, no block and no shared design sample."""
+        fam, x, n = pr.family, grid.points, grid.n
+        fns = _family_fns(fam)
+        G = _family_gram(fam)
+        xq, wq = simpson_rule()
+        C = _trig_inner_products(n, fam.design_tensor(xq).reshape(len(fns), -1) * wq)
+        sd = pr.t.ravel()
+        rng = substream(606, 11, n, len(fns))
+        ginv2, bias = np.zeros(n), np.zeros(len(fns))
+        for _ in range(mc_reps):
+            z = rng.standard_normal(len(fns)) * sd
+            s = kernel_function(z.reshape(pr.t.shape), fam, x)
+            g2 = self.SCALE.g2(x, s, z @ G @ z)
+            ginv2 += 1.0 / g2 / mc_reps
+            for p, fp in enumerate(fns):
+                L = self.SCALE.frechet(x, s, fp(x), G[p] @ z)
+                bias[p] += 0.5 * np.sum(L**2 / g2**2) / mc_reps
+        fisher = np.array([fp(x) ** 2 @ ginv2 for fp in fns])
+        tau = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
+        bound = float(np.sum(tau**2 / (fisher + bias + sd**-2.0)))
+        risks = {}
+        for name, est in self.estimators(n).items():
+            losses = []
+            for rep in range(reps):
+                rng = substream(607, 13, n, rep)
+                theta, _ = sample_prior(pr, rng)
+                t = theta.ravel()
+                s = kernel_function(theta, fam, x)
+                Y = s + np.sqrt(self.SCALE.g2(x, s, t @ G @ t)) * rng.standard_normal(n)
+                c = est(Y, grid)
+                losses.append(c @ c - 2.0 * c @ (C @ t) + t @ G @ t)
+            risks[name] = (np.mean(losses), np.std(losses, ddof=1) / math.sqrt(reps))
+        return bound, risks
 
-    @pytest.mark.parametrize("n", [51, 101])
-    def test_bound_and_risks_match_uncached_path(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [51, 101, 1001])
+    def test_bound_and_risks_match_uncached_path(self, n):
         grid = DesignGrid(n)
         pr = self.prior(n)
-
-        def run():
-            bound = prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=40, seed=606).bound
-            risks = {
-                name: bayes_risk_mc(est, pr, self.SCALE, grid, reps=40, seed=607)
-                for name, est in self.estimators(n).items()
-            }
-            return bound, risks
-
-        bound, risks = run()
-        self.uncached(monkeypatch)
-        ref_bound, ref_risks = run()
-        assert bound == pytest.approx(ref_bound, rel=1e-12)
-        for name, risk in risks.items():
-            np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-12, err_msg=name)
+        ref_bound, ref_risks = self.reference(pr, grid, mc_reps=40, reps=40)
+        bound = prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=40, seed=606).bound
+        assert bound == pytest.approx(ref_bound, rel=1e-9)
+        for name, est in self.estimators(n).items():
+            risk = bayes_risk_mc(est, pr, self.SCALE, grid, reps=40, seed=607)
+            np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-9, err_msg=name)
 
     def test_element_calls_do_not_grow_with_reps(self, monkeypatch):
-        calls = [0]
-        element = KernelFamily.element
+        calls = {"element": 0, "g2": 0, "frechet": 0}
 
-        def counted(self, m, j, x):
-            calls[0] += 1
-            return element(self, m, j, x)
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(KernelFamily, "element", counted)
+            return wrapper
+
+        monkeypatch.setattr(KernelFamily, "element", counted("element", KernelFamily.element))
+        scale = dataclasses.replace(self.SCALE, g2=counted("g2", self.SCALE.g2),
+                                    frechet=counted("frechet", self.SCALE.frechet))
         grid = DesignGrid(51)
         pr = self.prior(51)
         project = self.estimators(51)["projection"]
 
         def count(reps):
-            calls[0] = 0
-            prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=reps, seed=1)
-            bayes_risk_mc(project, pr, self.SCALE, grid, reps=reps, seed=2)
-            return calls[0]
+            calls.update(element=0, g2=0, frechet=0)
+            prior_van_trees_bound(pr, scale, grid, mc_reps=reps, seed=1)
+            bayes_risk_mc(project, pr, scale, grid, reps=reps, seed=2)
+            return dict(calls)
 
-        assert count(3) == count(12)
-        self.uncached(monkeypatch)
-        assert count(3) < count(12)  # the counter sees the per-draw path
+        few = count(3)
+        assert few == count(12)
+        assert few == {"element": pr.t.size, "g2": 2, "frechet": 1}

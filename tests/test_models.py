@@ -45,26 +45,35 @@ class TestSimpson:
             simpson_integral(lambda x: x, panels=7)
 
 
+def l2_inner(S, f) -> float:
+    return simpson_integral(lambda x: S(x) * f(x))
+
+
 class TestEconometricScale:
     def test_constant_case(self):
         m = econometric_scale(1.0)
-        assert m.g2(np.array([0.1, 0.9]), S1) == pytest.approx([1.0, 1.0])
+        x = np.array([0.1, 0.9])
+        assert m.g2(x, S1(x), S1.l2_norm_sq()) == pytest.approx([1.0, 1.0])
 
     def test_linear_term(self):
         m = econometric_scale(1.0, 1.0)
-        assert m.g2(np.array([0.5]), S1)[0] == pytest.approx(1.5)
+        x = np.array([0.5])
+        assert m.g2(x, S1(x), S1.l2_norm_sq())[0] == pytest.approx(1.5)
 
     def test_function_terms(self):
         # S = phi_2: S(0)^2 = 2 and ||S||^2 = 1
         m = econometric_scale(1.0, 0.0, 1.0, 1.0)
         S = TrigPolynomial([0.0, 1.0])
-        assert m.g2(np.array([0.0]), S)[0] == pytest.approx(4.0)
+        x = np.array([0.0])
+        assert m.g2(x, S(x), S.l2_norm_sq())[0] == pytest.approx(4.0)
+        assert m.g(x, S)[0] == pytest.approx(2.0)
 
     def test_varsigma_closed_form(self):
         m = econometric_scale(1.0, 1.0, 0.5, 0.5)
         assert m.varsigma(S1) == pytest.approx(1.0 + 0.5 + 1.0 * 5.0)
         # quadrature route agrees with the closed form
-        assert simpson_integral(lambda x: m.g2(x, S1)) == pytest.approx(m.varsigma(S1), rel=1e-10)
+        quad = simpson_integral(lambda x: m.g2(x, S1(x), S1.l2_norm_sq()))
+        assert quad == pytest.approx(m.varsigma(S1), rel=1e-10)
 
     def test_invalid_constants(self):
         with pytest.raises(ValueError):
@@ -79,8 +88,9 @@ class TestEconometricScale:
         h = TrigPolynomial(rng.standard_normal(6))
         fh = TrigPolynomial(f.coeffs + h.coeffs)
         x = rng.uniform(0, 1, 8)
-        lhs = m.frechet(x, S1, fh)
-        rhs = m.frechet(x, S1, f) + m.frechet(x, S1, h)
+        s = S1(x)
+        lhs = m.frechet(x, s, fh(x), l2_inner(S1, fh))
+        rhs = m.frechet(x, s, f(x), l2_inner(S1, f)) + m.frechet(x, s, h(x), l2_inner(S1, h))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_frechet_slope(self):
@@ -89,11 +99,12 @@ class TestEconometricScale:
         rng = np.random.default_rng(4)
         f = TrigPolynomial(rng.standard_normal(6))
         x = np.array([0.2, 0.8])
-        L = m.frechet(x, S1, f)
+        L = m.frechet(x, S1(x), f(x), l2_inner(S1, f))
+        base = m.g2(x, S1(x), S1.l2_norm_sq())
         errs = []
         for s in (1e-2, 1e-3, 1e-4):
             Sp = TrigPolynomial(np.append(S1.coeffs, np.zeros(1)) + s * f.coeffs)
-            err = np.max(np.abs(m.g2(x, Sp) - m.g2(x, S1) - s * L))
+            err = np.max(np.abs(m.g2(x, Sp(x), Sp.l2_norm_sq()) - base - s * L))
             errs.append(err / s)
         # ratio err/s shrinks linearly in s (the residual is quadratic)
         assert errs[1] == pytest.approx(errs[0] * 0.1, rel=0.05)
@@ -109,7 +120,7 @@ class TestEconometricScale:
             S = TrigPolynomial(rng.standard_normal(7))
             f = TrigPolynomial(rng.standard_normal(7))
             x = rng.uniform(0, 1, 16)
-            L = np.abs(m.frechet(x, S, f))
+            L = np.abs(m.frechet(x, S(x), f(x), l2_inner(S, f)))
             f1 = simpson_integral(lambda t: np.abs(f(t)))
             env = (
                 np.abs(S(x) * f(x))
@@ -118,6 +129,40 @@ class TestEconometricScale:
             )
             worst = max(worst, float(np.max(L / env)))
         assert worst <= 2.0 * max(c2, c3) + 1e-9
+
+
+def scale_models():
+    econ = econometric_scale(1.0, 1.0, 0.5, 0.5)
+    g = DesignGrid(11)
+    _, tilted = nonperiodic_transform(np.zeros(g.n), econ, smooth_cutoff(0.3, 0.7), 0.05, g, 0)
+    return [econ, econometric_scale(0.5, 0.0, 2.0, 0.0), homogeneous_scale(1.5), tilted]
+
+
+class TestScaleModelStacks:
+    @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
+    def test_stack_equals_single_rows(self, m):
+        # one call on B draws gives, bit for bit, the B single-draw calls
+        rng = np.random.default_rng(12)
+        B, P, n = 5, 3, 17
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        s = rng.standard_normal((B, n))
+        norm_sq = rng.uniform(0.0, 2.0, B)
+        f = rng.standard_normal((P, n))
+        cross = rng.standard_normal((B, P))
+        g2 = m.g2(x, s, norm_sq[:, None])
+        L = m.frechet(x, s[:, None, :], f, cross[:, :, None])
+        assert g2.shape == (B, n) and L.shape == (B, P, n)
+        for b in range(B):
+            np.testing.assert_array_equal(g2[b], m.g2(x, s[b], norm_sq[b]))
+            for p in range(P):
+                np.testing.assert_array_equal(L[b, p], m.frechet(x, s[b], f[p], cross[b, p]))
+
+    @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
+    def test_g_and_varsigma_take_the_function(self, m):
+        x = np.linspace(0.0, 1.0, 9)
+        np.testing.assert_array_equal(m.g(x, S1), np.sqrt(m.g2(x, S1(x), S1.l2_norm_sq())))
+        quad = simpson_integral(lambda t: m.g2(t, S1(t), S1.l2_norm_sq()))
+        assert m.varsigma(S1) == pytest.approx(quad, rel=1e-10)
 
 
 class TestNoise:
@@ -182,7 +227,7 @@ class TestGenerateObservations:
         assert abs(ys[:, j].mean() - S1.on_grid(g)[j]) <= 4.0 * se
         v = ys[:, j].var(ddof=1)
         se_v = np.std((ys[:, j] - ys[:, j].mean()) ** 2, ddof=1) / math.sqrt(reps)
-        assert abs(v - scale.g2(g.points, S1)[j]) <= 4.0 * se_v
+        assert abs(v - scale.g(g.points, S1)[j] ** 2) <= 4.0 * se_v
 
 
 class TestSmoothCutoff:
