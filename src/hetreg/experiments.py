@@ -71,6 +71,15 @@ _LOWERBOUND_DEFAULTS = {
 }
 
 
+def _check_keys(section: str, spec, allowed) -> None:
+    """Refuse a config section that is not a mapping or has a key outside `allowed`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} must be a mapping, got {spec!r}")
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+
+
 @dataclass
 class ExperimentConfig:
     n_grid: list = field(default_factory=lambda: [101])
@@ -98,11 +107,15 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
         for n in self.n_grid:
             self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
-        if not isinstance(self.lowerbound, dict):
-            raise ValueError(f"lowerbound must be a mapping, got {self.lowerbound!r}")
-        unknown = set(self.lowerbound) - set(_LOWERBOUND_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown lowerbound keys: {sorted(unknown)}")
+        # a scale is either sigma alone (homogeneous) or econometric coefficients
+        homogeneous = isinstance(self.scale, dict) and "sigma" in self.scale
+        _check_keys("scale", self.scale, ("sigma",) if homogeneous else ("c0", "c1", "c2", "c3"))
+        _check_keys("test_function", self.test_function, ("preset", "trig_coeffs", "name"))
+        if self.ball is not None:
+            _check_keys("ball", self.ball, ("k", "r"))
+        for nspec in self.noise_menu:
+            _check_keys("noise", nspec, ("kind", "df"))
+        _check_keys("lowerbound", self.lowerbound, _LOWERBOUND_DEFAULTS)
         lb = {**_LOWERBOUND_DEFAULTS, **self.lowerbound}
         if not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
             raise ValueError(f"lowerbound prior_mc must be an integer >= 1, got {lb['prior_mc']!r}")
@@ -475,9 +488,9 @@ def efficiency_study(cfg: ExperimentConfig):
 
 
 def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
-    """Coefficient-vector estimator for design size n, as bayes_risk_mc takes it."""
+    """bayes_risk_mc's estimator for design size n: (B, n) observations to (B, n) coefficients."""
     if name == "zero":
-        return lambda Y, grid: np.zeros(grid.n)
+        return lambda Y, grid: np.zeros(np.shape(Y))
     if name == "projection":
         return lambda Y, grid: fourier_rows(Y)
     if name == "adaptive":
@@ -532,11 +545,9 @@ def lower_bound_study(cfg: ExperimentConfig):
             normalized_ratio=n**rate * report.bound / gamma0,
             gamma_k=gamma0, seed=cfg.seed,
         ))
-        for name in lb["bayes_estimators"]:
-            risk, se = bayes_risk_mc(
-                _bayes_estimator(name, cfg, n), prior, scale, grid,
-                reps=cfg.reps, seed=cfg.seed,
-            )
+        ests = [_bayes_estimator(name, cfg, n) for name in lb["bayes_estimators"]]
+        risks = bayes_risk_mc(ests, prior, scale, grid, reps=cfg.reps, seed=cfg.seed)
+        for name, (risk, se) in zip(lb["bayes_estimators"], risks):
             rec["bayes_risks"][name] = {"risk": risk, "se": se,
                                         "exceeds_bound": bool(risk >= report.bound)}
             rows.append(RiskRow(

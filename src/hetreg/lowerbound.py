@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, SampledFunction, pack_spectrum
+from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum
 from .models import (
     NoiseSpec,
     ScaleModel,
@@ -337,41 +337,42 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def van_trees_bound(
-    sens_fns,
+    D,
+    gram,
     tau_bar,
     prior_sd,
     scale: ScaleModel,
     grid: DesignGrid,
     mc_reps: int = 500,
     seed: int = 0,
-    gram: np.ndarray | None = None,
 ) -> VanTreesReport:
     """Bayes-risk lower bound for the linear family S_z = sum_p z_p f_p with
     independent centered Gaussian prior of standard deviations prior_sd.
 
-    F_p sums f_p^2(x_i) E g^-2(x_i, S_z) over design points; B_p averages the
-    squared Frechet response of g^2 in direction f_p over the prior.  Both
-    expectations run over `mc_reps` prior draws, one (mc_reps, P) array from
-    a fixed substream.  With D the f_p on the design and G their Gram matrix
-    (`gram`, or the Simpson rule's when None), a block of draws Z has S_z on
-    the design Z @ D, ||S_z||^2 = z'Gz and <S_z, f_p> = (Gz)_p, so F_p and B_p
-    are matmuls over BLOCK_ENTRIES (draw, direction, design point) entries at a time.
+    The directions enter through two arrays only: D (P, n), the f_p on the
+    design, and `gram` (P, P), their L2 Gram matrix.  F_p sums f_p^2(x_i)
+    E g^-2(x_i, S_z) over design points; B_p averages the squared Frechet
+    response of g^2 in direction f_p over the prior.  Both expectations run
+    over `mc_reps` prior draws, one (mc_reps, P) array from a fixed
+    substream.  A block of draws Z has S_z on the design Z @ D,
+    ||S_z||^2 = z'Gz and <S_z, f_p> = (Gz)_p, so F_p and B_p are matmuls over
+    BLOCK_ENTRIES (draw, direction, design point) entries at a time.
     """
     if scale.frechet is None:
         raise ValueError("scale model without a Frechet derivative is unsupported")
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be >= 1, got {mc_reps}")
+    D = np.asarray(D, dtype=float)
+    gram = np.asarray(gram, dtype=float)
     tau_bar = np.asarray(tau_bar, dtype=float)
     prior_sd = np.asarray(prior_sd, dtype=float)
-    P = len(sens_fns)
+    P = len(D)
+    if D.shape != (P, grid.n) or gram.shape != (P, P):
+        raise ValueError(f"need design values (P, {grid.n}) and a (P, P) Gram matrix, "
+                         f"got {D.shape} and {gram.shape}")
     if tau_bar.shape != (P,) or prior_sd.shape != (P,):
         raise ValueError("tau_bar and prior_sd must match the number of directions")
     x = grid.points
-    D = np.stack([np.asarray(f(x), dtype=float) for f in sens_fns])
-    if gram is None:
-        xq, wq = simpson_rule()
-        Dq = np.stack([np.asarray(f(xq), dtype=float) for f in sens_fns])
-        gram = (Dq * wq) @ Dq.T
     Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * prior_sd
     ginv2 = np.zeros(grid.n)
     bias = np.zeros(P)
@@ -403,17 +404,6 @@ def _family_gram(family: KernelFamily) -> np.ndarray:
     return G
 
 
-def _family_fns(family: KernelFamily) -> list[SampledFunction]:
-    """The D_{m,j} in (m, j) order."""
-    fns = []
-    for m in range(1, family.M + 1):
-        for j in range(1, family.N + 1):
-            fns.append(SampledFunction(
-                lambda x, m=m, j=j: family.element(m, j, x), name=f"D[{m},{j}]"
-            ))
-    return fns
-
-
 def prior_van_trees_bound(
     prior: LeastFavorablePrior,
     scale: ScaleModel,
@@ -428,9 +418,9 @@ def prior_van_trees_bound(
         for _ in range(fam.M) for j in range(1, fam.N + 1)
     ])
     prior_sd = prior.t.ravel()
+    D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, grid.n)
     return van_trees_bound(
-        _family_fns(fam), tau_bar, prior_sd, scale, grid,
-        mc_reps=mc_reps, seed=seed, gram=_family_gram(fam),
+        D, _family_gram(fam), tau_bar, prior_sd, scale, grid, mc_reps=mc_reps, seed=seed
     )
 
 
@@ -472,27 +462,30 @@ def _trig_inner_products(n: int, weighted: np.ndarray) -> np.ndarray:
 
 
 def bayes_risk_mc(
-    estimator,
+    estimators,
     prior: LeastFavorablePrior,
     scale: ScaleModel,
     grid: DesignGrid,
     reps: int = 500,
     seed: int = 0,
     noise: NoiseSpec | None = None,
-) -> tuple[float, float]:
-    """Average continuous-norm loss over prior draws and noise.
+) -> list[tuple[float, float]]:
+    """Average continuous-norm loss of each estimator over one set of prior
+    draws and noise; (mean, standard error) per estimator, in order.
 
     Replicate r draws its prior coefficients t and then its noise from its own
     substream.  A block of replicates, BLOCK_ENTRIES design entries at most,
     is one (B, n) stack of observations Y = T @ D + g * noise, with D the
     family on the design, ||S_t||^2 = t'Gt and G the family Gram matrix.
-    `estimator(Y_r, grid)` runs once per row and must return the length-n
-    vector c of basis coefficients of its estimate; the loss is exact algebra,
-    ||c||^2 - 2 c'C t + t'G t with C the inner products of the phi_j with the
-    family (built once per call).  Returns (mean, standard error).
+    Every `estimator(Y, grid)` runs once per block on the whole stack and
+    must return the (B, n) basis coefficients c of its estimates; each row's
+    loss is exact algebra, ||c||^2 - 2 c'C t + t'G t with C the inner
+    products of the phi_j with the family (built once per call).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not estimators:
+        return []
     if noise is None:
         noise = NoiseSpec("gaussian")
     fam = prior.family
@@ -501,7 +494,7 @@ def bayes_risk_mc(
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
     gram = _family_gram(fam)
     cross = _trig_inner_products(n, fam.design_tensor(xq).reshape(fam.M * fam.N, -1) * wq)
-    losses = np.empty(reps)
+    losses = np.empty((len(estimators), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):
         B = min(step, reps - lo)
@@ -514,14 +507,14 @@ def bayes_risk_mc(
         s = T @ D
         norm_sq = _row_dots(T @ gram, T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        c = np.empty((B, n))
-        for i, row in enumerate(Y):
-            out = estimator(row, grid)
-            if np.shape(out) != (n,):
-                raise ValueError(f"estimator must return a length-{n} coefficient vector, "
-                                 f"got shape {np.shape(out)}")
-            c[i] = out
-        losses[lo : lo + B] = _row_dots(c, c) - 2.0 * _row_dots(c, T @ cross.T) + norm_sq
-    mean = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, se
+        Tc = T @ cross.T
+        for e, estimator in enumerate(estimators):
+            c = estimator(Y, grid)
+            if np.shape(c) != (B, n):
+                raise ValueError(f"estimator must return a ({B}, {n}) stack of coefficient "
+                                 f"vectors, got shape {np.shape(c)}")
+            losses[e, lo : lo + B] = _row_dots(c, c) - 2.0 * _row_dots(c, Tc) + norm_sq
+    return [
+        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
+        for row in losses
+    ]

@@ -139,7 +139,9 @@ def select(
     th = coeffs.theta_hat
     best, costs_vec = select_rows(family.W, th, seqs)
     alpha_hat, lam_hat = family[int(best)]
-    weighted = lam_hat * th
+    # every taper is zero past its support: the series sums up to its last nonzero weight
+    m = int(np.max(np.flatnonzero(lam_hat), initial=0)) + 1
+    weighted = lam_hat[:m] * th[:m]
     est = SampledFunction(lambda x: trig_series(weighted, x), name="adaptive")
     return EstimatorOutput(
         coeffs=coeffs,

@@ -106,6 +106,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(lowerbound=lowerbound)
 
+    def test_accepts_every_nested_key(self):
+        small_config(scale={"c0": 1.0, "c1": 0.0, "c2": 0.5, "c3": 0.5},
+                     test_function={"preset": "S1", "trig_coeffs": [0.0, 1.0], "name": "x"},
+                     ball={"k": 1, "r": 10.0},
+                     noise_menu=[{"kind": "student_t", "df": 7}])
+        small_config(scale={"sigma": 2.0}, ball=None)
+        small_config(scale={})
+
     def test_accepts_every_lowerbound_key(self):
         small_config(lowerbound={"eps": 0.1, "eta": 0.1, "prior_mc": 1,
                                  "bayes_estimators": ["zero", "projection", "adaptive"]})
@@ -259,7 +267,10 @@ class TestBayesMinimaxOrdering:
             out = run_estimate(Y, g)
             return out.lambda_hat * out.coeffs.theta_hat
 
-        bayes, bayes_se = bayes_risk_mc(adaptive, prior, scale, grid, reps=400, seed=21)
+        def adaptive_stack(Y, g):
+            return np.stack([adaptive(y, g) for y in Y])
+
+        [(bayes, bayes_se)] = bayes_risk_mc([adaptive_stack], prior, scale, grid, reps=400, seed=21)
 
         xq = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
         wq = np.ones(len(xq))
@@ -344,12 +355,59 @@ class TestLowerBoundStudy:
         grid = DesignGrid(n)
         rng = np.random.default_rng(n)
         picked = set()
+        rows, fits = [], []
         for decay in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):  # coefficient decay j^-decay
             Y = grid_values(np.arange(1, n + 1) ** -decay * rng.standard_normal(n))
             out = estimate(Y, grid, seqs, family)
             picked.add(out.selected)
             np.testing.assert_array_equal(run(Y, grid), out.lambda_hat * out.coeffs.theta_hat)
+            rows.append(Y)
+            fits.append(out.lambda_hat * out.coeffs.theta_hat)
         assert len(picked) > 1
+        # the stack of all six observations, as bayes_risk_mc passes it, row by row
+        np.testing.assert_array_equal(run(np.stack(rows), grid), np.stack(fits))
+
+
+class TestBayesOnePass:
+    """Every Bayes estimator of a lower-bound study is scored on one pass of draws."""
+
+    def test_one_call_equals_single_estimator_calls(self):
+        from hetreg.lowerbound import bayes_risk_mc, least_favorable_prior
+        from hetreg.models import econometric_scale
+
+        n = 51
+        cfg = small_config(n_grid=[n])
+        grid = DesignGrid(n)
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        prior = least_favorable_prior(1, 1.0, n, eps=0.2)
+        ests = [_bayes_estimator(name, cfg, n) for name in ("zero", "projection", "adaptive")]
+        together = bayes_risk_mc(ests, prior, scale, grid, reps=30, seed=4)
+        alone = [bayes_risk_mc([e], prior, scale, grid, reps=30, seed=4)[0] for e in ests]
+        assert together == alone
+        assert len(set(together)) == 3
+
+    @pytest.mark.parametrize("names", [["adaptive"], ["zero", "projection", "adaptive"]])
+    def test_one_draw_pass_per_n(self, monkeypatch, names):
+        from hetreg import experiments, lowerbound
+
+        calls = {"substream": 0, "bayes_risk_mc": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lowerbound, "substream", counted("substream", lowerbound.substream))
+        monkeypatch.setattr(experiments, "bayes_risk_mc",
+                            counted("bayes_risk_mc", experiments.bayes_risk_mc))
+        cfg = small_config(n_grid=[51, 101], reps=9,
+                           lowerbound={"prior_mc": 5, "bayes_estimators": names})
+        _, summary, _ = lower_bound_study(cfg)
+        # one substream for the van Trees draws and one per replicate, for each n
+        assert calls == {"substream": 2 * (9 + 1), "bayes_risk_mc": 2}
+        assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
 
 
 class TestDeterminism:
@@ -478,6 +536,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["lower-bound", "--config", str(cfg_path), "--out", str(out_dir)])
         assert str(exc.value.code) == f"hetreg lower-bound: {message}"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"scale": {"c0": 1.0, "c22": 0.5}}, "unknown scale keys: ['c22']"),
+        ({"scale": {"sigma": 1.0, "c0": 1.0}}, "unknown scale keys: ['c0']"),
+        ({"scale": 1.0}, "scale must be a mapping, got 1.0"),
+        ({"test_function": {"preset": "S1", "trig_coef": [1, 2]}},
+         "unknown test_function keys: ['trig_coef']"),
+        ({"ball": {"kk": 3}}, "unknown ball keys: ['kk']"),
+        ({"ball": [1, 1.0]}, "ball must be a mapping, got [1, 1.0]"),
+        ({"noise_menu": [{"kind": "gaussian"}, {"kind": "student_t", "dff": 3}]},
+         "unknown noise keys: ['dff']"),
+        ({"noise_menu": ["gaussian"]}, "noise must be a mapping, got 'gaussian'"),
+    ])
+    def test_nested_config_is_validated(self, tmp_path, section, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, **section}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg risk: {message}"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])

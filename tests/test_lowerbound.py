@@ -17,7 +17,6 @@ from hetreg.basis import (
 )
 from hetreg.lowerbound import (
     KernelFamily,
-    _family_fns,
     _family_gram,
     _trig_inner_products,
     bayes_risk_mc,
@@ -47,6 +46,21 @@ from hetreg.models import (
 )
 from hetreg.selection import estimate
 from hetreg.weights import default_sequences, weight_family
+
+
+def stacked(est):
+    """A one-row estimator run on every row of a (B, n) stack, as bayes_risk_mc calls it."""
+    return lambda Y, g: np.stack([est(y, g) for y in Y])
+
+
+def zero_stack(Y, g):
+    return np.zeros(np.shape(Y))
+
+
+def element_fns(fam):
+    """The D_{m,j} in (m, j) order, one closure per kernel element."""
+    return [lambda x, m=m, j=j: fam.element(m, j, x)
+            for m in range(1, fam.M + 1) for j in range(1, fam.N + 1)]
 
 
 class TestMollifiedIndicator:
@@ -217,10 +231,9 @@ class TestVanTrees:
     def test_degenerate_single_parameter(self):
         # S_z = z (constant sensitivity), g == 1: bound = t^2 / (n t^2 + 1)
         grid = DesignGrid(51)
-        one = SampledFunction(lambda x: np.ones_like(x))
         for t in (0.3, 1.0, 2.5):
             rep = van_trees_bound(
-                [one], np.array([1.0]), np.array([t]),
+                np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([t]),
                 homogeneous_scale(1.0), grid, mc_reps=5, seed=0,
             )
             assert rep.bound == pytest.approx(t**2 / (51 * t**2 + 1.0), abs=1e-12)
@@ -245,9 +258,9 @@ class TestVanTrees:
 
         bare = ScaleModel(g2=lambda x, s, norm_sq: np.ones_like(np.asarray(x, dtype=float)))
         grid = DesignGrid(51)
-        one = SampledFunction(lambda x: np.ones_like(x))
         with pytest.raises(ValueError):
-            van_trees_bound([one], np.array([1.0]), np.array([1.0]), bare, grid)
+            van_trees_bound(np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([1.0]),
+                            bare, grid)
 
     def test_draws_are_one_array_of_the_per_draw_stream(self):
         # (mc_reps, P) normals from one generator are the mc_reps size-P draws, bit for bit
@@ -258,23 +271,20 @@ class TestVanTrees:
     @pytest.mark.parametrize("mc_reps", [0, -3])
     def test_refuses_no_draws(self, mc_reps):
         grid = DesignGrid(51)
-        one = SampledFunction(lambda x: np.ones_like(x))
         with pytest.raises(ValueError, match="mc_reps must be >= 1"):
-            van_trees_bound([one], np.array([1.0]), np.array([1.0]), homogeneous_scale(1.0), grid,
-                            mc_reps=mc_reps)
+            van_trees_bound(np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([1.0]),
+                            homogeneous_scale(1.0), grid, mc_reps=mc_reps)
 
-    def test_simpson_gram_by_default(self):
-        # gram=None integrates the f_p by the Simpson rule; the family Gram is the same matrix
-        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
-        grid = DesignGrid(51)
-        pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)
-        fam = pr.family
-        fns = _family_fns(fam)
-        args = (fns, np.ones(len(fns)), pr.t.ravel(), scale, grid)
-        default = van_trees_bound(*args, mc_reps=20, seed=3)
-        exact = van_trees_bound(*args, mc_reps=20, seed=3, gram=_family_gram(fam))
-        assert default.bound == pytest.approx(exact.bound, rel=1e-10)
-        np.testing.assert_allclose(default.bias, exact.bias, rtol=1e-9)
+    @pytest.mark.parametrize("D, gram", [
+        (np.ones((1, 50)), np.ones((1, 1))),   # design values off the grid's length
+        (np.ones(51), np.ones((1, 1))),        # one direction not given as a (1, n) row
+        (np.ones((1, 51)), np.ones((2, 2))),   # Gram matrix of other directions
+        (np.ones((1, 51)), np.ones(1)),
+    ])
+    def test_refuses_misshapen_directions(self, D, gram):
+        with pytest.raises(ValueError, match="design values"):
+            van_trees_bound(D, gram, np.array([1.0]), np.array([1.0]), homogeneous_scale(1.0),
+                            DesignGrid(51))
 
     def test_zero_estimator_beats_bound(self):
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
@@ -283,7 +293,7 @@ class TestVanTrees:
         grid = DesignGrid(51)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2, g0=g0)
         bound = prior_van_trees_bound(pr, scale, grid, mc_reps=300, seed=1).bound
-        risk, se = bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=500, seed=2)
+        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=500, seed=2)
         assert risk >= bound - 5.0 * se
         # analytic sanity for the zero estimator
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
@@ -294,14 +304,14 @@ class TestBayesRisk:
         scale = homogeneous_scale(1.0)
         grid = DesignGrid(101)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        risk, se = bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=800, seed=3)
+        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=800, seed=3)
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
 
     def test_risk_nonnegative(self):
         scale = homogeneous_scale(1.0)
         grid = DesignGrid(51)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        risk, _ = bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=20, seed=4)
+        [(risk, _)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=20, seed=4)
         assert risk >= 0.0
 
     def test_refuses_no_replicates_and_bad_estimates(self):
@@ -309,11 +319,20 @@ class TestBayesRisk:
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
         scale = homogeneous_scale(1.0)
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            bayes_risk_mc(lambda Y, g: np.zeros(g.n), pr, scale, grid, reps=0)
-        for bad in (lambda Y, g: np.zeros(g.n + 1), lambda Y, g: 0.0,
-                    lambda Y, g: TrigPolynomial(np.zeros(g.n))):
-            with pytest.raises(ValueError, match="length-51 coefficient vector"):
-                bayes_risk_mc(bad, pr, scale, grid, reps=3)
+            bayes_risk_mc([zero_stack], pr, scale, grid, reps=0)
+        # a stack of the wrong width, one row for the whole stack, a scalar, a function
+        for bad in (lambda Y, g: np.zeros((len(Y), g.n + 1)), lambda Y, g: np.zeros(g.n),
+                    lambda Y, g: 0.0, lambda Y, g: TrigPolynomial(np.zeros(g.n))):
+            with pytest.raises(ValueError, match=r"\(3, 51\) stack of coefficient vectors"):
+                bayes_risk_mc([zero_stack, bad], pr, scale, grid, reps=3)
+
+    def test_no_estimators_draw_nothing(self, monkeypatch):
+        def refuse(*key):
+            raise AssertionError("no replicate should be drawn")
+
+        monkeypatch.setattr(lowerbound, "substream", refuse)
+        pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
+        assert bayes_risk_mc([], pr, homogeneous_scale(1.0), DesignGrid(51), reps=5) == []
 
     @pytest.mark.parametrize("rows", [3, 24])
     def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
@@ -327,7 +346,7 @@ class TestBayesRisk:
             return fourier_rows(Y)
 
         def run():
-            risk = bayes_risk_mc(project, pr, scale, grid, reps=10, seed=9)
+            risk = bayes_risk_mc([project], pr, scale, grid, reps=10, seed=9)
             return risk, prior_van_trees_bound(pr, scale, grid, mc_reps=10, seed=9).bound
 
         whole = run()
@@ -353,7 +372,7 @@ class TestBayesRisk:
             out = estimate(Y, g)
             return out.lambda_hat * out.coeffs.theta_hat
 
-        risk, se = bayes_risk_mc(adaptive, pr, scale, grid, reps=400, seed=6)
+        [(risk, se)] = bayes_risk_mc([stacked(adaptive)], pr, scale, grid, reps=400, seed=6)
         assert risk >= bound - 5.0 * se
 
 
@@ -397,14 +416,14 @@ class TestExactAlgebra:
                 Y = S(grid.points) + self.SCALE.g(grid.points, S) * rng.standard_normal(n)
                 losses.append(wq @ (trig_series(est(Y, grid), xq) - S(xq)) ** 2)
             simpson = (np.mean(losses), np.std(losses, ddof=1) / 2.0)
-            exact = bayes_risk_mc(est, pr, self.SCALE, grid, reps=4, seed=8)
+            [exact] = bayes_risk_mc([stacked(est)], pr, self.SCALE, grid, reps=4, seed=8)
             np.testing.assert_allclose(exact, simpson, rtol=1e-9, err_msg=name)
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_combo_inner_and_norm(self, n):
         # for S_z = sum_p z_p D_p: ||S_z||^2 = z'Gz and <S_z, D_p> = (Gz)_p
         fam = self.prior(n).family
-        fns = _family_fns(fam)
+        fns = element_fns(fam)
         gram = _family_gram(fam)
         for z in self.draws(self.prior(n)):
             S = SampledFunction(lambda x: kernel_function(z.reshape(fam.M, fam.N), fam, x))
@@ -419,7 +438,7 @@ class TestExactAlgebra:
         c2, c3 = 0.5, 0.5
         x = DesignGrid(n).points
         fam = self.prior(n).family
-        fns = _family_fns(fam)
+        fns = element_fns(fam)
         gram = _family_gram(fam)
         for z in self.draws(self.prior(n)):
             S = SampledFunction(lambda t: kernel_function(z.reshape(fam.M, fam.N), fam, t))
@@ -475,7 +494,7 @@ class TestDesignCache:
         # equals sum_p z_p D_p evaluated element by element
         grid = DesignGrid(n)
         pr = self.prior(n)
-        fns = _family_fns(pr.family)
+        fns = element_fns(pr.family)
         D = pr.family.design_tensor(grid.points).reshape(len(fns), grid.n)
         Z = np.stack(self.draws(pr))
         for z, row in zip(Z, Z @ D):
@@ -488,7 +507,7 @@ class TestDesignCache:
         """The bound and the risks by a plain loop: one draw at a time, S_z on the
         design by `kernel_function`, no block and no shared design sample."""
         fam, x, n = pr.family, grid.points, grid.n
-        fns = _family_fns(fam)
+        fns = element_fns(fam)
         G = _family_gram(fam)
         xq, wq = simpson_rule()
         C = _trig_inner_products(n, fam.design_tensor(xq).reshape(len(fns), -1) * wq)
@@ -527,12 +546,14 @@ class TestDesignCache:
         ref_bound, ref_risks = self.reference(pr, grid, mc_reps=40, reps=40)
         bound = prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=40, seed=606).bound
         assert bound == pytest.approx(ref_bound, rel=1e-9)
-        for name, est in self.estimators(n).items():
-            risk = bayes_risk_mc(est, pr, self.SCALE, grid, reps=40, seed=607)
+        ests = self.estimators(n)
+        risks = bayes_risk_mc([stacked(e) for e in ests.values()], pr, self.SCALE, grid,
+                              reps=40, seed=607)
+        for name, risk in zip(ests, risks):
             np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-9, err_msg=name)
 
     def test_element_calls_do_not_grow_with_reps(self, monkeypatch):
-        calls = {"element": 0, "g2": 0, "frechet": 0}
+        calls = {"element": 0, "design_tensor": 0, "g2": 0, "frechet": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -542,18 +563,21 @@ class TestDesignCache:
             return wrapper
 
         monkeypatch.setattr(KernelFamily, "element", counted("element", KernelFamily.element))
+        monkeypatch.setattr(KernelFamily, "design_tensor",
+                            counted("design_tensor", KernelFamily.design_tensor))
         scale = dataclasses.replace(self.SCALE, g2=counted("g2", self.SCALE.g2),
                                     frechet=counted("frechet", self.SCALE.frechet))
         grid = DesignGrid(51)
         pr = self.prior(51)
-        project = self.estimators(51)["projection"]
+        project = stacked(self.estimators(51)["projection"])
 
         def count(reps):
-            calls.update(element=0, g2=0, frechet=0)
+            calls.update(element=0, design_tensor=0, g2=0, frechet=0)
             prior_van_trees_bound(pr, scale, grid, mc_reps=reps, seed=1)
-            bayes_risk_mc(project, pr, scale, grid, reps=reps, seed=2)
+            bayes_risk_mc([project], pr, scale, grid, reps=reps, seed=2)
             return dict(calls)
 
         few = count(3)
         assert few == count(12)
-        assert few == {"element": pr.t.size, "g2": 2, "frechet": 1}
+        # one design sample for the bound; the design and the Simpson nodes for the risk
+        assert few == {"element": 0, "design_tensor": 3, "g2": 2, "frechet": 1}

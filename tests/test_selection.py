@@ -10,6 +10,7 @@ from hetreg.basis import (
     discrete_fourier,
     fourier_rows,
     trig_basis_eval,
+    trig_series,
 )
 from hetreg.models import NoiseSpec, generate_observations, homogeneous_scale, substream
 from hetreg.selection import (
@@ -236,6 +237,24 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(a.lambda_hat, b.lambda_hat)
         np.testing.assert_array_equal(a.coeffs.theta_hat, b.coeffs.theta_hat)
         assert a.varsigma_hat == b.varsigma_hat
+
+    @pytest.mark.parametrize("n", [51, 1001, 5001])
+    def test_estimate_sums_over_the_taper_support(self, n):
+        # the fitted function off the grid equals the full-length series of all n coefficients
+        rng = np.random.default_rng(n)
+        g = DesignGrid(n)
+        fit = estimate(np.sin(2.0 * np.pi * g.points) + rng.standard_normal(n), g)
+        x = rng.random(500)
+        full = trig_series(fit.lambda_hat * fit.coeffs.theta_hat, x)
+        np.testing.assert_allclose(fit.estimate(x), full, rtol=1e-12)
+        assert fit.lambda_hat.shape == (n,)
+
+    def test_all_zero_taper_keeps_one_coefficient(self):
+        g = DesignGrid(51)
+        coeffs = discrete_fourier(np.ones(51), g)
+        out = select([(WeightIndex(1, 0.1), np.zeros(51))], coeffs, default_sequences(51))
+        np.testing.assert_array_equal(out.estimate(np.linspace(0.0, 1.0, 7)), 0.0)
+        assert out.estimate(0.3) == 0.0
 
     def test_zero_observations(self):
         g = DesignGrid(51)
