@@ -26,7 +26,7 @@ from .lowerbound import (
     lower_bound_target,
     prior_van_trees_bound,
 )
-from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substream
+from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substreams
 from .selection import select_rows
 from .theory import (
     SobolevBall,
@@ -38,9 +38,10 @@ from .theory import (
 )
 from .weights import WeightFamily, default_sequences, pinsker_weights, weight_family
 
-# basis_matrix, estimate and select are unused here but stay importable from
-# this module: bench/tracing.py patches them at this lookup site.
+# basis_matrix, estimate, select and substream are unused here but stay
+# importable from this module: bench/tracing.py patches them at this lookup site.
 from .basis import basis_matrix  # noqa: F401
+from .models import substream  # noqa: F401
 from .selection import estimate, select  # noqa: F401
 
 __all__ = [
@@ -113,8 +114,15 @@ class ExperimentConfig:
         _check_keys("test_function", self.test_function, ("preset", "trig_coeffs", "name"))
         if self.ball is not None:
             _check_keys("ball", self.ball, ("k", "r"))
+            k, r = self.ball.get("k", 1), self.ball.get("r")  # r None: the function's own norm
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise ValueError(f"ball k must be an integer >= 1, got {k!r}")
+            if r is not None and (isinstance(r, bool) or not isinstance(r, (int, float))
+                                  or not (math.isfinite(r) and r > 0.0)):
+                raise ValueError(f"ball r must be a positive finite number or null, got {r!r}")
         for nspec in self.noise_menu:
             _check_keys("noise", nspec, ("kind", "df"))
+            NoiseSpec(**nspec)  # refuses an unknown kind or a bad df before any replicate runs
         _check_keys("lowerbound", self.lowerbound, _LOWERBOUND_DEFAULTS)
         lb = {**_LOWERBOUND_DEFAULTS, **self.lowerbound}
         if not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
@@ -256,9 +264,11 @@ def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
     n = ctx.grid.n
     B = rep_hi - rep_lo
     Y = np.empty((B, n))
-    for i, rep in enumerate(range(rep_lo, rep_hi)):
-        rng = substream(ctx.seed, _TAG_RISK, n, ctx.noise_idx, rep)
-        Y[i] = ctx.S_design + ctx.g_design * ctx.noise.draw(rng, n)
+    streams = substreams(ctx.seed, _TAG_RISK, n, ctx.noise_idx, reps=range(rep_lo, rep_hi))
+    for i, rng in enumerate(streams):
+        Y[i] = ctx.noise.draw(rng, n)
+    Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
+    Y += ctx.S_design
     theta_hat = fourier_rows(Y)
     K, m = len(ctx.family), ctx.L.shape[1]
     th = theta_hat[:, :m]

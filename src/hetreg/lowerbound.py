@@ -24,6 +24,7 @@ from .models import (
     simpson_integral,
     simpson_rule,
     substream,
+    substreams,
 )
 from .theory import pinsker_constant
 
@@ -474,9 +475,10 @@ def bayes_risk_mc(
     draws and noise; (mean, standard error) per estimator, in order.
 
     Replicate r draws its prior coefficients t and then its noise from its own
-    substream.  A block of replicates, BLOCK_ENTRIES design entries at most,
-    is one (B, n) stack of observations Y = T @ D + g * noise, with D the
-    family on the design, ||S_t||^2 = t'Gt and G the family Gram matrix.
+    substream; `substreams` seeds a whole block of them at once.  A block of
+    replicates, BLOCK_ENTRIES design entries at most, is one (B, n) stack of
+    observations Y = T @ D + g * noise, with D the family on the design,
+    ||S_t||^2 = t'Gt and G the family Gram matrix.
     Every `estimator(Y, grid)` runs once per block on the whole stack and
     must return the (B, n) basis coefficients c of its estimates; each row's
     loss is exact algebra, ||c||^2 - 2 c'C t + t'G t with C the inner
@@ -500,10 +502,10 @@ def bayes_risk_mc(
         B = min(step, reps - lo)
         T = np.empty((B, len(D)))
         xi = np.empty((B, n))
-        for i in range(B):
-            rng = substream(seed, 13, n, lo + i)
-            T[i] = sample_prior(prior, rng)[0].ravel()
+        for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, lo + B))):
+            rng.standard_normal(out=T[i])
             xi[i] = noise.draw(rng, n)
+        T *= prior.t.ravel()
         s = T @ D
         norm_sq = _row_dots(T @ gram, T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi

@@ -11,6 +11,14 @@ deterministic.  Where the integrand is known in closed form the package uses
 exact algebra instead: Parseval for trigonometric series, the Gram matrix of
 the lower-bound kernel family, and 10-node Gauss per design cell for the
 step-extension loss (`theory.cell_integrals`).
+
+Every Monte Carlo draw comes from a keyed substream: `substream(seed, *key)`
+is the generator that numpy's `SeedSequence(seed, spawn_key=key)` seeds for a
+PCG64, bit for bit.  That seeding is plain integer arithmetic (SeedSequence's
+documented uint32 hash mixing, then PCG64's srandom step, O'Neill 2014), so
+`substreams(seed, *key, reps=...)` derives the states of a whole block of
+replicate keys at once and sets them on one reused generator; numpy's
+SeedSequence itself serves only as the reference of the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from .basis import DesignGrid, SampledFunction, as_sampled
 __all__ = [
     "SIMPSON_PANELS",
     "substream",
+    "substreams",
     "simpson_rule",
     "simpson_integral",
     "mollifier",
@@ -44,13 +53,125 @@ __all__ = [
 SIMPSON_PANELS = 2**14  # fixed panel count for every quadrature in the package
 
 
+# SeedSequence's hash mixing (numpy, bit_generator.pyx) and PCG64's seeding
+# (O'Neill 2014, pcg_setseq_128_srandom_r), as plain integer arithmetic
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _words(value) -> list[int]:
+    """Little-endian uint32 words of a nonnegative integer, as SeedSequence splits it."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed and key entries must be nonnegative integers, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _const_chain(const: int, mult: int, count: int) -> list[int]:
+    """The hash constant before each of `count` hashmix calls, and after the last."""
+    chain = [const]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+def _hashmix(value, const, next_const):
+    """SeedSequence's hashmix of uint32 words (ints or uint32 arrays) under one constant pair."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+_STATE_CONSTS = np.array(_const_chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS), dtype=np.uint32)[:, None]
+
+
+def _absorb(pool: np.ndarray, word, consts: list[int]) -> np.ndarray:
+    """The (4, R) pool after mixing R values of the next entropy word into all four pool words."""
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    return _mix(pool, _hashmix(word, c[:-1], c[1:]))
+
+
+def substreams(seed: int, *key: int, reps) -> Iterator[np.random.Generator]:
+    """For each r in `reps`, the generator of `substream(seed, *key, r)`.
+
+    The prefix (seed, *key) is mixed into the SeedSequence pool once, in
+    scalar arithmetic; the replicate index, the last entropy word (two from
+    2^32 on, refused from 2^64), is mixed in as a uint32 vector over all of
+    `reps`.  Each replicate's PCG64 state is then set on one reused
+    Generator, so a yielded generator is valid until the next one is yielded.
+    """
+    seed_words = _words(seed)
+    # a spawn key is present, so SeedSequence pads the run entropy to the pool size
+    entropy = seed_words + [0] * (_POOL_WORDS - len(seed_words)) + [w for k in key for w in _words(k)]
+    # 16 hashmix calls fill and cross-mix the pool, 4 absorb each later word
+    A = _const_chain(_INIT_A, _MULT_A, _POOL_WORDS * (len(entropy) + 2))
+    pool = [_hashmix(w, A[i], A[i + 1]) for i, w in enumerate(entropy[:_POOL_WORDS])]
+    i = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], A[i], A[i + 1]))
+                i += 1
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hashmix(word, A[i], A[i + 1]))
+            i += 1
+
+    reps = np.asarray(reps)
+    if reps.size == 0:
+        return iter(())
+    if reps.ndim != 1 or reps.dtype.kind not in "iu" or reps.min() < 0:
+        raise ValueError("reps must be a sequence of nonnegative integers below 2^64")
+    reps = reps.astype(np.uint64)
+    high = (reps >> 32).astype(np.uint32)
+    pool = _absorb(np.array(pool, dtype=np.uint32)[:, None], (reps & _MASK32).astype(np.uint32),
+                   A[i : i + _POOL_WORDS + 1])
+    if high.any():
+        i += _POOL_WORDS
+        pool = np.where(high > 0, _absorb(pool, high, A[i : i + _POOL_WORDS + 1]), pool)
+
+    # SeedSequence.generate_state(4, np.uint64): the pool cycled twice, hashed
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    state = state.astype(np.uint64)
+    return _replay(zip(*(state[0::2] | state[1::2] << 32).tolist()))
+
+
+def _replay(seeds) -> Iterator[np.random.Generator]:
+    """PCG64's srandom on each 128-bit (state, stream) seed pair, set on one Generator."""
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (study, n, replicate, ...) coordinate.
 
-    Built on SeedSequence spawn keys, so replicate r sees the same stream
-    whether the run is serial or split across workers.
+    Its stream is that of numpy's `SeedSequence(seed, spawn_key=key)` feeding
+    a PCG64, so replicate r sees the same stream whether the run is serial
+    or split across workers.  The last key entry is the replicate index of
+    `substreams`, which derives a whole block of these at once.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key)))
+    if not key:
+        raise ValueError("substream needs at least one key entry")
+    return next(substreams(seed, *key[:-1], reps=[int(key[-1])]))
 
 
 @lru_cache(maxsize=8)
@@ -191,11 +312,13 @@ class NoiseSpec:
     _ALIASES = {"uniform_normalized": "uniform", "student_t_normalized": "student_t"}
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(f"noise kind must be a string, got {self.kind!r}")
         object.__setattr__(self, "kind", self._ALIASES.get(self.kind, self.kind))
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "student_t" and self.df < 5:
-            raise ValueError("student_t requires df >= 5")
+        if self.kind == "student_t" and not (isinstance(self.df, (int, float)) and self.df >= 5):
+            raise ValueError(f"student_t requires df >= 5, got {self.df!r}")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "gaussian":

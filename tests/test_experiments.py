@@ -112,6 +112,7 @@ class TestConfig:
                      ball={"k": 1, "r": 10.0},
                      noise_menu=[{"kind": "student_t", "df": 7}])
         small_config(scale={"sigma": 2.0}, ball=None)
+        small_config(ball={"k": 2, "r": None})
         small_config(scale={})
 
     def test_accepts_every_lowerbound_key(self):
@@ -390,7 +391,7 @@ class TestBayesOnePass:
     def test_one_draw_pass_per_n(self, monkeypatch, names):
         from hetreg import experiments, lowerbound
 
-        calls = {"substream": 0, "bayes_risk_mc": 0}
+        calls = {"substream": 0, "substreams": 0, "bayes_risk_mc": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -400,13 +401,15 @@ class TestBayesOnePass:
             return wrapper
 
         monkeypatch.setattr(lowerbound, "substream", counted("substream", lowerbound.substream))
+        monkeypatch.setattr(lowerbound, "substreams", counted("substreams", lowerbound.substreams))
         monkeypatch.setattr(experiments, "bayes_risk_mc",
                             counted("bayes_risk_mc", experiments.bayes_risk_mc))
         cfg = small_config(n_grid=[51, 101], reps=9,
                            lowerbound={"prior_mc": 5, "bayes_estimators": names})
         _, summary, _ = lower_bound_study(cfg)
-        # one substream for the van Trees draws and one per replicate, for each n
-        assert calls == {"substream": 2 * (9 + 1), "bayes_risk_mc": 2}
+        # for each n: one substream for the van Trees draws and one block of
+        # replicate substreams, seeded at once, for the single Bayes-risk pass
+        assert calls == {"substream": 2, "substreams": 2, "bayes_risk_mc": 2}
         assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
 
 
@@ -549,10 +552,40 @@ class TestCli:
         ({"noise_menu": [{"kind": "gaussian"}, {"kind": "student_t", "dff": 3}]},
          "unknown noise keys: ['dff']"),
         ({"noise_menu": ["gaussian"]}, "noise must be a mapping, got 'gaussian'"),
+        ({"ball": {"k": 1.5}}, "ball k must be an integer >= 1, got 1.5"),
+        ({"ball": {"k": 0, "r": 1.0}}, "ball k must be an integer >= 1, got 0"),
+        ({"ball": {"k": True}}, "ball k must be an integer >= 1, got True"),
+        ({"ball": {"k": "1"}}, "ball k must be an integer >= 1, got '1'"),
+        ({"ball": {"k": 1, "r": -1}}, "ball r must be a positive finite number or null, got -1"),
+        ({"ball": {"r": 0.0}}, "ball r must be a positive finite number or null, got 0.0"),
+        ({"ball": {"r": "1"}}, "ball r must be a positive finite number or null, got '1'"),
+        ({"ball": {"r": 1e400}}, "ball r must be a positive finite number or null, got inf"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, **section}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg risk: {message}"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "bogus"}, "unknown noise kind 'bogus'"),
+        ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
+        ({"kind": "student_t", "df": "8"}, "student_t requires df >= 5, got '8'"),
+        ({"kind": ["gaussian"]}, "noise kind must be a string, got ['gaussian']"),
+    ])
+    def test_noise_menu_is_refused_before_any_replicate(self, tmp_path, monkeypatch, entry, message):
+        from hetreg import experiments
+
+        def refuse(*args):
+            raise AssertionError("no replicate should run")
+
+        monkeypatch.setattr(experiments, "_run_replicates", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [1001, 3001], "reps": 400,
+                                        "noise_menu": [{"kind": "gaussian"}, entry]}))
         out_dir = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])

@@ -327,10 +327,10 @@ class TestBayesRisk:
                 bayes_risk_mc([zero_stack, bad], pr, scale, grid, reps=3)
 
     def test_no_estimators_draw_nothing(self, monkeypatch):
-        def refuse(*key):
+        def refuse(*key, reps):
             raise AssertionError("no replicate should be drawn")
 
-        monkeypatch.setattr(lowerbound, "substream", refuse)
+        monkeypatch.setattr(lowerbound, "substreams", refuse)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
         assert bayes_risk_mc([], pr, homogeneous_scale(1.0), DesignGrid(51), reps=5) == []
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hetreg.basis import DesignGrid, TrigPolynomial
 from hetreg.models import (
@@ -17,6 +19,7 @@ from hetreg.models import (
     simpson_rule,
     smooth_cutoff,
     substream,
+    substreams,
 )
 
 S1 = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])
@@ -43,6 +46,62 @@ class TestSimpson:
     def test_odd_panels_rejected(self):
         with pytest.raises(ValueError):
             simpson_integral(lambda x: x, panels=7)
+
+
+def seed_sequence_rng(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+# a key entry: 0, one uint32 word, or two to three words
+KEY_ENTRY = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))
+
+
+class TestSubstreams:
+    @given(
+        seed=st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1)),
+        key=st.lists(KEY_ENTRY, max_size=4),
+        start=st.one_of(st.integers(0, 100), st.integers(2**32 - 3, 2**32 + 3), st.integers(0, 2**62)),
+        count=st.integers(1, 5),
+        kind=st.sampled_from(NoiseSpec.KINDS),
+    )
+    def test_draws_equal_seed_sequence_bit_for_bit(self, seed, key, start, count, kind):
+        noise = NoiseSpec(kind, df=7)
+        reps = range(start, start + count)
+        assert len(list(substreams(seed, *key, reps=reps))) == count
+        for rep, rng in zip(reps, substreams(seed, *key, reps=reps)):
+            ref = seed_sequence_rng(seed, *key, rep)
+            # 11 rademacher draws leave half a uint64 behind in the uint32 buffer
+            for size in (7, 4):
+                np.testing.assert_array_equal(noise.draw(rng, size), noise.draw(ref, size))
+            np.testing.assert_array_equal(rng.standard_normal(2), ref.standard_normal(2))
+        np.testing.assert_array_equal(substream(seed, *key, start).standard_normal(5),
+                                      seed_sequence_rng(seed, *key, start).standard_normal(5))
+
+    def test_one_block_equals_substream_per_replicate(self):
+        reps = [5, 0, 2**33, 7, 7]
+        block = [rng.integers(0, 2, size=11) for rng in substreams(20260810, 3, 101, 0, reps=reps)]
+        single = [substream(20260810, 3, 101, 0, r).integers(0, 2, size=11) for r in reps]
+        np.testing.assert_array_equal(block, single)
+
+    def test_no_replicates_yield_nothing(self):
+        assert list(substreams(1, 2, reps=range(0))) == []
+        assert list(substreams(1, 2, reps=[])) == []
+
+    @pytest.mark.parametrize("seed, key, reps", [
+        (-1, (0,), [0]), (1, (-2,), [0]), (1, (2, -3), [0]), (1, (2,), [3, -1]),
+    ])
+    def test_negative_entries_refused_like_seed_sequence(self, seed, key, reps):
+        with pytest.raises(ValueError):
+            seed_sequence_rng(seed, *key, *reps)
+        with pytest.raises(ValueError, match="nonnegative"):
+            substreams(seed, *key, reps=reps)
+
+    def test_bad_reps_refused(self):
+        for reps in ([2**64], [1.5], [[1, 2]]):
+            with pytest.raises(ValueError, match="reps must be"):
+                substreams(1, 2, reps=reps)
+        with pytest.raises(ValueError, match="at least one key"):
+            substream(1)
 
 
 def l2_inner(S, f) -> float:
