@@ -25,6 +25,7 @@ __all__ = [
     "trig_basis_eval",
     "basis_matrix",
     "basis_eval_matrix",
+    "serial_matmul",
     "pack_spectrum",
     "fourier_rows",
     "grid_values",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of float64)
+# OpenBLAS multiplies in the calling thread up to 2^18 multiply-adds a product
+# (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
+SERIAL_MULADDS = 2**18
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,24 @@ def _basis_matrix(n: int) -> np.ndarray:
 def basis_matrix(grid: DesignGrid) -> np.ndarray:
     """(n, n) matrix of phi_j(x_l), read-only and cached per n; the tests' dense reference."""
     return _basis_matrix(grid.n)
+
+
+def serial_matmul(a, b) -> np.ndarray:
+    """a (..., B, k) @ b (k, d) in blocks of rows of at most SERIAL_MULADDS multiply-adds.
+
+    BLAS then computes every block in the calling thread.  On a shared 2-vCPU
+    machine a threaded product of a study block's size can wait milliseconds
+    for its second thread, far longer than the product itself takes.  A 1-d
+    `a` is one product.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return a @ b
+    rows = max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1]))
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    for lo in range(0, a.shape[-2], rows):
+        np.matmul(a[..., lo : lo + rows, :], b, out=out[..., lo : lo + rows, :])
+    return out
 
 
 def pack_spectrum(F, n: int) -> np.ndarray:

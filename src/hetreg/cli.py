@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", help="output directory")
         q.add_argument("--seed", type=int)
         q.add_argument("--reps", type=int)
-        q.add_argument("--workers", type=int)
+        q.add_argument("--workers", type=int,
+                       help="accepted and validated; changes neither scheduling nor output")
     return p
 
 

@@ -1,24 +1,34 @@
 """Monte Carlo risk studies: oracle inequality, efficiency trend, lower bound.
 
-Replicates are embarrassingly parallel: replicate r of a study always draws
-from the substream keyed by (seed, study tag, n, noise index, r), and
-results are reduced in fixed replicate order, so worker count never changes
-any output byte.  Every study estimator is a taper row of one stack cut to its
-support, so a block's two losses for all of them, and the family sweep that
-every study keeps, are a few matmuls on its coefficients, with no inverse FFT.
+Replicate r of a study always draws from the substream keyed by (seed, study
+tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
+most `BLOCK_ENTRIES` observations, and are reduced in replicate order; the
+`workers` setting is still accepted but changes neither scheduling nor any
+output byte.  Every study estimator but the full projection is a taper row of
+one stack cut to its support, so a block needs only the head of theta_hat: one
+matmul against the first basis vectors gives it, and Parseval gives the tail
+energy the selector needs.  A block's two losses for every estimator, and the
+family sweep that every study keeps, are a few more matmuls, with no FFT.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, TrigPolynomial, fourier_rows
+from .basis import (
+    BLOCK_ENTRIES,
+    DesignGrid,
+    SampledFunction,
+    TrigPolynomial,
+    basis_eval_matrix,
+    fourier_rows,
+    serial_matmul,
+)
 from .lowerbound import (
     bayes_risk_mc,
     check_conditions_A,
@@ -27,7 +37,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substreams
-from .selection import select_rows
+from .selection import select_rows, tail_energy
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -38,8 +48,10 @@ from .theory import (
 )
 from .weights import WeightFamily, default_sequences, pinsker_weights, weight_family
 
-# basis_matrix, estimate, select and substream are unused here but stay
-# importable from this module: bench/tracing.py patches them at this lookup site.
+# basis_matrix, estimate, select, substream and ThreadPoolExecutor are unused
+# here but stay importable from this module: bench/tracing.py patches them at
+# this lookup site.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from .basis import basis_matrix  # noqa: F401
 from .models import substream  # noqa: F401
 from .selection import estimate, select  # noqa: F401
@@ -65,7 +77,6 @@ CSV_COLUMNS = (
 )
 
 _TAG_RISK = 3
-_BLOCK = 32  # fixed replicate block size, independent of worker count
 _BAYES_ESTIMATORS = ("zero", "projection", "adaptive")
 _LOWERBOUND_DEFAULTS = {
     "eps": 0.2, "eta": 0.05, "prior_mc": 500, "bayes_estimators": _BAYES_ESTIMATORS,
@@ -86,7 +97,7 @@ class ExperimentConfig:
     n_grid: list = field(default_factory=lambda: [101])
     reps: int = 200
     seed: int = 20260810
-    workers: int = 1
+    workers: int = 1  # validated, but replicates run in the calling thread whatever its value
     test_function: dict = field(default_factory=lambda: {"preset": "S1"})
     ball: dict | None = None
     scale: dict = field(default_factory=lambda: {"c0": 1.0, "c1": 1.0, "c2": 0.5, "c3": 0.5})
@@ -106,6 +117,8 @@ class ExperimentConfig:
         for key in ("reps", "workers"):
             if not isinstance(getattr(self, key), int) or getattr(self, key) < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for n in self.n_grid:
             self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
         # a scale is either sigma alone (homogeneous) or econometric coefficients
@@ -199,7 +212,8 @@ class _StudyContext:
     """Per-(n, noise) quantities shared by every replicate.
 
     L: the family's tapers, then the fixed estimators' weights, cut to their
-    support; `columns`: each named estimator's row of L, -1 for the adaptive pick."""
+    support; `columns`: each named estimator's row of L, -1 for the adaptive
+    pick and len(L) for the full projection, whose losses come from Y itself."""
 
     grid: DesignGrid
     seqs: object
@@ -211,8 +225,11 @@ class _StudyContext:
     seed: int
     L: np.ndarray
     columns: np.ndarray
-    targets: np.ndarray  # (2, m): theta_n, and n * fourier_rows(int S per cell)
-    consts: np.ndarray   # (2,): ||theta_n||^2 over all n coefficients, ||S||^2
+    analysis: np.ndarray  # (n, d): Y @ analysis = theta_hat_1..theta_hat_d, d = max(w, l_n)
+    targets: np.ndarray   # (2, w): theta_n, and n * fourier_rows(int S per cell)
+    consts: np.ndarray    # (2,): ||theta_n||^2 over all n coefficients, ||S||^2
+    cell_int_s: np.ndarray  # (n,): int S over every cell, for the full projection's L2 loss
+    identity: bool        # the full projection is among the estimators
 
 
 def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: int,
@@ -221,45 +238,63 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
     grid = DesignGrid(n)
     seqs = cfg.sequences(n)
     family = weight_family(n, seqs)
+    K, m = family.W.shape
     S_design = S.on_grid(grid)
     theta_n = fourier_rows(S_design)
-    rows, columns = [family.W], []
-    widths = {"projection": n, "zero": 0}
+    fixed, columns = [], []  # the fixed estimators' weights at length n
     for name in estimators:
-        if name == "adaptive":
-            columns.append(-1)
+        if name in ("adaptive", "projection"):
+            columns.append(-1 if name == "adaptive" else -2)  # -2: set to len(L) below
             continue
         if name == "oracle_weight":
-            rows.append(pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs))
-        elif name in widths or name.startswith("projection:"):
-            d = widths[name] if name in widths else int(name.split(":", 1)[1])
+            fixed.append(pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs))
+        elif name == "zero" or name.startswith("projection:"):
+            d = 0 if name == "zero" else int(name.split(":", 1)[1])
             if d < 0:
                 raise ValueError(f"estimator {name!r} must keep d >= 0 coefficients")
-            rows.append((np.arange(n) < d).astype(float))  # keeps the first d coefficients
+            fixed.append((np.arange(n) < d).astype(float))  # keeps the first d coefficients
         else:
             raise ValueError(f"unknown estimator {name!r}")
-        columns.append(len(family) + len(rows) - 2)
-    L = np.vstack(rows)
-    m = int(np.flatnonzero(L.any(axis=0))[-1]) + 1  # every taper is 0 past column m
+        columns.append(K + len(fixed) - 1)
+    # every weight is 0 past column w, the width of L
+    w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed])
+    L = np.zeros((K + len(fixed), w))
+    L[:K, :m] = family.W
+    for i, lam in enumerate(fixed):
+        L[K + i] = lam[:w]
+    columns = np.array(columns, dtype=int)
+    columns[columns == -2] = len(L)
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
         g_design=scale.g(grid.points, S), noise=noise, noise_idx=noise_idx, seed=cfg.seed,
-        L=np.ascontiguousarray(L[:, :m]), columns=np.array(columns, dtype=int),
-        targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :m],
+        L=L, columns=columns,
+        analysis=basis_eval_matrix(max(w, seqs.l_n), grid.points) / n,
+        targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :w],
         consts=np.array([np.sum(theta_n**2), s_l2_sq]),
+        cell_int_s=cell_int_s, identity="projection" in estimators,
     )
+
+
+def _head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
+    """For every row of Y (B, n): theta_hat_1..theta_hat_d, the tail energy
+    sum_{j > l_n} theta_hat_j^2 and the energy sum_j theta_hat_j^2 = |Y|^2 / n (Parseval)."""
+    head = serial_matmul(Y, analysis)
+    energy = np.einsum("ij,ij->i", Y, Y) / Y.shape[1]
+    return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
 def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
     """Losses for replicates [rep_lo, rep_hi): (B, E, 2) plus family sweep (B, K).
 
-    Every estimator is a row lam of ctx.L, so by Parseval both of its losses are
-    sum_j lam_j^2 th_j^2 - 2 sum_j lam_j th_j t_j + c: the empiric ||S_lam - S||_n^2
-    with t = theta_n, c = |theta_n|^2, and the step extension's ||T(S_lam) - S||^2
-    with t_j = sum_l phi_j(l/n) int_cell_l S, c = ||S||^2.  One stack of matmuls
-    gives both for every row; the adaptive estimator is its pick's row.
+    Every estimator but the full projection is a row lam of ctx.L, so by
+    Parseval both of its losses are sum_j lam_j^2 th_j^2 - 2 sum_j lam_j th_j t_j + c:
+    the empiric ||S_lam - S||_n^2 with t = theta_n, c = |theta_n|^2, and the step
+    extension's ||T(S_lam) - S||^2 with t_j = sum_l phi_j(l/n) int_cell_l S,
+    c = ||S||^2.  One stack of matmuls gives both for every row; the adaptive
+    estimator is its pick's row.  The full projection is the identity on the
+    grid: its losses are mean((Y - S)^2) and |Y|^2 / n - 2 Y . int_cell S + ||S||^2.
     """
     n = ctx.grid.n
     B = rep_hi - rep_lo
@@ -269,23 +304,23 @@ def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
         Y[i] = ctx.noise.draw(rng, n)
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
-    theta_hat = fourier_rows(Y)
-    K, m = len(ctx.family), ctx.L.shape[1]
-    th = theta_hat[:, :m]
-    quad = th**2 @ (ctx.L**2).T
-    loss = quad - 2.0 * (th * ctx.targets[:, None, :]) @ ctx.L.T + ctx.consts[:, None, None]
-    pick, _ = select_rows(ctx.L[:K], theta_hat, ctx.seqs)
+    head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
+    K, w = len(ctx.family), ctx.L.shape[1]
+    th = head[:, :w]
+    quad = serial_matmul(th**2, (ctx.L**2).T)
+    loss = quad - 2.0 * serial_matmul(th * ctx.targets[:, None, :], ctx.L.T) + ctx.consts[:, None, None]
+    if ctx.identity:
+        identity = [np.mean((Y - ctx.S_design) ** 2, axis=1),
+                    energy - 2.0 * (Y @ ctx.cell_int_s) + ctx.consts[1]]
+        loss = np.concatenate([loss, np.stack(identity)[:, :, None]], axis=2)
+    pick, _ = select_rows(ctx.family.W, head, tail, n, ctx.seqs)
     cols = np.where(ctx.columns < 0, pick[:, None], ctx.columns)
     return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, :K]
 
 
-def _run_replicates(ctx: _StudyContext, reps: int, workers: int):
-    blocks = [(lo, min(lo + _BLOCK, reps)) for lo in range(0, reps, _BLOCK)]
-    if workers <= 1:
-        results = [_block_losses(ctx, lo, hi) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _block_losses(ctx, *b), blocks))
+def _run_replicates(ctx: _StudyContext, reps: int):
+    rows = max(1, BLOCK_ENTRIES // ctx.grid.n)  # observations per block <= BLOCK_ENTRIES
+    results = [_block_losses(ctx, lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
     return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
 
 
@@ -357,7 +392,7 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list 
         for noise_idx, nspec in enumerate(cfg.noise_menu):
             noise = NoiseSpec(**nspec)
             ctx = _make_context(cfg, n, noise, noise_idx, named, S, ball, scale)
-            losses, sweep = _run_replicates(ctx, cfg.reps, cfg.workers)
+            losses, sweep = _run_replicates(ctx, cfg.reps)
             sweeps[(n, noise.label)] = sweep
             if "per_family" in estimators:
                 for kk, (alpha, _) in enumerate(ctx.family):
@@ -509,8 +544,10 @@ def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
 
         def run(Y, grid):
             th = fourier_rows(Y)
-            best, _ = select_rows(family.W, th, seqs)
-            return family.W[best] * th
+            best, _ = select_rows(family.W, th, tail_energy(th, seqs.l_n), n, seqs)
+            fit = np.zeros_like(th)  # every taper is zero past the stack's width
+            fit[..., : family.W.shape[1]] = family.W[best] * th[..., : family.W.shape[1]]
+            return fit
 
         return run
     raise ValueError(f"unknown bayes estimator {name!r}")

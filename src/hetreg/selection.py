@@ -12,6 +12,7 @@ from .basis import (
     FourierCoeffs,
     SampledFunction,
     discrete_fourier,
+    serial_matmul,
     trig_series,
 )
 from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
@@ -19,6 +20,7 @@ from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequenc
 __all__ = [
     "CostTerms",
     "EstimatorOutput",
+    "tail_energy",
     "varsigma_hat",
     "cost_terms",
     "cost",
@@ -53,11 +55,18 @@ class EstimatorOutput:
     estimate: SampledFunction
 
 
+def tail_energy(theta_hat, l_n: int) -> np.ndarray:
+    """sum_{j > l_n} theta_hat_j^2 along the last axis; an overflow gives inf, which
+    `family_costs` refuses."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.asarray(theta_hat, dtype=float)[..., l_n:] ** 2, axis=-1)
+
+
 def varsigma_hat(coeffs: FourierCoeffs, l_n: int) -> float:
     """Tail energy sum_{j > l_n} theta_hat_j^2, the noise-level proxy."""
     if not (1 <= l_n < coeffs.n):
         raise ValueError(f"need 1 <= l_n < n, got l_n={l_n}, n={coeffs.n}")
-    return float(np.sum(coeffs.theta_hat[l_n:] ** 2))
+    return float(tail_energy(coeffs.theta_hat, l_n))
 
 
 def cost_terms(
@@ -89,20 +98,20 @@ def cost(lam, coeffs: FourierCoeffs, varsigma: float, rho: float) -> float:
     return cost_terms(lam, coeffs, varsigma, rho).total
 
 
-def family_costs(W: np.ndarray, theta_hat, seqs: TuningSequences) -> np.ndarray:
-    """J_n (..., K) of every taper row of W (K, m) for every row of theta_hat (..., n), m <= n.
+def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np.ndarray:
+    """J_n (..., K) of every taper row of W (K, m) for every row of coefficients.
 
-    Tapers zero past column m may come cut to width m, as the study block's do:
-    the quadratic and cross terms sum over those m columns, varsigma_hat over all n.
+    `head` (..., d) holds theta_hat_1..theta_hat_d of length-n rows, d >= m, and
+    `tail` (...) their energy past l_n, varsigma_hat = sum_{j > l_n} theta_hat_j^2.
+    Every taper is zero past column m, so nothing past the head enters a cost.
     """
     W2 = W**2
     m = W.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        th2 = np.asarray(theta_hat, dtype=float) ** 2
-        n = th2.shape[-1]
-        vs = np.sum(th2[..., seqs.l_n :], axis=-1, keepdims=True)
-        quadratic = th2[..., :m] @ W2.T
-        cross = -2.0 * ((th2[..., :m] - vs / n) @ W.T)
+        th2 = np.asarray(head, dtype=float)[..., :m] ** 2
+        vs = np.asarray(tail, dtype=float)[..., None]
+        quadratic = serial_matmul(th2, W2.T)
+        cross = -2.0 * serial_matmul(th2 - vs / n, W.T)
         costs = quadratic + cross + seqs.rho * W2.sum(axis=1) * vs / n
     if not np.isfinite(costs).all():
         raise ValueError(
@@ -112,12 +121,13 @@ def family_costs(W: np.ndarray, theta_hat, seqs: TuningSequences) -> np.ndarray:
     return costs
 
 
-def select_rows(W: np.ndarray, theta_hat, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
-    """Selected row of W (...) and costs J_n (..., K) for every row of theta_hat.
+def select_rows(W: np.ndarray, head, tail, n: int,
+                seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
+    """Selected row of W (...) and costs J_n (..., K), with the arguments of `family_costs`.
 
     Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
     """
-    costs = family_costs(W, theta_hat, seqs)
+    costs = family_costs(W, head, tail, n, seqs)
     return np.argmin(costs, axis=-1), costs
 
 
@@ -135,10 +145,13 @@ def select(
     if not family:
         raise ValueError("weight family must be nonempty")
     if not isinstance(family, WeightFamily):
-        family = WeightFamily(family)
+        family = WeightFamily([alpha for alpha, _ in family], [lam for _, lam in family])
     th = coeffs.theta_hat
-    best, costs_vec = select_rows(family.W, th, seqs)
-    alpha_hat, lam_hat = family[int(best)]
+    vs = varsigma_hat(coeffs, seqs.l_n)
+    best, costs_vec = select_rows(family.W, th, vs, coeffs.n, seqs)
+    alpha_hat, lam_cut = family[int(best)]
+    lam_hat = np.zeros(coeffs.n)
+    lam_hat[: len(lam_cut)] = lam_cut
     # every taper is zero past its support: the series sums up to its last nonzero weight
     m = int(np.max(np.flatnonzero(lam_hat), initial=0)) + 1
     weighted = lam_hat[:m] * th[:m]
@@ -147,7 +160,7 @@ def select(
         coeffs=coeffs,
         selected=alpha_hat,
         lambda_hat=lam_hat,
-        varsigma_hat=varsigma_hat(coeffs, seqs.l_n),
+        varsigma_hat=vs,
         costs={alpha: float(c) for (alpha, _), c in zip(family, costs_vec)},
         estimate=est,
     )

@@ -122,22 +122,47 @@ def pinsker_weights(alpha: WeightIndex, n: int, seqs: TuningSequences) -> np.nda
 
 
 class WeightFamily(tuple):
-    """(WeightIndex, taper) pairs whose tapers are the read-only rows of one stack W (K, n)."""
+    """(WeightIndex, taper) pairs whose tapers are the read-only rows of one stack W (K, m).
 
-    def __new__(cls, pairs):
-        pairs = list(pairs)
-        W = np.array([lam for _, lam in pairs], dtype=float)
+    Every taper is zero past column m <= n, so the stack holds m columns, not n.
+    """
+
+    def __new__(cls, indices, W):
+        W = np.array(W, dtype=float)
         W.flags.writeable = False
-        family = super().__new__(cls, ((alpha, lam) for (alpha, _), lam in zip(pairs, W)))
+        family = super().__new__(cls, zip(indices, W))
         family.W = W
         return family
 
 
+def _support_width(max_omega: float, n: int) -> int:
+    """Columns a stack keeps: ceil(max omega) rounded up to a multiple of 8, at most n.
+
+    Every weight past column ceil(omega) is 0.  With the multiple of 8, numpy's
+    8-way pairwise sums and OpenBLAS's unrolled dot products group the nonzero
+    weights as they do over all n columns, so a cost keeps the bytes it has at
+    full length (checked up to n = 5001; longer dot products are split
+    differently).
+    """
+    return min(n, 8 * math.ceil(math.ceil(max_omega) / 8))
+
+
 def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
-    """All k* x m members, enumerated in increasing (beta, t) order."""
-    family = []
+    """All k* x m members in increasing (beta, t) order, built at their support width.
+
+    Row by row the stack equals `pinsker_weights` cut to its width, bit for bit:
+    each beta's rows are one array with the same integer power.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need odd n >= 3, got {n}")
+    indices = [WeightIndex(beta, i * seqs.eps)
+               for beta in range(1, seqs.k_star + 1) for i in range(1, seqs.m + 1)]
+    om = np.array([omega(alpha, n, seqs) for alpha in indices])
+    flat = np.array([int(w * seqs.eps) for w in om], dtype=float)  # each member's j0
+    j = np.arange(1, _support_width(om.max(), n) + 1, dtype=float)
+    W = np.empty((len(indices), len(j)))
     for beta in range(1, seqs.k_star + 1):
-        for i in range(1, seqs.m + 1):
-            alpha = WeightIndex(beta, i * seqs.eps)
-            family.append((alpha, pinsker_weights(alpha, n, seqs)))
-    return WeightFamily(family)
+        rows = slice((beta - 1) * seqs.m, beta * seqs.m)
+        w, j0 = om[rows, None], flat[rows, None]
+        W[rows] = np.where(j <= j0, 1.0, np.where(j <= w, 1.0 - (j / w) ** beta, 0.0))
+    return WeightFamily(indices, W)

@@ -13,6 +13,7 @@ from hetreg.basis import (
     empiric_inner_product,
     fourier_rows,
     grid_values,
+    serial_matmul,
     synthesize,
     trig_basis_eval,
     trig_series,
@@ -148,6 +149,21 @@ class TestFourierTransforms:
         x = np.linspace(0.0, 1.0, 600).reshape(20, 30)
         expected = (basis_eval_matrix(4097, x) @ c).reshape(20, 30)
         np.testing.assert_allclose(trig_series(c, x), expected, rtol=0, atol=1e-12)
+
+
+class TestSerialMatmul:
+    @given(lead=st.sampled_from([(), (2,)]), rows=st.integers(1, 400),
+           k=st.sampled_from([1, 8, 101, 3001]), d=st.integers(1, 140), seed=seeds)
+    def test_equals_one_product(self, lead, rows, k, d, seed):
+        # row blocks of at most 2^18 multiply-adds give the single product's values
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(lead + (rows, k)), rng.standard_normal((k, d))
+        np.testing.assert_allclose(serial_matmul(a, b), a @ b, rtol=1e-13, atol=1e-13 * np.sqrt(k))
+
+    def test_vector_is_one_product(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(501), rng.standard_normal((501, 40))
+        np.testing.assert_array_equal(serial_matmul(a, b), a @ b)
 
 
 class TestSynthesize:

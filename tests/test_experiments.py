@@ -3,24 +3,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetreg.basis import DesignGrid, grid_values
+from hetreg.basis import DesignGrid, fourier_rows, grid_values
 from hetreg.cli import main as cli_main
 from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     _bayes_estimator,
+    _block_losses,
+    _head_and_tail,
+    _make_context,
     efficiency_study,
     lower_bound_study,
     mc_risk,
     oracle_coefficient,
     oracle_study,
+    resolve_scale,
     resolve_test_function,
     risk_study,
     write_csv,
 )
-from hetreg.selection import estimate
-from hetreg.weights import weight_family
+from hetreg.models import NoiseSpec, substreams
+from hetreg.selection import estimate, select_rows, tail_energy
+from hetreg.theory import cell_integrals, oracle_index
+from hetreg.weights import pinsker_weights, weight_family
 
 
 def small_config(**over):
@@ -73,7 +81,8 @@ def direct_losses(cfg):
                 c = lam * th
                 expected[name, n, rep] = (float(np.sum((c - theta_n) ** 2)),
                                           step_l2_distance_sq(trig_series(c, g.points), S, g))
-            sweep.append(np.sum((family.W * th - theta_n) ** 2, axis=1))
+            tapers = np.array([pinsker_weights(alpha, n, seqs) for alpha, _ in family])
+            sweep.append(np.sum((tapers * th - theta_n) ** 2, axis=1))
         per_taper[n] = np.array(sweep)
     return expected, per_taper
 
@@ -93,6 +102,14 @@ class TestConfig:
     def test_rejects_bad_reps_and_workers(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
             small_config(**{key: value})
+
+    @pytest.mark.parametrize("value", [-1, 3.7, True, "3", None])
+    def test_rejects_bad_seed(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            small_config(seed=value)
+
+    def test_accepts_seed_zero(self):
+        assert small_config(seed=0).seed == 0
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -247,6 +264,87 @@ class TestMcRisk:
         _, ball, _ = resolve_test_function(cfg)
         for r in rows:
             assert r.risk_empiric >= 0.5 * r.risk_l2 - ball.r / r.n**2 - 1e-9
+
+
+def study_context(cfg, n, estimators):
+    S, ball, _ = resolve_test_function(cfg)
+    return _make_context(cfg, n, NoiseSpec("gaussian"), 0, estimators, S, ball,
+                         resolve_scale(cfg.scale))
+
+
+class TestHeadOnlyBlock:
+    """A block computes theta_hat only up to the taper support, and no FFT."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(st.sampled_from([3, 101, 3001]),
+                       st.integers(1, 2000).map(lambda k: 2 * k + 1)),
+           rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           level=st.floats(min_value=1e-3, max_value=1e3))
+    def test_head_and_parseval_tail_equal_the_fft(self, n, rows, seed, level):
+        ctx = study_context(small_config(n_grid=[n]), n, ESTIMATOR_KINDS)
+        rng = np.random.default_rng(seed)
+        Y = level * (np.cos(2.0 * np.pi * 3.0 * DesignGrid(n).points) + rng.standard_normal((rows, n)))
+        head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
+        theta_hat = fourier_rows(Y)
+        d = ctx.analysis.shape[1]
+        assert max(ctx.L.shape[1], ctx.seqs.l_n) == d <= n
+        np.testing.assert_allclose(head, theta_hat[:, :d], rtol=1e-12,
+                                   atol=1e-12 * np.abs(theta_hat).max())
+        np.testing.assert_allclose(energy, np.sum(theta_hat**2, axis=1), rtol=1e-12)
+        # the tail is a difference of energies: exact up to rounding of the row energy
+        np.testing.assert_allclose(tail, tail_energy(theta_hat, ctx.seqs.l_n), rtol=1e-12,
+                                   atol=1e-12 * energy.max())
+
+    @pytest.mark.parametrize("n", [51, 101, 1001])
+    @pytest.mark.parametrize("preset", ["S1", "S2"])
+    def test_block_equals_fft_reference(self, monkeypatch, n, preset):
+        # the reference draws the same stack, takes the full FFT and scores
+        # every estimator's full-length weights
+        from hetreg import experiments
+
+        cfg = small_config(n_grid=[n], test_function={"preset": preset})
+        ctx = study_context(cfg, n, ESTIMATOR_KINDS)
+        S, ball, _ = resolve_test_function(cfg)
+        seqs, family = ctx.seqs, ctx.family
+        picks = []
+
+        def recorded(*args):
+            best, costs = select_rows(*args)
+            picks.append(best)
+            return best, costs
+
+        monkeypatch.setattr(experiments, "select_rows", recorded)
+        losses, sweep = _block_losses(ctx, 5, 45)
+
+        Y = np.stack([ctx.noise.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(5, 45))])
+        Y = ctx.S_design + ctx.g_design * Y
+        theta_hat = fourier_rows(Y)
+        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs)
+        np.testing.assert_array_equal(picks[0], pick)
+        cell_int_s, s_l2_sq = cell_integrals(S, n)
+        theta_n, t = fourier_rows(S.on_grid(DesignGrid(n))), n * fourier_rows(cell_int_s)
+        tapers = np.array([pinsker_weights(alpha, n, seqs) for alpha, _ in family])
+        oracle = oracle_index(ball, resolve_scale(cfg.scale).varsigma(S), n, seqs)
+        fixed = {
+            "oracle_weight": pinsker_weights(oracle, n, seqs),
+            "projection": np.ones(n),
+            "projection:5": (np.arange(n) < 5).astype(float),
+            "zero": np.zeros(n),
+        }
+        for e, name in enumerate(ESTIMATOR_KINDS):
+            c = (tapers[pick] if name == "adaptive" else fixed[name]) * theta_hat
+            ref = np.stack([np.sum((c - theta_n) ** 2, axis=1),
+                            np.sum(c**2, axis=1) - 2.0 * c @ t + s_l2_sq], axis=1)
+            np.testing.assert_allclose(losses[:, e], ref, rtol=1e-12, err_msg=name)
+        np.testing.assert_allclose(
+            sweep, np.sum((tapers[None] * theta_hat[:, None] - theta_n) ** 2, axis=2), rtol=1e-12)
+
+    def test_full_projection_does_not_widen_the_head(self):
+        cfg = small_config(n_grid=[1001])
+        narrow = study_context(cfg, 1001, ["adaptive"])
+        wide = study_context(cfg, 1001, ["adaptive", "projection"])
+        assert narrow.analysis.shape == wide.analysis.shape == (1001, narrow.L.shape[1])
+        assert study_context(cfg, 1001, ["projection:500"]).analysis.shape == (1001, 500)
 
 
 class TestBayesMinimaxOrdering:
@@ -508,6 +606,8 @@ class TestCli:
         ([], {"HETREG_WORKERS": "x"}, "hetreg risk: HETREG_WORKERS must be an integer, got 'x'"),
         ([], {"HETREG_SEED": "1.5"}, "hetreg risk: HETREG_SEED must be an integer, got '1.5'"),
         ([], {"HETREG_WORKERS": "0"}, "hetreg risk: workers must be an integer >= 1, got 0"),
+        (["--seed", "-1"], {}, "hetreg risk: seed must be an integer >= 0, got -1"),
+        ([], {"HETREG_SEED": "-2"}, "hetreg risk: seed must be an integer >= 0, got -2"),
     ])
     def test_study_overrides_are_validated(self, tmp_path, monkeypatch, argv, env, message):
         for key, value in env.items():
@@ -524,6 +624,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert str(exc.value.code) == "hetreg oracle: workers must be an integer >= 1, got 2.5"
+
+    @pytest.mark.parametrize("seed", [3.7, -1, True])
+    def test_config_seed_is_validated(self, tmp_path, seed):
+        # a float seed would key every draw by int(seed) while the CSV records the float
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, "seed": seed}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg risk: seed must be an integer >= 0, got {seed!r}"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("lowerbound, message", [
         ({"prior_mcc": 50}, "unknown lowerbound keys: ['prior_mcc']"),

@@ -20,9 +20,10 @@ from hetreg.selection import (
     family_costs,
     select,
     select_rows,
+    tail_energy,
     varsigma_hat,
 )
-from hetreg.weights import WeightIndex, default_sequences, weight_family
+from hetreg.weights import WeightIndex, default_sequences, pinsker_weights, weight_family
 
 
 class TestEstimateInput:
@@ -55,8 +56,9 @@ class TestFamilyCosts:
         seqs = default_sequences(n)
         W = weight_family(n, seqs).W
         th = noisy_rows(n, 3, seed)
-        base = family_costs(W, th, seqs)
-        np.testing.assert_allclose(family_costs(W, s * th, seqs), s**2 * base,
+        base = family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        np.testing.assert_allclose(family_costs(W, s * th, tail_energy(s * th, seqs.l_n), n, seqs),
+                                   s**2 * base,
                                    rtol=1e-9, atol=1e-12 * s**2 * np.abs(base).max())
 
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1),
@@ -66,15 +68,17 @@ class TestFamilyCosts:
         seqs = default_sequences(n)
         W = weight_family(n, seqs).W
         th = noisy_rows(n, 3, seed)
-        np.testing.assert_array_equal(select_rows(W, 2.0**k * th, seqs)[0],
-                                      select_rows(W, th, seqs)[0])
+        scaled = 2.0**k * th
+        np.testing.assert_array_equal(
+            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs)[0],
+            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)[0])
 
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1))
     def test_batched_argmin_equals_select(self, n, seed):
         seqs = default_sequences(n)
         fam = weight_family(n, seqs)
         th = noisy_rows(n, 8, seed)
-        best, costs = select_rows(fam.W, th, seqs)
+        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
         for row, b, c in zip(th, best, costs):
             out = select(fam, FourierCoeffs(n, row), seqs)
             assert out.selected == fam[b][0]
@@ -84,16 +88,22 @@ class TestFamilyCosts:
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1),
            extra=st.integers(min_value=0, max_value=400))
     def test_tapers_cut_past_their_support(self, n, seed, extra):
-        # W is 0 past column m: cutting it there changes neither a cost nor the pick
+        # the tapers are 0 past column m: the stack at its support width, or cut
+        # anywhere past m against only the head of theta_hat, costs and picks
+        # as the full-length stack does
         seqs = default_sequences(n)
         W = weight_family(n, seqs).W
+        full_W = np.zeros((len(W), n))
+        full_W[:, : W.shape[1]] = W
         m = min(n, int(np.flatnonzero(W.any(axis=0))[-1]) + 1 + extra)
         th = noisy_rows(n, 8, seed)
-        full_best, full = select_rows(W, th, seqs)
-        cut_best, cut = select_rows(np.ascontiguousarray(W[:, :m]), th, seqs)
-        np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(cut_best, full_best)
-        np.testing.assert_allclose(family_costs(W[:, :m], th[0], seqs), full[0],
+        tail = tail_energy(th, seqs.l_n)
+        full_best, full = select_rows(full_W, th, tail, n, seqs)
+        for cut_W in (W, np.ascontiguousarray(full_W[:, :m])):
+            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs)
+            np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(cut_best, full_best)
+        np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs), full[0],
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -220,9 +230,9 @@ class TestSelect:
         fam = weight_family(n, seqs)
         coeffs = discrete_fourier(rng.standard_normal(n), g)
         out = select(fam, coeffs, seqs)
-        for alpha, lam in fam[::7]:
+        for alpha, _ in fam[::7]:
             assert out.costs[alpha] == pytest.approx(
-                cost(lam, coeffs, out.varsigma_hat, seqs.rho), rel=1e-12
+                cost(pinsker_weights(alpha, n, seqs), coeffs, out.varsigma_hat, seqs.rho), rel=1e-12
             )
 
 
@@ -273,7 +283,8 @@ class TestEstimatePipeline:
         risk_star = float(np.sum((out.lambda_hat * out.coeffs.theta_hat - theta_n) ** 2))
         fam = weight_family(n, seqs)
         best = min(
-            float(np.sum((lam * out.coeffs.theta_hat - theta_n) ** 2)) for _, lam in fam
+            float(np.sum((pinsker_weights(alpha, n, seqs) * out.coeffs.theta_hat - theta_n) ** 2))
+            for alpha, _ in fam
         )
         assert risk_star <= best + 1e-8
 

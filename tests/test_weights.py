@@ -144,10 +144,33 @@ class TestWeightFamily:
     def test_tapers_are_rows_of_one_stack(self):
         s = default_sequences(101)
         fam = weight_family(101, s)
-        assert fam.W.shape == (len(fam), 101) and not fam.W.flags.writeable
+        m = fam.W.shape[1]
+        assert fam.W.shape == (len(fam), m) and m < 101 and not fam.W.flags.writeable
         for alpha, lam in fam:
             assert np.shares_memory(lam, fam.W)
-            np.testing.assert_array_equal(lam, pinsker_weights(alpha, 101, s))
+            np.testing.assert_array_equal(lam, pinsker_weights(alpha, 101, s)[:m])
+
+    @pytest.mark.parametrize("n", [3, 51, 101, 3001, 100001])
+    def test_stack_is_pinsker_weights_at_its_support(self, n):
+        # the vectorised rows equal the one-member builder bit for bit, and
+        # nothing past the stack's width is nonzero
+        s = default_sequences(n)
+        fam = weight_family(n, s)
+        support = math.ceil(max(omega(alpha, n, s) for alpha, _ in fam))
+        m = fam.W.shape[1]
+        assert min(n, support) <= m <= min(n, support + 7)
+        for alpha, lam in fam:
+            full = pinsker_weights(alpha, n, s)
+            assert np.array_equal(lam, full[:m])
+            assert not full[m:].any()
+
+    def test_stack_at_a_million(self):
+        n = 10**6 + 1
+        s = default_sequences(n)
+        fam = weight_family(n, s)
+        support = math.ceil(max(omega(alpha, n, s) for alpha, _ in fam))
+        assert support == 203
+        assert fam.W.shape == (570, 208)
 
     def test_members_in_unit_cube(self):
         s = default_sequences(301)
