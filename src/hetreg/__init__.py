@@ -4,7 +4,6 @@ Monte Carlo verification harness."""
 
 from .basis import (
     DesignGrid,
-    FourierCoeffs,
     SampledFunction,
     TrigPolynomial,
     discrete_fourier,

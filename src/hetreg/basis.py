@@ -11,6 +11,7 @@ grid, `basis_matrix`, is the reference the tests hold the FFTs to.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DesignGrid",
-    "FourierCoeffs",
     "SampledFunction",
     "TrigPolynomial",
     "empiric_inner_product",
@@ -49,23 +49,11 @@ class DesignGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"design size must be odd and positive, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1 or self.n % 2 == 0:
+            raise ValueError(f"design size must be an odd positive integer, got n={self.n!r}")
         pts = np.arange(1, self.n + 1, dtype=float) / self.n
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Empiric Fourier coefficients of an observation vector of odd length n."""
-
-    n: int
-    theta_hat: np.ndarray
-
-    def __post_init__(self):
-        if len(self.theta_hat) != self.n:
-            raise ValueError("coefficient vector length must equal n")
 
 
 class SampledFunction:
@@ -225,8 +213,8 @@ def grid_values(c) -> np.ndarray:
     return np.fft.irfft(X, n, norm="forward")[..., ::-1]
 
 
-def discrete_fourier(Y, grid: DesignGrid) -> FourierCoeffs:
-    """theta_hat_j = (Y, phi_j)_n for j = 1..n.
+def discrete_fourier(Y, grid: DesignGrid) -> np.ndarray:
+    """theta_hat_j = (Y, phi_j)_n for j = 1..n, as an (n,) array.
 
     Exact inverse of synthesis with unit weights: the sampled basis is an
     orthonormal basis of R^n, so the round trip reproduces Y at the design
@@ -235,7 +223,7 @@ def discrete_fourier(Y, grid: DesignGrid) -> FourierCoeffs:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (grid.n,):
         raise ValueError(f"observation vector must have length n={grid.n}")
-    return FourierCoeffs(grid.n, fourier_rows(Y))
+    return fourier_rows(Y)
 
 
 def trig_series(coeffs, x):
@@ -250,17 +238,18 @@ def trig_series(coeffs, x):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def synthesize(lam, coeffs: FourierCoeffs, x):
+def synthesize(lam, theta_hat, x):
     """Weighted series S_lam(x) = sum_j lam_j theta_hat_j phi_j(x).
 
     `x` may be a scalar, an array of points, or a DesignGrid (inverse FFT).
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (coeffs.n,):
-        raise ValueError(f"weight vector must have length n={coeffs.n}")
-    weighted = lam * coeffs.theta_hat
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    if lam.shape != theta_hat.shape:
+        raise ValueError(f"weight vector must have length n={len(theta_hat)}")
+    weighted = lam * theta_hat
     if isinstance(x, DesignGrid):
-        if x.n != coeffs.n:
+        if x.n != len(theta_hat):
             raise ValueError("grid size does not match coefficients")
         return grid_values(weighted)
     return trig_series(weighted, x)

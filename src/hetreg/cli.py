@@ -39,21 +39,22 @@ def _estimator_output_json(out: EstimatorOutput, grid: DesignGrid) -> dict:
         "n": grid.n,
         "selected": {"beta": out.selected.beta, "t": out.selected.t},
         "varsigma_hat": out.varsigma_hat,
-        "theta_hat": out.coeffs.theta_hat.tolist(),
+        "theta_hat": out.theta_hat.tolist(),
         "lambda_hat": out.lambda_hat.tolist(),
         "costs": [
             {"beta": a.beta, "t": a.t, "cost": c} for a, c in out.costs.items()
         ],
-        "estimate_at_grid": grid_values(out.lambda_hat * out.coeffs.theta_hat).tolist(),
+        "estimate_at_grid": grid_values(out.lambda_hat * out.theta_hat).tolist(),
     }
 
 
 def _cmd_estimate(args) -> int:
-    data = np.genfromtxt(args.data, delimiter=",", names=True)
-    if data.dtype.names is None or "y" not in data.dtype.names:
-        raise SystemExit("dataset must be a CSV with a 'y' column")
-    y = np.atleast_1d(np.asarray(data["y"], dtype=float))  # a one-row file gives a 0-d array
     try:
+        with open(args.data) as fh:
+            names = [name.strip() for name in fh.readline().split(",")]  # the header line
+            if "y" not in names:
+                raise SystemExit("dataset must be a CSV with a 'y' column")
+            y = np.loadtxt(fh, delimiter=",", usecols=names.index("y"), ndmin=1)
         grid = DesignGrid(len(y))
         out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
         payload = _estimator_output_json(out, grid)

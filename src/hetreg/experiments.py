@@ -111,14 +111,22 @@ class ExperimentConfig:
     save_losses: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.n_grid, list):
+            raise ValueError(f"n_grid must be a list of odd integers >= 3, got {self.n_grid!r}")
         for n in self.n_grid:
-            if n % 2 == 0 or n < 3:
-                raise ValueError(f"all n must be odd and >= 3, got {n}")
+            if isinstance(n, bool) or not isinstance(n, int) or n % 2 == 0 or n < 3:
+                raise ValueError(f"all n must be odd integers >= 3, got {n!r}")
         for key in ("reps", "workers"):
             if not isinstance(getattr(self, key), int) or getattr(self, key) < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key in ("rho", "k_bar", "omega_bar"):
+            value = getattr(self, key)
+            if value is None and key == "rho":
+                continue  # the default penalty 1 / (3 + sqrt(ln n))
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
         for n in self.n_grid:
             self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
         # a scale is either sigma alone (homogeneous) or econometric coefficients

@@ -181,7 +181,7 @@ class BoundReport(NamedTuple):
 def tail_energy_bound(S, ball: SobolevBall, grid: DesignGrid) -> BoundReport:
     """m^(2k) sum_{j>m} theta_{j,n}^2 <= 4r / pi^(2(k-1)) for all 1 <= m < n."""
     S = as_sampled(S)
-    theta_n = discrete_fourier(S.on_grid(grid), grid).theta_hat
+    theta_n = discrete_fourier(S.on_grid(grid), grid)
     tails = np.cumsum(theta_n[::-1] ** 2)[::-1]  # tails[m] = sum_{j > m}
     m = np.arange(1, grid.n, dtype=float)
     values = m ** (2 * ball.k) * tails[1:]
@@ -194,7 +194,7 @@ def tail_energy_bound(S, ball: SobolevBall, grid: DesignGrid) -> BoundReport:
 def coeff_gap_bound(S, r: float, grid: DesignGrid) -> BoundReport:
     """|theta_{j,n} - theta_j| <= 2 pi sqrt(r) j / n for 1 <= j <= n."""
     S = as_sampled(S)
-    theta_n = discrete_fourier(S.on_grid(grid), grid).theta_hat
+    theta_n = discrete_fourier(S.on_grid(grid), grid)
     j = np.arange(1, grid.n + 1, dtype=float)
     theta = np.array([exact_fourier_coeff(S, int(jj)) for jj in range(1, grid.n + 1)])
     slack = 2.0 * math.pi * math.sqrt(r) * j / grid.n - np.abs(theta_n - theta)

@@ -9,6 +9,7 @@ member shrinks empirical Fourier coefficients with the taper
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,8 +68,8 @@ def default_sequences(
     L_n defaults to sqrt(ln n) (any slowly increasing sequence is allowed);
     passing `rho` overrides the penalty coefficient directly.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd n >= 3, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
+        raise ValueError(f"need odd n >= 3, got {n!r}")
     log_n = math.log(n)
     eps = 1.0 / log_n
     k_star = max(1, int(k_bar + math.sqrt(log_n)))
@@ -158,6 +159,9 @@ def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     indices = [WeightIndex(beta, i * seqs.eps)
                for beta in range(1, seqs.k_star + 1) for i in range(1, seqs.m + 1)]
     om = np.array([omega(alpha, n, seqs) for alpha in indices])
+    if om.max() <= 1.0:  # then every weight, from j = 1 on, is 0
+        raise ValueError(f"every taper is zero: the largest cutoff omega is {om.max():.6g} <= 1 "
+                         f"(omega_bar={seqs.omega_bar!r})")
     flat = np.array([int(w * seqs.eps) for w in om], dtype=float)  # each member's j0
     j = np.arange(1, _support_width(om.max(), n) + 1, dtype=float)
     W = np.empty((len(indices), len(j)))

@@ -56,10 +56,10 @@ def test_criterion_1_exactness_suite():
         Phi = basis_matrix(g)
         worst = max(worst, float(np.max(np.abs(Phi.T @ Phi / n - np.eye(n)))))
         Y = rng.standard_normal(n)
-        coeffs = discrete_fourier(Y, g)
-        parseval = abs(float(np.mean(Y**2)) - float(np.sum(coeffs.theta_hat**2)))
+        theta_hat = discrete_fourier(Y, g)
+        parseval = abs(float(np.mean(Y**2)) - float(np.sum(theta_hat**2)))
         worst = max(worst, parseval / max(1.0, float(np.mean(Y**2))))
-        recon = float(np.max(np.abs(synthesize(np.ones(n), coeffs, g) - Y)))
+        recon = float(np.max(np.abs(synthesize(np.ones(n), theta_hat, g) - Y)))
         worst = max(worst, recon)
     elapsed = time.time() - t0
     report(
@@ -210,7 +210,7 @@ def test_criterion_6_van_trees_sanity():
 
     def adaptive(Y, g):
         out = estimate(Y, g, tuning[g.n], families[g.n])
-        return out.lambda_hat * out.coeffs.theta_hat
+        return out.lambda_hat * out.theta_hat
 
     def projection(Y, g):
         return basis_matrix(g).T @ np.asarray(Y, dtype=float) / g.n

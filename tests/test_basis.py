@@ -69,23 +69,28 @@ class TestTrigBasis:
         with pytest.raises(ValueError):
             DesignGrid(10)
 
+    @pytest.mark.parametrize("n", [51.5, 51.0, "51"])
+    def test_non_integer_design_rejected(self, n):
+        with pytest.raises(ValueError, match=f"odd positive integer, got n={n!r}"):
+            DesignGrid(n)
+
 
 class TestDiscreteFourier:
     def test_single_basis_function(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(trig_basis_eval(3, g.points), g)
+        theta_hat = discrete_fourier(trig_basis_eval(3, g.points), g)
         expected = np.zeros(11)
         expected[2] = 1.0
-        np.testing.assert_allclose(coeffs.theta_hat, expected, atol=1e-12)
+        np.testing.assert_allclose(theta_hat, expected, atol=1e-12)
 
     def test_zero_vector(self):
         g = DesignGrid(9)
-        np.testing.assert_array_equal(discrete_fourier(np.zeros(9), g).theta_hat, 0.0)
+        np.testing.assert_array_equal(discrete_fourier(np.zeros(9), g), 0.0)
 
     def test_linear_combination(self):
         g = DesignGrid(25)
         Y = 2.0 * trig_basis_eval(1, g.points) + 0.5 * trig_basis_eval(4, g.points)
-        theta = discrete_fourier(Y, g).theta_hat
+        theta = discrete_fourier(Y, g)
         expected = np.zeros(25)
         expected[0] = 2.0
         expected[3] = 0.5
@@ -96,7 +101,7 @@ class TestDiscreteFourier:
         for n in (11, 101, 301):
             g = DesignGrid(n)
             Y = rng.standard_normal(n)
-            theta = discrete_fourier(Y, g).theta_hat
+            theta = discrete_fourier(Y, g)
             lhs = float(np.mean(Y**2))
             rhs = float(np.sum(theta**2))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -105,8 +110,8 @@ class TestDiscreteFourier:
         rng = np.random.default_rng(3)
         g = DesignGrid(101)
         Y = rng.standard_normal(101)
-        coeffs = discrete_fourier(Y, g)
-        np.testing.assert_allclose(synthesize(np.ones(101), coeffs, g), Y, atol=1e-10)
+        theta_hat = discrete_fourier(Y, g)
+        np.testing.assert_allclose(synthesize(np.ones(101), theta_hat, g), Y, atol=1e-10)
 
 
 class TestFourierTransforms:
@@ -169,30 +174,30 @@ class TestSerialMatmul:
 class TestSynthesize:
     def test_zero_weights(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(np.arange(11.0), g)
-        np.testing.assert_array_equal(synthesize(np.zeros(11), coeffs, g), 0.0)
+        theta_hat = discrete_fourier(np.arange(11.0), g)
+        np.testing.assert_array_equal(synthesize(np.zeros(11), theta_hat, g), 0.0)
 
     def test_projection_onto_constant(self):
         g = DesignGrid(21)
         Y = 3.0 * trig_basis_eval(1, g.points) + trig_basis_eval(2, g.points)
-        coeffs = discrete_fourier(Y, g)
+        theta_hat = discrete_fourier(Y, g)
         lam = np.zeros(21)
         lam[0] = 1.0
-        np.testing.assert_allclose(synthesize(lam, coeffs, g), 3.0, atol=1e-12)
+        np.testing.assert_allclose(synthesize(lam, theta_hat, g), 3.0, atol=1e-12)
 
     def test_off_grid_evaluation_matches_series(self):
         g = DesignGrid(11)
         Y = trig_basis_eval(4, g.points) - 0.3 * trig_basis_eval(7, g.points)
-        coeffs = discrete_fourier(Y, g)
+        theta_hat = discrete_fourier(Y, g)
         x = np.array([0.1, 0.33, 0.97])
         expected = trig_basis_eval(4, x) - 0.3 * trig_basis_eval(7, x)
-        np.testing.assert_allclose(synthesize(np.ones(11), coeffs, x), expected, atol=1e-10)
+        np.testing.assert_allclose(synthesize(np.ones(11), theta_hat, x), expected, atol=1e-10)
 
     def test_dimension_mismatch(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(np.zeros(11), g)
+        theta_hat = discrete_fourier(np.zeros(11), g)
         with pytest.raises(ValueError):
-            synthesize(np.ones(9), coeffs, g)
+            synthesize(np.ones(9), theta_hat, g)
 
 
 class TestTrigPolynomial:

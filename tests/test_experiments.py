@@ -70,13 +70,13 @@ def direct_losses(cfg):
             "projection:5": np.where(np.arange(n) < 5, 1.0, 0.0),
             "zero": np.zeros(n),
         }
-        theta_n = discrete_fourier(S.on_grid(g), g).theta_hat
+        theta_n = discrete_fourier(S.on_grid(g), g)
         sweep = []
         for rep in range(cfg.reps):
             rng = substream(cfg.seed, 3, n, 0, rep)
             y = S.on_grid(g) + scale.g(g.points, S) * NoiseSpec("gaussian").draw(rng, n)
             out = estimate(y, g, seqs, family)
-            th = out.coeffs.theta_hat
+            th = out.theta_hat
             for name, lam in [("adaptive", out.lambda_hat), *fixed.items()]:
                 c = lam * th
                 expected[name, n, rep] = (float(np.sum((c - theta_n) ** 2)),
@@ -364,7 +364,7 @@ class TestBayesMinimaxOrdering:
 
         def adaptive(Y, g):
             out = run_estimate(Y, g)
-            return out.lambda_hat * out.coeffs.theta_hat
+            return out.lambda_hat * out.theta_hat
 
         def adaptive_stack(Y, g):
             return np.stack([adaptive(y, g) for y in Y])
@@ -459,9 +459,9 @@ class TestLowerBoundStudy:
             Y = grid_values(np.arange(1, n + 1) ** -decay * rng.standard_normal(n))
             out = estimate(Y, grid, seqs, family)
             picked.add(out.selected)
-            np.testing.assert_array_equal(run(Y, grid), out.lambda_hat * out.coeffs.theta_hat)
+            np.testing.assert_array_equal(run(Y, grid), out.lambda_hat * out.theta_hat)
             rows.append(Y)
-            fits.append(out.lambda_hat * out.coeffs.theta_hat)
+            fits.append(out.lambda_hat * out.theta_hat)
         assert len(picked) > 1
         # the stack of all six observations, as bayes_risk_mc passes it, row by row
         np.testing.assert_array_equal(run(np.stack(rows), grid), np.stack(fits))
@@ -681,6 +681,24 @@ class TestCli:
         assert str(exc.value.code) == f"hetreg risk: {message}"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ({"n_grid": [51.5]}, "all n must be odd integers >= 3, got 51.5"),
+        ({"n_grid": ["51"]}, "all n must be odd integers >= 3, got '51'"),
+        ({"n_grid": 51}, "n_grid must be a list of odd integers >= 3, got 51"),
+        ({"rho": "x"}, "rho must be a finite number, got 'x'"),
+        ({"k_bar": None}, "k_bar must be a finite number, got None"),
+        ({"omega_bar": -100},
+         "every taper is zero: the largest cutoff omega is -95.0912 <= 1 (omega_bar=-100)"),
+    ])
+    def test_grid_and_tuning_are_validated(self, tmp_path, section, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, **section}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg risk: {message}"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("entry, message", [
         ({"kind": "bogus"}, "unknown noise kind 'bogus'"),
         ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
@@ -738,6 +756,31 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["estimate", "--data", str(data_path)])
         assert str(exc.value.code) == "hetreg estimate: need odd n >= 3, got 1"
+
+    def test_estimate_header_names_are_stripped(self, tmp_path):
+        y = np.sin(np.arange(51.0))
+        outs = []
+        for header in ("x,y", "x, y"):
+            data_path = tmp_path / "data.csv"
+            data_path.write_text(header + "\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(y)))
+            out_path = tmp_path / f"est_{len(outs)}.json"
+            assert cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)]) == 0
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["theta_hat"] == fourier_rows(y).tolist()
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0.1,1.0\n0.2,\n0.3,2.0\n", "hetreg estimate: could not convert string '' to float64"),
+        ("x,z\n0.1,1.0\n", "dataset must be a CSV with a 'y' column"),
+    ])
+    def test_estimate_refuses_empty_field_and_missing_column(self, tmp_path, text, message):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(text)
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+        assert str(exc.value.code).startswith(message)
+        assert not out_path.exists()
 
     def test_estimate_never_writes_nan_tokens(self, tmp_path, monkeypatch):
         import hetreg.cli

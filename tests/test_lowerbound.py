@@ -370,7 +370,7 @@ class TestBayesRisk:
 
         def adaptive(Y, g):
             out = estimate(Y, g)
-            return out.lambda_hat * out.coeffs.theta_hat
+            return out.lambda_hat * out.theta_hat
 
         [(risk, se)] = bayes_risk_mc([stacked(adaptive)], pr, scale, grid, reps=400, seed=6)
         assert risk >= bound - 5.0 * se
@@ -480,7 +480,7 @@ class TestDesignCache:
 
         def adaptive(Y, g):
             out = estimate(Y, g, seqs, family)
-            return out.lambda_hat * out.coeffs.theta_hat
+            return out.lambda_hat * out.theta_hat
 
         return {
             "zero": lambda Y, g: np.zeros(g.n),

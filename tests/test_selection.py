@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hetreg.basis import (
     DesignGrid,
-    FourierCoeffs,
     TrigPolynomial,
     discrete_fourier,
     fourier_rows,
@@ -13,17 +12,8 @@ from hetreg.basis import (
     trig_series,
 )
 from hetreg.models import NoiseSpec, generate_observations, homogeneous_scale, substream
-from hetreg.selection import (
-    cost,
-    cost_terms,
-    estimate,
-    family_costs,
-    select,
-    select_rows,
-    tail_energy,
-    varsigma_hat,
-)
-from hetreg.weights import WeightIndex, default_sequences, pinsker_weights, weight_family
+from hetreg.selection import estimate, family_costs, select, select_rows, tail_energy
+from hetreg.weights import WeightFamily, WeightIndex, default_sequences, pinsker_weights, weight_family
 
 
 class TestEstimateInput:
@@ -80,7 +70,7 @@ class TestFamilyCosts:
         th = noisy_rows(n, 8, seed)
         best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
         for row, b, c in zip(th, best, costs):
-            out = select(fam, FourierCoeffs(n, row), seqs)
+            out = select(fam, row, seqs)
             assert out.selected == fam[b][0]
             np.testing.assert_allclose(list(out.costs.values()), c, rtol=1e-12, atol=1e-15)
 
@@ -110,20 +100,20 @@ class TestFamilyCosts:
 class TestVarsigmaHat:
     def test_no_tail_energy(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(trig_basis_eval(1, g.points), g)
-        assert varsigma_hat(coeffs, 1) == pytest.approx(0.0, abs=1e-24)
+        theta_hat = discrete_fourier(trig_basis_eval(1, g.points), g)
+        assert tail_energy(theta_hat, 1) == pytest.approx(0.0, abs=1e-24)
 
     def test_single_tail_term(self):
         g = DesignGrid(11)
-        c = discrete_fourier(3.0 * trig_basis_eval(11, g.points), g)
-        assert varsigma_hat(c, 10) == pytest.approx(9.0)
+        theta_hat = discrete_fourier(3.0 * trig_basis_eval(11, g.points), g)
+        assert tail_energy(theta_hat, 10) == pytest.approx(9.0)
 
     def test_out_of_range(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(np.zeros(11), g)
+        theta_hat = discrete_fourier(np.zeros(11), g)
         for bad in (0, 11, 20):
-            with pytest.raises(ValueError):
-                varsigma_hat(coeffs, bad)
+            with pytest.raises(ValueError, match=f"need 1 <= l_n < n, got l_n={bad}, n=11"):
+                tail_energy(theta_hat, bad)
 
     def test_pure_noise_mean_level(self):
         # S == 0, sigma == 1: E varsigma_hat = (n - l_n)/n
@@ -136,80 +126,76 @@ class TestVarsigmaHat:
         vals = np.empty(reps)
         for rep in range(reps):
             Y = generate_observations(zero, scale, noise, g, substream(99, 5, n, rep))
-            vals[rep] = varsigma_hat(discrete_fourier(Y, g), seqs.l_n)
+            vals[rep] = tail_energy(discrete_fourier(Y, g), seqs.l_n)
         expected = (n - seqs.l_n) / n
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - expected) <= 3.0 * se
 
 
 class TestCost:
+    """J_n of single tapers, as one-row stacks through `family_costs`."""
+
     def test_zero_weights(self):
         g = DesignGrid(11)
-        coeffs = discrete_fourier(np.arange(11.0), g)
-        assert cost(np.zeros(11), coeffs, 1.0, 0.25) == 0.0
+        theta_hat = discrete_fourier(np.arange(11.0), g)
+        seqs = default_sequences(11, rho=0.25)
+        assert family_costs(np.zeros((1, 11)), theta_hat, 1.0, 11, seqs)[0] == 0.0
 
     def test_full_weights_identity(self):
         # lam == 1: J = -sum theta_hat^2 + 2 vs + rho vs
         rng = np.random.default_rng(0)
         g = DesignGrid(51)
-        coeffs = discrete_fourier(rng.standard_normal(51), g)
+        theta_hat = discrete_fourier(rng.standard_normal(51), g)
         vs, rho = 0.7, 0.2
-        expected = -float(np.sum(coeffs.theta_hat**2)) + 2.0 * vs + rho * vs
-        assert cost(np.ones(51), coeffs, vs, rho) == pytest.approx(expected, rel=1e-12)
+        expected = -float(np.sum(theta_hat**2)) + 2.0 * vs + rho * vs
+        cost = family_costs(np.ones((1, 51)), theta_hat, vs, 51, default_sequences(51, rho=rho))
+        assert cost[0] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_loss_identity(self):
-        # with the exact product theta_hat * theta and rho = 0,
-        # J + ||S||_n^2 equals the empiric quadratic loss
-        rng = np.random.default_rng(1)
+        # noiseless, with the tail at 0: J_n + |theta_n|^2 = |lam theta_n - theta_n|^2
+        # for every taper of the family
         n = 101
         g = DesignGrid(n)
-        S = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])
-        Y = S.on_grid(g) + 0.5 * rng.standard_normal(n)
-        coeffs = discrete_fourier(Y, g)
-        theta_n = discrete_fourier(S.on_grid(g), g).theta_hat
-        lam = rng.uniform(0.0, 1.0, n)
-        terms = cost_terms(lam, coeffs, 0.0, 0.0, theta_tilde=coeffs.theta_hat * theta_n)
-        loss = float(np.sum((lam * coeffs.theta_hat - theta_n) ** 2))
-        norm_s = float(np.sum(theta_n**2))
-        assert terms.total + norm_s == pytest.approx(loss, abs=1e-10)
+        seqs = default_sequences(n)
+        S = TrigPolynomial([0.5, 2.0, 0.0, -1.0, 1.0, 0.0, 0.3, 0.0, 0.0, 0.2])
+        theta_n = discrete_fourier(S.on_grid(g), g)
+        fam = weight_family(n, seqs)
+        m = fam.W.shape[1]
+        costs = family_costs(fam.W, theta_n, 0.0, n, seqs)
+        for (alpha, lam), c in zip(fam, costs):
+            loss = float(np.sum((lam * theta_n[:m] - theta_n[:m]) ** 2) + np.sum(theta_n[m:] ** 2))
+            assert c + float(np.sum(theta_n**2)) == pytest.approx(loss, abs=1e-10), alpha
 
     def test_dimension_mismatch(self):
+        # a head narrower than the stack names both widths
         g = DesignGrid(11)
-        coeffs = discrete_fourier(np.zeros(11), g)
-        with pytest.raises(ValueError):
-            cost(np.ones(9), coeffs, 1.0, 0.2)
+        theta_hat = discrete_fourier(np.zeros(11), g)
+        with pytest.raises(ValueError, match="head has width 9, narrower than the taper stack's width 11"):
+            family_costs(np.ones((1, 11)), theta_hat[:9], 1.0, 11, default_sequences(11, rho=0.2))
 
 
 class TestSelect:
     def test_single_member_family(self):
         g = DesignGrid(51)
         seqs = default_sequences(51)
-        fam = weight_family(51, seqs)[:1]
-        coeffs = discrete_fourier(np.ones(51), g)
-        out = select(fam, coeffs, seqs)
+        fam = weight_family(51, seqs)
+        one = WeightFamily([fam[0][0]], fam.W[:1])
+        out = select(one, discrete_fourier(np.ones(51), g), seqs)
         assert out.selected == fam[0][0]
+        assert list(out.costs) == [fam[0][0]]
 
     def test_tie_prefers_smaller_index(self):
         g = DesignGrid(51)
         seqs = default_sequences(51)
-        lam = np.zeros(51)
-        fam = [(WeightIndex(1, 0.1), lam), (WeightIndex(2, 0.1), lam.copy())]
-        coeffs = discrete_fourier(np.ones(51), g)
-        out = select(fam, coeffs, seqs)
+        fam = WeightFamily([WeightIndex(1, 0.1), WeightIndex(2, 0.1)], np.zeros((2, 51)))
+        out = select(fam, discrete_fourier(np.ones(51), g), seqs)
         assert out.selected == WeightIndex(1, 0.1)
-
-    def test_pair_list_selects_like_family(self):
-        seqs = default_sequences(101)
-        fam = weight_family(101, seqs)
-        coeffs = FourierCoeffs(101, noisy_rows(101, 1, 5)[0])
-        a, b = select(fam, coeffs, seqs), select(list(fam), coeffs, seqs)
-        assert (a.selected, a.costs) == (b.selected, b.costs)
 
     def test_empty_family(self):
         g = DesignGrid(51)
-        coeffs = discrete_fourier(np.ones(51), g)
-        with pytest.raises(ValueError):
-            select([], coeffs, default_sequences(51))
+        with pytest.raises(ValueError, match="nonempty"):
+            select(WeightFamily([], np.zeros((0, 51))), discrete_fourier(np.ones(51), g),
+                   default_sequences(51))
 
     def test_exhaustive_argmin_audit_noiseless(self):
         n = 101
@@ -223,17 +209,22 @@ class TestSelect:
             assert out.costs[out.selected] <= c
 
     def test_costs_map_matches_cost_function(self):
+        # J_n(lam) = sum lam^2 th^2 - 2 sum lam (th^2 - vs/n) + rho |lam|^2 vs/n,
+        # vs the tail energy past l_n
         rng = np.random.default_rng(5)
         n = 51
         g = DesignGrid(n)
         seqs = default_sequences(n)
         fam = weight_family(n, seqs)
-        coeffs = discrete_fourier(rng.standard_normal(n), g)
-        out = select(fam, coeffs, seqs)
+        th = discrete_fourier(rng.standard_normal(n), g)
+        out = select(fam, th, seqs)
+        vs = float(np.sum(th[seqs.l_n :] ** 2))
+        assert out.varsigma_hat == pytest.approx(vs, rel=1e-12)
         for alpha, _ in fam[::7]:
-            assert out.costs[alpha] == pytest.approx(
-                cost(pinsker_weights(alpha, n, seqs), coeffs, out.varsigma_hat, seqs.rho), rel=1e-12
-            )
+            lam = pinsker_weights(alpha, n, seqs)
+            j_n = (np.sum(lam**2 * th**2) - 2.0 * np.sum(lam * (th**2 - vs / n))
+                   + seqs.rho * np.sum(lam**2) * vs / n)
+            assert out.costs[alpha] == pytest.approx(j_n, rel=1e-12)
 
 
 class TestEstimatePipeline:
@@ -245,7 +236,7 @@ class TestEstimatePipeline:
         b = estimate(Y.copy(), g)
         assert a.selected == b.selected
         np.testing.assert_array_equal(a.lambda_hat, b.lambda_hat)
-        np.testing.assert_array_equal(a.coeffs.theta_hat, b.coeffs.theta_hat)
+        np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
         assert a.varsigma_hat == b.varsigma_hat
 
     @pytest.mark.parametrize("n", [51, 1001, 5001])
@@ -255,14 +246,14 @@ class TestEstimatePipeline:
         g = DesignGrid(n)
         fit = estimate(np.sin(2.0 * np.pi * g.points) + rng.standard_normal(n), g)
         x = rng.random(500)
-        full = trig_series(fit.lambda_hat * fit.coeffs.theta_hat, x)
+        full = trig_series(fit.lambda_hat * fit.theta_hat, x)
         np.testing.assert_allclose(fit.estimate(x), full, rtol=1e-12)
         assert fit.lambda_hat.shape == (n,)
 
     def test_all_zero_taper_keeps_one_coefficient(self):
         g = DesignGrid(51)
-        coeffs = discrete_fourier(np.ones(51), g)
-        out = select([(WeightIndex(1, 0.1), np.zeros(51))], coeffs, default_sequences(51))
+        fam = WeightFamily([WeightIndex(1, 0.1)], np.zeros((1, 51)))
+        out = select(fam, discrete_fourier(np.ones(51), g), default_sequences(51))
         np.testing.assert_array_equal(out.estimate(np.linspace(0.0, 1.0, 7)), 0.0)
         assert out.estimate(0.3) == 0.0
 
@@ -278,12 +269,12 @@ class TestEstimatePipeline:
         seqs = default_sequences(n)
         S = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])
         s_design = S.on_grid(g)
-        theta_n = discrete_fourier(s_design, g).theta_hat
+        theta_n = discrete_fourier(s_design, g)
         out = estimate(s_design, g, seqs)
-        risk_star = float(np.sum((out.lambda_hat * out.coeffs.theta_hat - theta_n) ** 2))
+        risk_star = float(np.sum((out.lambda_hat * out.theta_hat - theta_n) ** 2))
         fam = weight_family(n, seqs)
         best = min(
-            float(np.sum((pinsker_weights(alpha, n, seqs) * out.coeffs.theta_hat - theta_n) ** 2))
+            float(np.sum((pinsker_weights(alpha, n, seqs) * out.theta_hat - theta_n) ** 2))
             for alpha, _ in fam
         )
         assert risk_star <= best + 1e-8
@@ -294,6 +285,6 @@ class TestEstimatePipeline:
         g = DesignGrid(n)
         Y = rng.standard_normal(n)
         out = estimate(Y, g)
-        c = out.lambda_hat * out.coeffs.theta_hat
+        c = out.lambda_hat * out.theta_hat
         norm_n = float(np.mean(out.estimate(g.points) ** 2))
         assert norm_n == pytest.approx(float(np.sum(c**2)), abs=1e-10)

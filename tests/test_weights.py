@@ -35,9 +35,9 @@ class TestDefaultSequences:
     def test_rho_below_one_third(self, n):
         assert 0.0 < default_sequences(n).rho < 1.0 / 3.0
 
-    @pytest.mark.parametrize("n", [2, 100, 1])
+    @pytest.mark.parametrize("n", [2, 100, 1, 51.5, 51.0, "51"])
     def test_invalid_n(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"need odd n >= 3, got {n!r}"):
             default_sequences(n)
 
     def test_rho_override(self):
@@ -129,6 +129,12 @@ class TestPinskerWeights:
 
 
 class TestWeightFamily:
+    def test_all_zero_family_refused(self):
+        # a cutoff omega <= 1 zeroes every weight, and a negative one leaves no column
+        for omega_bar in (-100.0, -5.0):
+            with pytest.raises(ValueError, match=rf"every taper is zero: .* <= 1 \(omega_bar={omega_bar}\)"):
+                weight_family(51, default_sequences(51, omega_bar=omega_bar))
+
     def test_size_at_1001(self):
         s = default_sequences(1001)
         fam = weight_family(1001, s)
