@@ -46,7 +46,7 @@ from .theory import (
     oracle_index,
     pinsker_constant,
 )
-from .weights import WeightFamily, default_sequences, pinsker_weights, weight_family
+from .weights import WeightFamily, default_sequences, family_cutoffs, pinsker_weights, weight_family
 
 # basis_matrix, estimate, select, substream and ThreadPoolExecutor are unused
 # here but stay importable from this module: bench/tracing.py patches them at
@@ -127,8 +127,8 @@ class ExperimentConfig:
                 continue  # the default penalty 1 / (3 + sqrt(ln n))
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
-        for n in self.n_grid:
-            self.sequences(n)  # rejects invalid tuning (e.g. rho) before any replicate runs
+        for n in self.n_grid:  # bad tuning (e.g. rho) or an all-zero family, before any replicate
+            family_cutoffs(n, self.sequences(n))
         # a scale is either sigma alone (homogeneous) or econometric coefficients
         homogeneous = isinstance(self.scale, dict) and "sigma" in self.scale
         _check_keys("scale", self.scale, ("sigma",) if homogeneous else ("c0", "c1", "c2", "c3"))

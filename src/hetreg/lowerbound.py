@@ -22,7 +22,6 @@ from .models import (
     ScaleModel,
     mollifier_cdf,
     simpson_integral,
-    simpson_rule,
     substream,
     substreams,
 )
@@ -145,15 +144,14 @@ def kernel_function(z, family: KernelFamily, x):
 
 
 @lru_cache(maxsize=32)
-def _ebar_cached(j: int, eta: float, power: int) -> float:
-    return simpson_integral(
-        lambda v: local_basis(j, v) ** 2 * mollified_indicator(eta, v) ** power, -1.0, 1.0
-    )
+def _ebar_cached(j: int, eta: float) -> float:
+    return simpson_integral(lambda v: local_basis(j, v) ** 2 * mollified_indicator(eta, v),
+                            -1.0, 1.0)
 
 
-def ebar(j: int, eta: float, power: int = 1) -> float:
-    """int_{-1}^{1} e_j^2 chi_eta^power; power 1 and 2 are the two moments used."""
-    return _ebar_cached(j, float(eta), int(power))
+def ebar(j: int, eta: float) -> float:
+    """int_{-1}^{1} e_j^2 chi_eta."""
+    return _ebar_cached(j, float(eta))
 
 
 def lagrange_solution(R: float, N: int, k: int) -> tuple[float, np.ndarray]:
@@ -393,16 +391,23 @@ def van_trees_bound(
     return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
 
 
-def _family_gram(family: KernelFamily) -> np.ndarray:
-    """L2 Gram of the flattened D_{m,j}: block diagonal, h * int e_j e_j' chi^2."""
-    N, eta, h = family.N, family.eta, family.h
-    v, w = simpson_rule(-1.0, 1.0)
-    E = np.stack([local_basis(j, v) * mollified_indicator(eta, v) for j in range(1, N + 1)])
-    block = h * (E * w) @ E.T
-    G = np.zeros((family.M * N, family.M * N))
-    for m in range(family.M):
-        G[m * N : (m + 1) * N, m * N : (m + 1) * N] = block
-    return G
+def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L2 Gram matrix G (P, P) of the flattened D_{m,j} and their inner products
+    C (n, P) with phi_1..phi_n, from one sample of the family.
+
+    The rule is equal weights 1/K on the periodic nodes k/K, k = 0..K-1, with K
+    the smallest power of two >= max(2^14, 2n).  Every D_{m,j} is smooth with
+    support inside (0, 1), so on the circle this rule is spectrally accurate
+    (Trefethen & Weideman, SIAM Review 2014).  One sample S (P, K) gives
+    G = S S' / K and, by one real FFT, C = `pack_spectrum` of the bins
+    sum_k S_pk exp(-2 pi i q k / K) / K for q < K / 2.  The phi_j are
+    orthonormal on these nodes, so C obeys Bessel's inequality
+    sum_j C_jp^2 <= G_pp at every n; blocks meet only where chi = 0, so G is
+    exactly block diagonal.
+    """
+    K = max(2**14, 1 << (2 * n - 1).bit_length())
+    S = family.design_tensor(np.arange(K) / K).reshape(family.M * family.N, K)
+    return S @ S.T / K, pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
 
 
 def prior_van_trees_bound(
@@ -415,21 +420,18 @@ def prior_van_trees_bound(
     """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2)."""
     fam = prior.family
     tau_bar = np.array([
-        math.sqrt(fam.h) * ebar(j, fam.eta, power=1)
-        for _ in range(fam.M) for j in range(1, fam.N + 1)
+        math.sqrt(fam.h) * ebar(j, fam.eta) for _ in range(fam.M) for j in range(1, fam.N + 1)
     ])
-    prior_sd = prior.t.ravel()
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, grid.n)
-    return van_trees_bound(
-        D, _family_gram(fam), tau_bar, prior_sd, scale, grid, mc_reps=mc_reps, seed=seed
-    )
+    gram, _ = _family_integrals(fam, grid.n)
+    return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, grid,
+                           mc_reps=mc_reps, seed=seed)
 
 
 def prior_expected_norm_sq(prior: LeastFavorablePrior) -> float:
-    """E ||S_theta||^2 = sum t^2 h ebar_j(chi^2), by disjoint supports."""
-    fam = prior.family
-    e2 = np.array([ebar(j, fam.eta, power=2) for j in range(1, fam.N + 1)])
-    return float(np.sum(prior.t**2 * fam.h * e2[None, :]))
+    """E ||S_theta||^2 = sum_p t_p^2 G_pp."""
+    gram, _ = _family_integrals(prior.family, prior.n)
+    return float(prior.t.ravel() ** 2 @ np.diag(gram))
 
 
 def lower_bound_target(prior: LeastFavorablePrior) -> float:
@@ -442,24 +444,6 @@ def lower_bound_target(prior: LeastFavorablePrior) -> float:
         / (1.0 + prior.eps) ** (1.0 / (2.0 * k + 1.0))
         * gamma
     )
-
-
-def _trig_inner_products(n: int, weighted: np.ndarray) -> np.ndarray:
-    """(n, P) matrix of sum_k weighted[p, k] phi_j(k / K), k = 0..K.
-
-    `weighted` holds P functions sampled on the K + 1 nodes of the [0, 1]
-    Simpson rule, times its weights.  Every phi_j is 1-periodic, so node K
-    folds onto node 0, and one FFT over the K nodes gives
-    F_q = sum_k a_k exp(-2 pi i q k / K), read by `pack_spectrum` (q mod K
-    for frequencies beyond the grid).  Equal to the dense product with
-    `basis_eval_matrix` to rounding error, without forming the (K + 1, n)
-    basis matrix.
-    """
-    K = weighted.shape[1] - 1
-    folded = weighted[:, :K].copy()
-    folded[:, 0] += weighted[:, K]
-    F = np.fft.fft(folded, axis=1)[:, np.arange((n + 1) // 2) % K]
-    return pack_spectrum(F, n).T
 
 
 def bayes_risk_mc(
@@ -478,11 +462,10 @@ def bayes_risk_mc(
     substream; `substreams` seeds a whole block of them at once.  A block of
     replicates, BLOCK_ENTRIES design entries at most, is one (B, n) stack of
     observations Y = T @ D + g * noise, with D the family on the design,
-    ||S_t||^2 = t'Gt and G the family Gram matrix.
-    Every `estimator(Y, grid)` runs once per block on the whole stack and
-    must return the (B, n) basis coefficients c of its estimates; each row's
-    loss is exact algebra, ||c||^2 - 2 c'C t + t'G t with C the inner
-    products of the phi_j with the family (built once per call).
+    ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
+    whole stack and must return the (B, n) basis coefficients c of its
+    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t, with G and C
+    from `_family_integrals` (once per call).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -492,10 +475,8 @@ def bayes_risk_mc(
         noise = NoiseSpec("gaussian")
     fam = prior.family
     n = grid.n
-    xq, wq = simpson_rule()
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
-    gram = _family_gram(fam)
-    cross = _trig_inner_products(n, fam.design_tensor(xq).reshape(fam.M * fam.N, -1) * wq)
+    gram, cross = _family_integrals(fam, n)
     losses = np.empty((len(estimators), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):

@@ -8,9 +8,10 @@ only `ScaleModel.g` and `ScaleModel.varsigma` take the function S.
 Integrals of general functions use one composite Simpson rule on 2^14 + 1
 fixed points (`simpson_rule`), which keeps every numeric result
 deterministic.  Where the integrand is known in closed form the package uses
-exact algebra instead: Parseval for trigonometric series, the Gram matrix of
-the lower-bound kernel family, and 10-node Gauss per design cell for the
-step-extension loss (`theory.cell_integrals`).
+exact algebra instead: Parseval for trigonometric series and 10-node Gauss
+per design cell for the step-extension loss (`theory.cell_integrals`).  The
+lower-bound kernel family, smooth and periodic on [0, 1], takes its Gram and
+cross matrices from an equal-weight rule (`lowerbound._family_integrals`).
 
 Every Monte Carlo draw comes from a keyed substream: `substream(seed, *key)`
 is the generator that numpy's `SeedSequence(seed, spawn_key=key)` seeds for a

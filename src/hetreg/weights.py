@@ -23,6 +23,7 @@ __all__ = [
     "omega",
     "pinsker_weights",
     "WeightFamily",
+    "family_cutoffs",
     "weight_family",
 ]
 
@@ -148,6 +149,20 @@ def _support_width(max_omega: float, n: int) -> int:
     return min(n, 8 * math.ceil(math.ceil(max_omega) / 8))
 
 
+def family_cutoffs(n: int, seqs: TuningSequences) -> tuple[list[WeightIndex], np.ndarray]:
+    """The k* x m indices in increasing (beta, t) order and their cutoffs omega.
+
+    Refuses a family whose every taper is zero, i.e. max omega <= 1.
+    """
+    indices = [WeightIndex(beta, i * seqs.eps)
+               for beta in range(1, seqs.k_star + 1) for i in range(1, seqs.m + 1)]
+    om = np.array([omega(alpha, n, seqs) for alpha in indices])
+    if om.max() <= 1.0:  # then every weight, from j = 1 on, is 0
+        raise ValueError(f"every taper is zero: the largest cutoff omega is {om.max():.6g} <= 1 "
+                         f"(omega_bar={seqs.omega_bar!r})")
+    return indices, om
+
+
 def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     """All k* x m members in increasing (beta, t) order, built at their support width.
 
@@ -156,12 +171,7 @@ def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
-    indices = [WeightIndex(beta, i * seqs.eps)
-               for beta in range(1, seqs.k_star + 1) for i in range(1, seqs.m + 1)]
-    om = np.array([omega(alpha, n, seqs) for alpha in indices])
-    if om.max() <= 1.0:  # then every weight, from j = 1 on, is 0
-        raise ValueError(f"every taper is zero: the largest cutoff omega is {om.max():.6g} <= 1 "
-                         f"(omega_bar={seqs.omega_bar!r})")
+    indices, om = family_cutoffs(n, seqs)
     flat = np.array([int(w * seqs.eps) for w in om], dtype=float)  # each member's j0
     j = np.arange(1, _support_width(om.max(), n) + 1, dtype=float)
     W = np.empty((len(indices), len(j)))

@@ -721,6 +721,23 @@ class TestCli:
         assert str(exc.value.code) == f"hetreg risk: {message}"
         assert not out_dir.exists()
 
+    def test_all_zero_family_is_refused_before_any_replicate(self, tmp_path, monkeypatch):
+        # n = 1001 alone would run; the all-zero family at n = 51 stops the study first
+        from hetreg import experiments
+
+        def refuse(*args):
+            raise AssertionError("no replicate should run")
+
+        monkeypatch.setattr(experiments, "_run_replicates", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [1001, 51], "reps": 400, "omega_bar": -4.5}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == ("hetreg risk: every taper is zero: the largest cutoff omega "
+                                       "is 0.408772 <= 1 (omega_bar=-4.5)")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_has_no_study_knobs(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:

@@ -13,12 +13,12 @@ from hetreg.basis import (
     basis_eval_matrix,
     basis_matrix,
     fourier_rows,
+    trig_basis_eval,
     trig_series,
 )
 from hetreg.lowerbound import (
     KernelFamily,
-    _family_gram,
-    _trig_inner_products,
+    _family_integrals,
     bayes_risk_mc,
     check_conditions_A,
     conditions_trend,
@@ -424,7 +424,7 @@ class TestExactAlgebra:
         # for S_z = sum_p z_p D_p: ||S_z||^2 = z'Gz and <S_z, D_p> = (Gz)_p
         fam = self.prior(n).family
         fns = element_fns(fam)
-        gram = _family_gram(fam)
+        gram, _ = _family_integrals(fam, n)
         for z in self.draws(self.prior(n)):
             S = SampledFunction(lambda x: kernel_function(z.reshape(fam.M, fam.N), fam, x))
             assert z @ gram @ z == pytest.approx(simpson_integral(lambda x: S(x) ** 2), rel=1e-9)
@@ -439,7 +439,7 @@ class TestExactAlgebra:
         x = DesignGrid(n).points
         fam = self.prior(n).family
         fns = element_fns(fam)
-        gram = _family_gram(fam)
+        gram, _ = _family_integrals(fam, n)
         for z in self.draws(self.prior(n)):
             S = SampledFunction(lambda t: kernel_function(z.reshape(fam.M, fam.N), fam, t))
             for p, fp in enumerate(fns):
@@ -452,18 +452,61 @@ class TestExactAlgebra:
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_fft_cross_matrix_equals_dense(self, n):
+        # on the rule's own nodes (K = 2^14 up to n = 8191): the dense basis product
         fam = self.prior(n).family
-        xq, wq = simpson_rule()
-        weighted = fam.design_tensor(xq).reshape(fam.M * fam.N, -1) * wq
-        dense = basis_eval_matrix(n, xq).T @ weighted.T
-        np.testing.assert_allclose(_trig_inner_products(n, weighted), dense, rtol=0, atol=1e-14)
+        x = np.arange(2**14) / 2**14
+        S = fam.design_tensor(x).reshape(fam.M * fam.N, -1)
+        gram, cross = _family_integrals(fam, n)
+        dense = basis_eval_matrix(n, x).T @ S.T / 2**14
+        np.testing.assert_allclose(cross, dense, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gram, S @ S.T / 2**14, rtol=0, atol=1e-15)
 
-    def test_fft_cross_matrix_aliases_beyond_grid(self):
-        # 16 panels: frequencies up to 25 wrap around the 16-point grid
-        x, w = simpson_rule(0.0, 1.0, 16)
-        weighted = np.stack([np.exp(-x), x**2]) * w
-        dense = basis_eval_matrix(51, x).T @ weighted.T
-        np.testing.assert_allclose(_trig_inner_products(51, weighted), dense, rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("n", [51, 101])
+    def test_expected_norm_is_the_gram_diagonal(self, n):
+        # E ||S_theta||^2 = sum t_{m,j}^2 h int e_j^2 chi^2 by Simpson, block by block
+        pr = self.prior(n)
+        fam = pr.family
+        e2 = [simpson_integral(lambda v: (local_basis(j, v) * mollified_indicator(fam.eta, v)) ** 2,
+                               -1.0, 1.0) for j in range(1, fam.N + 1)]
+        ref = float(np.sum(pr.t**2 * fam.h * np.array(e2)))
+        assert prior_expected_norm_sq(pr) == pytest.approx(ref, rel=1e-9)
+
+
+def gauss_cross(fam, js, panels=1024, order=16):
+    """Rows js - 1 of C, int D_p phi_j, by composite Gauss-Legendre on each block,
+    phi_j evaluated one basis column at a time (no dense (nodes, n) basis)."""
+    g, gw = np.polynomial.legendre.leggauss(order)
+    half = 1.0 / panels
+    v = (np.linspace(-1.0 + half, 1.0 - half, panels)[:, None] + half * g).ravel()
+    w = np.tile(half * gw, panels)
+    E = np.stack([local_basis(j, v) * mollified_indicator(fam.eta, v) for j in range(1, fam.N + 1)])
+    ref = np.empty((len(js), fam.M * fam.N))
+    for m, c in enumerate(fam.centers):
+        x = c + fam.h * v
+        for r, j in enumerate(js):
+            ref[r, m * fam.N : (m + 1) * fam.N] = fam.h * E @ (trig_basis_eval(int(j), x) * w)
+    return ref
+
+
+class TestCrossMatrixAtLargeN:
+    """C against Bessel's inequality and a per-block Gauss reference, beyond the old 2^14 nodes."""
+
+    @pytest.mark.parametrize("n", [1001, 16385, 65537])
+    def test_bessel(self, n):
+        fam = least_favorable_prior(1, 1.0, n, eps=0.2).family
+        gram, cross = _family_integrals(fam, n)
+        assert np.all(np.sum(cross**2, axis=0) <= np.diag(gram) * (1.0 + 1e-9))
+        # blocks meet only where chi = 0: G is exactly block diagonal
+        assert np.all(gram[np.kron(np.eye(fam.M), np.ones((fam.N, fam.N))) == 0] == 0.0)
+
+    @pytest.mark.parametrize("n", [1001, 16385])
+    def test_matches_gauss(self, n):
+        fam = least_favorable_prior(1, 1.0, n, eps=0.2).family
+        _, cross = _family_integrals(fam, n)
+        rng = np.random.default_rng(n)
+        js = np.unique(np.concatenate([np.arange(1, 41), np.arange(n - 39, n + 1),
+                                       rng.integers(41, n - 39, 40)]))
+        np.testing.assert_allclose(cross[js - 1], gauss_cross(fam, js), rtol=0, atol=1e-10)
 
 
 class TestDesignCache:
@@ -508,9 +551,7 @@ class TestDesignCache:
         design by `kernel_function`, no block and no shared design sample."""
         fam, x, n = pr.family, grid.points, grid.n
         fns = element_fns(fam)
-        G = _family_gram(fam)
-        xq, wq = simpson_rule()
-        C = _trig_inner_products(n, fam.design_tensor(xq).reshape(len(fns), -1) * wq)
+        G, C = _family_integrals(fam, n)
         sd = pr.t.ravel()
         rng = substream(606, 11, n, len(fns))
         ginv2, bias = np.zeros(n), np.zeros(len(fns))
@@ -579,5 +620,5 @@ class TestDesignCache:
 
         few = count(3)
         assert few == count(12)
-        # one design sample for the bound; the design and the Simpson nodes for the risk
-        assert few == {"element": 0, "design_tensor": 3, "g2": 2, "frechet": 1}
+        # the design and the rule's nodes, once for the bound and once for the risk
+        assert few == {"element": 0, "design_tensor": 4, "g2": 2, "frechet": 1}
