@@ -26,6 +26,7 @@ __all__ = [
     "basis_matrix",
     "basis_eval_matrix",
     "serial_matmul",
+    "serial_dot",
     "pack_spectrum",
     "fourier_rows",
     "grid_values",
@@ -37,8 +38,10 @@ __all__ = [
 
 BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of float64)
 # OpenBLAS multiplies in the calling thread up to 2^18 multiply-adds a product
-# (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
+# (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4), and up to 10000
+# entries a dot product
 SERIAL_MULADDS = 2**18
+SERIAL_DOT = 10000
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,22 @@ def serial_matmul(a, b) -> np.ndarray:
     for lo in range(0, a.shape[-2], rows):
         np.matmul(a[..., lo : lo + rows, :], b, out=out[..., lo : lo + rows, :])
     return out
+
+
+def serial_dot(a, b):
+    """a @ b, its contracted axis taken in equal chunks of at most SERIAL_DOT entries
+    whose products are summed in order.
+
+    BLAS then computes every chunk in the calling thread.  A threaded dot sums
+    one partial dot per thread, so its last bits follow the thread count; these
+    chunks do not.  Up to 2 SERIAL_DOT entries they are the ones two threads take.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = a.shape[-1]
+    size = -(-k // -(-k // SERIAL_DOT))
+    return sum(a[..., lo : lo + size] @ (b[lo : lo + size] if b.ndim == 1 else b[..., lo : lo + size, :])
+               for lo in range(0, k, size))
 
 
 def pack_spectrum(F, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum
+from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum, serial_dot
 from .models import (
     NoiseSpec,
     ScaleModel,
@@ -110,20 +110,22 @@ class KernelFamily:
         out[inside] = local_basis(j, vi) * mollified_indicator(self.eta, vi)
         return out
 
-    def design_tensor(self, x) -> np.ndarray:
-        """(M, N, len(x)) values of every D_{m,j} at the points x."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.M, self.N, len(x)))
-        for m in range(1, self.M + 1):
-            v = self.local_coord(m, x)
-            inside = np.abs(v) < 1.0
-            if not np.any(inside):
-                continue
+    def block(self, m: int, x) -> np.ndarray:
+        """(N, len(x)) values of D_{m,1..N} at the points x."""
+        v = self.local_coord(m, x)
+        out = np.zeros((self.N, len(v)))
+        inside = np.abs(v) < 1.0
+        if np.any(inside):
             vi = v[inside]
             chi = mollified_indicator(self.eta, vi)
             for j in range(1, self.N + 1):
-                out[m - 1, j - 1, inside] = local_basis(j, vi) * chi
+                out[j - 1, inside] = local_basis(j, vi) * chi
         return out
+
+    def design_tensor(self, x) -> np.ndarray:
+        """(M, N, len(x)) values of every D_{m,j} at the points x."""
+        x = np.asarray(x, dtype=float)
+        return np.stack([self.block(m, x) for m in range(1, self.M + 1)])
 
 
 def kernel_family(h: float, N: int, eta: float = 0.05) -> KernelFamily:
@@ -331,8 +333,8 @@ class VanTreesReport(NamedTuple):
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_r . b_r for every row r, each one BLAS dot as in a single draw's a_r @ b_r."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """a_r . b_r for every row r, each `serial_dot(a_r, b_r)`."""
+    return serial_dot(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def van_trees_bound(
@@ -391,6 +393,14 @@ def van_trees_bound(
     return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
 
 
+def _rule_blocks(family: KernelFamily, n: int):
+    """K and, block by block, the (N, K) sample of D_{m,1..N} on the nodes k/K,
+    K the smallest power of two >= max(2^14, 2n)."""
+    K = max(2**14, 1 << (2 * n - 1).bit_length())
+    x = np.arange(K) / K
+    return K, (family.block(m, x) for m in range(1, family.M + 1))
+
+
 def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     """L2 Gram matrix G (P, P) of the flattened D_{m,j} and their inner products
     C (n, P) with phi_1..phi_n, from one sample of the family.
@@ -398,16 +408,21 @@ def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndar
     The rule is equal weights 1/K on the periodic nodes k/K, k = 0..K-1, with K
     the smallest power of two >= max(2^14, 2n).  Every D_{m,j} is smooth with
     support inside (0, 1), so on the circle this rule is spectrally accurate
-    (Trefethen & Weideman, SIAM Review 2014).  One sample S (P, K) gives
-    G = S S' / K and, by one real FFT, C = `pack_spectrum` of the bins
-    sum_k S_pk exp(-2 pi i q k / K) / K for q < K / 2.  The phi_j are
-    orthonormal on these nodes, so C obeys Bessel's inequality
-    sum_j C_jp^2 <= G_pp at every n; blocks meet only where chi = 0, so G is
-    exactly block diagonal.
+    (Trefethen & Weideman, SIAM Review 2014).  Each block's sample S_m (N, K)
+    gives its diagonal block S_m S_m' / K of G and, by one real FFT, its N
+    columns of C, `pack_spectrum` of the bins sum_k S_pk exp(-2 pi i q k / K) / K
+    for q < K / 2; one block is sampled at a time.  The phi_j are orthonormal
+    on these nodes, so C obeys Bessel's inequality sum_j C_jp^2 <= G_pp at
+    every n; blocks meet only where chi = 0, so G is block diagonal.
     """
-    K = max(2**14, 1 << (2 * n - 1).bit_length())
-    S = family.design_tensor(np.arange(K) / K).reshape(family.M * family.N, K)
-    return S @ S.T / K, pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
+    N, P = family.N, family.M * family.N
+    gram = np.zeros((P, P))
+    cross = np.empty((n, P))
+    K, blocks = _rule_blocks(family, n)
+    for lo, S in zip(range(0, P, N), blocks):
+        gram[lo : lo + N, lo : lo + N] = serial_dot(S, S.T) / K
+        cross[:, lo : lo + N] = pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
+    return gram, cross
 
 
 def prior_van_trees_bound(
@@ -416,22 +431,28 @@ def prior_van_trees_bound(
     grid: DesignGrid,
     mc_reps: int = 500,
     seed: int = 0,
+    integrals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VanTreesReport:
-    """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2)."""
+    """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2).
+
+    `integrals` is the family's (G, C) at this n, from `_family_integrals`
+    when not given; the bound reads G only.
+    """
     fam = prior.family
     tau_bar = np.array([
         math.sqrt(fam.h) * ebar(j, fam.eta) for _ in range(fam.M) for j in range(1, fam.N + 1)
     ])
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, grid.n)
-    gram, _ = _family_integrals(fam, grid.n)
+    gram, _ = integrals if integrals is not None else _family_integrals(fam, grid.n)
     return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, grid,
                            mc_reps=mc_reps, seed=seed)
 
 
 def prior_expected_norm_sq(prior: LeastFavorablePrior) -> float:
-    """E ||S_theta||^2 = sum_p t_p^2 G_pp."""
-    gram, _ = _family_integrals(prior.family, prior.n)
-    return float(prior.t.ravel() ** 2 @ np.diag(gram))
+    """E ||S_theta||^2 = sum_p t_p^2 G_pp, block by block on `_family_integrals`' rule."""
+    K, blocks = _rule_blocks(prior.family, prior.n)
+    diag = np.concatenate([np.sum(S**2, axis=1) / K for S in blocks])
+    return float(prior.t.ravel() ** 2 @ diag)
 
 
 def lower_bound_target(prior: LeastFavorablePrior) -> float:
@@ -454,6 +475,7 @@ def bayes_risk_mc(
     reps: int = 500,
     seed: int = 0,
     noise: NoiseSpec | None = None,
+    integrals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[tuple[float, float]]:
     """Average continuous-norm loss of each estimator over one set of prior
     draws and noise; (mean, standard error) per estimator, in order.
@@ -464,8 +486,8 @@ def bayes_risk_mc(
     observations Y = T @ D + g * noise, with D the family on the design,
     ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
     whole stack and must return the (B, n) basis coefficients c of its
-    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t, with G and C
-    from `_family_integrals` (once per call).
+    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t, with (G, C) the
+    given `integrals`, or `_family_integrals` once per call when not given.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -476,7 +498,7 @@ def bayes_risk_mc(
     fam = prior.family
     n = grid.n
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
-    gram, cross = _family_integrals(fam, n)
+    gram, cross = integrals if integrals is not None else _family_integrals(fam, n)
     losses = np.empty((len(estimators), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):

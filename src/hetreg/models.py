@@ -7,11 +7,14 @@ derivative take those values, for one S or for a whole stack of draws at once;
 only `ScaleModel.g` and `ScaleModel.varsigma` take the function S.
 Integrals of general functions use one composite Simpson rule on 2^14 + 1
 fixed points (`simpson_rule`), which keeps every numeric result
-deterministic.  Where the integrand is known in closed form the package uses
-exact algebra instead: Parseval for trigonometric series and 10-node Gauss
-per design cell for the step-extension loss (`theory.cell_integrals`).  The
-lower-bound kernel family, smooth and periodic on [0, 1], takes its Gram and
-cross matrices from an equal-weight rule (`lowerbound._family_integrals`).
+deterministic; its weighted sum is `serial_dot`, taken in the calling thread
+with the same bits whatever OpenBLAS's thread count.  Where the integrand is known in closed
+form the package uses exact algebra instead: Parseval for trigonometric series
+and, for the step-extension loss, the cell integrals of a trigonometric
+polynomial (`theory.cell_integrals`; 10-node Gauss per design cell for other
+functions).  The lower-bound kernel family, smooth and periodic on [0, 1],
+takes its Gram and cross matrices from an equal-weight rule
+(`lowerbound._family_integrals`).
 
 Every Monte Carlo draw comes from a keyed substream: `substream(seed, *key)`
 is the generator that numpy's `SeedSequence(seed, spawn_key=key)` seeds for a
@@ -31,7 +34,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, as_sampled
+from .basis import DesignGrid, SampledFunction, as_sampled, serial_dot
 
 __all__ = [
     "SIMPSON_PANELS",
@@ -191,9 +194,9 @@ def simpson_rule(a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -
 
 
 def simpson_integral(f, a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule with an even, fixed number of panels."""
+    """Composite Simpson rule with an even, fixed number of panels, summed in the calling thread."""
     x, w = simpson_rule(a, b, panels)
-    return float(w @ np.asarray(f(x), dtype=float))
+    return float(serial_dot(w, np.asarray(f(x), dtype=float)))
 
 
 def _bump(u) -> np.ndarray:
@@ -214,13 +217,43 @@ def _mollifier_norm() -> float:
     return simpson_integral(_bump, -1.0, 1.0)
 
 
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """For every i, int over [x_i, x_{i+1}] of the parabola through x_i, x_{i+1}, x_{i+2}
+    (Cartwright, J. Math. Sci. Math. Educ. 12(2), eq. (8))."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_i} of the samples y, for every i (at least three nodes).
+
+    Interval i takes the parabola through nodes i, i+1, i+2 when i is even and
+    through i-1, i, i+1 when i is odd, as does the last interval: SciPy's
+    `integrate.cumulative_simpson(y, x=x, initial=0.0)`, bit for bit.
+    """
+    dx = np.diff(x)
+    left = _simpson_pieces(y[::-1], dx[::-1])[::-1]  # each interval from the parabola on its left
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = _simpson_pieces(y, dx)[::2]
+    pieces[1::2] = left[::2]
+    pieces[-1] = left[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
 @lru_cache(maxsize=1)
 def _mollifier_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    from scipy.integrate import cumulative_simpson
+    """The Simpson nodes u on [-1, 1] and the mollifier's CDF at them.
 
+    The CDF is the cumulative Simpson integral of the samples (SciPy's
+    `cumulative_simpson` rule, bit for bit), scaled to end at exactly 1 so
+    that the ramps of `mollifier_cdf` hit 0 and 1.
+    """
     u, _ = simpson_rule(-1.0, 1.0)
-    cdf = cumulative_simpson(mollifier(u), x=u, initial=0.0)
-    cdf /= cdf[-1]  # unit mass exactly, so ramps hit 0 and 1
+    cdf = _cumulative_simpson(mollifier(u), u)
+    cdf /= cdf[-1]
     return u, cdf
 
 

@@ -22,6 +22,7 @@ from .basis import (
     as_sampled,
     discrete_fourier,
     trig_basis_eval,
+    trig_series,
 )
 from .models import simpson_integral
 from .weights import TuningSequences, WeightIndex, a_beta
@@ -139,12 +140,20 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 def cell_integrals(S, n: int) -> tuple[np.ndarray, float]:
-    """(int S over every cell [(l-1)/n, l/n], int_0^1 S^2) by per-cell Gauss.
+    """(int S over every cell [(l-1)/n, l/n], int_0^1 S^2).
 
-    10-node Gauss on each cell is effectively exact for the smooth targets
-    used.
+    A `TrigPolynomial` has both in closed form: over cell l, phi_j integrates
+    to phi_j((l - 1/2)/n) sin(pi q/n) / (pi q) for j in {2q, 2q+1} (to 1/n for
+    phi_1), so the cell integrals are one `trig_series` call at the n cell
+    midpoints, with coefficients c_j sinc(q/n) / n, and ||S||^2 = sum c^2.
+    Any other S takes 10-node Gauss on each cell, effectively exact for the
+    smooth targets used.
     """
     S = as_sampled(S)
+    if isinstance(S, TrigPolynomial):
+        q = np.arange(1, len(S.coeffs) + 1) // 2
+        midpoints = (np.arange(n) + 0.5) / n
+        return trig_series(S.coeffs * np.sinc(q / n) / n, midpoints), S.l2_norm_sq()
     left = np.arange(0, n, dtype=float) / n
     # map nodes from [-1,1] into every cell at once
     xs = left[:, None] + (0.5 + 0.5 * _GAUSS_NODES[None, :]) / n

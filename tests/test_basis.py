@@ -13,6 +13,7 @@ from hetreg.basis import (
     empiric_inner_product,
     fourier_rows,
     grid_values,
+    serial_dot,
     serial_matmul,
     synthesize,
     trig_basis_eval,
@@ -169,6 +170,27 @@ class TestSerialMatmul:
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal(501), rng.standard_normal((501, 40))
         np.testing.assert_array_equal(serial_matmul(a, b), a @ b)
+
+
+class TestSerialDot:
+    @given(shapes=st.sampled_from([((), ()), ((), (3,)), ((2,), ()), ((2,), (3,)), ((4, 1), (1,))]),
+           k=st.integers(1, 45000), seed=seeds)
+    def test_equals_one_product(self, shapes, k, seed):
+        # a (..., k) @ b (k,) or (..., k, d), with row dots as (B, 1, k) @ (B, k, 1)
+        rng = np.random.default_rng(seed)
+        lead, tail = shapes
+        a = rng.standard_normal(lead + (k,))
+        b = rng.standard_normal(((4, k, 1) if lead == (4, 1) else (k,) + tail))
+        np.testing.assert_allclose(serial_dot(a, b), a @ b, rtol=1e-12, atol=1e-12 * np.sqrt(k))
+
+    def test_chunks_are_the_halves_two_threads_take(self):
+        # 16385 Simpson nodes: two dots of 8193 and 8192 entries, summed in order
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(16385), rng.standard_normal(16385)
+        assert serial_dot(a, b) == a[:8193] @ b[:8193] + a[8193:] @ b[8193:]
+        S = rng.standard_normal((3, 16384))
+        np.testing.assert_array_equal(serial_dot(S, S.T),
+                                      S[:, :8192] @ S[:, :8192].T + S[:, 8192:] @ S[:, 8192:].T)
 
 
 class TestSynthesize:

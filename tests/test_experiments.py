@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,8 +514,64 @@ class TestBayesOnePass:
         assert calls == {"substream": 2, "substreams": 2, "bayes_risk_mc": 2}
         assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
 
+    def test_family_integrals_once_per_n(self, monkeypatch):
+        # the bound and the Bayes risks share one (G, C) per n
+        from hetreg import experiments, lowerbound
+
+        sizes = []
+        integrals = lowerbound._family_integrals
+
+        def counted(family, n):
+            sizes.append(n)
+            return integrals(family, n)
+
+        monkeypatch.setattr(experiments, "_family_integrals", counted)
+        monkeypatch.setattr(lowerbound, "_family_integrals", counted)
+        cfg = small_config(n_grid=[51, 101], reps=9,
+                           lowerbound={"prior_mc": 5, "bayes_estimators": ["zero", "adaptive"]})
+        lower_bound_study(cfg)
+        assert sizes == [51, 101]
+
+
+def run_cli_process(argv, tmp_path, **env):
+    """`hetreg <argv>` in a fresh interpreter; returns the top-level packages it imported."""
+    src = str(Path(__import__("hetreg").__file__).resolve().parents[1])
+    code = ("import json, sys; from hetreg.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules}))); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+TINY_LOWER_BOUND = {
+    "n_grid": [51, 101], "reps": 8, "test_function": {"preset": "S3"}, "ball": {"k": 1, "r": 1.0},
+    "scale": {"c0": 1.0, "c1": 1.0, "c2": 0.5, "c3": 0.5},
+    "lowerbound": {"prior_mc": 8, "bayes_estimators": ["zero", "projection", "adaptive"]},
+}
+
 
 class TestDeterminism:
+    def test_lower_bound_runs_without_scipy(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
+        imported = run_cli_process(["lower-bound", "--config", "cfg.json", "--out", "."], tmp_path)
+        assert "hetreg" in imported and "numpy" in imported
+        assert "scipy" not in imported
+
+    def test_lower_bound_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # a threaded BLAS dot sums one partial dot per thread; every dot of the
+        # lower-bound path is taken in fixed chunks instead
+        (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            run_cli_process(["lower-bound", "--config", "cfg.json", "--out", out.name], tmp_path,
+                            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            outputs.append([(out / f"lower_bound.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert outputs[0] == outputs[1]
+
     def test_worker_count_does_not_change_rows(self):
         cfg1 = small_config(reps=70, workers=1, n_grid=[51, 101])
         cfg8 = small_config(reps=70, workers=8, n_grid=[51, 101])

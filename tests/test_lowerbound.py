@@ -13,6 +13,7 @@ from hetreg.basis import (
     basis_eval_matrix,
     basis_matrix,
     fourier_rows,
+    pack_spectrum,
     trig_basis_eval,
     trig_series,
 )
@@ -461,6 +462,20 @@ class TestExactAlgebra:
         np.testing.assert_allclose(cross, dense, rtol=0, atol=1e-14)
         np.testing.assert_allclose(gram, S @ S.T / 2**14, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [51, 101, 1001])
+    def test_blocks_equal_the_whole_family_sample(self, n):
+        # one block at a time gives the whole (P, K) sample's C exactly and its G to rounding
+        fam = self.prior(n).family
+        K = max(2**14, 1 << (2 * n - 1).bit_length())
+        S = fam.design_tensor(np.arange(K) / K).reshape(fam.M * fam.N, K)
+        gram, cross = _family_integrals(fam, n)
+        np.testing.assert_array_equal(cross, pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T)
+        np.testing.assert_allclose(gram, S @ S.T / K, rtol=1e-14, atol=1e-16)
+        block = np.kron(np.eye(fam.M), np.ones((fam.N, fam.N))) == 1
+        assert np.all(gram[~block] == 0.0)
+        np.testing.assert_allclose(np.diag(gram) @ self.prior(n).t.ravel() ** 2,
+                                   prior_expected_norm_sq(self.prior(n)), rtol=1e-15)
+
     @pytest.mark.parametrize("n", [51, 101])
     def test_expected_norm_is_the_gram_diagonal(self, n):
         # E ||S_theta||^2 = sum t_{m,j}^2 h int e_j^2 chi^2 by Simpson, block by block
@@ -594,7 +609,7 @@ class TestDesignCache:
             np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-9, err_msg=name)
 
     def test_element_calls_do_not_grow_with_reps(self, monkeypatch):
-        calls = {"element": 0, "design_tensor": 0, "g2": 0, "frechet": 0}
+        calls = {"element": 0, "design_tensor": 0, "block": 0, "g2": 0, "frechet": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -606,6 +621,7 @@ class TestDesignCache:
         monkeypatch.setattr(KernelFamily, "element", counted("element", KernelFamily.element))
         monkeypatch.setattr(KernelFamily, "design_tensor",
                             counted("design_tensor", KernelFamily.design_tensor))
+        monkeypatch.setattr(KernelFamily, "block", counted("block", KernelFamily.block))
         scale = dataclasses.replace(self.SCALE, g2=counted("g2", self.SCALE.g2),
                                     frechet=counted("frechet", self.SCALE.frechet))
         grid = DesignGrid(51)
@@ -613,12 +629,14 @@ class TestDesignCache:
         project = stacked(self.estimators(51)["projection"])
 
         def count(reps):
-            calls.update(element=0, design_tensor=0, g2=0, frechet=0)
+            calls.update(element=0, design_tensor=0, block=0, g2=0, frechet=0)
             prior_van_trees_bound(pr, scale, grid, mc_reps=reps, seed=1)
             bayes_risk_mc([project], pr, scale, grid, reps=reps, seed=2)
             return dict(calls)
 
         few = count(3)
         assert few == count(12)
-        # the design and the rule's nodes, once for the bound and once for the risk
-        assert few == {"element": 0, "design_tensor": 4, "g2": 2, "frechet": 1}
+        # the design once for the bound and once for the risk, each block of it and
+        # each block on the rule's nodes too
+        M = pr.family.M
+        assert few == {"element": 0, "design_tensor": 2, "block": 4 * M, "g2": 2, "frechet": 1}

@@ -136,6 +136,21 @@ class TestStepExtension:
         # cell 1 is [0, 1/51]
         assert int_s[0] == pytest.approx(simpson_integral(S, 0.0, 1.0 / 51), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [51, 301, 1001])
+    def test_closed_form_cell_integrals_equal_gauss(self, n):
+        # the TrigPolynomial closed form against per-cell Gauss on the same function,
+        # with coefficients up to the highest frequency (n - 1)/2 of the grid
+        rng = np.random.default_rng(n)
+        coeffs = np.zeros(n)
+        coeffs[:9] = rng.standard_normal(9)
+        coeffs[-3:] = rng.standard_normal(3)
+        S = TrigPolynomial(coeffs)
+        int_s, s_l2_sq = cell_integrals(S, n)
+        gauss, gauss_l2_sq = cell_integrals(SampledFunction(S), n)
+        np.testing.assert_allclose(int_s, gauss, rtol=0, atol=1e-12 * np.max(np.abs(gauss)))
+        assert s_l2_sq == float(np.sum(coeffs**2))
+        assert s_l2_sq == pytest.approx(gauss_l2_sq, rel=1e-13)
+
     def test_norm_identity(self):
         rng = np.random.default_rng(1)
         g = DesignGrid(51)
