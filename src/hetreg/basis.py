@@ -188,8 +188,10 @@ def serial_dot(a, b):
     b = np.asarray(b, dtype=float)
     k = a.shape[-1]
     size = -(-k // -(-k // SERIAL_DOT))
-    return sum(a[..., lo : lo + size] @ (b[lo : lo + size] if b.ndim == 1 else b[..., lo : lo + size, :])
-               for lo in range(0, k, size))
+    chunks = range(0, k, size)
+    if b.ndim == 1:
+        return sum(a[..., lo : lo + size] @ b[lo : lo + size] for lo in chunks)
+    return sum(a[..., lo : lo + size] @ b[..., lo : lo + size, :] for lo in chunks)
 
 
 def pack_spectrum(F, n: int) -> np.ndarray:

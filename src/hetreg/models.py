@@ -8,12 +8,12 @@ only `ScaleModel.g` and `ScaleModel.varsigma` take the function S.
 Integrals of general functions use one composite Simpson rule on 2^14 + 1
 fixed points (`simpson_rule`), which keeps every numeric result
 deterministic; its weighted sum is `serial_dot`, taken in the calling thread
-with the same bits whatever OpenBLAS's thread count.  Where the integrand is known in closed
-form the package uses exact algebra instead: Parseval for trigonometric series
-and, for the step-extension loss, the cell integrals of a trigonometric
-polynomial (`theory.cell_integrals`; 10-node Gauss per design cell for other
-functions).  The lower-bound kernel family, smooth and periodic on [0, 1],
-takes its Gram and cross matrices from an equal-weight rule
+with the same bits whatever OpenBLAS's thread count.  Where the integrand is
+known in closed form the package uses exact algebra instead: Parseval for
+trigonometric series and, for the step-extension loss, the cell integrals of a
+trigonometric polynomial (`theory.cell_integrals`; 10-node Gauss per design
+cell for other functions).  The lower-bound kernel family, smooth and periodic
+on [0, 1], takes its Gram and cross matrices from an equal-weight rule
 (`lowerbound._family_integrals`).
 
 Every Monte Carlo draw comes from a keyed substream: `substream(seed, *key)`
@@ -194,7 +194,7 @@ def simpson_rule(a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -
 
 
 def simpson_integral(f, a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule with an even, fixed number of panels, summed in the calling thread."""
+    """Composite Simpson rule with an even, fixed number of panels, summed by `serial_dot`."""
     x, w = simpson_rule(a, b, panels)
     return float(serial_dot(w, np.asarray(f(x), dtype=float)))
 
