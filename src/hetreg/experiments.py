@@ -275,10 +275,9 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
     columns[columns == -2] = len(L)
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
-    g_design = np.sqrt(scale.g2(grid.points, S_design, S.l2_norm_sq()))  # scale.g, S sampled once
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        g_design=g_design, noise=noise, noise_idx=noise_idx, seed=cfg.seed,
+        g_design=scale.g(grid.points, S), noise=noise, noise_idx=noise_idx, seed=cfg.seed,
         L=L, columns=columns,
         analysis=basis_eval_matrix(max(w, seqs.l_n), grid.points) / n,
         targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :w],
@@ -580,8 +579,8 @@ def lower_bound_study(cfg: ExperimentConfig):
         prior = least_favorable_prior(ball.k, ball.r, n, eps=eps, g0=g0, eta=eta)
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
         integrals = _family_integrals(prior.family, n)  # (G, C), for the bound and the risks
-        report = prior_van_trees_bound(prior, scale, grid, mc_reps=lb["prior_mc"], seed=cfg.seed,
-                                       integrals=integrals)
+        report = prior_van_trees_bound(prior, scale, grid, integrals, mc_reps=lb["prior_mc"],
+                                       seed=cfg.seed)
         target = lower_bound_target(prior)
         conds = check_conditions_A(prior)
         rec = {
@@ -605,8 +604,7 @@ def lower_bound_study(cfg: ExperimentConfig):
             gamma_k=gamma0, seed=cfg.seed,
         ))
         ests = [_bayes_estimator(name, cfg, n) for name in lb["bayes_estimators"]]
-        risks = bayes_risk_mc(ests, prior, scale, grid, reps=cfg.reps, seed=cfg.seed,
-                              integrals=integrals)
+        risks = bayes_risk_mc(ests, prior, scale, grid, integrals, reps=cfg.reps, seed=cfg.seed)
         for name, (risk, se) in zip(lb["bayes_estimators"], risks):
             rec["bayes_risks"][name] = {"risk": risk, "se": se,
                                         "exceeds_bound": bool(risk >= report.bound)}

@@ -429,21 +429,21 @@ def prior_van_trees_bound(
     prior: LeastFavorablePrior,
     scale: ScaleModel,
     grid: DesignGrid,
+    integrals: tuple[np.ndarray, np.ndarray],
     mc_reps: int = 500,
     seed: int = 0,
-    integrals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VanTreesReport:
     """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2).
 
-    `integrals` is the family's (G, C) at this n, from `_family_integrals`
-    when not given; the bound reads G only.
+    `integrals` is the family's (G, C) at this n, from `_family_integrals`;
+    the bound reads G only.
     """
     fam = prior.family
     tau_bar = np.array([
         math.sqrt(fam.h) * ebar(j, fam.eta) for _ in range(fam.M) for j in range(1, fam.N + 1)
     ])
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, grid.n)
-    gram, _ = integrals if integrals is not None else _family_integrals(fam, grid.n)
+    gram, _ = integrals
     return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, grid,
                            mc_reps=mc_reps, seed=seed)
 
@@ -472,10 +472,10 @@ def bayes_risk_mc(
     prior: LeastFavorablePrior,
     scale: ScaleModel,
     grid: DesignGrid,
+    integrals: tuple[np.ndarray, np.ndarray],
     reps: int = 500,
     seed: int = 0,
     noise: NoiseSpec | None = None,
-    integrals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[tuple[float, float]]:
     """Average continuous-norm loss of each estimator over one set of prior
     draws and noise; (mean, standard error) per estimator, in order.
@@ -487,7 +487,7 @@ def bayes_risk_mc(
     ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
     whole stack and must return the (B, n) basis coefficients c of its
     estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t, with (G, C) the
-    given `integrals`, or `_family_integrals` once per call when not given.
+    family's `integrals` at this n, from `_family_integrals`.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -498,7 +498,7 @@ def bayes_risk_mc(
     fam = prior.family
     n = grid.n
     D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
-    gram, cross = integrals if integrals is not None else _family_integrals(fam, n)
+    gram, cross = integrals
     losses = np.empty((len(estimators), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):

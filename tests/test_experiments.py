@@ -357,7 +357,8 @@ class TestBayesMinimaxOrdering:
         import numpy as np
 
         from hetreg.basis import DesignGrid, grid_values
-        from hetreg.lowerbound import bayes_risk_mc, kernel_function, least_favorable_prior, sample_prior
+        from hetreg.lowerbound import (_family_integrals, bayes_risk_mc, kernel_function,
+                                       least_favorable_prior, sample_prior)
         from hetreg.models import SIMPSON_PANELS, NoiseSpec, homogeneous_scale, substream
         from hetreg.selection import estimate as run_estimate
         from hetreg.basis import basis_eval_matrix
@@ -373,7 +374,8 @@ class TestBayesMinimaxOrdering:
         def adaptive_stack(Y, g):
             return np.stack([adaptive(y, g) for y in Y])
 
-        [(bayes, bayes_se)] = bayes_risk_mc([adaptive_stack], prior, scale, grid, reps=400, seed=21)
+        [(bayes, bayes_se)] = bayes_risk_mc([adaptive_stack], prior, scale, grid,
+                                            _family_integrals(prior.family, 51), reps=400, seed=21)
 
         xq = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
         wq = np.ones(len(xq))
@@ -475,7 +477,7 @@ class TestBayesOnePass:
     """Every Bayes estimator of a lower-bound study is scored on one pass of draws."""
 
     def test_one_call_equals_single_estimator_calls(self):
-        from hetreg.lowerbound import bayes_risk_mc, least_favorable_prior
+        from hetreg.lowerbound import _family_integrals, bayes_risk_mc, least_favorable_prior
         from hetreg.models import econometric_scale
 
         n = 51
@@ -484,8 +486,9 @@ class TestBayesOnePass:
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         prior = least_favorable_prior(1, 1.0, n, eps=0.2)
         ests = [_bayes_estimator(name, cfg, n) for name in ("zero", "projection", "adaptive")]
-        together = bayes_risk_mc(ests, prior, scale, grid, reps=30, seed=4)
-        alone = [bayes_risk_mc([e], prior, scale, grid, reps=30, seed=4)[0] for e in ests]
+        integrals = _family_integrals(prior.family, n)
+        together = bayes_risk_mc(ests, prior, scale, grid, integrals, reps=30, seed=4)
+        alone = [bayes_risk_mc([e], prior, scale, grid, integrals, reps=30, seed=4)[0] for e in ests]
         assert together == alone
         assert len(set(together)) == 3
 

@@ -242,7 +242,8 @@ class TestVanTrees:
     def test_constant_scale_has_zero_bias_term(self):
         grid = DesignGrid(101)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        rep = prior_van_trees_bound(pr, homogeneous_scale(2.0), grid, mc_reps=5, seed=0)
+        rep = prior_van_trees_bound(pr, homogeneous_scale(2.0), grid, _family_integrals(pr.family, 101),
+                                    mc_reps=5, seed=0)
         np.testing.assert_array_equal(rep.bias, 0.0)
         # F = sigma^-2 sum_i D^2(x_i)
         D = pr.family.design_tensor(grid.points).reshape(pr.t.size, -1)
@@ -293,8 +294,9 @@ class TestVanTrees:
         g0 = lambda x: scale.g(x, zero_fn)
         grid = DesignGrid(51)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2, g0=g0)
-        bound = prior_van_trees_bound(pr, scale, grid, mc_reps=300, seed=1).bound
-        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=500, seed=2)
+        integrals = _family_integrals(pr.family, 51)
+        bound = prior_van_trees_bound(pr, scale, grid, integrals, mc_reps=300, seed=1).bound
+        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, integrals, reps=500, seed=2)
         assert risk >= bound - 5.0 * se
         # analytic sanity for the zero estimator
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
@@ -305,27 +307,30 @@ class TestBayesRisk:
         scale = homogeneous_scale(1.0)
         grid = DesignGrid(101)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=800, seed=3)
+        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, grid, _family_integrals(pr.family, 101),
+                                     reps=800, seed=3)
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
 
     def test_risk_nonnegative(self):
         scale = homogeneous_scale(1.0)
         grid = DesignGrid(51)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        [(risk, _)] = bayes_risk_mc([zero_stack], pr, scale, grid, reps=20, seed=4)
+        [(risk, _)] = bayes_risk_mc([zero_stack], pr, scale, grid, _family_integrals(pr.family, 51),
+                                    reps=20, seed=4)
         assert risk >= 0.0
 
     def test_refuses_no_replicates_and_bad_estimates(self):
         grid = DesignGrid(51)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
         scale = homogeneous_scale(1.0)
+        integrals = _family_integrals(pr.family, 51)
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            bayes_risk_mc([zero_stack], pr, scale, grid, reps=0)
+            bayes_risk_mc([zero_stack], pr, scale, grid, integrals, reps=0)
         # a stack of the wrong width, one row for the whole stack, a scalar, a function
         for bad in (lambda Y, g: np.zeros((len(Y), g.n + 1)), lambda Y, g: np.zeros(g.n),
                     lambda Y, g: 0.0, lambda Y, g: TrigPolynomial(np.zeros(g.n))):
             with pytest.raises(ValueError, match=r"\(3, 51\) stack of coefficient vectors"):
-                bayes_risk_mc([zero_stack, bad], pr, scale, grid, reps=3)
+                bayes_risk_mc([zero_stack, bad], pr, scale, grid, integrals, reps=3)
 
     def test_no_estimators_draw_nothing(self, monkeypatch):
         def refuse(*key, reps):
@@ -333,7 +338,8 @@ class TestBayesRisk:
 
         monkeypatch.setattr(lowerbound, "substreams", refuse)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        assert bayes_risk_mc([], pr, homogeneous_scale(1.0), DesignGrid(51), reps=5) == []
+        integrals = _family_integrals(pr.family, 51)
+        assert bayes_risk_mc([], pr, homogeneous_scale(1.0), DesignGrid(51), integrals, reps=5) == []
 
     @pytest.mark.parametrize("rows", [3, 24])
     def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
@@ -347,8 +353,9 @@ class TestBayesRisk:
             return fourier_rows(Y)
 
         def run():
-            risk = bayes_risk_mc([project], pr, scale, grid, reps=10, seed=9)
-            return risk, prior_van_trees_bound(pr, scale, grid, mc_reps=10, seed=9).bound
+            integrals = _family_integrals(pr.family, 1001)
+            risk = bayes_risk_mc([project], pr, scale, grid, integrals, reps=10, seed=9)
+            return risk, prior_van_trees_bound(pr, scale, grid, integrals, mc_reps=10, seed=9).bound
 
         whole = run()
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * grid.n)
@@ -367,13 +374,14 @@ class TestBayesRisk:
         scale = homogeneous_scale(1.0)
         grid = DesignGrid(101)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        bound = prior_van_trees_bound(pr, scale, grid, mc_reps=100, seed=5).bound
+        integrals = _family_integrals(pr.family, 101)
+        bound = prior_van_trees_bound(pr, scale, grid, integrals, mc_reps=100, seed=5).bound
 
         def adaptive(Y, g):
             out = estimate(Y, g)
             return out.lambda_hat * out.theta_hat
 
-        [(risk, se)] = bayes_risk_mc([stacked(adaptive)], pr, scale, grid, reps=400, seed=6)
+        [(risk, se)] = bayes_risk_mc([stacked(adaptive)], pr, scale, grid, integrals, reps=400, seed=6)
         assert risk >= bound - 5.0 * se
 
 
@@ -383,7 +391,8 @@ class TestNormalizedCorridor:
         n = 100_001
         pr = least_favorable_prior(1, 1.0, n, eps=0.2)
         grid = DesignGrid(n)
-        rep = prior_van_trees_bound(pr, homogeneous_scale(1.0), grid, mc_reps=30, seed=7)
+        rep = prior_van_trees_bound(pr, homogeneous_scale(1.0), grid, _family_integrals(pr.family, n),
+                                    mc_reps=30, seed=7)
         target = lower_bound_target(pr)
         normalized = n ** (2.0 / 3.0) * rep.bound
         assert 0.5 * target <= normalized <= 1.1 * target
@@ -407,6 +416,7 @@ class TestExactAlgebra:
         # with S_theta by `kernel_function` and the estimate by `trig_series`
         grid = DesignGrid(n)
         pr = self.prior(n)
+        integrals = _family_integrals(pr.family, n)
         xq, wq = simpson_rule()
         for name, est in TestDesignCache.estimators(n).items():
             losses = []
@@ -417,7 +427,7 @@ class TestExactAlgebra:
                 Y = S(grid.points) + self.SCALE.g(grid.points, S) * rng.standard_normal(n)
                 losses.append(wq @ (trig_series(est(Y, grid), xq) - S(xq)) ** 2)
             simpson = (np.mean(losses), np.std(losses, ddof=1) / 2.0)
-            [exact] = bayes_risk_mc([stacked(est)], pr, self.SCALE, grid, reps=4, seed=8)
+            [exact] = bayes_risk_mc([stacked(est)], pr, self.SCALE, grid, integrals, reps=4, seed=8)
             np.testing.assert_allclose(exact, simpson, rtol=1e-9, err_msg=name)
 
     @pytest.mark.parametrize("n", [51, 101])
@@ -600,10 +610,11 @@ class TestDesignCache:
         grid = DesignGrid(n)
         pr = self.prior(n)
         ref_bound, ref_risks = self.reference(pr, grid, mc_reps=40, reps=40)
-        bound = prior_van_trees_bound(pr, self.SCALE, grid, mc_reps=40, seed=606).bound
+        integrals = _family_integrals(pr.family, n)
+        bound = prior_van_trees_bound(pr, self.SCALE, grid, integrals, mc_reps=40, seed=606).bound
         assert bound == pytest.approx(ref_bound, rel=1e-9)
         ests = self.estimators(n)
-        risks = bayes_risk_mc([stacked(e) for e in ests.values()], pr, self.SCALE, grid,
+        risks = bayes_risk_mc([stacked(e) for e in ests.values()], pr, self.SCALE, grid, integrals,
                               reps=40, seed=607)
         for name, risk in zip(ests, risks):
             np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-9, err_msg=name)
@@ -630,13 +641,14 @@ class TestDesignCache:
 
         def count(reps):
             calls.update(element=0, design_tensor=0, block=0, g2=0, frechet=0)
-            prior_van_trees_bound(pr, scale, grid, mc_reps=reps, seed=1)
-            bayes_risk_mc([project], pr, scale, grid, reps=reps, seed=2)
+            integrals = _family_integrals(pr.family, 51)
+            prior_van_trees_bound(pr, scale, grid, integrals, mc_reps=reps, seed=1)
+            bayes_risk_mc([project], pr, scale, grid, integrals, reps=reps, seed=2)
             return dict(calls)
 
         few = count(3)
         assert few == count(12)
-        # the design once for the bound and once for the risk, each block of it and
-        # each block on the rule's nodes too
+        # the rule's nodes once, the design once for the bound and once for the risk,
+        # each block of them
         M = pr.family.M
-        assert few == {"element": 0, "design_tensor": 2, "block": 4 * M, "g2": 2, "frechet": 1}
+        assert few == {"element": 0, "design_tensor": 2, "block": 3 * M, "g2": 2, "frechet": 1}
