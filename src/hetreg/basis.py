@@ -185,9 +185,7 @@ def serial_dot(a, b):
     thread, so its last bits follow the thread count; these chunks do not.  Up
     to 2 SERIAL_DOT entries they are the ones two threads take.  A 2-d b of d
     columns makes each chunk rows * d * size multiply-adds, which the chunks do
-    not bound: the lower bound's (6, 2^18) Gram block S @ S.T, 27 chunks of
-    about 350k, ran at CPU/wall 1.00 (OpenBLAS 0.3.31, 2 vCPUs), but that is
-    OpenBLAS's choice, not this function's.
+    not bound; whether BLAS threads such a chunk is its own choice.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
