@@ -60,27 +60,17 @@ class DesignGrid:
 
 
 class SampledFunction:
-    """A real function on [0,1] evaluable anywhere, with its design-grid samples cached per n.
-
-    `on_grid` evaluates the function at grid.points the first time it sees a
-    grid of that size and returns the same read-only array after that; a
-    call evaluates the function at the points it is given.
-    """
+    """A real function on [0,1] evaluable anywhere; `on_grid` samples it on a design grid."""
 
     def __init__(self, fn, name: str = ""):
         self._fn = fn
         self.name = name
-        self._grid_cache: dict[int, np.ndarray] = {}
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))
 
     def on_grid(self, grid: DesignGrid) -> np.ndarray:
-        vals = self._grid_cache.get(grid.n)
-        if vals is None:
-            vals = self._grid_cache[grid.n] = np.asarray(self._fn(grid.points), dtype=float)
-            vals.flags.writeable = False
-        return vals
+        return self(grid.points)
 
     def l2_norm_sq(self) -> float:
         """Integral of the square over [0,1] (fixed Simpson rule)."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -87,16 +86,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file, then HETREG_SEED / HETREG_WORKERS, then flags; validated as a whole."""
+    """The config file, overridden by the flags; validated as a whole."""
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     over = {}
-    for key in ("seed", "workers"):
-        env = os.environ.get(f"HETREG_{key.upper()}")
-        if env is not None:
-            try:
-                over[key] = int(env)
-            except ValueError:
-                raise ValueError(f"HETREG_{key.upper()} must be an integer, got {env!r}") from None
     for key in ("seed", "reps", "workers"):
         if getattr(args, key, None) is not None:
             over[key] = getattr(args, key)

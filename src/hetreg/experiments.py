@@ -218,7 +218,7 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
 
 @dataclass
 class _StudyContext:
-    """Per-(n, noise) quantities shared by every replicate.
+    """Per-n quantities shared by every noise of the menu and every replicate.
 
     L: the family's tapers, then the fixed estimators' weights, cut to their
     support; `columns`: each named estimator's row of L, -1 for the adaptive
@@ -229,8 +229,6 @@ class _StudyContext:
     family: WeightFamily
     S_design: np.ndarray
     g_design: np.ndarray
-    noise: NoiseSpec
-    noise_idx: int
     seed: int
     L: np.ndarray
     columns: np.ndarray
@@ -241,9 +239,8 @@ class _StudyContext:
     identity: bool        # the full projection is among the estimators
 
 
-def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: int,
-                  estimators: list[str], S: SampledFunction, ball: SobolevBall,
-                  scale: ScaleModel) -> _StudyContext:
+def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: SampledFunction,
+                  ball: SobolevBall, scale: ScaleModel) -> _StudyContext:
     grid = DesignGrid(n)
     seqs = cfg.sequences(n)
     family = weight_family(n, seqs)
@@ -277,7 +274,7 @@ def _make_context(cfg: ExperimentConfig, n: int, noise: NoiseSpec, noise_idx: in
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        g_design=scale.g(grid.points, S), noise=noise, noise_idx=noise_idx, seed=cfg.seed,
+        g_design=scale.g(grid.points, S), seed=cfg.seed,
         L=L, columns=columns,
         analysis=basis_eval_matrix(max(w, seqs.l_n), grid.points) / n,
         targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :w],
@@ -294,8 +291,8 @@ def _head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
     return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
-def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
-    """Losses for replicates [rep_lo, rep_hi): (B, E, 2) plus family sweep (B, K).
+def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: int, rep_hi: int):
+    """Losses for replicates [rep_lo, rep_hi) of one noise: (B, E, 2) plus family sweep (B, K).
 
     Every estimator but the full projection is a row lam of ctx.L, so by
     Parseval both of its losses are sum_j lam_j^2 th_j^2 - 2 sum_j lam_j th_j t_j + c:
@@ -308,9 +305,9 @@ def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
     n = ctx.grid.n
     B = rep_hi - rep_lo
     Y = np.empty((B, n))
-    streams = substreams(ctx.seed, _TAG_RISK, n, ctx.noise_idx, reps=range(rep_lo, rep_hi))
+    streams = substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(rep_lo, rep_hi))
     for i, rng in enumerate(streams):
-        Y[i] = ctx.noise.draw(rng, n)
+        Y[i] = noise.draw(rng, n)
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
     head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
@@ -327,9 +324,10 @@ def _block_losses(ctx: _StudyContext, rep_lo: int, rep_hi: int):
     return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, :K]
 
 
-def _run_replicates(ctx: _StudyContext, reps: int):
+def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):
     rows = max(1, BLOCK_ENTRIES // ctx.grid.n)  # observations per block <= BLOCK_ENTRIES
-    results = [_block_losses(ctx, lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    results = [_block_losses(ctx, noise, noise_idx, lo, min(lo + rows, reps))
+               for lo in range(0, reps, rows)]
     return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
 
 
@@ -398,10 +396,10 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list 
     per_noise: dict[tuple[str, str, int], tuple] = {}
     named = [e for e in estimators if e != "per_family"]
     for n in cfg.n_grid:
+        ctx = _make_context(cfg, n, named, S, ball, scale)
         for noise_idx, nspec in enumerate(cfg.noise_menu):
             noise = NoiseSpec(**nspec)
-            ctx = _make_context(cfg, n, noise, noise_idx, named, S, ball, scale)
-            losses, sweep = _run_replicates(ctx, cfg.reps)
+            losses, sweep = _run_replicates(ctx, noise, noise_idx, cfg.reps)
             sweeps[(n, noise.label)] = sweep
             if "per_family" in estimators:
                 for kk, (alpha, _) in enumerate(ctx.family):

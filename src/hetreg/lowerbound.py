@@ -198,7 +198,7 @@ class LeastFavorablePrior:
         return math.sqrt(self.d_n) * self.t_star
 
 
-def _default_N(k: int, n: int, h_star: float) -> int:
+def _default_N(k: int, n: int) -> int:
     # the canonical [ln^4 n] + 1 choice is infeasible until astronomically
     # large n (h_n would exceed 1); the desk-scale cap keeps N = o(n^(1/(2k+1)))
     # so that h_n -> 0, and becomes inactive for very large n.
@@ -214,7 +214,6 @@ def least_favorable_prior(
     eps: float = 0.2,
     g0: Callable[[np.ndarray], np.ndarray] | None = None,
     eta: float = 0.05,
-    N_n: int | None = None,
 ) -> LeastFavorablePrior:
     """Construct the maximizing prior for sample size n.
 
@@ -234,7 +233,7 @@ def least_favorable_prior(
     upsilon = (1.0 + eps) * k / (c_eps * (k + 1.0) * two_k1)
     h_star = upsilon ** (1.0 / two_k1)
 
-    N = int(N_n) if N_n is not None else _default_N(k, n, h_star)
+    N = _default_N(k, n)
     while N >= 1:
         h = h_star * n ** (-1.0 / two_k1) * N
         if int(1.0 / (2.0 * h)) - 1 >= 1:

@@ -54,7 +54,7 @@ __all__ = [
     "nonperiodic_transform",
 ]
 
-SIMPSON_PANELS = 2**14  # fixed panel count for every quadrature in the package
+SIMPSON_PANELS = 2**14  # fixed (even) panel count for every quadrature in the package
 
 
 # SeedSequence's hash mixing (numpy, bit_generator.pyx) and PCG64's seeding
@@ -179,23 +179,21 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=8)
-def simpson_rule(a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, weights) of the composite Simpson rule on [a, b]."""
-    if panels % 2:
-        raise ValueError("panel count must be even")
-    x = np.linspace(a, b, panels + 1)
-    w = np.ones(panels + 1)
+def simpson_rule(a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the composite Simpson rule on [a, b], SIMPSON_PANELS panels."""
+    x = np.linspace(a, b, SIMPSON_PANELS + 1)
+    w = np.ones(SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= (b - a) / (3.0 * panels)
+    w *= (b - a) / (3.0 * SIMPSON_PANELS)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def simpson_integral(f, a: float = 0.0, b: float = 1.0, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule with an even, fixed number of panels, summed by `serial_dot`."""
-    x, w = simpson_rule(a, b, panels)
+def simpson_integral(f, a: float = 0.0, b: float = 1.0) -> float:
+    """Composite Simpson rule on SIMPSON_PANELS panels, summed by `serial_dot`."""
+    x, w = simpson_rule(a, b)
     return float(serial_dot(w, np.asarray(f(x), dtype=float)))
 
 
@@ -343,12 +341,10 @@ class NoiseSpec:
     df: int = 12
 
     KINDS = ("gaussian", "rademacher", "uniform", "student_t")
-    _ALIASES = {"uniform_normalized": "uniform", "student_t_normalized": "student_t"}
 
     def __post_init__(self):
         if not isinstance(self.kind, str):
             raise ValueError(f"noise kind must be a string, got {self.kind!r}")
-        object.__setattr__(self, "kind", self._ALIASES.get(self.kind, self.kind))
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "student_t" and not (isinstance(self.df, (int, float)) and self.df >= 5):

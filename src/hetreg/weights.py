@@ -61,13 +61,12 @@ def default_sequences(
     n: int,
     k_bar: float = 0.0,
     omega_bar: float = 0.0,
-    L_n: float | None = None,
     rho: float | None = None,
 ) -> TuningSequences:
     """Defaults eps = 1/ln n, k* = [k_bar + sqrt(ln n)], m = [1/eps^2].
 
-    L_n defaults to sqrt(ln n) (any slowly increasing sequence is allowed);
-    passing `rho` overrides the penalty coefficient directly.
+    The penalty coefficient is rho = 1 / (3 + L_n) with L_n = sqrt(ln n);
+    passing `rho` overrides it, and L_n = 1/rho - 3 follows.
     """
     if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n!r}")
@@ -79,8 +78,7 @@ def default_sequences(
     if l_n >= n:
         raise ValueError(f"l_n={l_n} must stay below n={n}")
     if rho is None:
-        if L_n is None:
-            L_n = math.sqrt(log_n)
+        L_n = math.sqrt(log_n)
         rho = 1.0 / (3.0 + L_n)
     else:
         L_n = 1.0 / rho - 3.0

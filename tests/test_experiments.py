@@ -220,12 +220,6 @@ class TestMcRisk:
         assert len(fam_rows) == s.k_star * s.m
         assert all(r.risk_empiric >= 0.0 for r in fam_rows)
 
-    def test_noise_kind_aliases(self):
-        from hetreg.models import NoiseSpec
-
-        assert NoiseSpec("uniform_normalized").kind == "uniform"
-        assert NoiseSpec("student_t_normalized", df=7).kind == "student_t"
-
     def test_batched_losses_match_per_replicate_estimate(self):
         # the block gets every estimator's two losses and the family sweep from
         # one stack of matmuls; each must equal the direct loss on that replicate
@@ -272,8 +266,7 @@ class TestMcRisk:
 
 def study_context(cfg, n, estimators):
     S, ball, _ = resolve_test_function(cfg)
-    return _make_context(cfg, n, NoiseSpec("gaussian"), 0, estimators, S, ball,
-                         resolve_scale(cfg.scale))
+    return _make_context(cfg, n, estimators, S, ball, resolve_scale(cfg.scale))
 
 
 class TestHeadOnlyBlock:
@@ -318,9 +311,10 @@ class TestHeadOnlyBlock:
             return best, costs
 
         monkeypatch.setattr(experiments, "select_rows", recorded)
-        losses, sweep = _block_losses(ctx, 5, 45)
+        gaussian = NoiseSpec("gaussian")
+        losses, sweep = _block_losses(ctx, gaussian, 0, 5, 45)
 
-        Y = np.stack([ctx.noise.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(5, 45))])
+        Y = np.stack([gaussian.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(5, 45))])
         Y = ctx.S_design + ctx.g_design * Y
         theta_hat = fourier_rows(Y)
         pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs)
@@ -615,6 +609,27 @@ class TestNoiseMenuEnvelope:
             env = next(r for r in rows if r.estimator == est and r.noise == "menu_max")
             assert env.risk_empiric == pytest.approx(max(r.risk_empiric for r in per))
 
+    def test_one_cell_per_n(self, monkeypatch):
+        # nothing in a study cell depends on the noise, so the whole menu shares one per n
+        from hetreg import experiments
+
+        sizes = []
+        make_context = experiments._make_context
+
+        def counted(cfg, n, *args):
+            sizes.append(n)
+            return make_context(cfg, n, *args)
+
+        monkeypatch.setattr(experiments, "_make_context", counted)
+        cfg = small_config(reps=6, n_grid=[51, 101],
+                           noise_menu=[{"kind": "gaussian"}, {"kind": "student_t", "df": 12}])
+        rows, _, _ = risk_study(cfg)
+        assert sizes == [51, 101]
+        assert [(r.noise, r.n) for r in rows if r.estimator == "adaptive"] == [
+            ("gaussian", 51), ("student_t12", 51), ("gaussian", 101), ("student_t12", 101),
+            ("menu_max", 51), ("menu_max", 101),
+        ]
+
 
 class TestCli:
     def test_simulate_then_estimate_roundtrip(self, tmp_path):
@@ -643,38 +658,12 @@ class TestCli:
         assert (out_dir / "risk.csv").exists()
         assert (out_dir / "risk.json").exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = dict(small_config(reps=6).__dict__)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        monkeypatch.setenv("HETREG_SEED", "42")
-        out_dir = tmp_path / "env_out"
-        cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
-        text = (out_dir / "risk.csv").read_text()
-        assert text.splitlines()[1].split(",")[-1] == "42"
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        cfg = dict(small_config(reps=6).__dict__)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        monkeypatch.setenv("HETREG_SEED", "42")
-        out_dir = tmp_path / "flag_out"
-        cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "77"])
-        text = (out_dir / "risk.csv").read_text()
-        assert text.splitlines()[1].split(",")[-1] == "77"
-
-    @pytest.mark.parametrize("argv, env, message", [
-        (["--reps", "0"], {}, "hetreg risk: reps must be an integer >= 1, got 0"),
-        (["--workers", "-3"], {}, "hetreg risk: workers must be an integer >= 1, got -3"),
-        ([], {"HETREG_WORKERS": "x"}, "hetreg risk: HETREG_WORKERS must be an integer, got 'x'"),
-        ([], {"HETREG_SEED": "1.5"}, "hetreg risk: HETREG_SEED must be an integer, got '1.5'"),
-        ([], {"HETREG_WORKERS": "0"}, "hetreg risk: workers must be an integer >= 1, got 0"),
-        (["--seed", "-1"], {}, "hetreg risk: seed must be an integer >= 0, got -1"),
-        ([], {"HETREG_SEED": "-2"}, "hetreg risk: seed must be an integer >= 0, got -2"),
+    @pytest.mark.parametrize("argv, message", [
+        (["--reps", "0"], "hetreg risk: reps must be an integer >= 1, got 0"),
+        (["--workers", "-3"], "hetreg risk: workers must be an integer >= 1, got -3"),
+        (["--seed", "-1"], "hetreg risk: seed must be an integer >= 0, got -1"),
     ])
-    def test_study_overrides_are_validated(self, tmp_path, monkeypatch, argv, env, message):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_study_overrides_are_validated(self, tmp_path, argv, message):
         out_dir = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             cli_main(["risk", "--out", str(out_dir), *argv])

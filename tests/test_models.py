@@ -45,10 +45,6 @@ class TestSimpson:
         assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
         np.testing.assert_allclose(w[:4] / w[0], [1.0, 4.0, 2.0, 4.0])
 
-    def test_odd_panels_rejected(self):
-        with pytest.raises(ValueError):
-            simpson_integral(lambda x: x, panels=7)
-
 
 class TestCumulativeSimpson:
     """The numpy port of SciPy's cumulative Simpson rule, held to SciPy bit for bit."""

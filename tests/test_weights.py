@@ -54,7 +54,7 @@ class TestDefaultSequences:
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\), got 0\.333"):
             TuningSequences(eps=0.5, k_star=1, m=4, l_n=2, L_n=0.0, rho=1.0 / 3.0)
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\)"):
-            default_sequences(101, L_n=0.0)
+            default_sequences(101, rho=1.0 / 3.0)
 
 
 class TestABeta:
