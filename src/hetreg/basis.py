@@ -175,11 +175,14 @@ def serial_dot(a, b):
     thread, so its last bits follow the thread count; these chunks do not.  Up
     to 2 SERIAL_DOT entries they are the ones two threads take.  A 2-d b of d
     columns makes each chunk rows * d * size multiply-adds, which the chunks do
-    not bound; whether BLAS threads such a chunk is its own choice.
+    not bound; whether BLAS threads such a chunk is its own choice.  Contracted
+    axes of different lengths raise ValueError, as for `@`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k = a.shape[-1]
+    if b.shape[0 if b.ndim == 1 else -2] != k:
+        raise ValueError(f"contracted axes differ in length: {a.shape} @ {b.shape}")
     size = -(-k // -(-k // SERIAL_DOT))
     chunks = range(0, k, size)
     if b.ndim == 1:

@@ -30,7 +30,6 @@ from .basis import (
     serial_matmul,
 )
 from .lowerbound import (
-    _family_integrals,
     bayes_risk_mc,
     check_conditions_A,
     least_favorable_prior,
@@ -573,12 +572,9 @@ def lower_bound_study(cfg: ExperimentConfig):
     rows: list[RiskRow] = []
     records = []
     for n in cfg.n_grid:
-        grid = DesignGrid(n)
         prior = least_favorable_prior(ball.k, ball.r, n, eps=eps, g0=g0, eta=eta)
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
-        integrals = _family_integrals(prior.family, n)  # (G, C), for the bound and the risks
-        report = prior_van_trees_bound(prior, scale, grid, integrals, mc_reps=lb["prior_mc"],
-                                       seed=cfg.seed)
+        report = prior_van_trees_bound(prior, scale, mc_reps=lb["prior_mc"], seed=cfg.seed)
         target = lower_bound_target(prior)
         conds = check_conditions_A(prior)
         rec = {
@@ -602,7 +598,7 @@ def lower_bound_study(cfg: ExperimentConfig):
             gamma_k=gamma0, seed=cfg.seed,
         ))
         ests = [_bayes_estimator(name, cfg, n) for name in lb["bayes_estimators"]]
-        risks = bayes_risk_mc(ests, prior, scale, grid, integrals, reps=cfg.reps, seed=cfg.seed)
+        risks = bayes_risk_mc(ests, prior, scale, reps=cfg.reps, seed=cfg.seed)
         for name, (risk, se) in zip(lb["bayes_estimators"], risks):
             rec["bayes_risks"][name] = {"risk": risk, "se": se,
                                         "exceeds_bound": bool(risk >= report.bound)}

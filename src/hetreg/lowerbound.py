@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum, serial_dot
 from .models import (
-    NoiseSpec,
     ScaleModel,
     mollifier_cdf,
     simpson_integral,
@@ -35,7 +34,6 @@ __all__ = [
     "mollified_indicator",
     "local_basis",
     "KernelFamily",
-    "kernel_family",
     "kernel_function",
     "ebar",
     "lagrange_solution",
@@ -101,17 +99,9 @@ class KernelFamily:
     def local_coord(self, m: int, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.centers[m - 1]) / self.h
 
-    def element(self, m: int, j: int, x) -> np.ndarray:
-        """D_{m,j}(x) = e_j(v_m(x)) chi_eta(v_m(x)); supported on one block."""
-        v = self.local_coord(m, x)
-        out = np.zeros_like(v)
-        inside = np.abs(v) < 1.0
-        vi = v[inside]
-        out[inside] = local_basis(j, vi) * mollified_indicator(self.eta, vi)
-        return out
-
     def block(self, m: int, x) -> np.ndarray:
-        """(N, len(x)) values of D_{m,1..N} at the points x."""
+        """(N, len(x)) values of D_{m,j}(x) = e_j(v_m(x)) chi_eta(v_m(x)), j = 1..N,
+        each supported on block m."""
         v = self.local_coord(m, x)
         out = np.zeros((self.N, len(v)))
         inside = np.abs(v) < 1.0
@@ -128,10 +118,6 @@ class KernelFamily:
         return np.stack([self.block(m, x) for m in range(1, self.M + 1)])
 
 
-def kernel_family(h: float, N: int, eta: float = 0.05) -> KernelFamily:
-    return KernelFamily(h=h, N=N, eta=eta)
-
-
 def kernel_function(z, family: KernelFamily, x):
     """S_z(x) = sum_{m,j} z_{m,j} D_{m,j}(x); at most one block covers any x."""
     z = np.asarray(z, dtype=float)
@@ -146,14 +132,10 @@ def kernel_function(z, family: KernelFamily, x):
 
 
 @lru_cache(maxsize=32)
-def _ebar_cached(j: int, eta: float) -> float:
-    return simpson_integral(lambda v: local_basis(j, v) ** 2 * mollified_indicator(eta, v),
-                            -1.0, 1.0)
-
-
 def ebar(j: int, eta: float) -> float:
     """int_{-1}^{1} e_j^2 chi_eta."""
-    return _ebar_cached(j, float(eta))
+    return simpson_integral(lambda v: local_basis(j, v) ** 2 * mollified_indicator(eta, v),
+                            -1.0, 1.0)
 
 
 def lagrange_solution(R: float, N: int, k: int) -> tuple[float, np.ndarray]:
@@ -179,7 +161,6 @@ class LeastFavorablePrior:
     R_star: float
     h_star: float
     d_n: float
-    N_nominal: int
     dropped_j: tuple
     g0_centers: np.ndarray
     varsigma_zero: float     # int g0^2
@@ -196,6 +177,17 @@ class LeastFavorablePrior:
     def sup_bound(self) -> float:
         """Uniform bound sqrt(d_n) t* for |S_theta| on the clipping event."""
         return math.sqrt(self.d_n) * self.t_star
+
+    @cached_property
+    def family_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D, G, C) at the prior's own n, built on first use: D (P, n) the kernel
+        family on the design, and from `_family_integrals` its Gram matrix G (P, P)
+        and its cross matrix C (n, P) with phi_1..phi_n.  An even n has no design
+        and is refused here, with `DesignGrid`'s message."""
+        grid = DesignGrid(self.n)
+        fam = self.family
+        D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, self.n)
+        return (D, *_family_integrals(fam, self.n))
 
 
 def _default_N(k: int, n: int) -> int:
@@ -263,7 +255,7 @@ def least_favorable_prior(
     return LeastFavorablePrior(
         family=family, k=k, r=r, eps=eps, n=n, t=t,
         y_star=y_star, a_star=a_star, R_star=R_star, h_star=h_star,
-        d_n=math.sqrt(N), N_nominal=N, dropped_j=tuple(range(N_ret + 1, N + 1)),
+        d_n=math.sqrt(N), dropped_j=tuple(range(N_ret + 1, N + 1)),
         g0_centers=g0_centers, varsigma_zero=varsigma_zero,
     )
 
@@ -274,6 +266,9 @@ def sample_prior(prior: LeastFavorablePrior, rng) -> tuple[np.ndarray, bool]:
         rng = np.random.default_rng(rng)
     zeta = rng.standard_normal(prior.t.shape)
     return prior.t * zeta, bool(np.max(zeta**2) <= prior.d_n)
+
+
+EPS0 = 0.5  # the eps0 > 0 of condition A4's exponent
 
 
 class ConditionsReport(NamedTuple):
@@ -289,14 +284,14 @@ class ConditionsReport(NamedTuple):
     positivity_ok: bool
 
 
-def check_conditions_A(prior: LeastFavorablePrior, eps0: float = 0.5) -> ConditionsReport:
+def check_conditions_A(prior: LeastFavorablePrior) -> ConditionsReport:
     """Numeric values of the prior-size conditions at the prior's own n."""
     k, h = prior.k, prior.family.h
     j = np.arange(1, prior.family.N + 1, dtype=float)
     t2 = prior.t**2
     a2_sum = prior.d_n / h ** (2 * k - 1) * float(np.sum(t2 * j ** (2 * (k - 1))))
     a3_sum = 1.0 / h ** (2 * k - 1) * float(np.sum(t2 * j ** (2 * k)))
-    a4_sum = 1.0 / h ** (4 * k - 2 + eps0) * float(np.sum(prior.t**4 * j ** (4 * k)))
+    a4_sum = 1.0 / h ** (4 * k - 2 + EPS0) * float(np.sum(prior.t**4 * j ** (4 * k)))
     a3_target = (1.0 - prior.eps) * prior.r * (2.0 / math.pi) ** (2 * k)
     return ConditionsReport(
         n=prior.n, N=prior.family.N, M=prior.family.M, h=h,
@@ -307,20 +302,18 @@ def check_conditions_A(prior: LeastFavorablePrior, eps0: float = 0.5) -> Conditi
 
 
 def conditions_trend(
-    k: int, r: float, n_grid, eps: float = 0.2, g0=None, eta: float = 0.05, eps0: float = 0.5
+    k: int, r: float, n_grid, eps: float = 0.2, g0=None, eta: float = 0.05
 ) -> list[ConditionsReport]:
     """The conditions are asymptotic; report their values along an n-grid."""
-    return [
-        check_conditions_A(least_favorable_prior(k, r, n, eps=eps, g0=g0, eta=eta), eps0=eps0)
-        for n in n_grid
-    ]
+    return [check_conditions_A(least_favorable_prior(k, r, n, eps=eps, g0=g0, eta=eta))
+            for n in n_grid]
 
 
-def van_trees_term(tau_bar: float, fisher: float, bias: float, prior_sd: float) -> float:
-    """One coordinate of the bound: tau_bar^2 / (F + B + t^-2)."""
-    if prior_sd <= 0.0:
+def van_trees_term(tau_bar, fisher, bias, prior_sd):
+    """The bound's coordinates tau_bar^2 / (F + B + t^-2), for scalars or arrays."""
+    if np.any(np.asarray(prior_sd) <= 0.0):
         raise ValueError("prior standard deviation must be positive")
-    return tau_bar**2 / (fisher + bias + prior_sd**-2)
+    return tau_bar**2 / (fisher + bias + prior_sd**-2.0)
 
 
 class VanTreesReport(NamedTuple):
@@ -388,16 +381,8 @@ def van_trees_bound(
     ginv2 /= mc_reps
     bias /= mc_reps
     fisher = D**2 @ ginv2
-    bound = float(np.sum(tau_bar**2 / (fisher + bias + prior_sd**-2.0)))
+    bound = float(np.sum(van_trees_term(tau_bar, fisher, bias, prior_sd)))
     return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
-
-
-def _rule_blocks(family: KernelFamily, n: int):
-    """K and, block by block, the (N, K) sample of D_{m,1..N} on the nodes k/K,
-    K the smallest power of two >= max(2^14, 2n)."""
-    K = max(2**14, 1 << (2 * n - 1).bit_length())
-    x = np.arange(K) / K
-    return K, (family.block(m, x) for m in range(1, family.M + 1))
 
 
 def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -415,10 +400,12 @@ def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndar
     every n; blocks meet only where chi = 0, so G is block diagonal.
     """
     N, P = family.N, family.M * family.N
+    K = max(2**14, 1 << (2 * n - 1).bit_length())
+    x = np.arange(K) / K
     gram = np.zeros((P, P))
     cross = np.empty((n, P))
-    K, blocks = _rule_blocks(family, n)
-    for lo, S in zip(range(0, P, N), blocks):
+    for m, lo in enumerate(range(0, P, N), start=1):
+        S = family.block(m, x)
         gram[lo : lo + N, lo : lo + N] = serial_dot(S, S.T) / K
         cross[:, lo : lo + N] = pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
     return gram, cross
@@ -427,31 +414,21 @@ def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndar
 def prior_van_trees_bound(
     prior: LeastFavorablePrior,
     scale: ScaleModel,
-    grid: DesignGrid,
-    integrals: tuple[np.ndarray, np.ndarray],
     mc_reps: int = 500,
     seed: int = 0,
 ) -> VanTreesReport:
-    """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2).
-
-    `integrals` is the family's (G, C) at this n, from `_family_integrals`;
-    the bound reads G only.
-    """
+    """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2)
+    on the prior's design, from its `family_arrays` D and G."""
     fam = prior.family
-    tau_bar = np.array([
-        math.sqrt(fam.h) * ebar(j, fam.eta) for _ in range(fam.M) for j in range(1, fam.N + 1)
-    ])
-    D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, grid.n)
-    gram, _ = integrals
-    return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, grid,
+    tau_bar = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
+    D, gram, _ = prior.family_arrays
+    return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, DesignGrid(prior.n),
                            mc_reps=mc_reps, seed=seed)
 
 
 def prior_expected_norm_sq(prior: LeastFavorablePrior) -> float:
-    """E ||S_theta||^2 = sum_p t_p^2 G_pp, block by block on `_family_integrals`' rule."""
-    K, blocks = _rule_blocks(prior.family, prior.n)
-    diag = np.concatenate([np.sum(S**2, axis=1) / K for S in blocks])
-    return float(prior.t.ravel() ** 2 @ diag)
+    """E ||S_theta||^2 = sum_p t_p^2 G_pp, G from the prior's `family_arrays`."""
+    return float(prior.t.ravel() ** 2 @ np.diag(prior.family_arrays[1]))
 
 
 def lower_bound_target(prior: LeastFavorablePrior) -> float:
@@ -470,34 +447,27 @@ def bayes_risk_mc(
     estimators,
     prior: LeastFavorablePrior,
     scale: ScaleModel,
-    grid: DesignGrid,
-    integrals: tuple[np.ndarray, np.ndarray],
     reps: int = 500,
     seed: int = 0,
-    noise: NoiseSpec | None = None,
 ) -> list[tuple[float, float]]:
     """Average continuous-norm loss of each estimator over one set of prior
-    draws and noise; (mean, standard error) per estimator, in order.
+    draws and Gaussian noise; (mean, standard error) per estimator, in order.
 
     Replicate r draws its prior coefficients t and then its noise from its own
     substream; `substreams` seeds a whole block of them at once.  A block of
     replicates, BLOCK_ENTRIES design entries at most, is one (B, n) stack of
-    observations Y = T @ D + g * noise, with D the family on the design,
+    observations Y = T @ D + g * noise on the prior's design, n = prior.n, with
     ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
     whole stack and must return the (B, n) basis coefficients c of its
-    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t, with (G, C) the
-    family's `integrals` at this n, from `_family_integrals`.
+    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t.  D, G and C are
+    the prior's `family_arrays`.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not estimators:
         return []
-    if noise is None:
-        noise = NoiseSpec("gaussian")
-    fam = prior.family
-    n = grid.n
-    D = fam.design_tensor(grid.points).reshape(fam.M * fam.N, n)
-    gram, cross = integrals
+    D, gram, cross = prior.family_arrays
+    grid, n = DesignGrid(prior.n), prior.n
     losses = np.empty((len(estimators), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):
@@ -506,7 +476,7 @@ def bayes_risk_mc(
         xi = np.empty((B, n))
         for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, lo + B))):
             rng.standard_normal(out=T[i])
-            xi[i] = noise.draw(rng, n)
+            rng.standard_normal(out=xi[i])
         T *= prior.t.ravel()
         s = T @ D
         norm_sq = _row_dots(T @ gram, T)

@@ -192,6 +192,18 @@ class TestSerialDot:
         np.testing.assert_array_equal(serial_dot(S, S.T),
                                       S[:, :8192] @ S[:, :8192].T + S[:, 8192:] @ S[:, 8192:].T)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(3), np.arange(5.0)),
+        (np.ones((2, 3)), np.ones((5, 4))),
+        (np.ones((4, 1, 51)), np.ones((4, 1001, 1))),  # row dots of two stacks of other widths
+    ])
+    def test_refuses_contracted_axes_of_different_lengths(self, a, b):
+        # `@` refuses these; cutting the longer axis to the shorter gives a number
+        with pytest.raises(ValueError):
+            a @ b
+        with pytest.raises(ValueError, match="contracted axes differ in length"):
+            serial_dot(a, b)
+
 
 class TestSynthesize:
     def test_zero_weights(self):
