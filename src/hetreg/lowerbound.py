@@ -17,13 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum, serial_dot
-from .models import (
-    ScaleModel,
-    mollifier_cdf,
-    simpson_integral,
-    substream,
-    substreams,
-)
+from .models import ScaleModel, mollifier_cdf, simpson_integral, substream, substreams
 from .theory import pinsker_constant
 
 # basis_eval_matrix is unused here but stays importable from this module:
@@ -329,6 +323,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return serial_dot(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r @ b for every row r, each `serial_dot(a_r, b)`: alike in any block."""
+    return serial_dot(a[:, None, :], b)[:, 0, :]
+
+
 def van_trees_bound(
     D,
     gram,
@@ -460,7 +459,7 @@ def bayes_risk_mc(
     ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
     whole stack and must return the (B, n) basis coefficients c of its
     estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t.  D, G and C are
-    the prior's `family_arrays`.
+    the prior's `family_arrays`; a row's loss does not depend on its block.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -478,10 +477,10 @@ def bayes_risk_mc(
             rng.standard_normal(out=T[i])
             rng.standard_normal(out=xi[i])
         T *= prior.t.ravel()
-        s = T @ D
-        norm_sq = _row_dots(T @ gram, T)
+        s = _row_products(T, D)
+        norm_sq = _row_dots(_row_products(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        Tc = T @ cross.T
+        Tc = _row_products(T, cross.T)
         for e, estimator in enumerate(estimators):
             c = estimator(Y, grid)
             if np.shape(c) != (B, n):

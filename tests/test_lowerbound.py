@@ -253,6 +253,16 @@ class TestVanTrees:
         assert van_trees_term(1.0, 10.0, 5.0, 0.5) < base
         assert van_trees_term(1.0, 10.0, 1.0, 0.25) < base
 
+    @pytest.mark.parametrize("sd", [0.0, -0.5])
+    def test_refuses_non_positive_prior_sd(self, sd):
+        # one such direction refuses the whole bound, as the scalar term does
+        grid = DesignGrid(51)
+        with pytest.raises(ValueError, match="prior standard deviation must be positive"):
+            van_trees_bound(np.ones((2, 51)), np.eye(2), np.ones(2), np.array([1.0, sd]),
+                            homogeneous_scale(1.0), grid, mc_reps=5)
+        with pytest.raises(ValueError, match="prior standard deviation must be positive"):
+            van_trees_term(1.0, 10.0, 1.0, sd)
+
     def test_missing_frechet_rejected(self):
         from hetreg.models import ScaleModel
 
@@ -332,9 +342,8 @@ class TestBayesRisk:
 
     @pytest.mark.parametrize("rows", [3, 24])
     def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
-        # blocks of `rows` replicates, and of rows / 4 draws for the bound,
-        # give the one-block numbers to rounding: a one-row block is a gemv and
-        # other row counts take other gemm kernels, so a loss may move in its last bit
+        # blocks of `rows` replicates give the one-block risk bit for bit, and
+        # blocks of rows / 4 draws give the one-block bound to rounding
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)  # P = 4 directions
 
@@ -348,7 +357,7 @@ class TestBayesRisk:
         whole = run()
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)
         blocked = run()
-        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13, atol=0)
+        assert blocked[0] == whole[0]
         assert blocked[1] == pytest.approx(whole[1], rel=1e-13)
 
     def test_row_dots_are_single_row_dots(self):
@@ -357,6 +366,15 @@ class TestBayesRisk:
         a, b = rng.standard_normal((2, 40, 101))
         dots = lowerbound._row_dots(a, b)
         assert all(dots[r] == a[r] @ b[r] for r in range(40))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_row_products_are_single_row_products(self, transposed):
+        # each row of T @ D, T @ G and T @ C' rounds as the one-draw product would
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((40, 12))
+        b = rng.standard_normal((1001, 12)).T if transposed else rng.standard_normal((12, 1001))
+        rows = lowerbound._row_products(a, b)
+        assert all(np.array_equal(rows[r], a[r] @ b) for r in range(40))
 
     def test_adaptive_beats_bound(self):
         scale = homogeneous_scale(1.0)
