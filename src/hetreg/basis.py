@@ -153,17 +153,24 @@ def serial_matmul(a, b) -> np.ndarray:
 
     BLAS then computes every block in the calling thread.  On a shared 2-vCPU
     machine a threaded product of a study block's size can wait milliseconds
-    for its second thread, far longer than the product itself takes.  A 1-d
+    for its second thread, far longer than the product itself takes.  A short
+    last block is padded with zero rows to the full height, so a row gets the
+    same bits however many rows follow it: numpy runs a one-row product as
+    gemv, and OpenBLAS rounds gemm differently at different row counts.  A 1-d
     `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return a @ b
     rows = max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1]))
-    out = np.empty(a.shape[:-1] + b.shape[-1:])
-    for lo in range(0, a.shape[-2], rows):
-        np.matmul(a[..., lo : lo + rows, :], b, out=out[..., lo : lo + rows, :])
-    return out
+    B = a.shape[-2]
+    out = np.empty(a.shape[:-2] + (-(-B // rows) * rows,) + b.shape[-1:])
+    for lo in range(0, B, rows):
+        block = a[..., lo : lo + rows, :]
+        if lo + rows > B:
+            block = np.concatenate([block, np.zeros(a.shape[:-2] + (lo + rows - B, a.shape[-1]))], axis=-2)
+        np.matmul(block, b, out=out[..., lo : lo + rows, :])
+    return out[..., :B, :]
 
 
 def serial_dot(a, b):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,7 +57,7 @@ def _cmd_estimate(args) -> int:
         out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
         payload = _estimator_output_json(out, grid)
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(f"hetreg estimate: {err}") from err
     if args.out:
         Path(args.out).write_text(text)
@@ -86,15 +85,13 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file, overridden by the flags; validated as a whole."""
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    over = {}
-    for key in ("seed", "reps", "workers"):
-        if getattr(args, key, None) is not None:
-            over[key] = getattr(args, key)
-    if getattr(args, "out", None):
-        over["output_path"] = args.out
-    return dataclasses.replace(cfg, **over)
+    """The config file, overridden by the flags; validated once, as a whole."""
+    spec = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(spec, dict):  # from_dict refuses anything else
+        flags = {"seed": args.seed, "reps": getattr(args, "reps", None),
+                 "workers": getattr(args, "workers", None), "output_path": args.out or None}
+        spec.update((key, value) for key, value in flags.items() if value is not None)
+    return ExperimentConfig.from_dict(spec)
 
 
 def _cmd_study(name: str, cfg: ExperimentConfig) -> int:
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.out)
         return _cmd_study(args.command, cfg)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(f"hetreg {args.command}: {err}") from err
 
 

@@ -166,6 +166,16 @@ class TestSerialMatmul:
         a, b = rng.standard_normal(lead + (rows, k)), rng.standard_normal((k, d))
         np.testing.assert_allclose(serial_matmul(a, b), a @ b, rtol=1e-13, atol=1e-13 * np.sqrt(k))
 
+    @given(k=st.sampled_from([8, 101, 3001]), d=st.integers(1, 40), seed=seeds)
+    def test_a_row_does_not_follow_the_row_count(self, k, d, seed):
+        # a short last block is padded to the full height: no row is left to
+        # gemv, or to a gemm of another height
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((70, k)), rng.standard_normal((k, d))
+        full = serial_matmul(a, b)
+        for rows in (1, 2, 3, 5, 69):
+            np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
+
     def test_vector_is_one_product(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal(501), rng.standard_normal((501, 40))

@@ -21,7 +21,6 @@ from hetreg.experiments import (
     _make_context,
     efficiency_study,
     lower_bound_study,
-    mc_risk,
     oracle_coefficient,
     oracle_study,
     resolve_scale,
@@ -181,10 +180,10 @@ class TestMcRisk:
     def test_full_projection_pure_noise(self):
         # lam == 1, S == 0, g == 1: E||S_hat - S||_n^2 = 1
         cfg = small_config(
-            test_function={"preset": "S3"}, scale={"sigma": 1.0}, reps=400,
+            test_function={"preset": "S3"}, scale={"sigma": 1.0}, reps=400, estimators=["projection"],
         )
-        out = mc_risk(cfg, "projection", {"kind": "gaussian"}, 51)
-        assert abs(out["risk_empiric"] - 1.0) <= 4.0 * out["se_empiric"]
+        [out], _, _ = risk_study(cfg)
+        assert abs(out.risk_empiric - 1.0) <= 4.0 * out.se_empiric
 
     def test_adaptive_no_worse_than_full_projection(self):
         cfg = small_config(reps=100, n_grid=[101])
@@ -205,10 +204,10 @@ class TestMcRisk:
     def test_single_coefficient_projection_pure_noise(self):
         # lam = indicator{1}, S == 0, g == 1: risk = 1/n
         cfg = small_config(
-            test_function={"preset": "S3"}, scale={"sigma": 1.0}, reps=400,
+            test_function={"preset": "S3"}, scale={"sigma": 1.0}, reps=400, estimators=["projection:1"],
         )
-        out = mc_risk(cfg, "projection:1", {"kind": "gaussian"}, 51)
-        assert abs(out["risk_empiric"] - 1.0 / 51.0) <= 4.0 * out["se_empiric"]
+        [out], _, _ = risk_study(cfg)
+        assert abs(out.risk_empiric - 1.0 / 51.0) <= 4.0 * out.se_empiric
 
     def test_per_family_rows(self):
         cfg = small_config(reps=10, estimators=["adaptive", "per_family"])
@@ -405,6 +404,19 @@ class TestOracleStudy:
             assert rec["slack"] >= 0.0
         assert {r.estimator for r in rows} == {"adaptive", "family_min"}
 
+    def test_each_noise_reads_its_own_cell(self):
+        cfg = small_config(reps=20, n_grid=[51, 101], rho=0.25,
+                           noise_menu=[{"kind": "gaussian"}, {"kind": "student_t", "df": 6}])
+        rows, summary, _ = oracle_study(cfg)
+        risk = {(r.estimator, r.noise, r.n): r.risk_empiric for r in rows}
+        for label in ("gaussian", "student_t6"):
+            recs = summary["per_noise"][label]
+            assert [rec["n"] for rec in recs] == [51, 101]
+            for rec in recs:
+                assert rec["adaptive_risk"] == risk["adaptive", label, rec["n"]]
+                assert rec["min_family_risk"] == risk["family_min", label, rec["n"]]
+        assert risk["adaptive", "gaussian", 51] != risk["adaptive", "student_t6", 51]
+
     def test_trend_pass_flag_present(self):
         cfg = small_config(reps=40, n_grid=[51, 101], rho=0.25)
         _, summary, _ = oracle_study(cfg)
@@ -419,6 +431,16 @@ class TestEfficiencyStudy:
         assert trend["ns"] == [51, 101]
         assert len(trend["oracle_ratios"]) == 2
         assert all(r > 0 for r in trend["oracle_ratios"])
+
+    def test_trend_reads_oracle_weight_whatever_the_estimators(self):
+        # the trend is oracle_weight's: a config that names other estimators
+        # must not leave it empty (it wrote ns [] and a NaN final ratio)
+        rows, summary, _ = efficiency_study(small_config(reps=20, n_grid=[51, 101],
+                                                         estimators=["adaptive", "projection"]))
+        assert {r.estimator for r in rows} == {"adaptive", "oracle_weight"}
+        assert summary["trend"]["gaussian"]["ns"] == [51, 101]
+        _, both, _ = efficiency_study(small_config(reps=20, n_grid=[51, 101]))
+        assert summary == both
 
     def test_homogeneous_scale_recovers_classical_normalization(self):
         from hetreg.theory import pinsker_constant
@@ -571,6 +593,18 @@ class TestDeterminism:
         rows1, _, _ = risk_study(cfg1)
         rows8, _, _ = risk_study(cfg8)
         assert [r.as_csv() for r in rows1] == [r.as_csv() for r in rows8]
+
+    @pytest.mark.parametrize("n", [101, 1001, 3001])
+    def test_replicate_losses_do_not_follow_reps(self, n):
+        # a short trailing row block of a product used to run as gemv, or as a
+        # gemm of another height, and round differently from a full one
+        def losses(reps):
+            cfg = small_config(n_grid=[n], reps=reps, estimators=ESTIMATOR_KINDS, save_losses=True)
+            return {(e, rep): (a, b) for e, _, _, rep, a, b in risk_study(cfg)[2]}
+
+        for few, more in ((1, 2), (3, 4), (7, 12)):
+            short, long = losses(few), losses(more)
+            assert short == {key: long[key] for key in short}
 
     def test_csv_bytes_identical(self, tmp_path):
         paths = []
@@ -752,6 +786,7 @@ class TestCli:
         ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
         ({"kind": "student_t", "df": "8"}, "student_t requires df >= 5, got '8'"),
         ({"kind": ["gaussian"]}, "noise kind must be a string, got ['gaussian']"),
+        ({"kind": "gaussian", "df": 5}, "noise labels must be unique, got ['gaussian', 'gaussian']"),
     ])
     def test_noise_menu_is_refused_before_any_replicate(self, tmp_path, monkeypatch, entry, message):
         from hetreg import experiments
@@ -785,6 +820,38 @@ class TestCli:
         assert str(exc.value.code) == ("hetreg risk: every taper is zero: the largest cutoff omega "
                                        "is 0.408772 <= 1 (omega_bar=-4.5)")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config", [5, [1, 2], "risk"], ids=["number", "list", "string"])
+    def test_config_must_be_a_mapping(self, tmp_path, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--reps", "4", "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == f"hetreg risk: config must be a mapping, got {config!r}"
+
+    @pytest.mark.parametrize("argv", [["risk", "--config"], ["estimate", "--data"]], ids=["config", "data"])
+    def test_missing_input_file_is_one_line(self, tmp_path, argv):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, str(missing), "--out", str(tmp_path / "out")])
+        assert str(exc.value.code) == (f"hetreg {argv[0]}: [Errno 2] No such file or "
+                                       f"directory: {str(missing)!r}")
+
+    def test_study_call_validates_one_config(self, tmp_path, monkeypatch):
+        # the file and the flags are merged first, so the config is built and checked once
+        calls = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counted(self):
+            calls.append(self.seed)
+            post_init(self)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51, 101], "reps": 4, "seed": 1}))
+        assert cli_main(["efficiency", "--config", str(cfg_path), "--seed", "2", "--reps", "6",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == [2]
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_has_no_study_knobs(self, tmp_path, flag):

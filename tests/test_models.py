@@ -363,9 +363,11 @@ class TestNonperiodicTransform:
         eps = 0.1
         vals = np.empty((reps, g.n))
         s_chi = S1.on_grid(g) * chi.on_grid(g)
-        for rep in range(reps):
-            Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, substream(8, 1, rep))
-            Yt, _ = nonperiodic_transform(Y, scale, chi, eps, g, substream(8, 2, rep))
+        # replicate rep draws from substream(8, 1, rep) and substream(8, 2, rep)
+        streams = zip(substreams(8, 1, reps=range(reps)), substreams(8, 2, reps=range(reps)))
+        for rep, (rng_y, rng_t) in enumerate(streams):
+            Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, rng_y)
+            Yt, _ = nonperiodic_transform(Y, scale, chi, eps, g, rng_t)
             vals[rep] = Yt - s_chi
         j = 5
         target = chi.on_grid(g)[j] ** 2 + eps**2
