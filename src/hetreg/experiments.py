@@ -29,14 +29,15 @@ from .basis import (
     serial_matmul,
 )
 from .lowerbound import (
+    BAYES_ESTIMATORS,
     bayes_risk_mc,
     check_conditions_A,
     least_favorable_prior,
     lower_bound_target,
     prior_van_trees_bound,
 )
-from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, smooth_cutoff, substreams
-from .selection import select_rows, tail_energy
+from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, mean_se, smooth_cutoff, substreams
+from .selection import select_rows, taper_losses
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -70,9 +71,8 @@ __all__ = [
 ]
 
 _TAG_RISK = 3
-_BAYES_ESTIMATORS = ("zero", "projection", "adaptive")
 _LOWERBOUND_DEFAULTS = {
-    "eps": 0.2, "eta": 0.05, "prior_mc": 500, "bayes_estimators": _BAYES_ESTIMATORS,
+    "eps": 0.2, "eta": 0.05, "prior_mc": 500, "bayes_estimators": BAYES_ESTIMATORS,
 }
 
 
@@ -106,6 +106,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.n_grid, list):
             raise ValueError(f"n_grid must be a list of odd integers >= 3, got {self.n_grid!r}")
+        if not self.n_grid:
+            raise ValueError("n_grid must hold at least one n, got []")
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, int) or n % 2 == 0 or n < 3:
                 raise ValueError(f"all n must be odd integers >= 3, got {n!r}")
@@ -134,6 +136,8 @@ class ExperimentConfig:
             if r is not None and (isinstance(r, bool) or not isinstance(r, (int, float))
                                   or not (math.isfinite(r) and r > 0.0)):
                 raise ValueError(f"ball r must be a positive finite number or null, got {r!r}")
+        if not self.noise_menu:
+            raise ValueError(f"noise_menu must hold at least one noise, got {self.noise_menu!r}")
         labels = []
         for nspec in self.noise_menu:
             _check_keys("noise", nspec, ("kind", "df"))
@@ -145,8 +149,10 @@ class ExperimentConfig:
         if not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
             raise ValueError(f"lowerbound prior_mc must be an integer >= 1, got {lb['prior_mc']!r}")
         for name in lb["bayes_estimators"]:
-            if name not in _BAYES_ESTIMATORS:
+            if name not in BAYES_ESTIMATORS:
                 raise ValueError(f"unknown bayes estimator {name!r}")
+        if len(set(lb["bayes_estimators"])) < len(lb["bayes_estimators"]):  # the JSON keys them by name
+            raise ValueError(f"bayes estimators must be unique, got {list(lb['bayes_estimators'])}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -281,13 +287,13 @@ def _head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
 def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: int, rep_hi: int):
     """Losses for replicates [rep_lo, rep_hi) of one noise: (B, E, 2) plus family sweep (B, K).
 
-    Every estimator but the full projection is a row lam of ctx.L, so by
-    Parseval both of its losses are sum_j lam_j^2 th_j^2 - 2 sum_j lam_j th_j t_j + c:
-    the empiric ||S_lam - S||_n^2 with t = theta_n, c = |theta_n|^2, and the step
-    extension's ||T(S_lam) - S||^2 with t_j = sum_l phi_j(l/n) int_cell_l S,
-    c = ||S||^2.  One stack of matmuls gives both for every row; the adaptive
-    estimator is its pick's row.  The full projection is the identity on the
-    grid: its losses are mean((Y - S)^2) and |Y|^2 / n - 2 Y . int_cell S + ||S||^2.
+    Every estimator but the full projection is a row lam of ctx.L, so both of
+    its losses are `taper_losses` of that row: the empiric ||S_lam - S||_n^2
+    with t = theta_n, c = |theta_n|^2, and the step extension's
+    ||T(S_lam) - S||^2 with t_j = sum_l phi_j(l/n) int_cell_l S, c = ||S||^2.
+    One call gives both for every row; the adaptive estimator is its pick's
+    row.  The full projection is the identity on the grid: its losses are
+    mean((Y - S)^2) and |Y|^2 / n - 2 Y . int_cell S + ||S||^2.
     """
     n = ctx.grid.n
     B = rep_hi - rep_lo
@@ -299,9 +305,7 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
     Y += ctx.S_design
     head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
     K, w = len(ctx.family), ctx.L.shape[1]
-    th = head[:, :w]
-    quad = serial_matmul(th**2, (ctx.L**2).T)
-    loss = quad - 2.0 * serial_matmul(th * ctx.targets[:, None, :], ctx.L.T) + ctx.consts[:, None, None]
+    loss = taper_losses(ctx.L, head[:, :w], ctx.targets[:, None, :], ctx.consts[:, None, None])
     if ctx.identity:
         identity = [np.mean((Y - ctx.S_design) ** 2, axis=1),
                     energy - 2.0 * serial_matmul(Y, ctx.cell_int_s[:, None])[:, 0] + ctx.consts[1]]
@@ -316,12 +320,6 @@ def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: 
     results = [_block_losses(ctx, noise, noise_idx, lo, min(lo + rows, reps))
                for lo in range(0, reps, rows)]
     return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
-
-
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(x))
-    se = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    return m, se
 
 
 def oracle_coefficient(rho: float) -> float:
@@ -393,12 +391,12 @@ def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list 
             sweeps[(n, noise.label)] = sweep
             if "per_family" in estimators:
                 for kk, (alpha, _) in enumerate(ctx.family):
-                    m_f, se_f = _mean_se(sweep[:, kk])
+                    m_f, se_f = mean_se(sweep[:, kk])
                     label = f"lambda[{alpha.beta},{alpha.t:.6g}]"
                     rows.append(row(label, noise.label, n, m_f, se_f))
             for e, name in enumerate(named):
-                m_n, se_n = _mean_se(losses[:, e, 0])
-                m_2, se_2 = _mean_se(losses[:, e, 1])
+                m_n, se_n = mean_se(losses[:, e, 0])
+                m_2, se_2 = mean_se(losses[:, e, 1])
                 rows.append(row(name, noise.label, n, m_n, se_n, m_2, se_2))
                 key = (name, "menu_max", n)
                 if key not in per_noise or m_n > per_noise[key][0]:
@@ -452,7 +450,7 @@ def oracle_study(cfg: ExperimentConfig):
         })
         rows.append(RiskRow(
             estimator="family_min", noise=label, n=n,
-            risk_empiric=min_risk, se_empiric=_mean_se(sweep[:, best])[1],
+            risk_empiric=min_risk, se_empiric=mean_se(sweep[:, best])[1],
             risk_l2=math.nan, se_l2=math.nan,
             normalized_ratio=n**rate * min_risk / gamma, gamma_k=gamma, seed=cfg.seed,
         ))
@@ -512,27 +510,6 @@ def efficiency_study(cfg: ExperimentConfig):
     return rows, summary, None
 
 
-def _bayes_estimator(name: str, cfg: ExperimentConfig, n: int):
-    """bayes_risk_mc's estimator for design size n: (B, n) observations to (B, n) coefficients."""
-    if name == "zero":
-        return lambda Y, grid: np.zeros(np.shape(Y))
-    if name == "projection":
-        return lambda Y, grid: fourier_rows(Y)
-    if name == "adaptive":
-        seqs = cfg.sequences(n)
-        family = weight_family(n, seqs)
-
-        def run(Y, grid):
-            th = fourier_rows(Y)
-            best, _ = select_rows(family.W, th, tail_energy(th, seqs.l_n), n, seqs)
-            fit = np.zeros_like(th)  # every taper is zero past the stack's width
-            fit[..., : family.W.shape[1]] = family.W[best] * th[..., : family.W.shape[1]]
-            return fit
-
-        return run
-    raise ValueError(f"unknown bayes estimator {name!r}")
-
-
 def lower_bound_study(cfg: ExperimentConfig):
     """van Trees bound for the constructed prior vs MC Bayes risks (Gaussian noise)."""
     lb = {**_LOWERBOUND_DEFAULTS, **cfg.lowerbound}
@@ -549,41 +526,28 @@ def lower_bound_study(cfg: ExperimentConfig):
         prior = least_favorable_prior(ball.k, ball.r, n, eps=eps, g0=g0, eta=eta)
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
         report = prior_van_trees_bound(prior, scale, mc_reps=lb["prior_mc"], seed=cfg.seed)
-        target = lower_bound_target(prior)
-        conds = check_conditions_A(prior)
-        rec = {
+        names = lb["bayes_estimators"]
+        risks = dict(zip(names, bayes_risk_mc(names, prior, scale, cfg.sequences(n),
+                                              reps=cfg.reps, seed=cfg.seed)))
+        records.append({
             "n": n,
             "bound": report.bound,
             "normalized_bound": n**rate * report.bound,
-            "target_constant": target,
+            "target_constant": lower_bound_target(prior),
             "prior": {
                 "N": prior.family.N, "M": prior.family.M, "h": prior.family.h,
                 "R_star": prior.R_star, "h_star": prior.h_star,
                 "dropped_j": list(prior.dropped_j),
             },
-            "conditions": conds._asdict(),
-            "bayes_risks": {},
-        }
-        rows.append(RiskRow(
-            estimator="van_trees_bound", noise="gaussian", n=n,
-            risk_empiric=math.nan, se_empiric=math.nan,
-            risk_l2=report.bound, se_l2=0.0,
-            normalized_ratio=n**rate * report.bound / gamma0,
-            gamma_k=gamma0, seed=cfg.seed,
-        ))
-        ests = [_bayes_estimator(name, cfg, n) for name in lb["bayes_estimators"]]
-        risks = bayes_risk_mc(ests, prior, scale, reps=cfg.reps, seed=cfg.seed)
-        for name, (risk, se) in zip(lb["bayes_estimators"], risks):
-            rec["bayes_risks"][name] = {"risk": risk, "se": se,
-                                        "exceeds_bound": bool(risk >= report.bound)}
-            rows.append(RiskRow(
-                estimator=f"bayes_{name}", noise="gaussian", n=n,
-                risk_empiric=math.nan, se_empiric=math.nan,
-                risk_l2=risk, se_l2=se,
-                normalized_ratio=n**rate * risk / gamma0,
-                gamma_k=gamma0, seed=cfg.seed,
-            ))
-        records.append(rec)
+            "conditions": check_conditions_A(prior)._asdict(),
+            "bayes_risks": {name: {"risk": risk, "se": se, "exceeds_bound": bool(risk >= report.bound)}
+                            for name, (risk, se) in risks.items()},
+        })
+        # the bound and every Bayes risk are L2 risks at this n, one CSV row each
+        for name, (risk, se) in [("van_trees_bound", (report.bound, 0.0)),
+                                 *((f"bayes_{name}", r) for name, r in risks.items())]:
+            rows.append(RiskRow(name, "gaussian", n, math.nan, math.nan, risk, se,
+                                n**rate * risk / gamma0, gamma0, cfg.seed))
     summary = {
         "study": "lower_bound", "seed": cfg.seed, "reps": cfg.reps,
         "eps": eps, "eta": eta, "records": records,

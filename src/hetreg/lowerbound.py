@@ -16,9 +16,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, pack_spectrum, serial_dot
-from .models import ScaleModel, mollifier_cdf, simpson_integral, substream, substreams
+from .basis import BLOCK_ENTRIES, DesignGrid, fourier_rows, pack_spectrum, serial_dot
+from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
+from .selection import select_rows, tail_energy, taper_losses
 from .theory import pinsker_constant
+from .weights import TuningSequences, weight_family
 
 # basis_eval_matrix is unused here but stays importable from this module:
 # bench/tracing.py patches it at this lookup site.
@@ -43,8 +45,11 @@ __all__ = [
     "prior_van_trees_bound",
     "prior_expected_norm_sq",
     "lower_bound_target",
+    "BAYES_ESTIMATORS",
     "bayes_risk_mc",
 ]
+
+BAYES_ESTIMATORS = ("zero", "projection", "adaptive")
 
 
 def mollified_indicator(eta: float, x) -> np.ndarray:
@@ -443,31 +448,38 @@ def lower_bound_target(prior: LeastFavorablePrior) -> float:
 
 
 def bayes_risk_mc(
-    estimators,
+    names,
     prior: LeastFavorablePrior,
     scale: ScaleModel,
+    seqs: TuningSequences,
     reps: int = 500,
     seed: int = 0,
 ) -> list[tuple[float, float]]:
-    """Average continuous-norm loss of each estimator over one set of prior
-    draws and Gaussian noise; (mean, standard error) per estimator, in order.
+    """Average continuous-norm loss of each named estimator, one of
+    `BAYES_ESTIMATORS`, over one set of prior draws and Gaussian noise; (mean,
+    standard error) per name, in order.
 
-    Replicate r draws its prior coefficients t and then its noise from its own
-    substream; `substreams` seeds a whole block of them at once.  A block of
-    replicates, BLOCK_ENTRIES design entries at most, is one (B, n) stack of
-    observations Y = T @ D + g * noise on the prior's design, n = prior.n, with
-    ||S_t||^2 = t'Gt.  Every `estimator(Y, grid)` runs once per block on the
-    whole stack and must return the (B, n) basis coefficients c of its
-    estimates; each row's loss is ||c||^2 - 2 c'C t + t'G t.  D, G and C are
-    the prior's `family_arrays`; a row's loss does not depend on its block.
+    Replicate r draws its prior coefficients t, then its noise, from its own
+    substream; `substreams` seeds a block of them at once.  A block, at most
+    BLOCK_ENTRIES design entries, is one (B, n) stack Y = T @ D + g * noise on
+    the prior's design (n = prior.n; D, G, C its `family_arrays`), and one
+    `fourier_rows(Y)` gives its theta_hat.  Coefficients c lose
+    ||c||^2 - 2 c'C t + t'Gt: `zero` loses t'Gt, `projection` keeps theta_hat,
+    and `adaptive` is the `taper_losses` row that `select_rows` picks from
+    `weight_family(n, seqs)`, as in a study.  A row's loss does not depend on its block.
     """
+    for name in names:
+        if name not in BAYES_ESTIMATORS:
+            raise ValueError(f"unknown bayes estimator {name!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not estimators:
+    if not names:
         return []
     D, gram, cross = prior.family_arrays
     grid, n = DesignGrid(prior.n), prior.n
-    losses = np.empty((len(estimators), reps))
+    W = weight_family(n, seqs).W
+    m = W.shape[1]
+    losses = np.empty((len(names), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):
         B = min(step, reps - lo)
@@ -481,13 +493,13 @@ def bayes_risk_mc(
         norm_sq = _row_dots(_row_products(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
         Tc = _row_products(T, cross.T)
-        for e, estimator in enumerate(estimators):
-            c = estimator(Y, grid)
-            if np.shape(c) != (B, n):
-                raise ValueError(f"estimator must return a ({B}, {n}) stack of coefficient "
-                                 f"vectors, got shape {np.shape(c)}")
-            losses[e, lo : lo + B] = _row_dots(c, c) - 2.0 * _row_dots(c, Tc) + norm_sq
-    return [
-        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
-        for row in losses
-    ]
+        th = fourier_rows(Y)
+        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        by_name = {
+            "zero": norm_sq,
+            "projection": _row_dots(th, th) - 2.0 * _row_dots(th, Tc) + norm_sq,
+            "adaptive": taper_losses(W, th[:, :m], Tc[:, :m], norm_sq[:, None])[np.arange(B), pick],
+        }
+        for e, name in enumerate(names):
+            losses[e, lo : lo + B] = by_name[name]
+    return [mean_se(row) for row in losses]

@@ -40,6 +40,7 @@ __all__ = [
     "SIMPSON_PANELS",
     "substream",
     "substreams",
+    "mean_se",
     "simpson_rule",
     "simpson_integral",
     "mollifier",
@@ -176,6 +177,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     if not key:
         raise ValueError("substream needs at least one key entry")
     return next(substreams(seed, *key[:-1], reps=[int(key[-1])]))
+
+
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Mean of replicate values and its standard error (0.0 for one replicate)."""
+    se = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    return float(np.mean(x)), se
 
 
 @lru_cache(maxsize=8)

@@ -19,6 +19,7 @@ __all__ = [
     "EstimatorOutput",
     "tail_energy",
     "family_costs",
+    "taper_losses",
     "select_rows",
     "select",
     "estimate",
@@ -72,6 +73,14 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np
             "the squared Fourier coefficients overflow"
         )
     return costs
+
+
+def taper_losses(L: np.ndarray, th, targets, consts) -> np.ndarray:
+    """Loss (..., K) of every taper row of L (K, m) on every row of th (..., m): by
+    Parseval, sum_j L_kj^2 th_j^2 - 2 sum_j L_kj th_j t_j + c against a target with
+    coefficients t (`targets`, broadcast against th) and squared norm c (`consts`,
+    broadcast against the loss)."""
+    return serial_matmul(th**2, (L**2).T) - 2.0 * serial_matmul(th * targets, L.T) + consts
 
 
 def select_rows(W: np.ndarray, head, tail, n: int,

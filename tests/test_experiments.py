@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetreg.basis import DesignGrid, fourier_rows, grid_values
+from hetreg.basis import DesignGrid, fourier_rows
 from hetreg.cli import main as cli_main
 from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _bayes_estimator,
     _block_losses,
     _head_and_tail,
     _make_context,
@@ -31,7 +30,7 @@ from hetreg.experiments import (
 from hetreg.models import NoiseSpec, substreams
 from hetreg.selection import estimate, select_rows, tail_energy
 from hetreg.theory import cell_integrals, oracle_index
-from hetreg.weights import pinsker_weights, weight_family
+from hetreg.weights import default_sequences, pinsker_weights, weight_family
 
 
 def small_config(**over):
@@ -120,7 +119,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("lowerbound", [
         {"prior_mcc": 50}, {"prior_mc": 0}, {"prior_mc": "500"},
-        {"bayes_estimators": ["lasso"]}, [],
+        {"bayes_estimators": ["lasso"]}, [], {"bayes_estimators": ["adaptive", "adaptive"]},
     ])
     def test_rejects_bad_lowerbound(self, lowerbound):
         with pytest.raises(ValueError):
@@ -364,10 +363,8 @@ class TestBayesMinimaxOrdering:
             out = run_estimate(Y, g)
             return out.lambda_hat * out.theta_hat
 
-        def adaptive_stack(Y, g):
-            return np.stack([adaptive(y, g) for y in Y])
-
-        [(bayes, bayes_se)] = bayes_risk_mc([adaptive_stack], prior, scale, reps=400, seed=21)
+        [(bayes, bayes_se)] = bayes_risk_mc(["adaptive"], prior, scale, default_sequences(51),
+                                            reps=400, seed=21)
 
         xq = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
         wq = np.ones(len(xq))
@@ -467,25 +464,31 @@ class TestLowerBoundStudy:
         assert any(r.estimator == "van_trees_bound" for r in rows)
 
     @pytest.mark.parametrize("n", [51, 101])
-    def test_adaptive_bayes_estimator_is_estimate(self, n):
-        cfg = small_config(n_grid=[n])
-        seqs = cfg.sequences(n)
+    def test_adaptive_bayes_risk_is_estimate(self, n):
+        # the adaptive Bayes loss is that of `estimate` on each replicate's
+        # observations, drawn as bayes_risk_mc draws them and scored one at a time
+        from hetreg.lowerbound import bayes_risk_mc, least_favorable_prior
+        from hetreg.models import econometric_scale, substream
+
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        prior = least_favorable_prior(1, 1.0, n, eps=0.2)
+        D, G, C = prior.family_arrays
+        seqs, grid, reps = default_sequences(n), DesignGrid(n), 30
         family = weight_family(n, seqs)
-        run = _bayes_estimator("adaptive", cfg, n)
-        grid = DesignGrid(n)
-        rng = np.random.default_rng(n)
-        picked = set()
-        rows, fits = [], []
-        for decay in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):  # coefficient decay j^-decay
-            Y = grid_values(np.arange(1, n + 1) ** -decay * rng.standard_normal(n))
+        picked, losses = set(), []
+        for rep in range(reps):
+            rng = substream(4, 13, n, rep)
+            t = rng.standard_normal(len(D)) * prior.t.ravel()
+            s = t @ D
+            Y = s + np.sqrt(scale.g2(grid.points, s, t @ G @ t)) * rng.standard_normal(n)
             out = estimate(Y, grid, seqs, family)
             picked.add(out.selected)
-            np.testing.assert_array_equal(run(Y, grid), out.lambda_hat * out.theta_hat)
-            rows.append(Y)
-            fits.append(out.lambda_hat * out.theta_hat)
+            c = out.lambda_hat * out.theta_hat
+            losses.append(c @ c - 2.0 * c @ (C @ t) + t @ G @ t)
         assert len(picked) > 1
-        # the stack of all six observations, as bayes_risk_mc passes it, row by row
-        np.testing.assert_array_equal(run(np.stack(rows), grid), np.stack(fits))
+        [risk] = bayes_risk_mc(["adaptive"], prior, scale, seqs, reps=reps, seed=4)
+        np.testing.assert_allclose(risk, (np.mean(losses), np.std(losses, ddof=1) / math.sqrt(reps)),
+                                   rtol=1e-9)
 
 
 class TestBayesOnePass:
@@ -496,12 +499,12 @@ class TestBayesOnePass:
         from hetreg.models import econometric_scale
 
         n = 51
-        cfg = small_config(n_grid=[n])
+        seqs = small_config(n_grid=[n]).sequences(n)
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         prior = least_favorable_prior(1, 1.0, n, eps=0.2)
-        ests = [_bayes_estimator(name, cfg, n) for name in ("zero", "projection", "adaptive")]
-        together = bayes_risk_mc(ests, prior, scale, reps=30, seed=4)
-        alone = [bayes_risk_mc([e], prior, scale, reps=30, seed=4)[0] for e in ests]
+        names = ["zero", "projection", "adaptive"]
+        together = bayes_risk_mc(names, prior, scale, seqs, reps=30, seed=4)
+        alone = [bayes_risk_mc([name], prior, scale, seqs, reps=30, seed=4)[0] for name in names]
         assert together == alone
         assert len(set(together)) == 3
 
@@ -529,6 +532,25 @@ class TestBayesOnePass:
         # replicate substreams, seeded at once, for the single Bayes-risk pass
         assert calls == {"substream": 2, "substreams": 2, "bayes_risk_mc": 2}
         assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
+
+    def test_one_fourier_transform_per_block(self, monkeypatch):
+        # the projection and the adaptive estimator share each block's theta_hat
+        from hetreg import experiments, lowerbound
+
+        calls = []
+
+        def counted(Y):
+            calls.append(np.shape(Y))
+            return fourier_rows(Y)
+
+        for module in (experiments, lowerbound):  # wherever a Bayes estimator could look it up
+            monkeypatch.setattr(module, "fourier_rows", counted, raising=False)
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)
+        cfg = small_config(n_grid=[51, 101], reps=9,
+                           lowerbound={"prior_mc": 5, "bayes_estimators": ["zero", "projection", "adaptive"]})
+        lower_bound_study(cfg)
+        # BLOCK_ENTRIES // n replicates per block: 5 at n = 51, 3 at n = 101
+        assert calls == [(5, 51), (4, 51), (3, 101), (3, 101), (3, 101)]
 
     def test_family_integrals_once_per_n(self, monkeypatch):
         # the bound and the Bayes risks share one prior, so one (G, C), per n
@@ -724,6 +746,8 @@ class TestCli:
         ({"prior_mc": -3}, "lowerbound prior_mc must be an integer >= 1, got -3"),
         ({"prior_mc": 2.5}, "lowerbound prior_mc must be an integer >= 1, got 2.5"),
         ({"bayes_estimators": ["zero", "lasso"]}, "unknown bayes estimator 'lasso'"),
+        ({"bayes_estimators": ["adaptive", "zero", "adaptive"]},
+         "bayes estimators must be unique, got ['adaptive', 'zero', 'adaptive']"),
     ])
     def test_lower_bound_config_is_validated(self, tmp_path, lowerbound, message):
         cfg_path = tmp_path / "cfg.json"
@@ -819,6 +843,21 @@ class TestCli:
             cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
         assert str(exc.value.code) == ("hetreg risk: every taper is zero: the largest cutoff omega "
                                        "is 0.408772 <= 1 (omega_bar=-4.5)")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("study", ["risk", "oracle", "efficiency"])
+    @pytest.mark.parametrize("section, message", [
+        ({"n_grid": []}, "n_grid must hold at least one n, got []"),
+        ({"noise_menu": []}, "noise_menu must hold at least one noise, got []"),
+    ], ids=["n_grid", "noise_menu"])
+    def test_empty_grid_or_menu_is_refused(self, tmp_path, study, section, message):
+        # an empty grid or menu has no cell to run: no empty table, no traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, **section}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([study, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg {study}: {message}"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("config", [5, [1, 2], "risk"], ids=["number", "list", "string"])

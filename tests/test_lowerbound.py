@@ -12,7 +12,6 @@ from hetreg.basis import (
     TrigPolynomial,
     basis_eval_matrix,
     basis_matrix,
-    fourier_rows,
     pack_spectrum,
     trig_basis_eval,
     trig_series,
@@ -46,15 +45,6 @@ from hetreg.models import (
 )
 from hetreg.selection import estimate
 from hetreg.weights import default_sequences, weight_family
-
-
-def stacked(est):
-    """A one-row estimator run on every row of a (B, n) stack, as bayes_risk_mc calls it."""
-    return lambda Y, g: np.stack([est(y, g) for y in Y])
-
-
-def zero_stack(Y, g):
-    return np.zeros(np.shape(Y))
 
 
 def element_fns(fam):
@@ -302,7 +292,7 @@ class TestVanTrees:
         g0 = lambda x: scale.g(x, zero_fn)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2, g0=g0)
         bound = prior_van_trees_bound(pr, scale, mc_reps=300, seed=1).bound
-        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, reps=500, seed=2)
+        [(risk, se)] = bayes_risk_mc(["zero"], pr, scale, default_sequences(51), reps=500, seed=2)
         assert risk >= bound - 5.0 * se
         # analytic sanity for the zero estimator
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
@@ -312,25 +302,28 @@ class TestBayesRisk:
     def test_zero_estimator_mean_energy(self):
         scale = homogeneous_scale(1.0)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        [(risk, se)] = bayes_risk_mc([zero_stack], pr, scale, reps=800, seed=3)
+        [(risk, se)] = bayes_risk_mc(["zero"], pr, scale, default_sequences(101), reps=800, seed=3)
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
 
     def test_risk_nonnegative(self):
         scale = homogeneous_scale(1.0)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        [(risk, _)] = bayes_risk_mc([zero_stack], pr, scale, reps=20, seed=4)
+        [(risk, _)] = bayes_risk_mc(["zero"], pr, scale, default_sequences(51), reps=20, seed=4)
         assert risk >= 0.0
 
-    def test_refuses_no_replicates_and_bad_estimates(self):
+    def test_refuses_no_replicates_and_unknown_names(self, monkeypatch):
+        def refuse(*key, reps):
+            raise AssertionError("no replicate should be drawn")
+
+        monkeypatch.setattr(lowerbound, "substreams", refuse)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        scale = homogeneous_scale(1.0)
+        scale, seqs = homogeneous_scale(1.0), default_sequences(51)
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            bayes_risk_mc([zero_stack], pr, scale, reps=0)
-        # a stack of the wrong width, one row for the whole stack, a scalar, a function
-        for bad in (lambda Y, g: np.zeros((len(Y), g.n + 1)), lambda Y, g: np.zeros(g.n),
-                    lambda Y, g: 0.0, lambda Y, g: TrigPolynomial(np.zeros(g.n))):
-            with pytest.raises(ValueError, match=r"\(3, 51\) stack of coefficient vectors"):
-                bayes_risk_mc([zero_stack, bad], pr, scale, reps=3)
+            bayes_risk_mc(["zero"], pr, scale, seqs, reps=0)
+        # a study estimator that is no Bayes estimator, a typo, a callable
+        for bad in ("oracle_weight", "projection:3", "Adaptive", lambda Y, g: np.zeros(np.shape(Y))):
+            with pytest.raises(ValueError, match="unknown bayes estimator"):
+                bayes_risk_mc(["zero", bad], pr, scale, seqs, reps=3)
 
     def test_no_estimators_draw_nothing(self, monkeypatch):
         def refuse(*key, reps):
@@ -338,7 +331,7 @@ class TestBayesRisk:
 
         monkeypatch.setattr(lowerbound, "substreams", refuse)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
-        assert bayes_risk_mc([], pr, homogeneous_scale(1.0), reps=5) == []
+        assert bayes_risk_mc([], pr, homogeneous_scale(1.0), default_sequences(51), reps=5) == []
 
     @pytest.mark.parametrize("rows", [3, 24])
     def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
@@ -347,11 +340,9 @@ class TestBayesRisk:
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)  # P = 4 directions
 
-        def project(Y, g):
-            return fourier_rows(Y)
-
         def run():
-            risk = bayes_risk_mc([project], pr, scale, reps=10, seed=9)
+            risk = bayes_risk_mc(["zero", "projection", "adaptive"], pr, scale,
+                                 default_sequences(1001), reps=10, seed=9)
             return risk, prior_van_trees_bound(pr, scale, mc_reps=10, seed=9).bound
 
         whole = run()
@@ -380,12 +371,7 @@ class TestBayesRisk:
         scale = homogeneous_scale(1.0)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
         bound = prior_van_trees_bound(pr, scale, mc_reps=100, seed=5).bound
-
-        def adaptive(Y, g):
-            out = estimate(Y, g)
-            return out.lambda_hat * out.theta_hat
-
-        [(risk, se)] = bayes_risk_mc([stacked(adaptive)], pr, scale, reps=400, seed=6)
+        [(risk, se)] = bayes_risk_mc(["adaptive"], pr, scale, default_sequences(101), reps=400, seed=6)
         assert risk >= bound - 5.0 * se
 
 
@@ -428,7 +414,7 @@ class TestExactAlgebra:
                 Y = S(grid.points) + self.SCALE.g(grid.points, S) * rng.standard_normal(n)
                 losses.append(wq @ (trig_series(est(Y, grid), xq) - S(xq)) ** 2)
             simpson = (np.mean(losses), np.std(losses, ddof=1) / 2.0)
-            [exact] = bayes_risk_mc([stacked(est)], pr, self.SCALE, reps=4, seed=8)
+            [exact] = bayes_risk_mc([name], pr, self.SCALE, default_sequences(n), reps=4, seed=8)
             np.testing.assert_allclose(exact, simpson, rtol=1e-9, err_msg=name)
 
     @pytest.mark.parametrize("n", [51, 101])
@@ -542,6 +528,7 @@ class TestDesignCache:
 
     @staticmethod
     def estimators(n):
+        """Reference estimators, one observation vector at a time, for `bayes_risk_mc`'s names."""
         seqs = default_sequences(n)
         family = weight_family(n, seqs)
 
@@ -611,9 +598,9 @@ class TestDesignCache:
         ref_bound, ref_risks = self.reference(pr, grid, mc_reps=40, reps=40)
         bound = prior_van_trees_bound(pr, self.SCALE, mc_reps=40, seed=606).bound
         assert bound == pytest.approx(ref_bound, rel=1e-9)
-        ests = self.estimators(n)
-        risks = bayes_risk_mc([stacked(e) for e in ests.values()], pr, self.SCALE, reps=40, seed=607)
-        for name, risk in zip(ests, risks):
+        names = list(self.estimators(n))
+        risks = bayes_risk_mc(names, pr, self.SCALE, default_sequences(n), reps=40, seed=607)
+        for name, risk in zip(names, risks):
             np.testing.assert_allclose(risk, ref_risks[name], rtol=1e-9, err_msg=name)
 
     def test_element_calls_do_not_grow_with_reps(self, monkeypatch):
@@ -631,13 +618,11 @@ class TestDesignCache:
         monkeypatch.setattr(KernelFamily, "block", counted("block", KernelFamily.block))
         scale = dataclasses.replace(self.SCALE, g2=counted("g2", self.SCALE.g2),
                                     frechet=counted("frechet", self.SCALE.frechet))
-        project = stacked(self.estimators(51)["projection"])
-
         def count(reps):
             calls.update(design_tensor=0, block=0, g2=0, frechet=0)
             pr = self.prior(51)
             prior_van_trees_bound(pr, scale, mc_reps=reps, seed=1)
-            bayes_risk_mc([project], pr, scale, reps=reps, seed=2)
+            bayes_risk_mc(["projection"], pr, scale, default_sequences(51), reps=reps, seed=2)
             return dict(calls)
 
         few = count(3)
@@ -659,7 +644,7 @@ class TestDesignCache:
         monkeypatch.setattr(lowerbound, "_family_integrals", counted)
         pr = self.prior(51)
         prior_van_trees_bound(pr, self.SCALE, mc_reps=3, seed=1)
-        bayes_risk_mc([zero_stack], pr, self.SCALE, reps=3, seed=2)
+        bayes_risk_mc(["zero"], pr, self.SCALE, default_sequences(51), reps=3, seed=2)
         prior_expected_norm_sq(pr)
         assert sizes == [51]
 
@@ -669,7 +654,8 @@ class TestDesignCache:
         pr = least_favorable_prior(1, 1.0, 1000, eps=0.2)
         run = {
             "bound": lambda: prior_van_trees_bound(pr, self.SCALE, mc_reps=3),
-            "risk": lambda: bayes_risk_mc([zero_stack], pr, self.SCALE, reps=3),
+            # even n has no tuning either; the missing design is refused first
+            "risk": lambda: bayes_risk_mc(["zero"], pr, self.SCALE, default_sequences(1001), reps=3),
             "norm": lambda: prior_expected_norm_sq(pr),
         }[call]
         with pytest.raises(ValueError, match="design size must be an odd positive integer"):
