@@ -111,11 +111,10 @@ class ExperimentConfig:
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, int) or n % 2 == 0 or n < 3:
                 raise ValueError(f"all n must be odd integers >= 3, got {n!r}")
-        for key in ("reps", "workers"):
-            if not isinstance(getattr(self, key), int) or getattr(self, key) < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key, low in (("reps", 1), ("workers", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         for key in ("rho", "k_bar", "omega_bar"):
             value = getattr(self, key)
             if value is None and key == "rho":
@@ -146,8 +145,11 @@ class ExperimentConfig:
             raise ValueError(f"noise labels must be unique, got {labels}")
         _check_keys("lowerbound", self.lowerbound, _LOWERBOUND_DEFAULTS)
         lb = {**_LOWERBOUND_DEFAULTS, **self.lowerbound}
-        if not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
+        if isinstance(lb["prior_mc"], bool) or not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
             raise ValueError(f"lowerbound prior_mc must be an integer >= 1, got {lb['prior_mc']!r}")
+        for key, high in (("eps", 1.0), ("eta", 0.5)):  # nan and inf fail the interval too
+            if isinstance(lb[key], bool) or not isinstance(lb[key], (int, float)) or not 0.0 < lb[key] < high:
+                raise ValueError(f"lowerbound {key} must be a number in (0, {high:g}), got {lb[key]!r}")
         for name in lb["bayes_estimators"]:
             if name not in BAYES_ESTIMATORS:
                 raise ValueError(f"unknown bayes estimator {name!r}")
@@ -513,8 +515,6 @@ def efficiency_study(cfg: ExperimentConfig):
 def lower_bound_study(cfg: ExperimentConfig):
     """van Trees bound for the constructed prior vs MC Bayes risks (Gaussian noise)."""
     lb = {**_LOWERBOUND_DEFAULTS, **cfg.lowerbound}
-    eps = lb["eps"]
-    eta = lb["eta"]
     S, ball, _ = resolve_test_function(cfg)
     scale = resolve_scale(cfg.scale)
     zero = TrigPolynomial([0.0], name="S0")
@@ -523,7 +523,7 @@ def lower_bound_study(cfg: ExperimentConfig):
     rows: list[RiskRow] = []
     records = []
     for n in cfg.n_grid:
-        prior = least_favorable_prior(ball.k, ball.r, n, eps=eps, g0=g0, eta=eta)
+        prior = least_favorable_prior(ball.k, ball.r, n, eps=lb["eps"], g0=g0, eta=lb["eta"])
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
         report = prior_van_trees_bound(prior, scale, mc_reps=lb["prior_mc"], seed=cfg.seed)
         names = lb["bayes_estimators"]
@@ -550,6 +550,6 @@ def lower_bound_study(cfg: ExperimentConfig):
                                 n**rate * risk / gamma0, gamma0, cfg.seed))
     summary = {
         "study": "lower_bound", "seed": cfg.seed, "reps": cfg.reps,
-        "eps": eps, "eta": eta, "records": records,
+        "eps": lb["eps"], "eta": lb["eta"], "records": records,
     }
     return rows, summary, None

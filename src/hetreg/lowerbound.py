@@ -346,17 +346,13 @@ def van_trees_bound(
     """Bayes-risk lower bound for the linear family S_z = sum_p z_p f_p with
     independent centered Gaussian prior of standard deviations prior_sd.
 
-    The directions enter through two arrays only: D (P, n), the f_p on the
-    design, and `gram` (P, P), their L2 Gram matrix.  F_p sums f_p^2(x_i)
-    E g^-2(x_i, S_z) over design points; B_p averages the squared Frechet
-    response of g^2 in direction f_p over the prior.  Both expectations run
-    over `mc_reps` prior draws, one (mc_reps, P) array from a fixed
-    substream.  A block of draws Z has S_z on the design Z @ D,
-    ||S_z||^2 = z'Gz and <S_z, f_p> = (Gz)_p, so F_p and B_p are matmuls over
-    BLOCK_ENTRIES (draw, direction, design point) entries at a time.
+    D (P, n) holds the directions f_p on the design and `gram` (P, P) their
+    L2 Gram matrix.  F_p sums f_p^2(x_i) E g^-2(x_i, S_z) over the design; B_p
+    averages over the prior the squared response a f_p + b (Gz)_p of g^2 in
+    direction f_p, a = frechet(x, s, 1, 0), b = frechet(x, s, 0, 1): products
+    against D^2, D and ones.  The `mc_reps` draws, from a fixed substream, run
+    as in `bayes_risk_mc`: BLOCK_ENTRIES // n at a time, one row at a time.
     """
-    if scale.frechet is None:
-        raise ValueError("scale model without a Frechet derivative is unsupported")
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be >= 1, got {mc_reps}")
     D = np.asarray(D, dtype=float)
@@ -371,20 +367,24 @@ def van_trees_bound(
         raise ValueError("tau_bar and prior_sd must match the number of directions")
     x = grid.points
     Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * prior_sd
-    ginv2 = np.zeros(grid.n)
-    bias = np.zeros(P)
-    step = max(1, BLOCK_ENTRIES // (P * grid.n))
+    step = max(1, BLOCK_ENTRIES // grid.n)
+    # rows[1 + r]: draw r's g^-2 and a^2 on x, then c_p (2 <a b, f_p> + c_p |b|^2), a, b over g^2;
+    # rows[0]: their sum, added row after row (axis 0 is not the fast axis), so blocks change no bit
+    rows = np.zeros((min(step, mc_reps) + 1, 2 * grid.n + P))
     for lo in range(0, mc_reps, step):
         z = Z[lo : lo + step]
-        s = z @ D
-        Gz = z @ gram
-        g2 = scale.g2(x, s, _row_dots(Gz, z)[:, None])
-        L = scale.frechet(x, s[:, None, :], D, Gz[:, :, None])
-        ginv2 += np.sum(1.0 / g2, axis=0)
-        bias += np.sum(0.5 * np.sum(L**2 / g2[:, None, :] ** 2, axis=2), axis=0)
-    ginv2 /= mc_reps
-    bias /= mc_reps
-    fisher = D**2 @ ginv2
+        s = _row_products(z, D)
+        c = _row_products(z, gram)
+        g2 = scale.g2(x, s, _row_dots(c, z)[:, None])
+        a = scale.frechet(x, s, 1.0, 0.0) / g2
+        b = scale.frechet(x, s, 0.0, 1.0) / g2
+        terms = c * (2.0 * _row_products(a * b, D.T) + c * _row_dots(b, b)[:, None])
+        np.concatenate([1.0 / g2, a**2, terms], axis=1, out=rows[1 : len(z) + 1])
+        rows[0] = np.add.reduce(rows[: len(z) + 1])
+    ginv2, a2, cross = np.split(rows[0] / mc_reps, [grid.n, 2 * grid.n])
+    D2 = D**2
+    fisher = D2 @ ginv2
+    bias = 0.5 * (D2 @ a2 + cross)
     bound = float(np.sum(van_trees_term(tau_bar, fisher, bias, prior_sd)))
     return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
 

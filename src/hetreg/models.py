@@ -1,6 +1,6 @@
 """Heteroscedastic data generation: scale operators, noise menu, smooth cutoff.
 
-Scale models carry g^2 together with its Frechet derivative and, when
+Scale models carry g^2, its Frechet derivative (required) and, when
 available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.  Every
 model here needs S only through S(x), ||S||^2 and <S, f>, so g^2 and the
 derivative take those values, for one S or for a whole stack of draws at once;
@@ -274,16 +274,18 @@ class ScaleModel:
     """Scale operator sigma_j(S) = g(x_j, S) with the derivative of g^2, on values.
 
     g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2;
-    frechet(x, s, f, cross) is the linear response of g^2 at S in the
-    direction f, given f(x) and cross = <S, f>.  The arguments broadcast as
-    arrays whose last axis runs over x, so a (B, n) stack of draws passes
-    norm_sq as (B, 1) and gets its B rows of g^2 in one call.  g2 must stay
-    bounded away from zero on the function class in use; varsigma_exact, when
-    given, is int g^2 as a function of ||S||^2.
+    frechet(x, s, f, cross), required, is the response of g^2 at S in the
+    direction f, given f(x) and cross = <S, f>: linear in (f(x), cross), so the
+    van Trees bound reads it by its coefficients frechet(x, s, 1, 0) and
+    frechet(x, s, 0, 1).  The arguments broadcast as arrays whose last axis
+    runs over x, so a (B, n) stack of draws passes norm_sq as (B, 1) and gets
+    its B rows of g^2 in one call.  g2 must stay bounded away from zero on the
+    function class in use; varsigma_exact, when given, is int g^2 as a
+    function of ||S||^2.
     """
 
     g2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    frechet: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    frechet: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     varsigma_exact: Optional[Callable[[float], float]] = None
     name: str = ""
 
@@ -443,8 +445,6 @@ def nonperiodic_transform(
         return scale.g2(x, s, norm_sq) * chi(x) ** 2 + eps2
 
     def frechet_t(x, s, f, cross):
-        if scale.frechet is None:
-            raise ValueError("base scale model has no Frechet derivative")
         return scale.frechet(x, s, f, cross) * chi(x) ** 2
 
     tilted = ScaleModel(g2=g2_t, frechet=frechet_t, name=f"{scale.name}*chi+eps({epsilon})")

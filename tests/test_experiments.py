@@ -100,7 +100,7 @@ class TestConfig:
             small_config(rho=1.0 / 3.0)
 
     @pytest.mark.parametrize("key", ["reps", "workers"])
-    @pytest.mark.parametrize("value", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "2", True, False])
     def test_rejects_bad_reps_and_workers(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
             small_config(**{key: value})
@@ -120,6 +120,7 @@ class TestConfig:
     @pytest.mark.parametrize("lowerbound", [
         {"prior_mcc": 50}, {"prior_mc": 0}, {"prior_mc": "500"},
         {"bayes_estimators": ["lasso"]}, [], {"bayes_estimators": ["adaptive", "adaptive"]},
+        {"prior_mc": True},
     ])
     def test_rejects_bad_lowerbound(self, lowerbound):
         with pytest.raises(ValueError):
@@ -133,6 +134,19 @@ class TestConfig:
         small_config(scale={"sigma": 2.0}, ball=None)
         small_config(ball={"k": 2, "r": None})
         small_config(scale={})
+
+    @pytest.mark.parametrize("key, high", [("eps", 1.0), ("eta", 0.5)])
+    @pytest.mark.parametrize("value", [0.0, -0.1, "0.2", None, True, False,
+                                       math.nan, math.inf, -math.inf, [0.2]])
+    def test_rejects_bad_eps_and_eta(self, key, high, value):
+        with pytest.raises(ValueError, match=rf"lowerbound {key} must be a number in \(0, {high:g}\)"):
+            small_config(lowerbound={key: value})
+
+    @pytest.mark.parametrize("key, high", [("eps", 1.0), ("eta", 0.5)])
+    def test_eps_and_eta_intervals_are_open(self, key, high):
+        with pytest.raises(ValueError, match=f"lowerbound {key} must be a number"):
+            small_config(lowerbound={key: high})
+        small_config(lowerbound={key: 0.99 * high})
 
     def test_accepts_every_lowerbound_key(self):
         small_config(lowerbound={"eps": 0.1, "eta": 0.1, "prior_mc": 1,
@@ -729,6 +743,17 @@ class TestCli:
             cli_main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert str(exc.value.code) == "hetreg oracle: workers must be an integer >= 1, got 2.5"
 
+    @pytest.mark.parametrize("key", ["reps", "workers"])
+    def test_config_boolean_counts_are_refused(self, tmp_path, key):
+        # JSON true is no replicate count: it used to run one replicate and record "reps": true
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, key: True}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == f"hetreg risk: {key} must be an integer >= 1, got True"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("seed", [3.7, -1, True])
     def test_config_seed_is_validated(self, tmp_path, seed):
         # a float seed would key every draw by int(seed) while the CSV records the float
@@ -748,6 +773,13 @@ class TestCli:
         ({"bayes_estimators": ["zero", "lasso"]}, "unknown bayes estimator 'lasso'"),
         ({"bayes_estimators": ["adaptive", "zero", "adaptive"]},
          "bayes estimators must be unique, got ['adaptive', 'zero', 'adaptive']"),
+        ({"prior_mc": True}, "lowerbound prior_mc must be an integer >= 1, got True"),
+        ({"eps": "0.2"}, "lowerbound eps must be a number in (0, 1), got '0.2'"),
+        ({"eps": 1.5}, "lowerbound eps must be a number in (0, 1), got 1.5"),
+        ({"eps": False}, "lowerbound eps must be a number in (0, 1), got False"),
+        ({"eta": None}, "lowerbound eta must be a number in (0, 0.5), got None"),
+        ({"eta": 0.5}, "lowerbound eta must be a number in (0, 0.5), got 0.5"),
+        ({"eta": True}, "lowerbound eta must be a number in (0, 0.5), got True"),
     ])
     def test_lower_bound_config_is_validated(self, tmp_path, lowerbound, message):
         cfg_path = tmp_path / "cfg.json"

@@ -37,6 +37,7 @@ from hetreg.lowerbound import (
 )
 from hetreg.models import (
     SIMPSON_PANELS,
+    ScaleModel,
     econometric_scale,
     homogeneous_scale,
     simpson_integral,
@@ -45,6 +46,7 @@ from hetreg.models import (
 )
 from hetreg.selection import estimate
 from hetreg.weights import default_sequences, weight_family
+from test_models import scale_models
 
 
 def element_fns(fam):
@@ -254,13 +256,9 @@ class TestVanTrees:
             van_trees_term(1.0, 10.0, 1.0, sd)
 
     def test_missing_frechet_rejected(self):
-        from hetreg.models import ScaleModel
-
-        bare = ScaleModel(g2=lambda x, s, norm_sq: np.ones_like(np.asarray(x, dtype=float)))
-        grid = DesignGrid(51)
-        with pytest.raises(ValueError):
-            van_trees_bound(np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([1.0]),
-                            bare, grid)
+        # the Frechet derivative is a required field: a model without one is never built
+        with pytest.raises(TypeError, match="frechet"):
+            ScaleModel(g2=lambda x, s, norm_sq: np.ones_like(np.asarray(x, dtype=float)))
 
     def test_draws_are_one_array_of_the_per_draw_stream(self):
         # (mc_reps, P) normals from one generator are the mc_reps size-P draws, bit for bit
@@ -296,6 +294,33 @@ class TestVanTrees:
         assert risk >= bound - 5.0 * se
         # analytic sanity for the zero estimator
         assert abs(risk - prior_expected_norm_sq(pr)) <= 4.0 * se
+
+
+class TestVanTreesAlgebra:
+    """F and B from frechet's two coefficients against the direct (draws, P, n) sum."""
+
+    @staticmethod
+    def reference(D, gram, sd, scale, grid, mc_reps, seed):
+        """F_p and B_p with every draw's L = frechet(x, s, D, Gz) over all P directions at once."""
+        P = len(D)
+        Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * sd
+        s, Gz = Z @ D, Z @ gram
+        g2 = scale.g2(grid.points, s, np.sum(Gz * Z, axis=1)[:, None])
+        L = scale.frechet(grid.points, s[:, None, :], D, Gz[:, :, None])
+        fisher = D**2 @ np.mean(1.0 / g2, axis=0)
+        bias = np.mean(0.5 * np.sum(L**2 / g2[:, None, :] ** 2, axis=2), axis=0)
+        return fisher, bias
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    @pytest.mark.parametrize("scale", scale_models(), ids=lambda m: m.name)
+    def test_fisher_and_bias_match_the_broadcast(self, scale, n):
+        pr = least_favorable_prior(1, 1.0, n, eps=0.2)
+        D, gram, _ = pr.family_arrays
+        sd, grid = pr.t.ravel(), DesignGrid(n)
+        rep = van_trees_bound(D, gram, np.ones(len(sd)), sd, scale, grid, mc_reps=40, seed=5)
+        fisher, bias = self.reference(D, gram, sd, scale, grid, mc_reps=40, seed=5)
+        np.testing.assert_allclose(rep.fisher, fisher, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.bias, bias, rtol=1e-12, atol=0)
 
 
 class TestBayesRisk:
@@ -335,21 +360,19 @@ class TestBayesRisk:
 
     @pytest.mark.parametrize("rows", [3, 24])
     def test_blocks_do_not_change_the_risk(self, monkeypatch, rows):
-        # blocks of `rows` replicates give the one-block risk bit for bit, and
-        # blocks of rows / 4 draws give the one-block bound to rounding
+        # blocks of `rows` replicates or draws give the one-block risk and bound bit for bit
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)  # P = 4 directions
 
         def run():
             risk = bayes_risk_mc(["zero", "projection", "adaptive"], pr, scale,
                                  default_sequences(1001), reps=10, seed=9)
-            return risk, prior_van_trees_bound(pr, scale, mc_reps=10, seed=9).bound
+            report = prior_van_trees_bound(pr, scale, mc_reps=10, seed=9)
+            return risk, report.bound, report.fisher.tolist(), report.bias.tolist()
 
         whole = run()
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)
-        blocked = run()
-        assert blocked[0] == whole[0]
-        assert blocked[1] == pytest.approx(whole[1], rel=1e-13)
+        assert run() == whole
 
     def test_row_dots_are_single_row_dots(self):
         # every loss term rounds as the one-draw product c @ c would
@@ -628,9 +651,10 @@ class TestDesignCache:
         few = count(3)
         assert few == count(12)
         # one prior samples the family once on the design and once on the rule's
-        # nodes, each a block at a time, for both the bound and the risk
+        # nodes, each a block at a time, for both the bound and the risk; the
+        # bound takes frechet's two coefficients once per block of draws
         M = self.prior(51).family.M
-        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 2, "frechet": 1}
+        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 2, "frechet": 2}
 
     def test_family_integrals_once_per_prior(self, monkeypatch):
         # the bound, the Bayes risk and E ||S||^2 of one prior share one (D, G, C)

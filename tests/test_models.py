@@ -239,6 +239,22 @@ class TestScaleModelStacks:
                 np.testing.assert_array_equal(L[b, p], m.frechet(x, s[b], f[p], cross[b, p]))
 
     @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
+    def test_frechet_is_its_two_coefficients(self, m):
+        # frechet(x, s, f, cross) = a f + b cross with a = frechet(x, s, 1, 0) and
+        # b = frechet(x, s, 0, 1), each a (B, n) array: all the van Trees bound reads
+        rng = np.random.default_rng(13)
+        B, P, n = 5, 3, 17
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        s = rng.standard_normal((B, n))
+        f = rng.standard_normal((P, n))
+        cross = rng.standard_normal((B, P))
+        a, b = m.frechet(x, s, 1.0, 0.0), m.frechet(x, s, 0.0, 1.0)
+        assert a.shape == b.shape == (B, n)
+        L = m.frechet(x, s[:, None, :], f, cross[:, :, None])
+        np.testing.assert_allclose(L, a[:, None, :] * f + b[:, None, :] * cross[:, :, None],
+                                   rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
     def test_g_and_varsigma_take_the_function(self, m):
         x = np.linspace(0.0, 1.0, 9)
         np.testing.assert_array_equal(m.g(x, S1), np.sqrt(m.g2(x, S1(x), S1.l2_norm_sq())))
