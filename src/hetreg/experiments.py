@@ -517,8 +517,7 @@ def lower_bound_study(cfg: ExperimentConfig):
     lb = {**_LOWERBOUND_DEFAULTS, **cfg.lowerbound}
     S, ball, _ = resolve_test_function(cfg)
     scale = resolve_scale(cfg.scale)
-    zero = TrigPolynomial([0.0], name="S0")
-    g0 = lambda x: scale.g(x, zero)
+    g0 = lambda x: np.sqrt(scale.g2(x, 0.0, 0.0))
     rate = 2.0 * ball.k / (2.0 * ball.k + 1.0)
     rows: list[RiskRow] = []
     records = []

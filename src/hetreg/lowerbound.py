@@ -349,7 +349,7 @@ def van_trees_bound(
     D (P, n) holds the directions f_p on the design and `gram` (P, P) their
     L2 Gram matrix.  F_p sums f_p^2(x_i) E g^-2(x_i, S_z) over the design; B_p
     averages over the prior the squared response a f_p + b (Gz)_p of g^2 in
-    direction f_p, a = frechet(x, s, 1, 0), b = frechet(x, s, 0, 1): products
+    direction f_p, (a, b) = frechet(x, s) the partials of g^2: products
     against D^2, D and ones.  The `mc_reps` draws, from a fixed substream, run
     as in `bayes_risk_mc`: BLOCK_ENTRIES // n at a time, one row at a time.
     """
@@ -376,8 +376,8 @@ def van_trees_bound(
         s = _row_products(z, D)
         c = _row_products(z, gram)
         g2 = scale.g2(x, s, _row_dots(c, z)[:, None])
-        a = scale.frechet(x, s, 1.0, 0.0) / g2
-        b = scale.frechet(x, s, 0.0, 1.0) / g2
+        a, b = scale.frechet(x, s)
+        a, b = a / g2, b / g2
         terms = c * (2.0 * _row_products(a * b, D.T) + c * _row_dots(b, b)[:, None])
         np.concatenate([1.0 / g2, a**2, terms], axis=1, out=rows[1 : len(z) + 1])
         rows[0] = np.add.reduce(rows[: len(z) + 1])

@@ -2,9 +2,10 @@
 
 Scale models carry g^2, its Frechet derivative (required) and, when
 available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.  Every
-model here needs S only through S(x), ||S||^2 and <S, f>, so g^2 and the
-derivative take those values, for one S or for a whole stack of draws at once;
-only `ScaleModel.g` and `ScaleModel.varsigma` take the function S.
+model here needs S only through S(x) and ||S||^2, so g^2 takes those values
+and the derivative is its two partials in them, for one S or for a whole stack
+of draws at once; only `ScaleModel.g` and `ScaleModel.varsigma` take the
+function S.  `homogeneous_scale` is the econometric model with c0 alone.
 Integrals of general functions use one composite Simpson rule on 2^14 + 1
 fixed points (`simpson_rule`), which keeps every numeric result
 deterministic; its weighted sum is `serial_dot`, taken in the calling thread
@@ -28,7 +29,7 @@ SeedSequence itself serves only as the reference of the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -273,11 +274,10 @@ def mollifier_cdf(t) -> np.ndarray:
 class ScaleModel:
     """Scale operator sigma_j(S) = g(x_j, S) with the derivative of g^2, on values.
 
-    g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2;
-    frechet(x, s, f, cross), required, is the response of g^2 at S in the
-    direction f, given f(x) and cross = <S, f>: linear in (f(x), cross), so the
-    van Trees bound reads it by its coefficients frechet(x, s, 1, 0) and
-    frechet(x, s, 0, 1).  The arguments broadcast as arrays whose last axis
+    g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2.
+    frechet(x, s), required, is the pair (a, b) = (dg^2/ds, 2 dg^2/dnorm_sq),
+    arrays that broadcast against s: the response of g^2 at S in a direction f
+    is a f(x) + b <S, f>.  The arguments broadcast as arrays whose last axis
     runs over x, so a (B, n) stack of draws passes norm_sq as (B, 1) and gets
     its B rows of g^2 in one call.  g2 must stay bounded away from zero on the
     function class in use; varsigma_exact, when given, is int g^2 as a
@@ -285,7 +285,7 @@ class ScaleModel:
     """
 
     g2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    frechet: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    frechet: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     varsigma_exact: Optional[Callable[[float], float]] = None
     name: str = ""
 
@@ -306,7 +306,7 @@ class ScaleModel:
 def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0) -> ScaleModel:
     """g^2(x, S) = c0 + c1 x + c2 S(x)^2 + c3 ||S||^2 with c0 > 0.
 
-    The Frechet derivative is 2 c2 S(x) f(x) + 2 c3 int S f, and
+    The Frechet derivative's partials are (2 c2 S(x), 2 c3), and
     varsigma(S) = c0 + c1/2 + (c2 + c3) ||S||^2 in closed form.
     """
     if c0 <= 0.0:
@@ -317,25 +317,16 @@ def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0
     def g2(x, s, norm_sq):
         return c0 + c1 * np.asarray(x, dtype=float) + c2 * s**2 + c3 * norm_sq
 
-    def frechet(x, s, f, cross):
-        return 2.0 * c2 * s * f + 2.0 * c3 * cross
-
-    return ScaleModel(g2=g2, frechet=frechet,
+    return ScaleModel(g2=g2, frechet=lambda x, s: (2.0 * c2 * s, 2.0 * c3),
                       varsigma_exact=lambda norm_sq: c0 + 0.5 * c1 + (c2 + c3) * norm_sq,
                       name=f"econometric({c0},{c1},{c2},{c3})")
 
 
 def homogeneous_scale(sigma: float = 1.0) -> ScaleModel:
-    """Constant noise level; the Frechet derivative vanishes identically."""
+    """Constant noise level: the econometric model with c0 = sigma^2 alone."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    s2 = float(sigma) ** 2
-    return ScaleModel(
-        g2=lambda x, s, norm_sq: np.full(np.broadcast(x, s, norm_sq).shape, s2),
-        frechet=lambda x, s, f, cross: np.zeros(np.broadcast(x, s, f, cross).shape),
-        varsigma_exact=lambda norm_sq: s2,
-        name=f"homogeneous({sigma})",
-    )
+    return replace(econometric_scale(float(sigma) ** 2), name=f"homogeneous({sigma})")
 
 
 @dataclass(frozen=True)
@@ -444,8 +435,10 @@ def nonperiodic_transform(
     def g2_t(x, s, norm_sq):
         return scale.g2(x, s, norm_sq) * chi(x) ** 2 + eps2
 
-    def frechet_t(x, s, f, cross):
-        return scale.frechet(x, s, f, cross) * chi(x) ** 2
+    def frechet_t(x, s):
+        a, b = scale.frechet(x, s)
+        chi2 = chi(x) ** 2
+        return a * chi2, b * chi2
 
     tilted = ScaleModel(g2=g2_t, frechet=frechet_t, name=f"{scale.name}*chi+eps({epsilon})")
     return Y_t, tilted

@@ -52,7 +52,7 @@ def test_install_wraps_and_restore_puts_back():
         scale = hetreg.experiments.resolve_scale({"c0": 1.0, "c2": 0.5, "c3": 0.5})
         x = np.linspace(0.0, 1.0, 5)
         scale.g2(x, np.ones((2, 5)), np.ones((2, 1)))
-        scale.frechet(x, np.ones((2, 1, 5)), np.ones((3, 5)), np.ones((2, 3, 1)))
+        scale.frechet(x, np.ones((2, 5)))
         totals = tracer.totals()
         assert totals["models.scale_g2"]["calls"] == 1
         assert totals["models.scale_frechet"]["calls"] == 1

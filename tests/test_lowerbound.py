@@ -46,7 +46,7 @@ from hetreg.models import (
 )
 from hetreg.selection import estimate
 from hetreg.weights import default_sequences, weight_family
-from test_models import scale_models
+from scales import scale_models
 
 
 def element_fns(fam):
@@ -297,16 +297,17 @@ class TestVanTrees:
 
 
 class TestVanTreesAlgebra:
-    """F and B from frechet's two coefficients against the direct (draws, P, n) sum."""
+    """F and B from frechet's two partials against the direct (draws, P, n) sum."""
 
     @staticmethod
     def reference(D, gram, sd, scale, grid, mc_reps, seed):
-        """F_p and B_p with every draw's L = frechet(x, s, D, Gz) over all P directions at once."""
+        """F_p and B_p with every draw's response L = a D + b Gz over all P directions at once."""
         P = len(D)
         Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * sd
         s, Gz = Z @ D, Z @ gram
         g2 = scale.g2(grid.points, s, np.sum(Gz * Z, axis=1)[:, None])
-        L = scale.frechet(grid.points, s[:, None, :], D, Gz[:, :, None])
+        a, b = (np.broadcast_to(p, s.shape)[:, None, :] for p in scale.frechet(grid.points, s))
+        L = a * D + b * Gz[:, :, None]
         fisher = D**2 @ np.mean(1.0 / g2, axis=0)
         bias = np.mean(0.5 * np.sum(L**2 / g2[:, None, :] ** 2, axis=2), axis=0)
         return fisher, bias
@@ -455,7 +456,7 @@ class TestExactAlgebra:
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_frechet_unchanged(self, n):
-        # the Frechet response fed (Gz)_p equals the one with a quadrature cross term
+        # the response from the partials, fed (Gz)_p, equals the one with a quadrature cross term
         c2, c3 = 0.5, 0.5
         x = DesignGrid(n).points
         fam = self.prior(n).family
@@ -463,12 +464,13 @@ class TestExactAlgebra:
         gram, _ = _family_integrals(fam, n)
         for z in self.draws(self.prior(n)):
             S = SampledFunction(lambda t: kernel_function(z.reshape(fam.M, fam.N), fam, t))
+            a, b = self.SCALE.frechet(x, S(x))
             for p, fp in enumerate(fns):
                 quad = 2.0 * c2 * S(x) * fp(x) + 2.0 * c3 * simpson_integral(
                     lambda t: S(t) * fp(t)
                 )
                 np.testing.assert_allclose(
-                    self.SCALE.frechet(x, S(x), fp(x), (gram @ z)[p]), quad, rtol=1e-10, atol=1e-14
+                    a * fp(x) + b * (gram @ z)[p], quad, rtol=1e-10, atol=1e-14
                 )
 
     @pytest.mark.parametrize("n", [51, 101])
@@ -594,8 +596,9 @@ class TestDesignCache:
             s = kernel_function(z.reshape(pr.t.shape), fam, x)
             g2 = self.SCALE.g2(x, s, z @ G @ z)
             ginv2 += 1.0 / g2 / mc_reps
+            a, b = self.SCALE.frechet(x, s)
             for p, fp in enumerate(fns):
-                L = self.SCALE.frechet(x, s, fp(x), G[p] @ z)
+                L = a * fp(x) + b * (G[p] @ z)
                 bias[p] += 0.5 * np.sum(L**2 / g2**2) / mc_reps
         fisher = np.array([fp(x) ** 2 @ ginv2 for fp in fns])
         tau = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
@@ -652,9 +655,9 @@ class TestDesignCache:
         assert few == count(12)
         # one prior samples the family once on the design and once on the rule's
         # nodes, each a block at a time, for both the bound and the risk; the
-        # bound takes frechet's two coefficients once per block of draws
+        # bound takes frechet's two partials once per block of draws
         M = self.prior(51).family.M
-        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 2, "frechet": 2}
+        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 2, "frechet": 1}
 
     def test_family_integrals_once_per_prior(self, monkeypatch):
         # the bound, the Bayes risk and E ||S||^2 of one prior share one (D, G, C)

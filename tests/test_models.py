@@ -23,6 +23,7 @@ from hetreg.models import (
     substream,
     substreams,
 )
+from scales import scale_models
 
 S1 = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])
 
@@ -130,6 +131,12 @@ def l2_inner(S, f) -> float:
     return simpson_integral(lambda x: S(x) * f(x))
 
 
+def response(m, x, S, f):
+    """The response of g^2 at S in the direction f, a f(x) + b <S, f>, from the partials."""
+    a, b = m.frechet(x, S(x))
+    return a * f(x) + b * l2_inner(S, f)
+
+
 class TestEconometricScale:
     def test_constant_case(self):
         m = econometric_scale(1.0)
@@ -169,9 +176,8 @@ class TestEconometricScale:
         h = TrigPolynomial(rng.standard_normal(6))
         fh = TrigPolynomial(f.coeffs + h.coeffs)
         x = rng.uniform(0, 1, 8)
-        s = S1(x)
-        lhs = m.frechet(x, s, fh(x), l2_inner(S1, fh))
-        rhs = m.frechet(x, s, f(x), l2_inner(S1, f)) + m.frechet(x, s, h(x), l2_inner(S1, h))
+        lhs = response(m, x, S1, fh)
+        rhs = response(m, x, S1, f) + response(m, x, S1, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_frechet_slope(self):
@@ -180,7 +186,7 @@ class TestEconometricScale:
         rng = np.random.default_rng(4)
         f = TrigPolynomial(rng.standard_normal(6))
         x = np.array([0.2, 0.8])
-        L = m.frechet(x, S1(x), f(x), l2_inner(S1, f))
+        L = response(m, x, S1, f)
         base = m.g2(x, S1(x), S1.l2_norm_sq())
         errs = []
         for s in (1e-2, 1e-3, 1e-4):
@@ -201,7 +207,7 @@ class TestEconometricScale:
             S = TrigPolynomial(rng.standard_normal(7))
             f = TrigPolynomial(rng.standard_normal(7))
             x = rng.uniform(0, 1, 16)
-            L = np.abs(m.frechet(x, S(x), f(x), l2_inner(S, f)))
+            L = np.abs(response(m, x, S, f))
             f1 = simpson_integral(lambda t: np.abs(f(t)))
             env = (
                 np.abs(S(x) * f(x))
@@ -212,47 +218,35 @@ class TestEconometricScale:
         assert worst <= 2.0 * max(c2, c3) + 1e-9
 
 
-def scale_models():
-    econ = econometric_scale(1.0, 1.0, 0.5, 0.5)
-    g = DesignGrid(11)
-    _, tilted = nonperiodic_transform(np.zeros(g.n), econ, smooth_cutoff(0.3, 0.7), 0.05, g, 0)
-    return [econ, econometric_scale(0.5, 0.0, 2.0, 0.0), homogeneous_scale(1.5), tilted]
-
-
 class TestScaleModelStacks:
     @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
     def test_stack_equals_single_rows(self, m):
         # one call on B draws gives, bit for bit, the B single-draw calls
         rng = np.random.default_rng(12)
-        B, P, n = 5, 3, 17
+        B, n = 5, 17
         x = np.sort(rng.uniform(0.0, 1.0, n))
         s = rng.standard_normal((B, n))
         norm_sq = rng.uniform(0.0, 2.0, B)
-        f = rng.standard_normal((P, n))
-        cross = rng.standard_normal((B, P))
         g2 = m.g2(x, s, norm_sq[:, None])
-        L = m.frechet(x, s[:, None, :], f, cross[:, :, None])
-        assert g2.shape == (B, n) and L.shape == (B, P, n)
-        for b in range(B):
-            np.testing.assert_array_equal(g2[b], m.g2(x, s[b], norm_sq[b]))
-            for p in range(P):
-                np.testing.assert_array_equal(L[b, p], m.frechet(x, s[b], f[p], cross[b, p]))
+        a, b = (np.broadcast_to(p, s.shape) for p in m.frechet(x, s))
+        assert g2.shape == (B, n)
+        for r in range(B):
+            np.testing.assert_array_equal(g2[r], m.g2(x, s[r], norm_sq[r]))
+            a_r, b_r = m.frechet(x, s[r])
+            np.testing.assert_array_equal(a[r], np.broadcast_to(a_r, n))
+            np.testing.assert_array_equal(b[r], np.broadcast_to(b_r, n))
 
     @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
-    def test_frechet_is_its_two_coefficients(self, m):
-        # frechet(x, s, f, cross) = a f + b cross with a = frechet(x, s, 1, 0) and
-        # b = frechet(x, s, 0, 1), each a (B, n) array: all the van Trees bound reads
-        rng = np.random.default_rng(13)
-        B, P, n = 5, 3, 17
-        x = np.sort(rng.uniform(0.0, 1.0, n))
-        s = rng.standard_normal((B, n))
-        f = rng.standard_normal((P, n))
-        cross = rng.standard_normal((B, P))
-        a, b = m.frechet(x, s, 1.0, 0.0), m.frechet(x, s, 0.0, 1.0)
-        assert a.shape == b.shape == (B, n)
-        L = m.frechet(x, s[:, None, :], f, cross[:, :, None])
-        np.testing.assert_allclose(L, a[:, None, :] * f + b[:, None, :] * cross[:, :, None],
-                                   rtol=1e-14, atol=1e-15)
+    @given(x=st.floats(0.0, 1.0), s=st.floats(-4.0, 4.0), norm_sq=st.floats(0.0, 4.0))
+    def test_frechet_is_its_two_coefficients(self, m, x, s, norm_sq):
+        # frechet(x, s) = (a, b) = (dg^2/ds, 2 dg^2/dnorm_sq), so the response in a
+        # direction f is a f(x) + b <S, f>; every g^2 here is quadratic in s and
+        # linear in norm_sq, so central differences leave only rounding
+        h = 1e-3
+        a, b = m.frechet(x, s)
+        da = (m.g2(x, s + h, norm_sq) - m.g2(x, s - h, norm_sq)) / (2.0 * h)
+        db = (m.g2(x, s, norm_sq + h) - m.g2(x, s, norm_sq - h)) / h
+        np.testing.assert_allclose([a, b], [da, db], rtol=1e-8, atol=1e-9)
 
     @pytest.mark.parametrize("m", scale_models(), ids=lambda m: m.name)
     def test_g_and_varsigma_take_the_function(self, m):
