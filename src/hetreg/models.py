@@ -223,44 +223,21 @@ def _mollifier_norm() -> float:
     return simpson_integral(_bump, -1.0, 1.0)
 
 
-def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """For every i, int over [x_i, x_{i+1}] of the parabola through x_i, x_{i+1}, x_{i+2}
-    (Cartwright, J. Math. Sci. Math. Educ. 12(2), eq. (8))."""
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      + -x21x21_x31x32 * y[2:])
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_{x_0}^{x_i} of the samples y, for every i (at least three nodes).
-
-    Interval i takes the parabola through nodes i, i+1, i+2 when i is even and
-    through i-1, i, i+1 when i is odd, as does the last interval: SciPy's
-    `integrate.cumulative_simpson(y, x=x, initial=0.0)`, bit for bit.
-    """
-    dx = np.diff(x)
-    left = _simpson_pieces(y[::-1], dx[::-1])[::-1]  # each interval from the parabola on its left
-    pieces = np.empty(len(dx))
-    pieces[:-1:2] = _simpson_pieces(y, dx)[::2]
-    pieces[1::2] = left[::2]
-    pieces[-1] = left[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
-
-
 @lru_cache(maxsize=1)
 def _mollifier_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    """The Simpson nodes u on [-1, 1] and the mollifier's CDF at them.
+    """The nodes u of `simpson_rule(-1, 1)` and the mollifier's CDF at them.
 
-    The CDF is the cumulative Simpson integral of the samples (SciPy's
-    `cumulative_simpson` rule, bit for bit), scaled to end at exactly 1 so
-    that the ramps of `mollifier_cdf` hit 0 and 1.
+    `simpson_rule` on [-1, 0] and on [0, 1] has panels as wide as u's
+    spacing, with a node between every two of u.  The CDF at u_k is the
+    running sum of the first k of those panels, y_0 + 4 y_1 + y_2 each; their
+    common factor h/3 cancels when the table is scaled to end at exactly 1,
+    so that the ramps of `mollifier_cdf` hit 0 and 1.  No panel is negative,
+    so the table never decreases.
     """
-    u, _ = simpson_rule(-1.0, 1.0)
-    cdf = _cumulative_simpson(mollifier(u), u)
-    cdf /= cdf[-1]
-    return u, cdf
+    u = np.concatenate((simpson_rule(-1.0, 0.0)[0], simpson_rule(0.0, 1.0)[0][1:]))
+    y = mollifier(u)
+    cdf = np.concatenate(([0.0], np.cumsum(y[:-2:2] + 4.0 * y[1::2] + y[2::2])))
+    return u[::2], cdf / cdf[-1]
 
 
 def mollifier_cdf(t) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hetreg.basis import DesignGrid, TrigPolynomial
 from hetreg.models import (
     SIMPSON_PANELS,
-    _cumulative_simpson,
     _mollifier_cdf_table,
     NoiseSpec,
     econometric_scale,
@@ -46,29 +45,17 @@ class TestSimpson:
         assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
         np.testing.assert_allclose(w[:4] / w[0], [1.0, 4.0, 2.0, 4.0])
 
-
-class TestCumulativeSimpson:
-    """The numpy port of SciPy's cumulative Simpson rule, held to SciPy bit for bit."""
-
-    def test_mollifier_table_equals_scipy(self):
+    def test_mollifier_cdf_table(self):
+        # running panel sums of the rule on the two halves, at the nodes of the
+        # rule on [-1, 1]: SciPy's cumulative Simpson rule there, up to rounding
         from scipy.integrate import cumulative_simpson
 
         u, cdf = _mollifier_cdf_table()
         np.testing.assert_array_equal(u, simpson_rule(-1.0, 1.0)[0])
-        ref = cumulative_simpson(mollifier(u), x=u, initial=0.0)
-        np.testing.assert_array_equal(cdf, ref / ref[-1])
         assert (cdf[0], cdf[-1]) == (0.0, 1.0)
-
-    @given(size=st.integers(3, 64), seed=st.integers(0, 2**32 - 1))
-    def test_equals_scipy_on_unequal_nodes(self, size, seed):
-        from scipy.integrate import cumulative_simpson
-
-        # odd and even node counts, so both last-interval cases are met
-        rng = np.random.default_rng(seed)
-        x = np.cumsum(rng.uniform(0.01, 1.0, size))
-        y = rng.standard_normal(size)
-        np.testing.assert_array_equal(_cumulative_simpson(y, x),
-                                      cumulative_simpson(y, x=x, initial=0.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+        ref = cumulative_simpson(mollifier(u), x=u, initial=0.0)
+        np.testing.assert_allclose(cdf, ref / ref[-1], rtol=0, atol=1e-12)
 
 
 def seed_sequence_rng(seed, *key):
