@@ -76,6 +76,12 @@ _LOWERBOUND_DEFAULTS = {
 }
 
 
+def _check_names(key: str, names) -> None:
+    """Refuse a list of estimator names that is no list (or tuple) of strings."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{key} must be a list of strings, got {names!r}")
+
+
 def _check_keys(section: str, spec, allowed) -> None:
     """Refuse a config section that is not a mapping or has a key outside `allowed`."""
     if not isinstance(spec, dict):
@@ -121,11 +127,17 @@ class ExperimentConfig:
                 continue  # the default penalty 1 / (3 + sqrt(ln n))
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if not isinstance(self.save_losses, bool):
+            raise ValueError(f"save_losses must be a boolean, got {self.save_losses!r}")
+        if not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        _check_names("estimators", self.estimators)
         for n in self.n_grid:  # bad tuning (e.g. rho) or an all-zero family, before any replicate
             family_cutoffs(n, self.sequences(n))
         # a scale is either sigma alone (homogeneous) or econometric coefficients
         homogeneous = isinstance(self.scale, dict) and "sigma" in self.scale
         _check_keys("scale", self.scale, ("sigma",) if homogeneous else ("c0", "c1", "c2", "c3"))
+        resolve_scale(self.scale)  # refuses a constant that is no finite number or out of range
         _check_keys("test_function", self.test_function, ("preset", "trig_coeffs", "name"))
         if self.ball is not None:
             _check_keys("ball", self.ball, ("k", "r"))
@@ -150,6 +162,7 @@ class ExperimentConfig:
         for key, high in (("eps", 1.0), ("eta", 0.5)):  # nan and inf fail the interval too
             if isinstance(lb[key], bool) or not isinstance(lb[key], (int, float)) or not 0.0 < lb[key] < high:
                 raise ValueError(f"lowerbound {key} must be a number in (0, {high:g}), got {lb[key]!r}")
+        _check_names("lowerbound bayes_estimators", lb["bayes_estimators"])
         for name in lb["bayes_estimators"]:
             if name not in BAYES_ESTIMATORS:
                 raise ValueError(f"unknown bayes estimator {name!r}")
@@ -168,9 +181,7 @@ class ExperimentConfig:
 def resolve_scale(spec: dict) -> ScaleModel:
     if "sigma" in spec:
         return homogeneous_scale(spec["sigma"])
-    return econometric_scale(
-        spec.get("c0", 1.0), spec.get("c1", 0.0), spec.get("c2", 0.0), spec.get("c3", 0.0)
-    )
+    return econometric_scale(**{"c0": 1.0, **spec})  # c1, c2 and c3 default to 0
 
 
 def _bump_preset() -> SampledFunction:

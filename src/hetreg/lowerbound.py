@@ -376,8 +376,7 @@ def van_trees_bound(
         s = _row_products(z, D)
         c = _row_products(z, gram)
         g2 = scale.g2(x, s, _row_dots(c, z)[:, None])
-        a, b = scale.frechet(x, s)
-        a, b = a / g2, b / g2
+        a, b = (p / g2 for p in scale.frechet(x, s))
         terms = c * (2.0 * _row_products(a * b, D.T) + c * _row_dots(b, b)[:, None])
         np.concatenate([1.0 / g2, a**2, terms], axis=1, out=rows[1 : len(z) + 1])
         rows[0] = np.add.reduce(rows[: len(z) + 1])

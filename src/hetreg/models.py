@@ -1,13 +1,12 @@
 """Heteroscedastic data generation: scale operators, noise menu, smooth cutoff.
 
-Scale models carry g^2, its Frechet derivative (required) and, when
-available, the exact integrated scale varsigma(S) = int g^2(x, S) dx.  Every
-model here needs S only through S(x) and ||S||^2, so g^2 takes those values
-and the derivative is its two partials in them, for one S or for a whole stack
-of draws at once; only `ScaleModel.g` and `ScaleModel.varsigma` take the
-function S.  `homogeneous_scale` is the econometric model with c0 alone.
-Integrals of general functions use one composite Simpson rule on 2^14 + 1
-fixed points (`simpson_rule`), which keeps every numeric result
+Scale models carry g^2, its Frechet derivative (required) as the partials of
+g^2 in S(x) and ||S||^2, and, when available, the exact integrated scale
+varsigma(S) = int g^2(x, S) dx.  g^2 and its partials take those two values,
+for one S or a whole stack of draws at once; only `ScaleModel.g` and
+`ScaleModel.varsigma` take the function S.  Integrals of general functions
+use one composite Simpson rule on 2^14 + 1 fixed points (`simpson_rule`; the
+mollifier's CDF is its running panel sums), which keeps every numeric result
 deterministic; its weighted sum is `serial_dot`, taken in the calling thread
 with the same bits whatever OpenBLAS's thread count.  Where the integrand is
 known in closed form the package uses exact algebra instead: Parseval for
@@ -29,6 +28,7 @@ SeedSequence itself serves only as the reference of the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -227,12 +227,10 @@ def _mollifier_norm() -> float:
 def _mollifier_cdf_table() -> tuple[np.ndarray, np.ndarray]:
     """The nodes u of `simpson_rule(-1, 1)` and the mollifier's CDF at them.
 
-    `simpson_rule` on [-1, 0] and on [0, 1] has panels as wide as u's
-    spacing, with a node between every two of u.  The CDF at u_k is the
-    running sum of the first k of those panels, y_0 + 4 y_1 + y_2 each; their
-    common factor h/3 cancels when the table is scaled to end at exactly 1,
-    so that the ramps of `mollifier_cdf` hit 0 and 1.  No panel is negative,
-    so the table never decreases.
+    The CDF at u_k is the running sum of the first k panels, y_0 + 4 y_1 + y_2
+    each, of `simpson_rule` on [-1, 0] and [0, 1], whose every second node is
+    a u; the factor h/3 cancels when the table is scaled to end at exactly 1
+    (so the ramps of `mollifier_cdf` hit 0 and 1).  No panel is negative.
     """
     u = np.concatenate((simpson_rule(-1.0, 0.0)[0], simpson_rule(0.0, 1.0)[0][1:]))
     y = mollifier(u)
@@ -251,13 +249,12 @@ def mollifier_cdf(t) -> np.ndarray:
 class ScaleModel:
     """Scale operator sigma_j(S) = g(x_j, S) with the derivative of g^2, on values.
 
-    g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2.
-    frechet(x, s), required, is the pair (a, b) = (dg^2/ds, 2 dg^2/dnorm_sq),
-    arrays that broadcast against s: the response of g^2 at S in a direction f
-    is a f(x) + b <S, f>.  The arguments broadcast as arrays whose last axis
-    runs over x, so a (B, n) stack of draws passes norm_sq as (B, 1) and gets
-    its B rows of g^2 in one call.  g2 must stay bounded away from zero on the
-    function class in use; varsigma_exact, when given, is int g^2 as a
+    g2(x, s, norm_sq) is g^2(x, S) given s = S(x) and norm_sq = ||S||^2;
+    frechet(x, s), required, gives the partials (a, b) = (dg^2/ds,
+    2 dg^2/dnorm_sq), so g^2 responds to a direction f by a f(x) + b <S, f>.
+    Arguments and results broadcast with a last axis over x: a (B, n) stack of
+    draws passes norm_sq as (B, 1).  g2 must stay bounded away from zero on
+    the function class in use; varsigma_exact, when given, is int g^2 as a
     function of ||S||^2.
     """
 
@@ -280,12 +277,20 @@ class ScaleModel:
         return simpson_integral(lambda x: self.g2(x, S(x), norm_sq))
 
 
+def _check_finite(name: str, value) -> None:
+    """Refuse a scale constant that is no finite real number (a boolean included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"scale {name} must be a finite number, got {value!r}")
+
+
 def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0) -> ScaleModel:
     """g^2(x, S) = c0 + c1 x + c2 S(x)^2 + c3 ||S||^2 with c0 > 0.
 
     The Frechet derivative's partials are (2 c2 S(x), 2 c3), and
     varsigma(S) = c0 + c1/2 + (c2 + c3) ||S||^2 in closed form.
     """
+    for name, value in (("c0", c0), ("c1", c1), ("c2", c2), ("c3", c3)):
+        _check_finite(name, value)
     if c0 <= 0.0:
         raise ValueError(f"c0 must be positive, got {c0}")
     if min(c1, c2, c3) < 0.0:
@@ -301,6 +306,7 @@ def econometric_scale(c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0
 
 def homogeneous_scale(sigma: float = 1.0) -> ScaleModel:
     """Constant noise level: the econometric model with c0 = sigma^2 alone."""
+    _check_finite("sigma", sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     return replace(econometric_scale(float(sigma) ** 2), name=f"homogeneous({sigma})")
@@ -413,9 +419,8 @@ def nonperiodic_transform(
         return scale.g2(x, s, norm_sq) * chi(x) ** 2 + eps2
 
     def frechet_t(x, s):
-        a, b = scale.frechet(x, s)
         chi2 = chi(x) ** 2
-        return a * chi2, b * chi2
+        return tuple(p * chi2 for p in scale.frechet(x, s))
 
     tilted = ScaleModel(g2=g2_t, frechet=frechet_t, name=f"{scale.name}*chi+eps({epsilon})")
     return Y_t, tilted

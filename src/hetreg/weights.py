@@ -103,6 +103,11 @@ def omega(alpha: WeightIndex, n: int, seqs: TuningSequences) -> float:
     return seqs.omega_bar + (a_beta(beta) * t * n) ** (1.0 / (2.0 * beta + 1.0))
 
 
+def _taper(j: np.ndarray, om, j0, beta: int) -> np.ndarray:
+    """Weights at frequencies j: 1 up to the head j0, 1 - (j/omega)^beta up to omega, then 0."""
+    return np.where(j <= j0, 1.0, np.where(j <= om, 1.0 - (j / om) ** beta, 0.0))
+
+
 def pinsker_weights(alpha: WeightIndex, n: int, seqs: TuningSequences) -> np.ndarray:
     """Length-n weight vector: flat head, polynomial taper, zero tail.
 
@@ -112,13 +117,7 @@ def pinsker_weights(alpha: WeightIndex, n: int, seqs: TuningSequences) -> np.nda
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
     om = omega(alpha, n, seqs)
-    j0 = int(om * seqs.eps)
-    j = np.arange(1, n + 1, dtype=float)
-    lam = np.zeros(n)
-    lam[j <= j0] = 1.0
-    mid = (j > j0) & (j <= om)
-    lam[mid] = 1.0 - (j[mid] / om) ** alpha.beta
-    return lam
+    return _taper(np.arange(1, n + 1, dtype=float), om, int(om * seqs.eps), alpha.beta)
 
 
 class WeightFamily(tuple):
@@ -165,7 +164,7 @@ def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     """All k* x m members in increasing (beta, t) order, built at their support width.
 
     Row by row the stack equals `pinsker_weights` cut to its width, bit for bit:
-    each beta's rows are one array with the same integer power.
+    each beta's rows are one `_taper` call with the same integer power.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
@@ -175,6 +174,5 @@ def weight_family(n: int, seqs: TuningSequences) -> WeightFamily:
     W = np.empty((len(indices), len(j)))
     for beta in range(1, seqs.k_star + 1):
         rows = slice((beta - 1) * seqs.m, beta * seqs.m)
-        w, j0 = om[rows, None], flat[rows, None]
-        W[rows] = np.where(j <= j0, 1.0, np.where(j <= w, 1.0 - (j / w) ** beta, 0.0))
+        W[rows] = _taper(j, om[rows, None], flat[rows, None], beta)
     return WeightFamily(indices, W)

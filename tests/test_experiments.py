@@ -765,6 +765,25 @@ class TestCli:
         assert str(exc.value.code) == f"hetreg risk: seed must be an integer >= 0, got {seed!r}"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, message", [
+        # a string is truthy: it used to write risk_losses.csv and exit 0
+        ({"save_losses": "no"}, "save_losses must be a boolean, got 'no'"),
+        ({"output_path": 5}, "output_path must be a string, got 5"),
+        # a string is iterable: it used to be refused as unknown estimator 'a'
+        ({"estimators": "adaptive"}, "estimators must be a list of strings, got 'adaptive'"),
+        ({"estimators": ["adaptive", 3]}, "estimators must be a list of strings, got ['adaptive', 3]"),
+    ])
+    def test_config_types_are_validated(self, tmp_path, monkeypatch, section, message):
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, "output_path": str(out_dir),
+                                        **section}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(cfg_path)])
+        assert str(exc.value.code) == f"hetreg risk: {message}"
+        assert not out_dir.exists() and list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize("lowerbound, message", [
         ({"prior_mcc": 50}, "unknown lowerbound keys: ['prior_mcc']"),
         ({"prior_mc": 0}, "lowerbound prior_mc must be an integer >= 1, got 0"),
@@ -780,6 +799,8 @@ class TestCli:
         ({"eta": None}, "lowerbound eta must be a number in (0, 0.5), got None"),
         ({"eta": 0.5}, "lowerbound eta must be a number in (0, 0.5), got 0.5"),
         ({"eta": True}, "lowerbound eta must be a number in (0, 0.5), got True"),
+        ({"bayes_estimators": "zero"},
+         "lowerbound bayes_estimators must be a list of strings, got 'zero'"),
     ])
     def test_lower_bound_config_is_validated(self, tmp_path, lowerbound, message):
         cfg_path = tmp_path / "cfg.json"
@@ -809,6 +830,14 @@ class TestCli:
         ({"ball": {"r": 0.0}}, "ball r must be a positive finite number or null, got 0.0"),
         ({"ball": {"r": "1"}}, "ball r must be a positive finite number or null, got '1'"),
         ({"ball": {"r": 1e400}}, "ball r must be a positive finite number or null, got inf"),
+        ({"scale": {"c0": "1"}}, "scale c0 must be a finite number, got '1'"),
+        ({"scale": {"c0": 1.0, "c2": True}}, "scale c2 must be a finite number, got True"),
+        ({"scale": {"c0": math.nan}}, "scale c0 must be a finite number, got nan"),
+        ({"scale": {"c0": 1.0, "c3": -math.inf}}, "scale c3 must be a finite number, got -inf"),
+        ({"scale": {"sigma": "a"}}, "scale sigma must be a finite number, got 'a'"),
+        ({"scale": {"sigma": math.inf}}, "scale sigma must be a finite number, got inf"),
+        ({"scale": {"sigma": None}}, "scale sigma must be a finite number, got None"),
+        ({"scale": {"sigma": 0.0}}, "sigma must be positive"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"

@@ -156,6 +156,16 @@ class TestEconometricScale:
         with pytest.raises(ValueError):
             econometric_scale(1.0, -0.1)
 
+    @pytest.mark.parametrize("c", [True, "1", None, math.nan, math.inf, -math.inf])
+    def test_constants_must_be_finite_numbers(self, c):
+        for i, name in enumerate(("c0", "c1", "c2", "c3")):
+            consts = [1.0, 0.0, 0.0, 0.0]
+            consts[i] = c
+            with pytest.raises(ValueError, match=f"scale {name} must be a finite number"):
+                econometric_scale(*consts)
+        with pytest.raises(ValueError, match="scale sigma must be a finite number"):
+            homogeneous_scale(c)
+
     def test_frechet_linearity(self):
         m = econometric_scale(1.0, 1.0, 0.7, 0.3)
         rng = np.random.default_rng(0)
