@@ -6,7 +6,7 @@ varsigma(S) = int g^2(x, S) dx.  g^2 and its partials take those two values,
 for one S or a whole stack of draws at once; only `ScaleModel.g` and
 `ScaleModel.varsigma` take the function S.  Integrals of general functions
 use one composite Simpson rule on 2^14 + 1 fixed points (`simpson_rule`; the
-mollifier's CDF is its running panel sums), which keeps every numeric result
+mollifier's CDF sums its panels), which keeps every numeric result
 deterministic; its weighted sum is `serial_dot`, taken in the calling thread
 with the same bits whatever OpenBLAS's thread count.  Where the integrand is
 known in closed form the package uses exact algebra instead: Parseval for
@@ -227,15 +227,15 @@ def _mollifier_norm() -> float:
 def _mollifier_cdf_table() -> tuple[np.ndarray, np.ndarray]:
     """The nodes u of `simpson_rule(-1, 1)` and the mollifier's CDF at them.
 
-    The CDF at u_k is the running sum of the first k panels, y_0 + 4 y_1 + y_2
-    each, of `simpson_rule` on [-1, 0] and [0, 1], whose every second node is
-    a u; the factor h/3 cancels when the table is scaled to end at exactly 1
-    (so the ramps of `mollifier_cdf` hit 0 and 1).  No panel is negative.
+    The CDF at u_k sums the Simpson panels y_i + 4 y_mid + y_i+1 of u's first k
+    intervals; their factor h/6 cancels when the table is scaled to end at
+    exactly 1, so the ramps of `mollifier_cdf` hit 0 and 1.  No panel is negative.
     """
-    u = np.concatenate((simpson_rule(-1.0, 0.0)[0], simpson_rule(0.0, 1.0)[0][1:]))
+    u, _ = simpson_rule(-1.0, 1.0)
     y = mollifier(u)
-    cdf = np.concatenate(([0.0], np.cumsum(y[:-2:2] + 4.0 * y[1::2] + y[2::2])))
-    return u[::2], cdf / cdf[-1]
+    panels = y[:-1] + 4.0 * mollifier((u[:-1] + u[1:]) / 2.0) + y[1:]
+    cdf = np.concatenate(([0.0], np.cumsum(panels)))
+    return u, cdf / cdf[-1]
 
 
 def mollifier_cdf(t) -> np.ndarray:
@@ -309,6 +309,7 @@ def homogeneous_scale(sigma: float = 1.0) -> ScaleModel:
     _check_finite("sigma", sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    _check_finite("sigma^2", sigma * sigma)  # float(sigma) ** 2 would raise OverflowError
     return replace(econometric_scale(float(sigma) ** 2), name=f"homogeneous({sigma})")
 
 

@@ -838,6 +838,7 @@ class TestCli:
         ({"scale": {"sigma": math.inf}}, "scale sigma must be a finite number, got inf"),
         ({"scale": {"sigma": None}}, "scale sigma must be a finite number, got None"),
         ({"scale": {"sigma": 0.0}}, "sigma must be positive"),
+        ({"scale": {"sigma": 1e200}}, "scale sigma^2 must be a finite number, got inf"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"

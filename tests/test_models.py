@@ -46,8 +46,8 @@ class TestSimpson:
         np.testing.assert_allclose(w[:4] / w[0], [1.0, 4.0, 2.0, 4.0])
 
     def test_mollifier_cdf_table(self):
-        # running panel sums of the rule on the two halves, at the nodes of the
-        # rule on [-1, 1]: SciPy's cumulative Simpson rule there, up to rounding
+        # running Simpson panel sums over the intervals of the rule's nodes, each
+        # with its midpoint: SciPy's cumulative Simpson rule there, up to rounding
         from scipy.integrate import cumulative_simpson
 
         u, cdf = _mollifier_cdf_table()
