@@ -26,7 +26,7 @@ __all__ = [
     "basis_matrix",
     "basis_eval_matrix",
     "serial_matmul",
-    "serial_dot",
+    "row_dots",
     "pack_spectrum",
     "fourier_rows",
     "grid_values",
@@ -41,6 +41,7 @@ BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of flo
 # (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4), and up to 10000
 # entries a dot product
 SERIAL_MULADDS = 2**18
+SERIAL_ROWS = 1024  # rows of a padded row block, at most
 SERIAL_DOT = 10000
 
 
@@ -149,20 +150,20 @@ def basis_matrix(grid: DesignGrid) -> np.ndarray:
 
 
 def serial_matmul(a, b) -> np.ndarray:
-    """a (..., B, k) @ b (k, d) in blocks of rows of at most SERIAL_MULADDS multiply-adds.
+    """a (..., B, k) @ b (k, d) in row blocks of <= SERIAL_ROWS rows and SERIAL_MULADDS multiply-adds.
 
     BLAS then computes every block in the calling thread.  On a shared 2-vCPU
     machine a threaded product of a study block's size can wait milliseconds
     for its second thread, far longer than the product itself takes.  A short
     last block is padded with zero rows to the full height, so a row gets the
     same bits however many rows follow it: numpy runs a one-row product as
-    gemv, and OpenBLAS rounds gemm differently at different row counts.  A 1-d
-    `a` is one product.
+    gemv, and OpenBLAS rounds gemm differently at different row counts.  The
+    row cap bounds that padding for a narrow product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return a @ b
-    rows = max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1]))
+    rows = min(SERIAL_ROWS, max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1])))
     B = a.shape[-2]
     out = np.empty(a.shape[:-2] + (-(-B // rows) * rows,) + b.shape[-1:])
     for lo in range(0, B, rows):
@@ -173,28 +174,22 @@ def serial_matmul(a, b) -> np.ndarray:
     return out[..., :B, :]
 
 
-def serial_dot(a, b):
-    """a @ b, its contracted axis taken in equal chunks of at most SERIAL_DOT entries
-    whose products are summed in order.
+def row_dots(a, b) -> np.ndarray:
+    """a_r . b_r for every pair of rows over the last axis, leading axes broadcast.
 
-    For a dot (1-d b, or (B, 1, k) @ (B, k, 1) row dots) BLAS then computes
-    every chunk in the calling thread.  A threaded dot sums one partial dot per
-    thread, so its last bits follow the thread count; these chunks do not.  Up
-    to 2 SERIAL_DOT entries they are the ones two threads take.  A 2-d b of d
-    columns makes each chunk rows * d * size multiply-adds, which the chunks do
-    not bound; whether BLAS threads such a chunk is its own choice.  Contracted
-    axes of different lengths raise ValueError, as for `@`.
+    Each dot sums, in order, equal chunks of at most SERIAL_DOT entries, each one
+    BLAS dot in the calling thread, so its bits follow neither the thread count
+    (a threaded dot sums one partial dot per thread) nor the other rows.  Up to
+    2 SERIAL_DOT entries the chunks are the ones two threads take.  Rows of
+    different lengths raise ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     k = a.shape[-1]
-    if b.shape[0 if b.ndim == 1 else -2] != k:
-        raise ValueError(f"contracted axes differ in length: {a.shape} @ {b.shape}")
+    if b.shape[-1] != k:
+        raise ValueError(f"rows differ in length: {a.shape} and {b.shape}")
     size = -(-k // -(-k // SERIAL_DOT))
-    chunks = range(0, k, size)
-    if b.ndim == 1:
-        return sum(a[..., lo : lo + size] @ b[lo : lo + size] for lo in chunks)
-    return sum(a[..., lo : lo + size] @ b[..., lo : lo + size, :] for lo in chunks)
+    chunks = (a[..., None, lo : lo + size] @ b[..., lo : lo + size, None] for lo in range(0, k, size))
+    return sum(chunks)[..., 0, 0]
 
 
 def pack_spectrum(F, n: int) -> np.ndarray:

@@ -13,8 +13,9 @@ family sweep that every study keeps, are a few more matmuls, with no FFT.
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .basis import (
     TrigPolynomial,
     basis_eval_matrix,
     fourier_rows,
+    row_dots,
     serial_matmul,
 )
 from .lowerbound import (
@@ -71,6 +73,7 @@ __all__ = [
 ]
 
 _TAG_RISK = 3
+_ESTIMATORS = ("adaptive", "oracle_weight", "projection", "zero", "per_family")  # and projection:d
 _LOWERBOUND_DEFAULTS = {
     "eps": 0.2, "eta": 0.05, "prior_mc": 500, "bayes_estimators": BAYES_ESTIMATORS,
 }
@@ -132,6 +135,13 @@ class ExperimentConfig:
         if not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         _check_names("estimators", self.estimators)
+        for name in self.estimators:
+            if name.startswith("projection:") and not name[len("projection:"):].isdecimal():
+                raise ValueError(f"estimator {name!r} must be projection:d with an integer d >= 0")
+            if name not in _ESTIMATORS and not name.startswith("projection:"):
+                raise ValueError(f"unknown estimator {name!r}")
+        if len(set(self.estimators)) < len(self.estimators):  # a study keys its rows by name
+            raise ValueError(f"estimators must be unique, got {list(self.estimators)}")
         for n in self.n_grid:  # bad tuning (e.g. rho) or an all-zero family, before any replicate
             family_cutoffs(n, self.sequences(n))
         # a scale is either sigma alone (homogeneous) or econometric coefficients
@@ -260,13 +270,9 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
             continue
         if name == "oracle_weight":
             fixed.append(pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs))
-        elif name == "zero" or name.startswith("projection:"):
+        else:  # zero or projection:d, as ExperimentConfig checked
             d = 0 if name == "zero" else int(name.split(":", 1)[1])
-            if d < 0:
-                raise ValueError(f"estimator {name!r} must keep d >= 0 coefficients")
             fixed.append((np.arange(n) < d).astype(float))  # keeps the first d coefficients
-        else:
-            raise ValueError(f"unknown estimator {name!r}")
         columns.append(K + len(fixed) - 1)
     # every weight is 0 past column w, the width of L
     w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed])
@@ -293,7 +299,7 @@ def _head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
     """For every row of Y (B, n): theta_hat_1..theta_hat_d, the tail energy
     sum_{j > l_n} theta_hat_j^2 and the energy sum_j theta_hat_j^2 = |Y|^2 / n (Parseval)."""
     head = serial_matmul(Y, analysis)
-    energy = np.einsum("ij,ij->i", Y, Y) / Y.shape[1]
+    energy = row_dots(Y, Y) / Y.shape[1]
     return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
@@ -355,14 +361,6 @@ class RiskRow:
     gamma_k: float
     seed: int
 
-    def as_csv(self) -> str:
-        return ",".join([
-            self.estimator, self.noise, str(self.n),
-            repr(float(self.risk_empiric)), repr(float(self.se_empiric)),
-            repr(float(self.risk_l2)), repr(float(self.se_l2)),
-            repr(float(self.normalized_ratio)), repr(float(self.gamma_k)), str(self.seed),
-        ])
-
 
 CSV_COLUMNS = tuple(f.name for f in fields(RiskRow))
 
@@ -370,10 +368,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(RiskRow))
 def write_csv(rows: list[RiskRow], path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.as_csv() + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")  # quotes a field with a comma, such as lambda[1,0.25]
+        out.writerow(CSV_COLUMNS)
+        out.writerows([float(v) if isinstance(v, float) else v for v in astuple(row)] for row in rows)
 
 
 def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list | None = None):

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, fourier_rows, pack_spectrum, serial_dot
+from .basis import BLOCK_ENTRIES, DesignGrid, fourier_rows, pack_spectrum, row_dots, serial_matmul
 from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
 from .selection import select_rows, tail_energy, taper_losses
 from .theory import pinsker_constant
@@ -323,16 +323,6 @@ class VanTreesReport(NamedTuple):
     prior_sd: np.ndarray
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_r . b_r for every row r, each `serial_dot(a_r, b_r)`."""
-    return serial_dot(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_r @ b for every row r, each `serial_dot(a_r, b)`: alike in any block."""
-    return serial_dot(a[:, None, :], b)[:, 0, :]
-
-
 def van_trees_bound(
     D,
     gram,
@@ -351,7 +341,7 @@ def van_trees_bound(
     averages over the prior the squared response a f_p + b (Gz)_p of g^2 in
     direction f_p, (a, b) = frechet(x, s) the partials of g^2: products
     against D^2, D and ones.  The `mc_reps` draws, from a fixed substream, run
-    as in `bayes_risk_mc`: BLOCK_ENTRIES // n at a time, one row at a time.
+    as in `bayes_risk_mc`, BLOCK_ENTRIES // n at a time.
     """
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be >= 1, got {mc_reps}")
@@ -373,11 +363,11 @@ def van_trees_bound(
     rows = np.zeros((min(step, mc_reps) + 1, 2 * grid.n + P))
     for lo in range(0, mc_reps, step):
         z = Z[lo : lo + step]
-        s = _row_products(z, D)
-        c = _row_products(z, gram)
-        g2 = scale.g2(x, s, _row_dots(c, z)[:, None])
+        s = serial_matmul(z, D)
+        c = serial_matmul(z, gram)
+        g2 = scale.g2(x, s, row_dots(c, z)[:, None])
         a, b = (p / g2 for p in scale.frechet(x, s))
-        terms = c * (2.0 * _row_products(a * b, D.T) + c * _row_dots(b, b)[:, None])
+        terms = c * (2.0 * serial_matmul(a * b, D.T) + c * row_dots(b, b)[:, None])
         np.concatenate([1.0 / g2, a**2, terms], axis=1, out=rows[1 : len(z) + 1])
         rows[0] = np.add.reduce(rows[: len(z) + 1])
     ginv2, a2, cross = np.split(rows[0] / mc_reps, [grid.n, 2 * grid.n])
@@ -409,7 +399,7 @@ def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndar
     cross = np.empty((n, P))
     for m, lo in enumerate(range(0, P, N), start=1):
         S = family.block(m, x)
-        gram[lo : lo + N, lo : lo + N] = serial_dot(S, S.T) / K
+        gram[lo : lo + N, lo : lo + N] = row_dots(S[:, None, :], S[None, :, :]) / K
         cross[:, lo : lo + N] = pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
     return gram, cross
 
@@ -465,7 +455,8 @@ def bayes_risk_mc(
     `fourier_rows(Y)` gives its theta_hat.  Coefficients c lose
     ||c||^2 - 2 c'C t + t'Gt: `zero` loses t'Gt, `projection` keeps theta_hat,
     and `adaptive` is the `taper_losses` row that `select_rows` picks from
-    `weight_family(n, seqs)`, as in a study.  A row's loss does not depend on its block.
+    `weight_family(n, seqs)`, as in a study.  Its products are `serial_matmul`s
+    and `row_dots`, so a row's loss does not depend on its block.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -488,15 +479,15 @@ def bayes_risk_mc(
             rng.standard_normal(out=T[i])
             rng.standard_normal(out=xi[i])
         T *= prior.t.ravel()
-        s = _row_products(T, D)
-        norm_sq = _row_dots(_row_products(T, gram), T)
+        s = serial_matmul(T, D)
+        norm_sq = row_dots(serial_matmul(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        Tc = _row_products(T, cross.T)
+        Tc = serial_matmul(T, cross.T)
         th = fourier_rows(Y)
         pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
         by_name = {
             "zero": norm_sq,
-            "projection": _row_dots(th, th) - 2.0 * _row_dots(th, Tc) + norm_sq,
+            "projection": row_dots(th, th) - 2.0 * row_dots(th, Tc) + norm_sq,
             "adaptive": taper_losses(W, th[:, :m], Tc[:, :m], norm_sq[:, None])[np.arange(B), pick],
         }
         for e, name in enumerate(names):

@@ -7,7 +7,7 @@ for one S or a whole stack of draws at once; only `ScaleModel.g` and
 `ScaleModel.varsigma` take the function S.  Integrals of general functions
 use one composite Simpson rule on 2^14 + 1 fixed points (`simpson_rule`; the
 mollifier's CDF sums its panels), which keeps every numeric result
-deterministic; its weighted sum is `serial_dot`, taken in the calling thread
+deterministic; its weighted sum, by `basis.row_dots`, is taken in one thread
 with the same bits whatever OpenBLAS's thread count.  Where the integrand is
 known in closed form the package uses exact algebra instead: Parseval for
 trigonometric series and, for the step-extension loss, the cell integrals of a
@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, as_sampled, serial_dot
+from .basis import DesignGrid, SampledFunction, as_sampled, row_dots
 
 __all__ = [
     "SIMPSON_PANELS",
@@ -200,9 +200,9 @@ def simpson_rule(a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray
 
 
 def simpson_integral(f, a: float = 0.0, b: float = 1.0) -> float:
-    """Composite Simpson rule on SIMPSON_PANELS panels, summed by `serial_dot`."""
+    """Composite Simpson rule on SIMPSON_PANELS panels, summed by `row_dots`."""
     x, w = simpson_rule(a, b)
-    return float(serial_dot(w, np.asarray(f(x), dtype=float)))
+    return float(row_dots(w, f(x)))
 
 
 def _bump(u) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from hetreg.basis import (
     empiric_inner_product,
     fourier_rows,
     grid_values,
-    serial_dot,
+    row_dots,
     serial_matmul,
     synthesize,
     trig_basis_eval,
@@ -161,12 +163,12 @@ class TestSerialMatmul:
     @given(lead=st.sampled_from([(), (2,)]), rows=st.integers(1, 400),
            k=st.sampled_from([1, 8, 101, 3001]), d=st.integers(1, 140), seed=seeds)
     def test_equals_one_product(self, lead, rows, k, d, seed):
-        # row blocks of at most 2^18 multiply-adds give the single product's values
+        # row blocks of at most 2^18 multiply-adds and 1024 rows give the single product's values
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal(lead + (rows, k)), rng.standard_normal((k, d))
         np.testing.assert_allclose(serial_matmul(a, b), a @ b, rtol=1e-13, atol=1e-13 * np.sqrt(k))
 
-    @given(k=st.sampled_from([8, 101, 3001]), d=st.integers(1, 40), seed=seeds)
+    @given(k=st.sampled_from([1, 8, 101, 3001]), d=st.integers(1, 40), seed=seeds)
     def test_a_row_does_not_follow_the_row_count(self, k, d, seed):
         # a short last block is padded to the full height: no row is left to
         # gemv, or to a gemm of another height
@@ -176,43 +178,65 @@ class TestSerialMatmul:
         for rows in (1, 2, 3, 5, 69):
             np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
 
+    def test_narrow_product_takes_capped_blocks(self):
+        # (2500, 1) @ (1, 1) runs as three padded blocks of 1024 rows, not one of 2^18
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2500, 1)), rng.standard_normal((1, 1))
+        full = serial_matmul(a, b)
+        np.testing.assert_allclose(full, a @ b, rtol=1e-15)
+        for rows in (1, 1024, 1025, 2049):
+            np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
+        tracemalloc.start()
+        serial_matmul(a[:1], b)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**16  # a padded block of 1024 rows takes some 24 KiB; of 2^18 rows, 6 MiB
+
     def test_vector_is_one_product(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal(501), rng.standard_normal((501, 40))
         np.testing.assert_array_equal(serial_matmul(a, b), a @ b)
 
 
-class TestSerialDot:
-    @given(shapes=st.sampled_from([((), ()), ((), (3,)), ((2,), ()), ((2,), (3,)), ((4, 1), (1,))]),
+class TestRowDots:
+    @given(shapes=st.sampled_from([((), ()), ((3,), (3,)), ((2, 1), (1, 3)), ((4,), ())]),
            k=st.integers(1, 45000), seed=seeds)
     def test_equals_one_product(self, shapes, k, seed):
-        # a (..., k) @ b (k,) or (..., k, d), with row dots as (B, 1, k) @ (B, k, 1)
+        # the dot of every pair of rows over the last axis, leading axes broadcast
         rng = np.random.default_rng(seed)
-        lead, tail = shapes
-        a = rng.standard_normal(lead + (k,))
-        b = rng.standard_normal(((4, k, 1) if lead == (4, 1) else (k,) + tail))
-        np.testing.assert_allclose(serial_dot(a, b), a @ b, rtol=1e-12, atol=1e-12 * np.sqrt(k))
+        a, b = (rng.standard_normal(lead + (k,)) for lead in shapes)
+        np.testing.assert_allclose(row_dots(a, b), np.sum(a * b, axis=-1),
+                                   rtol=1e-12, atol=1e-12 * np.sqrt(k))
 
     def test_chunks_are_the_halves_two_threads_take(self):
         # 16385 Simpson nodes: two dots of 8193 and 8192 entries, summed in order
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal(16385), rng.standard_normal(16385)
-        assert serial_dot(a, b) == a[:8193] @ b[:8193] + a[8193:] @ b[8193:]
+        assert row_dots(a, b) == a[:8193] @ b[:8193] + a[8193:] @ b[8193:]
         S = rng.standard_normal((3, 16384))
-        np.testing.assert_array_equal(serial_dot(S, S.T),
-                                      S[:, :8192] @ S[:, :8192].T + S[:, 8192:] @ S[:, 8192:].T)
+        gram = row_dots(S[:, None, :], S[None, :, :])
+        assert all(gram[i, j] == S[i, :8192] @ S[j, :8192] + S[i, 8192:] @ S[j, 8192:]
+                   for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("k", [51, 16385, 100001])
+    def test_a_row_does_not_follow_the_row_count(self, k):
+        # one chunk, two chunks of the ones two threads take, and eleven chunks
+        rng = np.random.default_rng(k)
+        a, b = rng.standard_normal((2, 12, k))
+        full = row_dots(a, b)
+        for rows in (1, 2, 5, 11):
+            np.testing.assert_array_equal(row_dots(a[:rows], b[:rows]), full[:rows])
+        assert all(row_dots(a[r], b[r]) == full[r] for r in range(12))  # one 1-d pair
 
     @pytest.mark.parametrize("a, b", [
         (np.ones(3), np.arange(5.0)),
-        (np.ones((2, 3)), np.ones((5, 4))),
-        (np.ones((4, 1, 51)), np.ones((4, 1001, 1))),  # row dots of two stacks of other widths
+        (np.ones((2, 3)), np.ones((2, 4))),
+        (np.ones((4, 51)), np.ones((4, 1001))),  # row dots of two stacks of other widths
     ])
-    def test_refuses_contracted_axes_of_different_lengths(self, a, b):
-        # `@` refuses these; cutting the longer axis to the shorter gives a number
-        with pytest.raises(ValueError):
-            a @ b
-        with pytest.raises(ValueError, match="contracted axes differ in length"):
-            serial_dot(a, b)
+    def test_refuses_rows_of_different_lengths(self, a, b):
+        # cutting the longer row to the shorter would give a number
+        with pytest.raises(ValueError, match="rows differ in length"):
+            row_dots(a, b)
 
 
 class TestSynthesize:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -166,7 +167,8 @@ class TestConfig:
         assert (S.name, ball, margin) == (T.name, ball_t, margin_t) == ("S1", ball, 0.0)
         np.testing.assert_array_equal(S.coeffs, T.coeffs)
 
-    @pytest.mark.parametrize("name", ["projection:-3", "projection:x", "lasso"])
+    @pytest.mark.parametrize("name", ["projection:-3", "projection:x", "lasso",
+                                      "projection:abc", "projection:", "projection:+3", "adaptive"])
     def test_refuses_unknown_or_negative_estimators(self, name):
         with pytest.raises(ValueError):
             risk_study(small_config(reps=4, estimators=["adaptive", name]))
@@ -222,7 +224,7 @@ class TestMcRisk:
         [out], _, _ = risk_study(cfg)
         assert abs(out.risk_empiric - 1.0 / 51.0) <= 4.0 * out.se_empiric
 
-    def test_per_family_rows(self):
+    def test_per_family_rows(self, tmp_path):
         cfg = small_config(reps=10, estimators=["adaptive", "per_family"])
         rows, _, _ = risk_study(cfg)
         fam_rows = [r for r in rows if r.estimator.startswith("lambda[")]
@@ -231,6 +233,13 @@ class TestMcRisk:
         s = default_sequences(51)
         assert len(fam_rows) == s.k_star * s.m
         assert all(r.risk_empiric >= 0.0 for r in fam_rows)
+        # a family label lambda[beta,t] holds a comma; it used to make an 11-field row
+        write_csv(rows, tmp_path / "risk.csv")
+        with open(tmp_path / "risk.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == list(CSV_COLUMNS) and len(table) == len(rows) + 1
+        assert all(len(line) == len(CSV_COLUMNS) for line in table)
+        assert [line[0] for line in table[1:]] == [r.estimator for r in rows]
 
     def test_batched_losses_match_per_replicate_estimate(self):
         # the block gets every estimator's two losses and the family sweep from
@@ -612,15 +621,20 @@ class TestDeterminism:
 
     def test_lower_bound_bytes_do_not_follow_blas_threads(self, tmp_path):
         # a threaded BLAS dot sums one partial dot per thread; every dot of the
-        # lower-bound path is taken in fixed chunks instead
+        # lower-bound path, and a study's row dots at n >= 10001, are taken in fixed chunks instead
         (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
+        (tmp_path / "large.json").write_text(json.dumps({"n_grid": [10001], "reps": 3}))
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             out.mkdir()
-            run_cli_process(["lower-bound", "--config", "cfg.json", "--out", out.name], tmp_path,
-                            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            outputs.append([(out / f"lower_bound.{ext}").read_bytes() for ext in ("csv", "json")])
+            files = []
+            for study, cfg in (("lower-bound", "cfg.json"), ("efficiency", "large.json")):
+                run_cli_process([study, "--config", cfg, "--out", out.name], tmp_path,
+                                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                stem = study.replace("-", "_")
+                files += [(out / f"{stem}.{ext}").read_bytes() for ext in ("csv", "json")]
+            outputs.append(files)
         assert outputs[0] == outputs[1]
 
     def test_worker_count_does_not_change_rows(self):
@@ -628,12 +642,13 @@ class TestDeterminism:
         cfg8 = small_config(reps=70, workers=8, n_grid=[51, 101])
         rows1, _, _ = risk_study(cfg1)
         rows8, _, _ = risk_study(cfg8)
-        assert [r.as_csv() for r in rows1] == [r.as_csv() for r in rows8]
+        assert rows1 == rows8
 
-    @pytest.mark.parametrize("n", [101, 1001, 3001])
+    @pytest.mark.parametrize("n", [101, 1001, 3001, 16385])
     def test_replicate_losses_do_not_follow_reps(self, n):
         # a short trailing row block of a product used to run as gemv, or as a
-        # gemm of another height, and round differently from a full one
+        # gemm of another height, and round differently from a full one; from
+        # n = 16385 on, einsum rounded a one-row block's energy |Y|^2 differently too
         def losses(reps):
             cfg = small_config(n_grid=[n], reps=reps, estimators=ESTIMATOR_KINDS, save_losses=True)
             return {(e, rep): (a, b) for e, _, _, rep, a, b in risk_study(cfg)[2]}
@@ -772,6 +787,12 @@ class TestCli:
         # a string is iterable: it used to be refused as unknown estimator 'a'
         ({"estimators": "adaptive"}, "estimators must be a list of strings, got 'adaptive'"),
         ({"estimators": ["adaptive", 3]}, "estimators must be a list of strings, got ['adaptive', 3]"),
+        # a repeated name used to write two identical rows, and a bad d to exit on int()'s message
+        ({"estimators": ["adaptive", "adaptive"]}, "estimators must be unique, got ['adaptive', 'adaptive']"),
+        ({"estimators": ["projection:abc"]},
+         "estimator 'projection:abc' must be projection:d with an integer d >= 0"),
+        ({"estimators": ["projection:"]}, "estimator 'projection:' must be projection:d with an integer d >= 0"),
+        ({"estimators": ["lasso"]}, "unknown estimator 'lasso'"),
     ])
     def test_config_types_are_validated(self, tmp_path, monkeypatch, section, message):
         monkeypatch.chdir(tmp_path)

@@ -375,22 +375,6 @@ class TestBayesRisk:
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)
         assert run() == whole
 
-    def test_row_dots_are_single_row_dots(self):
-        # every loss term rounds as the one-draw product c @ c would
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((2, 40, 101))
-        dots = lowerbound._row_dots(a, b)
-        assert all(dots[r] == a[r] @ b[r] for r in range(40))
-
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_row_products_are_single_row_products(self, transposed):
-        # each row of T @ D, T @ G and T @ C' rounds as the one-draw product would
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((40, 12))
-        b = rng.standard_normal((1001, 12)).T if transposed else rng.standard_normal((12, 1001))
-        rows = lowerbound._row_products(a, b)
-        assert all(np.array_equal(rows[r], a[r] @ b) for r in range(40))
-
     def test_adaptive_beats_bound(self):
         scale = homogeneous_scale(1.0)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
