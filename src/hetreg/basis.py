@@ -41,7 +41,7 @@ BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of flo
 # (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4), and up to 10000
 # entries a dot product
 SERIAL_MULADDS = 2**18
-SERIAL_ROWS = 1024  # rows of a padded row block, at most
+SERIAL_ROWS = 256  # rows of a padded row block, at most
 SERIAL_DOT = 10000
 
 
@@ -152,13 +152,15 @@ def basis_matrix(grid: DesignGrid) -> np.ndarray:
 def serial_matmul(a, b) -> np.ndarray:
     """a (..., B, k) @ b (k, d) in row blocks of <= SERIAL_ROWS rows and SERIAL_MULADDS multiply-adds.
 
-    BLAS then computes every block in the calling thread.  On a shared 2-vCPU
-    machine a threaded product of a study block's size can wait milliseconds
-    for its second thread, far longer than the product itself takes.  A short
-    last block is padded with zero rows to the full height, so a row gets the
-    same bits however many rows follow it: numpy runs a one-row product as
-    gemv, and OpenBLAS rounds gemm differently at different row counts.  The
-    row cap bounds that padding for a narrow product; a 1-d `a` is one product.
+    BLAS then computes every block in the calling thread, unless one row alone
+    exceeds SERIAL_MULADDS: such a one-row block runs as gemv, which OpenBLAS
+    threads.  On a shared 2-vCPU machine a threaded product of a study block's
+    size can wait milliseconds for its second thread, far longer than the
+    product itself takes.  A short last block is padded with zero rows to the
+    full height, so a row gets the same bits however many rows follow it:
+    numpy runs a one-row product as gemv, and OpenBLAS rounds gemm differently
+    at different row counts.  The row cap bounds that padding for a narrow
+    product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:

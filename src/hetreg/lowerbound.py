@@ -156,7 +156,6 @@ class LeastFavorablePrior:
     n: int
     t: np.ndarray            # (M, N) standard deviations
     y_star: np.ndarray       # (N,)
-    a_star: float
     R_star: float
     h_star: float
     d_n: float
@@ -241,7 +240,7 @@ def least_favorable_prior(
     # drop top frequencies whose weight would be negative, re-solving each time
     N_ret = N
     while N_ret >= 1:
-        a_star, y_star = lagrange_solution(R_star, N_ret, k)
+        _, y_star = lagrange_solution(R_star, N_ret, k)
         if y_star[-1] >= 0.0:
             break
         N_ret -= 1
@@ -253,16 +252,14 @@ def least_favorable_prior(
     t = np.outer(g0_centers, np.sqrt(y_star)) / math.sqrt(n * h)
     return LeastFavorablePrior(
         family=family, k=k, r=r, eps=eps, n=n, t=t,
-        y_star=y_star, a_star=a_star, R_star=R_star, h_star=h_star,
+        y_star=y_star, R_star=R_star, h_star=h_star,
         d_n=math.sqrt(N), dropped_j=tuple(range(N_ret + 1, N + 1)),
         g0_centers=g0_centers, varsigma_zero=varsigma_zero,
     )
 
 
-def sample_prior(prior: LeastFavorablePrior, rng) -> tuple[np.ndarray, bool]:
+def sample_prior(prior: LeastFavorablePrior, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """One Gaussian draw theta = t * zeta plus the clipping-event flag."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     zeta = rng.standard_normal(prior.t.shape)
     return prior.t * zeta, bool(np.max(zeta**2) <= prior.d_n)
 
@@ -319,8 +316,6 @@ class VanTreesReport(NamedTuple):
     bound: float
     fisher: np.ndarray   # F_p, per coordinate
     bias: np.ndarray     # B_p, per coordinate
-    tau_bar: np.ndarray
-    prior_sd: np.ndarray
 
 
 def van_trees_bound(
@@ -375,7 +370,7 @@ def van_trees_bound(
     fisher = D2 @ ginv2
     bias = 0.5 * (D2 @ a2 + cross)
     bound = float(np.sum(van_trees_term(tau_bar, fisher, bias, prior_sd)))
-    return VanTreesReport(bound, fisher, bias, tau_bar, prior_sd)
+    return VanTreesReport(bound, fisher, bias)
 
 
 def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,10 @@ on [0, 1], takes its Gram and cross matrices from an equal-weight rule
 
 Every Monte Carlo draw comes from a keyed substream: `substream(seed, *key)`
 is the generator that numpy's `SeedSequence(seed, spawn_key=key)` seeds for a
-PCG64, bit for bit.  That seeding is plain integer arithmetic (SeedSequence's
-documented uint32 hash mixing, then PCG64's srandom step, O'Neill 2014), so
-`substreams(seed, *key, reps=...)` derives the states of a whole block of
-replicate keys at once and sets them on one reused generator; numpy's
-SeedSequence itself serves only as the reference of the tests.
+PCG64, bit for bit.  `substreams(seed, *key, reps=...)` yields one for each
+replicate index of a block: numpy's SeedSequence mixes the prefix once, the
+replicate words are mixed in by SeedSequence's documented uint32 hashing as
+one vector, and numpy's PCG64 is seeded with each replicate's state words.
 """
 
 from __future__ import annotations
@@ -59,15 +58,12 @@ __all__ = [
 SIMPSON_PANELS = 2**14  # fixed (even) panel count for every quadrature in the package
 
 
-# SeedSequence's hash mixing (numpy, bit_generator.pyx) and PCG64's seeding
-# (O'Neill 2014, pcg_setseq_128_srandom_r), as plain integer arithmetic
+# SeedSequence's hash mixing (numpy, bit_generator.pyx) of the replicate word and of its state
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _words(value) -> list[int]:
@@ -82,59 +78,58 @@ def _words(value) -> list[int]:
     return words
 
 
-def _const_chain(const: int, mult: int, count: int) -> list[int]:
-    """The hash constant before each of `count` hashmix calls, and after the last."""
+def _const_chain(const: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of `count` hashmix calls, and after the last, as a column."""
     chain = [const]
     for _ in range(count):
         chain.append(chain[-1] * mult & _MASK32)
-    return chain
+    return np.array(chain, dtype=np.uint32)[:, None]
 
 
 def _hashmix(value, const, next_const):
-    """SeedSequence's hashmix of uint32 words (ints or uint32 arrays) under one constant pair."""
-    value = (value ^ const) * next_const & _MASK32
+    """SeedSequence's hashmix of uint32 arrays under one constant pair."""
+    value = (value ^ const) * next_const
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    r = _MIX_L * x - _MIX_R * y
     return r ^ (r >> 16)
 
 
-_STATE_CONSTS = np.array(_const_chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS), dtype=np.uint32)[:, None]
+_STATE_CONSTS = _const_chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
 
 
-def _absorb(pool: np.ndarray, word, consts: list[int]) -> np.ndarray:
+def _absorb(pool: np.ndarray, word, c: np.ndarray) -> np.ndarray:
     """The (4, R) pool after mixing R values of the next entropy word into all four pool words."""
-    c = np.array(consts, dtype=np.uint32)[:, None]
     return _mix(pool, _hashmix(word, c[:-1], c[1:]))
 
 
-def substreams(seed: int, *key: int, reps) -> Iterator[np.random.Generator]:
-    """For each r in `reps`, the generator of `substream(seed, *key, r)`.
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """PCG64's four uint64 seed words, already derived, for numpy's own PCG64 seeding."""
 
-    The prefix (seed, *key) is mixed into the SeedSequence pool once, in
-    scalar arithmetic; the replicate index, the last entropy word (two from
-    2^32 on, refused from 2^64), is mixed in as a uint32 vector over all of
-    `reps`.  Each replicate's PCG64 state is then set on one reused
-    Generator, so a yielded generator is valid until the next one is yielded.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
+
+
+def substreams(seed: int, *key: int, reps) -> Iterator[np.random.Generator]:
+    """For each r in `reps`, a new generator equal to `substream(seed, *key, r)`.
+
+    numpy's SeedSequence mixes the prefix (seed, *key) into its pool once;
+    the replicate index, the last entropy word (two from 2^32 on, refused
+    from 2^64), is mixed in as a uint32 vector over all of `reps`, and each
+    replicate's state words seed a PCG64 of its own.
     """
-    seed_words = _words(seed)
     # a spawn key is present, so SeedSequence pads the run entropy to the pool size
-    entropy = seed_words + [0] * (_POOL_WORDS - len(seed_words)) + [w for k in key for w in _words(k)]
-    # 16 hashmix calls fill and cross-mix the pool, 4 absorb each later word
-    A = _const_chain(_INIT_A, _MULT_A, _POOL_WORDS * (len(entropy) + 2))
-    pool = [_hashmix(w, A[i], A[i + 1]) for i, w in enumerate(entropy[:_POOL_WORDS])]
-    i = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], A[i], A[i + 1]))
-                i += 1
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], _hashmix(word, A[i], A[i + 1]))
-            i += 1
+    prefix = _words(seed)
+    prefix += [0] * (_POOL_WORDS - len(prefix)) + [w for k in key for w in _words(k)]
+    pool = np.random.SeedSequence(np.array(prefix, dtype=np.uint32)).pool[:, None]
+    # the pool took 4 hashmix calls per prefix word; 4 more absorb each replicate word
+    A = _const_chain(_INIT_A * pow(_MULT_A, _POOL_WORDS * len(prefix), 1 << 32) & _MASK32,
+                     _MULT_A, 2 * _POOL_WORDS)
 
     reps = np.asarray(reps)
     if reps.size == 0:
@@ -143,36 +138,21 @@ def substreams(seed: int, *key: int, reps) -> Iterator[np.random.Generator]:
         raise ValueError("reps must be a sequence of nonnegative integers below 2^64")
     reps = reps.astype(np.uint64)
     high = (reps >> 32).astype(np.uint32)
-    pool = _absorb(np.array(pool, dtype=np.uint32)[:, None], (reps & _MASK32).astype(np.uint32),
-                   A[i : i + _POOL_WORDS + 1])
+    pool = _absorb(pool, (reps & _MASK32).astype(np.uint32), A[: _POOL_WORDS + 1])
     if high.any():
-        i += _POOL_WORDS
-        pool = np.where(high > 0, _absorb(pool, high, A[i : i + _POOL_WORDS + 1]), pool)
-
+        pool = np.where(high > 0, _absorb(pool, high, A[_POOL_WORDS:]), pool)
     # SeedSequence.generate_state(4, np.uint64): the pool cycled twice, hashed
     state = _hashmix(np.concatenate((pool, pool)), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
     state = state.astype(np.uint64)
-    return _replay(zip(*(state[0::2] | state[1::2] << 32).tolist()))
-
-
-def _replay(seeds) -> Iterator[np.random.Generator]:
-    """PCG64's srandom on each 128-bit (state, stream) seed pair, set on one Generator."""
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, i_hi, i_lo in seeds:
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
+    state = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)  # one row per replicate
+    return (np.random.Generator(np.random.PCG64(_Seeded(words))) for words in state)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (study, n, replicate, ...) coordinate.
 
     Its stream is that of numpy's `SeedSequence(seed, spawn_key=key)` feeding
-    a PCG64, so replicate r sees the same stream whether the run is serial
-    or split across workers.  The last key entry is the replicate index of
+    a PCG64, bit for bit.  The last key entry is the replicate index of
     `substreams`, which derives a whole block of these at once.
     """
     if not key:
@@ -317,8 +297,8 @@ def homogeneous_scale(sigma: float = 1.0) -> ScaleModel:
 class NoiseSpec:
     """Centered unit-variance noise with finite fourth moment.
 
-    kinds: gaussian, rademacher, uniform, student_t (df >= 5 so the fourth
-    moment exists after normalizing to unit variance).
+    kinds: gaussian, rademacher, uniform, student_t (a finite df >= 5, so the
+    fourth moment exists after normalizing to unit variance).
     """
 
     kind: str = "gaussian"
@@ -331,7 +311,7 @@ class NoiseSpec:
             raise ValueError(f"noise kind must be a string, got {self.kind!r}")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "student_t" and not (isinstance(self.df, (int, float)) and self.df >= 5):
+        if self.kind == "student_t" and not (isinstance(self.df, (int, float)) and 5 <= self.df < math.inf):
             raise ValueError(f"student_t requires df >= 5, got {self.df!r}")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -362,10 +342,9 @@ def l_star(n: int) -> float:
     return max(3.0, math.log(n))
 
 
-def generate_observations(S, scale: ScaleModel, noise: NoiseSpec, grid: DesignGrid, rng) -> np.ndarray:
+def generate_observations(S, scale: ScaleModel, noise: NoiseSpec, grid: DesignGrid,
+                          rng: np.random.Generator) -> np.ndarray:
     """y_j = S(x_j) + g(x_j, S) xi_j with xi i.i.d. from the noise spec."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     S = as_sampled(S)
     xi = noise.draw(rng, grid.n)
     return S.on_grid(grid) + scale.g(grid.points, S) * xi
@@ -396,7 +375,7 @@ def nonperiodic_transform(
     chi: SampledFunction,
     epsilon: float,
     grid: DesignGrid,
-    rng,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, ScaleModel]:
     """Taper the observations and regularize the noise floor.
 
@@ -406,8 +385,6 @@ def nonperiodic_transform(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (grid.n,):
         raise ValueError(f"observation vector must have length n={grid.n}")

@@ -41,10 +41,8 @@ class TuningSequences:
     k_star: int
     m: int
     l_n: int
-    L_n: float
     rho: float
     omega_bar: float = 0.0
-    k_bar: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
@@ -66,7 +64,7 @@ def default_sequences(
     """Defaults eps = 1/ln n, k* = [k_bar + sqrt(ln n)], m = [1/eps^2].
 
     The penalty coefficient is rho = 1 / (3 + L_n) with L_n = sqrt(ln n);
-    passing `rho` overrides it, and L_n = 1/rho - 3 follows.
+    passing `rho` overrides it.
     """
     if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n!r}")
@@ -78,14 +76,8 @@ def default_sequences(
     if l_n >= n:
         raise ValueError(f"l_n={l_n} must stay below n={n}")
     if rho is None:
-        L_n = math.sqrt(log_n)
-        rho = 1.0 / (3.0 + L_n)
-    else:
-        L_n = 1.0 / rho - 3.0
-    return TuningSequences(
-        eps=eps, k_star=k_star, m=m, l_n=l_n, L_n=L_n, rho=rho,
-        omega_bar=omega_bar, k_bar=k_bar,
-    )
+        rho = 1.0 / (3.0 + math.sqrt(log_n))
+    return TuningSequences(eps=eps, k_star=k_star, m=m, l_n=l_n, rho=rho, omega_bar=omega_bar)
 
 
 def a_beta(beta: int) -> float:

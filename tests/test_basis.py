@@ -179,18 +179,18 @@ class TestSerialMatmul:
             np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
 
     def test_narrow_product_takes_capped_blocks(self):
-        # (2500, 1) @ (1, 1) runs as three padded blocks of 1024 rows, not one of 2^18
+        # (2500, 1) @ (1, 1) runs as ten padded blocks of 256 rows, not one of 2^18
         rng = np.random.default_rng(8)
         a, b = rng.standard_normal((2500, 1)), rng.standard_normal((1, 1))
         full = serial_matmul(a, b)
         np.testing.assert_allclose(full, a @ b, rtol=1e-15)
-        for rows in (1, 1024, 1025, 2049):
+        for rows in (1, 256, 257, 513, 1024, 1025, 2049):
             np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
         tracemalloc.start()
         serial_matmul(a[:1], b)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 2**16  # a padded block of 1024 rows takes some 24 KiB; of 2^18 rows, 6 MiB
+        assert peak < 2**14  # a padded block of 256 rows takes some 6 KiB; of 1024 rows, 24 KiB
 
     def test_vector_is_one_product(self):
         rng = np.random.default_rng(3)

@@ -892,6 +892,7 @@ class TestCli:
         ({"kind": "bogus"}, "unknown noise kind 'bogus'"),
         ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
         ({"kind": "student_t", "df": "8"}, "student_t requires df >= 5, got '8'"),
+        ({"kind": "student_t", "df": float("inf")}, "student_t requires df >= 5, got inf"),
         ({"kind": ["gaussian"]}, "noise kind must be a string, got ['gaussian']"),
         ({"kind": "gaussian", "df": 5}, "noise labels must be unique, got ['gaussian', 'gaussian']"),
     ])
@@ -974,6 +975,18 @@ class TestCli:
         assert cli_main(["efficiency", "--config", str(cfg_path), "--seed", "2", "--reps", "6",
                          "--out", str(tmp_path / "out")]) == 0
         assert calls == [2]
+
+    def test_simulate_refuses_infinite_df(self, tmp_path):
+        # an infinite df would draw nan for every y
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"noise_menu": [{"kind": "student_t", "df": float("inf")}]}))
+        data_path = tmp_path / "data.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(__import__("hetreg").__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "hetreg.cli", "simulate", "--config", str(cfg_path),
+                               "--out", str(data_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == "hetreg simulate: student_t requires df >= 5, got inf"
+        assert not data_path.exists()
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_has_no_study_knobs(self, tmp_path, flag):

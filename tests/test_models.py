@@ -114,6 +114,14 @@ class TestSubstreams:
             substream(1)
 
 
+def test_substreams_yield_one_generator_per_replicate():
+    # every yielded generator stays valid after the next one is yielded
+    reps = [3, 0, 2**40, 3]
+    streams = list(substreams(11, 4, 101, reps=reps))
+    for r, rng in zip(reps, streams):
+        np.testing.assert_array_equal(rng.standard_normal(6), substream(11, 4, 101, r).standard_normal(6))
+
+
 def l2_inner(S, f) -> float:
     return simpson_integral(lambda x: S(x) * f(x))
 
@@ -287,7 +295,7 @@ class TestGenerateObservations:
     def test_rademacher_two_point_law(self):
         g = DesignGrid(51)
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
-        Y = generate_observations(S1, scale, NoiseSpec("rademacher"), g, 7)
+        Y = generate_observations(S1, scale, NoiseSpec("rademacher"), g, np.random.default_rng(7))
         s = S1.on_grid(g)
         gv = scale.g(g.points, S1)
         ok = np.isclose(Y, s + gv) | np.isclose(Y, s - gv)
@@ -345,8 +353,8 @@ class TestNonperiodicTransform:
         chi = smooth_cutoff(0.3, 0.7)
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         g = DesignGrid(101)
-        Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, 0)
-        _, tilted = nonperiodic_transform(Y, scale, chi, 0.05, g, 1)
+        Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, np.random.default_rng(0))
+        _, tilted = nonperiodic_transform(Y, scale, chi, 0.05, g, np.random.default_rng(1))
         assert np.all(tilted.g(g.points, S1) >= 0.05 - 1e-12)
 
     def test_pure_noise_region(self):
@@ -354,7 +362,7 @@ class TestNonperiodicTransform:
         chi = smooth_cutoff(0.3, 0.7)
         scale = homogeneous_scale(1.0)
         g = DesignGrid(101)
-        Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, 0)
+        Y = generate_observations(S1, scale, NoiseSpec("gaussian"), g, np.random.default_rng(0))
         rng_clone = substream(2, 0)
         zeta = rng_clone.standard_normal(g.n)
         Yt, _ = nonperiodic_transform(Y, scale, chi, 0.05, g, substream(2, 0))

@@ -43,16 +43,15 @@ class TestDefaultSequences:
     def test_rho_override(self):
         s = default_sequences(101, rho=0.25)
         assert s.rho == 0.25
-        assert s.L_n == pytest.approx(1.0)
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
-            TuningSequences(eps=0.5, k_star=1, m=4, l_n=2, L_n=0.0, rho=0.5)
+            TuningSequences(eps=0.5, k_star=1, m=4, l_n=2, rho=0.5)
 
     def test_rho_one_third_rejected(self):
         # the oracle-inequality factor diverges at rho = 1/3
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\), got 0\.333"):
-            TuningSequences(eps=0.5, k_star=1, m=4, l_n=2, L_n=0.0, rho=1.0 / 3.0)
+            TuningSequences(eps=0.5, k_star=1, m=4, l_n=2, rho=1.0 / 3.0)
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 1/3\)"):
             default_sequences(101, rho=1.0 / 3.0)
 
