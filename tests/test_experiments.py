@@ -892,9 +892,9 @@ class TestCli:
         ({"kind": "bogus"}, "unknown noise kind 'bogus'"),
         ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
         ({"kind": "student_t", "df": "8"}, "student_t requires df >= 5, got '8'"),
-        ({"kind": "student_t", "df": float("inf")}, "student_t requires df >= 5, got inf"),
         ({"kind": ["gaussian"]}, "noise kind must be a string, got ['gaussian']"),
         ({"kind": "gaussian", "df": 5}, "noise labels must be unique, got ['gaussian', 'gaussian']"),
+        ({"kind": "student_t", "df": float("inf")}, "student_t requires df >= 5, got inf"),
     ])
     def test_noise_menu_is_refused_before_any_replicate(self, tmp_path, monkeypatch, entry, message):
         from hetreg import experiments
