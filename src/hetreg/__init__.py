@@ -7,7 +7,6 @@ from .basis import (
     SampledFunction,
     TrigPolynomial,
     discrete_fourier,
-    empiric_inner_product,
     synthesize,
     trig_basis_eval,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "DesignGrid",
     "SampledFunction",
     "TrigPolynomial",
-    "empiric_inner_product",
     "trig_basis_eval",
     "basis_matrix",
     "basis_eval_matrix",
@@ -96,22 +95,6 @@ class TrigPolynomial(SampledFunction):
 
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.coeffs**2))
-
-    def sobolev_norm_sq(self, k: int) -> float:
-        """sum_j a_j c_j^2 with the ellipsoid weights of smoothness k."""
-        from .theory import ellipsoid_coeff
-
-        a = np.array([ellipsoid_coeff(j, k) for j in range(1, len(self.coeffs) + 1)])
-        return float(np.sum(a * self.coeffs**2))
-
-
-def empiric_inner_product(u, v) -> float:
-    """(u, v)_n = (1/n) sum_l u_l v_l for equal-length vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return float(u @ v / len(u))
 
 
 def trig_basis_eval(j: int, x):

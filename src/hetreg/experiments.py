@@ -43,7 +43,7 @@ from .selection import select_rows, taper_losses
 from .theory import (
     SobolevBall,
     cell_integrals,
-    ellipsoid_coeff,
+    ellipsoid_norm_sq,
     exact_fourier_coeff,
     oracle_index,
     pinsker_constant,
@@ -83,6 +83,11 @@ def _check_names(key: str, names) -> None:
     """Refuse a list of estimator names that is no list (or tuple) of strings."""
     if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
         raise ValueError(f"{key} must be a list of strings, got {names!r}")
+
+
+def _finite(value) -> bool:
+    """Whether value is a finite int or float; a boolean is neither."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _check_keys(section: str, spec, allowed) -> None:
@@ -128,7 +133,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is None and key == "rho":
                 continue  # the default penalty 1 / (3 + sqrt(ln n))
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _finite(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
         if not isinstance(self.save_losses, bool):
             raise ValueError(f"save_losses must be a boolean, got {self.save_losses!r}")
@@ -149,13 +154,20 @@ class ExperimentConfig:
         _check_keys("scale", self.scale, ("sigma",) if homogeneous else ("c0", "c1", "c2", "c3"))
         resolve_scale(self.scale)  # refuses a constant that is no finite number or out of range
         _check_keys("test_function", self.test_function, ("preset", "trig_coeffs", "name"))
+        tf = self.test_function
+        if tf.get("preset", "S1") not in ("S1", "S2", "S3"):
+            raise ValueError(f"test_function preset must be S1, S2 or S3, got {tf['preset']!r}")
+        coeffs = tf.get("trig_coeffs", [0.0])
+        if not isinstance(coeffs, list) or not coeffs or not all(_finite(c) for c in coeffs):
+            raise ValueError(f"test_function trig_coeffs must be a nonempty list of finite numbers, got {coeffs!r}")
+        if not isinstance(tf.get("name", ""), str):
+            raise ValueError(f"test_function name must be a string, got {tf['name']!r}")
         if self.ball is not None:
             _check_keys("ball", self.ball, ("k", "r"))
             k, r = self.ball.get("k", 1), self.ball.get("r")  # r None: the function's own norm
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise ValueError(f"ball k must be an integer >= 1, got {k!r}")
-            if r is not None and (isinstance(r, bool) or not isinstance(r, (int, float))
-                                  or not (math.isfinite(r) and r > 0.0)):
+            if r is not None and not (_finite(r) and r > 0.0):
                 raise ValueError(f"ball r must be a positive finite number or null, got {r!r}")
         if not self.noise_menu:
             raise ValueError(f"noise_menu must hold at least one noise, got {self.noise_menu!r}")
@@ -170,7 +182,7 @@ class ExperimentConfig:
         if isinstance(lb["prior_mc"], bool) or not isinstance(lb["prior_mc"], int) or lb["prior_mc"] < 1:
             raise ValueError(f"lowerbound prior_mc must be an integer >= 1, got {lb['prior_mc']!r}")
         for key, high in (("eps", 1.0), ("eta", 0.5)):  # nan and inf fail the interval too
-            if isinstance(lb[key], bool) or not isinstance(lb[key], (int, float)) or not 0.0 < lb[key] < high:
+            if not (_finite(lb[key]) and 0.0 < lb[key] < high):
                 raise ValueError(f"lowerbound {key} must be a number in (0, {high:g}), got {lb[key]!r}")
         _check_names("lowerbound bayes_estimators", lb["bayes_estimators"])
         for name in lb["bayes_estimators"]:
@@ -214,14 +226,14 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
     if "trig_coeffs" in spec:
         S = TrigPolynomial(spec["trig_coeffs"], name=spec.get("name", "custom"))
         k = (cfg.ball or {}).get("k", 1)
-        exact = S.sobolev_norm_sq(k)
+        exact = ellipsoid_norm_sq(S.coeffs, k)
         r = (cfg.ball or {}).get("r") or exact
         return S, SobolevBall(k, r), r - exact
     if preset == "S2":
         S = _bump_preset()
         k = (cfg.ball or {}).get("k", 2)
         theta = np.array([exact_fourier_coeff(S, j) for j in range(1, 65)])
-        measured = float(sum(ellipsoid_coeff(j, k) * theta[j - 1] ** 2 for j in range(1, 65)))
+        measured = ellipsoid_norm_sq(theta, k)
         r = (cfg.ball or {}).get("r") or 1.05 * measured
         return S, SobolevBall(k, r), r - measured
     if preset == "S3":

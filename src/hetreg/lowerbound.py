@@ -1,10 +1,10 @@
 """Minimax lower-bound machinery: local kernel family, least favorable prior,
 van Trees-type bound and Monte Carlo Bayes risk.
 
-The interval is tiled by M blocks of width 2h; on each block a mollified
-local trigonometric expansion is placed, and an independent centered
-Gaussian prior over the coefficients turns the minimax problem into a
-Bayesian one that the van Trees inequality bounds from below.
+M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh, each carry a mollified local
+trigonometric expansion; they cover only M 2h of [0, 1] (0.62 to 0.80 on S3 for
+n = 101 to 100001).  An independent centered Gaussian prior over the coefficients
+turns the minimax problem into a Bayesian one that van Trees bounds from below.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ __all__ = [
     "lagrange_solution",
     "LeastFavorablePrior",
     "least_favorable_prior",
-    "sample_prior",
     "ConditionsReport",
     "check_conditions_A",
-    "conditions_trend",
     "van_trees_term",
     "VanTreesReport",
     "van_trees_bound",
@@ -87,13 +85,17 @@ class KernelFamily:
     def __post_init__(self):
         if self.h <= 0.0 or self.N < 1:
             raise ValueError("need h > 0 and N >= 1")
-        M = int(1.0 / (2.0 * self.h)) - 1
+        M = self.block_count(self.h)
         if M < 1:
             raise ValueError(f"half-width h={self.h:.4g} leaves no interior block")
         object.__setattr__(self, "M", M)
         centers = 2.0 * self.h * np.arange(1, M + 1, dtype=float)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+
+    @staticmethod
+    def block_count(h: float) -> int:  # M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh
+        return int(1.0 / (2.0 * h)) - 1
 
     def local_coord(self, m: int, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.centers[m - 1]) / self.h
@@ -137,12 +139,12 @@ def ebar(j: int, eta: float) -> float:
                             -1.0, 1.0)
 
 
-def lagrange_solution(R: float, N: int, k: int) -> tuple[float, np.ndarray]:
-    """Water level a*(R) and y*_j = a* j^-k - 1 maximizing sum y/(1+y)
+def lagrange_solution(R: float, N: int, k: int) -> np.ndarray:
+    """y*_j = a* j^-k - 1, with water level a*(R), maximizing sum y/(1+y)
     under sum y_j j^(2k) <= R (the constraint is active at the optimum)."""
     j = np.arange(1, N + 1, dtype=float)
     a_star = (R + np.sum(j ** (2 * k))) / np.sum(j**k)
-    return float(a_star), a_star * j ** (-float(k)) - 1.0
+    return a_star * j ** (-float(k)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,6 @@ class LeastFavorablePrior:
     @property
     def eps_prime(self) -> float:
         return self.eps / (2.0 * self.k + self.eps * self.k + 1.0)
-
-    def sup_bound(self) -> float:
-        """Uniform bound sqrt(d_n) t* for |S_theta| on the clipping event."""
-        return math.sqrt(self.d_n) * self.t_star
 
     @cached_property
     def family_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +224,7 @@ def least_favorable_prior(
     N = _default_N(k, n)
     while N >= 1:
         h = h_star * n ** (-1.0 / two_k1) * N
-        if int(1.0 / (2.0 * h)) - 1 >= 1:
+        if KernelFamily.block_count(h) >= 1:
             break
         N -= 1
     if N < 1:
@@ -240,7 +238,7 @@ def least_favorable_prior(
     # drop top frequencies whose weight would be negative, re-solving each time
     N_ret = N
     while N_ret >= 1:
-        _, y_star = lagrange_solution(R_star, N_ret, k)
+        y_star = lagrange_solution(R_star, N_ret, k)
         if y_star[-1] >= 0.0:
             break
         N_ret -= 1
@@ -256,12 +254,6 @@ def least_favorable_prior(
         d_n=math.sqrt(N), dropped_j=tuple(range(N_ret + 1, N + 1)),
         g0_centers=g0_centers, varsigma_zero=varsigma_zero,
     )
-
-
-def sample_prior(prior: LeastFavorablePrior, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One Gaussian draw theta = t * zeta plus the clipping-event flag."""
-    zeta = rng.standard_normal(prior.t.shape)
-    return prior.t * zeta, bool(np.max(zeta**2) <= prior.d_n)
 
 
 EPS0 = 0.5  # the eps0 > 0 of condition A4's exponent
@@ -295,14 +287,6 @@ def check_conditions_A(prior: LeastFavorablePrior) -> ConditionsReport:
         a3_sum=a3_sum, a3_target=a3_target, a4_sum=a4_sum,
         positivity_ok=bool(np.all(prior.y_star >= 0.0)),
     )
-
-
-def conditions_trend(
-    k: int, r: float, n_grid, eps: float = 0.2, g0=None, eta: float = 0.05
-) -> list[ConditionsReport]:
-    """The conditions are asymptotic; report their values along an n-grid."""
-    return [check_conditions_A(least_favorable_prior(k, r, n, eps=eps, g0=g0, eta=eta))
-            for n in n_grid]
 
 
 def van_trees_term(tau_bar, fisher, bias, prior_sd):

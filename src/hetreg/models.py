@@ -47,7 +47,6 @@ __all__ = [
     "mollifier_cdf",
     "ScaleModel",
     "NoiseSpec",
-    "l_star",
     "econometric_scale",
     "homogeneous_scale",
     "generate_observations",
@@ -323,23 +322,9 @@ class NoiseSpec:
             return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
         return rng.standard_t(self.df, size=size) * math.sqrt((self.df - 2.0) / self.df)
 
-    def fourth_moment(self) -> float:
-        if self.kind == "gaussian":
-            return 3.0
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "uniform":
-            return 9.0 / 5.0
-        return 3.0 + 6.0 / (self.df - 4.0)
-
     @property
     def label(self) -> str:
         return f"student_t{self.df}" if self.kind == "student_t" else self.kind
-
-
-def l_star(n: int) -> float:
-    """Admissible fourth-moment level: slowly increasing, at least 3."""
-    return max(3.0, math.log(n))
 
 
 def generate_observations(S, scale: ScaleModel, noise: NoiseSpec, grid: DesignGrid,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .basis import (
     DesignGrid,
-    SampledFunction,
     TrigPolynomial,
     as_sampled,
     discrete_fourier,
@@ -30,11 +29,10 @@ from .weights import TuningSequences, WeightIndex, a_beta
 __all__ = [
     "SobolevBall",
     "ellipsoid_coeff",
-    "ellipsoid_membership",
+    "ellipsoid_norm_sq",
     "pinsker_constant",
     "asymptotic_upper_risk",
     "oracle_index",
-    "step_extension",
     "cell_integrals",
     "step_l2_distance_sq",
     "exact_fourier_coeff",
@@ -67,12 +65,11 @@ def ellipsoid_coeff(j: int, k: int) -> float:
     return float(sum(w ** (2 * i) for i in range(k + 1)))
 
 
-def ellipsoid_membership(theta, ball: SobolevBall) -> tuple[bool, float]:
-    """Check sum a_j theta_j^2 <= r; returns (inside, margin = r - sum)."""
+def ellipsoid_norm_sq(theta, k: int) -> float:
+    """sum_j a_j theta_j^2; theta lies in the ball (k, r) when it is <= r."""
     theta = np.asarray(theta, dtype=float)
-    a = np.array([ellipsoid_coeff(j, ball.k) for j in range(1, len(theta) + 1)])
-    margin = ball.r - float(np.sum(a * theta**2))
-    return margin >= 0.0, margin
+    a = np.array([ellipsoid_coeff(j, k) for j in range(1, len(theta) + 1)])
+    return float(np.sum(a * theta**2))
 
 
 def pinsker_constant(k: int, r: float, varsigma: float, as_printed: bool = False) -> float:
@@ -121,21 +118,6 @@ def oracle_index(ball: SobolevBall, varsigma: float, n: int, seqs: TuningSequenc
     return WeightIndex(ball.k, l_tilde * seqs.eps)
 
 
-def step_extension(values, grid: DesignGrid) -> SampledFunction:
-    """Right-continuous step interpolant: f(x_1) on [0, x_1], f(x_k) on (x_{k-1}, x_k]."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise ValueError(f"need {grid.n} values")
-    pts = grid.points
-
-    def step(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(pts, x, side="left")
-        return values[np.clip(idx, 0, grid.n - 1)]
-
-    return SampledFunction(step, name="step")
-
-
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
@@ -165,8 +147,8 @@ def cell_integrals(S, n: int) -> tuple[np.ndarray, float]:
 def step_l2_distance_sq(values, S, grid: DesignGrid) -> float:
     """||T(f) - S||^2 over [0,1] with per-cell Gauss quadrature.
 
-    T(f) is constant on each cell, so only int S per cell and int S^2 are
-    needed.
+    The step extension T(f) is f(x_l) on the cell ((l-1)/n, l/n], so only
+    int S per cell and int S^2 are needed.
     """
     values = np.asarray(values, dtype=float)
     int_s, s_l2_sq = cell_integrals(S, grid.n)

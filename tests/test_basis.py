@@ -12,7 +12,6 @@ from hetreg.basis import (
     basis_eval_matrix,
     basis_matrix,
     discrete_fourier,
-    empiric_inner_product,
     fourier_rows,
     grid_values,
     row_dots,
@@ -25,25 +24,6 @@ from hetreg.basis import (
 odd_n = st.integers(min_value=1, max_value=150).map(lambda h: 2 * h + 1)  # 3..301
 leading = st.sampled_from([(), (1,), (3,), (2, 2)])
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-class TestEmpiricInnerProduct:
-    def test_constant_sequences(self):
-        assert empiric_inner_product(np.ones(5), np.ones(5)) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_samples(self):
-        g = DesignGrid(5)
-        u = trig_basis_eval(1, g.points)
-        v = trig_basis_eval(2, g.points)
-        assert empiric_inner_product(u, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_sum(self):
-        # (1*3 + 2*2 + 3*1) / 3 = 10/3
-        assert empiric_inner_product([1, 2, 3], [3, 2, 1]) == pytest.approx(10.0 / 3.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empiric_inner_product([1, 2], [1, 2, 3])
 
 
 class TestTrigBasis:

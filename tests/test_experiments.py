@@ -372,8 +372,7 @@ class TestBayesMinimaxOrdering:
         import numpy as np
 
         from hetreg.basis import DesignGrid, grid_values
-        from hetreg.lowerbound import (bayes_risk_mc, kernel_function, least_favorable_prior,
-                                       sample_prior)
+        from hetreg.lowerbound import bayes_risk_mc, kernel_function, least_favorable_prior
         from hetreg.models import SIMPSON_PANELS, NoiseSpec, homogeneous_scale, substream
         from hetreg.selection import estimate as run_estimate
         from hetreg.basis import basis_eval_matrix
@@ -398,7 +397,7 @@ class TestBayesMinimaxOrdering:
         noise = NoiseSpec("gaussian")
         freq_risks = []
         for d in range(8):
-            theta, _ = sample_prior(prior, substream(77, 1, d))
+            theta = prior.t * substream(77, 1, d).standard_normal(prior.t.shape)
             s_design = kernel_function(theta, prior.family, grid.points)
             s_quad = kernel_function(theta, prior.family, xq)
             losses = []
@@ -860,6 +859,26 @@ class TestCli:
         ({"scale": {"sigma": None}}, "scale sigma must be a finite number, got None"),
         ({"scale": {"sigma": 0.0}}, "sigma must be positive"),
         ({"scale": {"sigma": 1e200}}, "scale sigma^2 must be a finite number, got inf"),
+        ({"test_function": {"trig_coeffs": [0.0, math.nan, 1.0]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got [0.0, nan, 1.0]"),
+        ({"test_function": {"trig_coeffs": [[1.0, 2.0]]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got [[1.0, 2.0]]"),
+        ({"test_function": {"trig_coeffs": [1.0, math.inf]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got [1.0, inf]"),
+        ({"test_function": {"trig_coeffs": [-math.inf]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got [-inf]"),
+        ({"test_function": {"trig_coeffs": [0.0, True]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got [0.0, True]"),
+        ({"test_function": {"trig_coeffs": ["1.0"]}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got ['1.0']"),
+        ({"test_function": {"trig_coeffs": []}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got []"),
+        ({"test_function": {"trig_coeffs": 1.0}},
+         "test_function trig_coeffs must be a nonempty list of finite numbers, got 1.0"),
+        ({"test_function": {"trig_coeffs": [0.0, 1.0], "name": 7}}, "test_function name must be a string, got 7"),
+        ({"test_function": {"preset": "S4"}}, "test_function preset must be S1, S2 or S3, got 'S4'"),
+        ({"test_function": {"preset": None, "trig_coeffs": [1.0]}},
+         "test_function preset must be S1, S2 or S3, got None"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"
@@ -986,6 +1005,19 @@ class TestCli:
                                "--out", str(data_path)], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         assert done.stderr.splitlines()[-1] == "hetreg simulate: student_t requires df >= 5, got inf"
+        assert not data_path.exists()
+
+    def test_simulate_refuses_non_finite_coefficients(self, tmp_path):
+        # a nan coefficient would write nan for every y and s_true
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"test_function": {"trig_coeffs": [0.0, math.nan, 1.0]}}))
+        data_path = tmp_path / "data.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(__import__("hetreg").__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "hetreg.cli", "simulate", "--config", str(cfg_path),
+                               "--out", str(data_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == ("hetreg simulate: test_function trig_coeffs must be a nonempty "
+                                                "list of finite numbers, got [0.0, nan, 1.0]")
         assert not data_path.exists()
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])

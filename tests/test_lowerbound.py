@@ -21,7 +21,6 @@ from hetreg.lowerbound import (
     _family_integrals,
     bayes_risk_mc,
     check_conditions_A,
-    conditions_trend,
     ebar,
     kernel_function,
     lagrange_solution,
@@ -31,7 +30,6 @@ from hetreg.lowerbound import (
     mollified_indicator,
     prior_expected_norm_sq,
     prior_van_trees_bound,
-    sample_prior,
     van_trees_bound,
     van_trees_term,
 )
@@ -146,16 +144,16 @@ class TestLagrangeSolution:
         N, k = 7, 2
         j = np.arange(1, N + 1, dtype=float)
         R = N**k * np.sum(j**k) - np.sum(j ** (2 * k))
-        a_star, y = lagrange_solution(R, N, k)
+        y = lagrange_solution(R, N, k)
         assert y[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_decreasing(self):
-        _, y = lagrange_solution(500.0, 10, 1)
+        y = lagrange_solution(500.0, 10, 1)
         assert np.all(np.diff(y) < 0.0)
 
     def test_constraint_active(self):
         R, N, k = 321.0, 9, 1
-        _, y = lagrange_solution(R, N, k)
+        y = lagrange_solution(R, N, k)
         j = np.arange(1, N + 1, dtype=float)
         assert float(np.sum(y * j ** (2 * k))) == pytest.approx(R, rel=1e-12)
 
@@ -180,7 +178,7 @@ class TestLeastFavorablePrior:
         np.testing.assert_allclose(pr.t, t_expected)
 
     def test_trend_a2_a4_decreasing(self):
-        reports = conditions_trend(1, 1.0, [1000, 100_000], eps=0.2)
+        reports = [check_conditions_A(least_favorable_prior(1, 1.0, n, eps=0.2)) for n in (1000, 100_000)]
         assert reports[1].a2_sum < reports[0].a2_sum
         assert reports[1].a2_peak < reports[0].a2_peak
         assert reports[1].a4_sum < reports[0].a4_sum
@@ -194,7 +192,7 @@ class TestSamplePrior:
     def test_zero_scale(self):
         pr = least_favorable_prior(1, 1.0, 1001, eps=0.2)
         pr_zero = pr.__class__(**{**pr.__dict__, "t": np.zeros_like(pr.t)})
-        theta, _ = sample_prior(pr_zero, substream(0, 1))
+        theta = pr_zero.t * substream(0, 1).standard_normal(pr_zero.t.shape)
         np.testing.assert_array_equal(theta, 0.0)
 
     def test_clip_event_frequency(self):
@@ -202,8 +200,8 @@ class TestSamplePrior:
         reps = 4000
         misses = 0
         for rep in range(reps):
-            _, ok = sample_prior(pr, substream(3, 2, rep))
-            misses += not ok
+            zeta = substream(3, 2, rep).standard_normal(pr.t.shape)
+            misses += np.max(zeta**2) > pr.d_n  # outside the clipping event
         p_bound = pr.t.size * 2.0 * norm.sf(math.sqrt(pr.d_n))
         freq = misses / reps
         se = math.sqrt(max(freq * (1 - freq), 1e-6) / reps)
@@ -212,11 +210,12 @@ class TestSamplePrior:
     def test_sup_bound_on_clip_event(self):
         pr = least_favorable_prior(1, 1.0, 10_001, eps=0.2)
         x = np.linspace(0.0, 1.0, 4001)
+        peak = check_conditions_A(pr).a2_peak  # sqrt(d_n) t*, the uniform bound on the clipping event
         for rep in range(50):
-            theta, ok = sample_prior(pr, substream(4, 3, rep))
-            if ok:
-                sup = float(np.max(np.abs(kernel_function(theta, pr.family, x))))
-                assert sup <= pr.sup_bound() + 1e-12
+            zeta = substream(4, 3, rep).standard_normal(pr.t.shape)
+            if np.max(zeta**2) <= pr.d_n:
+                sup = float(np.max(np.abs(kernel_function(pr.t * zeta, pr.family, x))))
+                assert sup <= peak + 1e-12
 
 
 class TestVanTrees:
@@ -404,7 +403,8 @@ class TestExactAlgebra:
         return least_favorable_prior(1, 1.0, n, eps=0.2, g0=lambda x: self.SCALE.g(x, zero))
 
     def draws(self, prior, count=3):
-        return [sample_prior(prior, substream(31, prior.n, i))[0].ravel() for i in range(count)]
+        return [(prior.t * substream(31, prior.n, i).standard_normal(prior.t.shape)).ravel()
+                for i in range(count)]
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_loss_matches_simpson_path(self, n):
@@ -417,7 +417,7 @@ class TestExactAlgebra:
             losses = []
             for rep in range(4):
                 rng = substream(8, 13, n, rep)
-                theta, _ = sample_prior(pr, rng)
+                theta = pr.t * rng.standard_normal(pr.t.shape)
                 S = SampledFunction(lambda x: kernel_function(theta, pr.family, x))
                 Y = S(grid.points) + self.SCALE.g(grid.points, S) * rng.standard_normal(n)
                 losses.append(wq @ (trig_series(est(Y, grid), xq) - S(xq)) ** 2)
@@ -592,7 +592,7 @@ class TestDesignCache:
             losses = []
             for rep in range(reps):
                 rng = substream(607, 13, n, rep)
-                theta, _ = sample_prior(pr, rng)
+                theta = pr.t * rng.standard_normal(pr.t.shape)
                 t = theta.ravel()
                 s = kernel_function(theta, fam, x)
                 Y = s + np.sqrt(self.SCALE.g2(x, s, t @ G @ t)) * rng.standard_normal(n)

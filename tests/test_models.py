@@ -13,7 +13,6 @@ from hetreg.models import (
     econometric_scale,
     generate_observations,
     homogeneous_scale,
-    l_star,
     mollifier,
     nonperiodic_transform,
     simpson_integral,
@@ -273,9 +272,10 @@ class TestNoise:
         m2 = float(np.mean(x**2))
         se_m2 = np.std(x**2, ddof=1) / math.sqrt(len(x))
         assert abs(m2 - 1.0) <= 4.0 * se_m2 + 1e-12
-        m4 = float(np.mean(x**4))
-        assert m4 <= l_star(100_000)
-        assert spec.fourth_moment() <= l_star(100_000)
+        # E xi^4: 3, 1, 9/5 and 3 + 6 / (df - 4) for the unit-variance kinds
+        exact_m4 = {"gaussian": 3.0, "rademacher": 1.0, "uniform": 1.8, "student_t": 3.0 + 6.0 / (df - 4)}
+        se_m4 = np.std(x**4, ddof=1) / math.sqrt(len(x))
+        assert abs(float(np.mean(x**4)) - exact_m4[kind]) <= 4.0 * se_m4 + 1e-12
 
     def test_rademacher_support(self):
         spec = NoiseSpec("rademacher")

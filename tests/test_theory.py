@@ -10,14 +10,13 @@ from hetreg.theory import (
     asymptotic_upper_risk,
     cell_integrals,
     ellipsoid_coeff,
-    ellipsoid_membership,
+    ellipsoid_norm_sq,
     exact_fourier_coeff,
     coeff_gap_bound,
     norm_transfer_bound,
     tail_energy_bound,
     oracle_index,
     pinsker_constant,
-    step_extension,
     step_l2_distance_sq,
 )
 from hetreg.weights import WeightIndex, default_sequences
@@ -26,8 +25,7 @@ from hetreg.weights import WeightIndex, default_sequences
 def random_ball_member(rng, k, r, degree, fill=0.9):
     """Random trig polynomial scaled to occupy `fill` of the ellipsoid."""
     raw = rng.standard_normal(degree) / np.arange(1, degree + 1) ** (k + 1)
-    a = np.array([ellipsoid_coeff(j, k) for j in range(1, degree + 1)])
-    total = float(np.sum(a * raw**2))
+    total = ellipsoid_norm_sq(raw, k)
     return TrigPolynomial(raw * math.sqrt(fill * r / total))
 
 
@@ -50,14 +48,12 @@ class TestEllipsoid:
         assert ellipsoid_coeff(5, 3) > ellipsoid_coeff(5, 2)
 
     def test_membership(self):
-        ball = SobolevBall(1, 4.0)
-        inside, margin = ellipsoid_membership(np.zeros(5), ball)
-        assert inside and margin == 4.0
-        inside, margin = ellipsoid_membership([2.0], ball)  # a_1 = 1, boundary
-        assert inside and margin == pytest.approx(0.0, abs=1e-12)
+        # the margin r - sum a_j theta_j^2 of the ball (1, 4)
+        assert 4.0 - ellipsoid_norm_sq(np.zeros(5), 1) == 4.0
+        assert 4.0 - ellipsoid_norm_sq([2.0], 1) == pytest.approx(0.0, abs=1e-12)  # a_1 = 1, boundary
         theta2 = math.sqrt(4.0 / ellipsoid_coeff(2, 1))
-        inside, margin = ellipsoid_membership([0.0, theta2], ball)
-        assert inside and margin == pytest.approx(0.0, abs=1e-12)
+        assert 4.0 - ellipsoid_norm_sq([0.0, theta2], 1) == pytest.approx(0.0, abs=1e-12)
+        assert ellipsoid_norm_sq([1.0, 0.0, 0.5], 2) == 1.0 + 0.25 * ellipsoid_coeff(3, 2)
 
 
 class TestPinskerConstant:
@@ -117,15 +113,18 @@ class TestOracleIndex:
 
 class TestStepExtension:
     def test_constant(self):
+        # the step extension of constant values is that constant
         g = DesignGrid(11)
-        T = step_extension(np.full(11, 2.5), g)
-        np.testing.assert_allclose(T(np.linspace(0, 1, 37)), 2.5)
+        two_and_a_half = SampledFunction(lambda x: np.full_like(x, 2.5))
+        assert step_l2_distance_sq(np.full(11, 2.5), two_and_a_half, g) == pytest.approx(0.0, abs=1e-13)
 
     def test_right_continuity_at_knots(self):
+        # T(f) is f(x_l) on the cell ((l-1)/n, l/n]: at zero distance from that step function
         g = DesignGrid(11)
         vals = np.arange(11.0)
-        T = step_extension(vals, g)
-        np.testing.assert_allclose(T(g.points), vals)
+        step = SampledFunction(lambda x: vals[np.clip(np.ceil(x * 11).astype(int) - 1, 0, 10)])
+        assert step_l2_distance_sq(vals, step, g) == pytest.approx(0.0, abs=1e-12)
+        assert step_l2_distance_sq(vals[::-1], step, g) > 1.0
 
     def test_cell_integrals_of_trig_polynomial(self):
         S = TrigPolynomial([0.5, 2.0, 0.0, 0.0, 1.0])
@@ -152,17 +151,13 @@ class TestStepExtension:
         assert s_l2_sq == pytest.approx(gauss_l2_sq, rel=1e-13)
 
     def test_norm_identity(self):
+        # ||T(f)||^2 is the mean of f^2 over the design, to rounding error
         rng = np.random.default_rng(1)
         g = DesignGrid(51)
         vals = rng.standard_normal(51)
-        T = step_extension(vals, g)
-        norm = simpson_integral(lambda x: T(x) ** 2)
-        # Simpson sees the jumps, so only a loose agreement is expected there;
-        # the cell-exact integrator gives it to rounding error
         zero = SampledFunction(lambda x: np.zeros_like(x))
         exact = step_l2_distance_sq(vals, zero, g)
         assert exact == pytest.approx(float(np.mean(vals**2)), rel=1e-12)
-        assert norm == pytest.approx(exact, rel=5e-2)
 
 
 class TestInequalityOracles:
