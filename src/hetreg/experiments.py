@@ -5,10 +5,11 @@ tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
 most `BLOCK_ENTRIES` observations, and are reduced in replicate order; the
 `workers` setting is still accepted but changes neither scheduling nor any
 output byte.  Every study estimator but the full projection is a taper row of
-one stack cut to its support, so a block needs only the head of theta_hat: one
-matmul against the first basis vectors gives it, and Parseval gives the tail
-energy the selector needs.  A block's two losses for every estimator, and the
-family sweep that every study keeps, are a few more matmuls, with no FFT.
+one stack cut to its support, so a block needs only the head of theta_hat:
+`selection.head_and_tail`, which the Bayes risk's blocks call too, gives it by
+one matmul against the first basis vectors, and the tail energy the selector
+needs by Parseval.  A block's two losses for every estimator, and the family
+sweep that every study keeps, are a few more matmuls, with no FFT.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .basis import (
     TrigPolynomial,
     basis_eval_matrix,
     fourier_rows,
-    row_dots,
     serial_matmul,
 )
 from .lowerbound import (
@@ -39,7 +39,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, mean_se, smooth_cutoff, substreams
-from .selection import select_rows, taper_losses
+from .selection import head_and_tail, select_rows, taper_losses
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -169,6 +169,11 @@ class ExperimentConfig:
                 raise ValueError(f"ball k must be an integer >= 1, got {k!r}")
             if r is not None and not (_finite(r) and r > 0.0):
                 raise ValueError(f"ball r must be a positive finite number or null, got {r!r}")
+        k = (self.ball or {}).get("k", 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1.8e308 are inf
+            if not np.isfinite(ellipsoid_norm_sq(coeffs, k)):
+                raise ValueError(f"test_function trig_coeffs must have a finite ellipsoid norm at k = {k}, "
+                                 f"got {coeffs!r}")
         if not self.noise_menu:
             raise ValueError(f"noise_menu must hold at least one noise, got {self.noise_menu!r}")
         labels = []
@@ -217,17 +222,18 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
 
     Presets: S1 = 2 phi_2 + phi_5 (k = 1, exact coefficients), S2 = smooth
     bump (k = 2), S3 = 0.  The margin is r - sum a_j theta_j^2; a study must
-    refuse to run when it is negative.
+    refuse to run when it is negative.  Without `ball.r`, r is the function's
+    own norm, or 1 when that is 0 (S3 and any zero custom function).
     """
     spec = cfg.test_function
     preset = spec.get("preset", "S1")
-    if preset == "S1" and "trig_coeffs" not in spec:
-        spec = {"trig_coeffs": [0.0, 2.0, 0.0, 0.0, 1.0], "name": "S1"}
+    if preset in ("S1", "S3") and "trig_coeffs" not in spec:
+        spec = {"trig_coeffs": [0.0, 2.0, 0.0, 0.0, 1.0] if preset == "S1" else [0.0], "name": preset}
     if "trig_coeffs" in spec:
         S = TrigPolynomial(spec["trig_coeffs"], name=spec.get("name", "custom"))
         k = (cfg.ball or {}).get("k", 1)
         exact = ellipsoid_norm_sq(S.coeffs, k)
-        r = (cfg.ball or {}).get("r") or exact
+        r = (cfg.ball or {}).get("r") or exact or 1.0
         return S, SobolevBall(k, r), r - exact
     if preset == "S2":
         S = _bump_preset()
@@ -236,11 +242,6 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
         measured = ellipsoid_norm_sq(theta, k)
         r = (cfg.ball or {}).get("r") or 1.05 * measured
         return S, SobolevBall(k, r), r - measured
-    if preset == "S3":
-        S = TrigPolynomial([0.0], name="S3")
-        k = (cfg.ball or {}).get("k", 1)
-        r = (cfg.ball or {}).get("r") or 1.0
-        return S, SobolevBall(k, r), r
     raise ValueError(f"unknown test function preset {preset!r}")
 
 
@@ -307,14 +308,6 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     )
 
 
-def _head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
-    """For every row of Y (B, n): theta_hat_1..theta_hat_d, the tail energy
-    sum_{j > l_n} theta_hat_j^2 and the energy sum_j theta_hat_j^2 = |Y|^2 / n (Parseval)."""
-    head = serial_matmul(Y, analysis)
-    energy = row_dots(Y, Y) / Y.shape[1]
-    return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
-
-
 def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: int, rep_hi: int):
     """Losses for replicates [rep_lo, rep_hi) of one noise: (B, E, 2) plus family sweep (B, K).
 
@@ -334,7 +327,7 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
         Y[i] = noise.draw(rng, n)
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
-    head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
+    head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
     K, w = len(ctx.family), ctx.L.shape[1]
     loss = taper_losses(ctx.L, head[:, :w], ctx.targets[:, None, :], ctx.consts[:, None, None])
     if ctx.identity:

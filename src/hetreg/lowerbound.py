@@ -5,6 +5,8 @@ M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh, each carry a mollified loca
 trigonometric expansion; they cover only M 2h of [0, 1] (0.62 to 0.80 on S3 for
 n = 101 to 100001).  An independent centered Gaussian prior over the coefficients
 turns the minimax problem into a Bayesian one that van Trees bounds from below.
+The Monte Carlo Bayes risk takes theta_hat from `selection.head_and_tail`, as
+the studies do, with no FFT per block.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, fourier_rows, pack_spectrum, row_dots, serial_matmul
+from .basis import BLOCK_ENTRIES, DesignGrid, basis_eval_matrix, grid_values, pack_spectrum, row_dots, serial_matmul
 from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
-from .selection import select_rows, tail_energy, taper_losses
+from .selection import head_and_tail, select_rows, taper_losses
 from .theory import pinsker_constant
 from .weights import TuningSequences, weight_family
-
-# basis_eval_matrix is unused here but stays importable from this module:
-# bench/tracing.py patches it at this lookup site.
-from .basis import basis_eval_matrix  # noqa: F401
 
 __all__ = [
     "mollified_indicator",
@@ -430,12 +428,13 @@ def bayes_risk_mc(
     Replicate r draws its prior coefficients t, then its noise, from its own
     substream; `substreams` seeds a block of them at once.  A block, at most
     BLOCK_ENTRIES design entries, is one (B, n) stack Y = T @ D + g * noise on
-    the prior's design (n = prior.n; D, G, C its `family_arrays`), and one
-    `fourier_rows(Y)` gives its theta_hat.  Coefficients c lose
-    ||c||^2 - 2 c'C t + t'Gt: `zero` loses t'Gt, `projection` keeps theta_hat,
-    and `adaptive` is the `taper_losses` row that `select_rows` picks from
-    `weight_family(n, seqs)`, as in a study.  Its products are `serial_matmul`s
-    and `row_dots`, so a row's loss does not depend on its block.
+    the prior's design (n = prior.n; D, G, C its `family_arrays`); as in a study,
+    `head_and_tail` gives theta_hat's head, tail energy and |Y|^2 / n, with no FFT.
+    Coefficients c lose ||c||^2 - 2 c'C t + t'Gt: `zero` loses t'Gt, `projection`
+    keeps all of theta_hat (its cross term is Y . grid_values(C t) / n), and
+    `adaptive` is the `taper_losses` row that `select_rows` picks from
+    `weight_family(n, seqs)`.  Its products are `serial_matmul`s and `row_dots`,
+    so a row's loss does not depend on its block.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -448,6 +447,8 @@ def bayes_risk_mc(
     grid, n = DesignGrid(prior.n), prior.n
     W = weight_family(n, seqs).W
     m = W.shape[1]
+    analysis = basis_eval_matrix(max(m, seqs.l_n), grid.points) / n
+    on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
     losses = np.empty((len(names), reps))
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):
@@ -461,13 +462,13 @@ def bayes_risk_mc(
         s = serial_matmul(T, D)
         norm_sq = row_dots(serial_matmul(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        Tc = serial_matmul(T, cross.T)
-        th = fourier_rows(Y)
-        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        head, tail, energy = head_and_tail(Y, analysis, seqs.l_n)
+        pick, _ = select_rows(W, head, tail, n, seqs)
         by_name = {
             "zero": norm_sq,
-            "projection": row_dots(th, th) - 2.0 * row_dots(th, Tc) + norm_sq,
-            "adaptive": taper_losses(W, th[:, :m], Tc[:, :m], norm_sq[:, None])[np.arange(B), pick],
+            "projection": energy - 2.0 * row_dots(Y, serial_matmul(T, on_design)) / n + norm_sq,
+            "adaptive": taper_losses(W, head[:, :m], serial_matmul(T, cross[:m].T),
+                                     norm_sq[:, None])[np.arange(B), pick],
         }
         for e, name in enumerate(names):
             losses[e, lo : lo + B] = by_name[name]

@@ -6,18 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    DesignGrid,
-    SampledFunction,
-    discrete_fourier,
-    serial_matmul,
-    trig_series,
-)
+from .basis import DesignGrid, SampledFunction, discrete_fourier, row_dots, serial_matmul, trig_series
 from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
 
 __all__ = [
     "EstimatorOutput",
     "tail_energy",
+    "head_and_tail",
     "family_costs",
     "taper_losses",
     "select_rows",
@@ -46,6 +41,15 @@ def tail_energy(theta_hat, l_n: int) -> np.ndarray:
         raise ValueError(f"need 1 <= l_n < n, got l_n={l_n}, n={theta_hat.shape[-1]}")
     with np.errstate(over="ignore"):
         return np.sum(theta_hat[..., l_n:] ** 2, axis=-1)
+
+
+def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
+    """For every row of Y (B, n), with `analysis` (n, d) = phi_1..phi_d on the design / n:
+    theta_hat_1..theta_hat_d, the tail energy sum_{j > l_n} theta_hat_j^2 and the energy
+    sum_j theta_hat_j^2 = |Y|^2 / n, both by Parseval, with no FFT."""
+    head = serial_matmul(Y, analysis)
+    energy = row_dots(Y, Y) / Y.shape[1]
+    return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
 def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np.ndarray:

@@ -1,5 +1,6 @@
 """bench/tracing.py finds every layer it patches, by name, and puts each one back."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +13,7 @@ import hetreg.experiments
 import hetreg.models
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+SRC = Path(hetreg.basis.__file__).resolve().parent
 
 
 def load_tracing():
@@ -61,3 +63,17 @@ def test_install_wraps_and_restore_puts_back():
     for (owner, attr), original in zip(sites, originals):
         assert getattr(owner, attr) is original, attr
     assert hetreg.cli._STUDIES == studies
+
+
+def test_tracer_only_imports_are_patch_sites():
+    # an import kept only for the tracer (`# noqa: F401`) must be a site it patches
+    tracing = load_tracing()
+    sites = {(module, attr) for module, attr, _ in tracing.LAYER_PATCHES}
+    sites.add(("hetreg.experiments", "ThreadPoolExecutor"))
+    kept = set()
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                kept.update((f"hetreg.{path.stem}", alias.asname or alias.name) for alias in node.names)
+    assert kept and kept <= sites, sorted(kept - sites)

@@ -17,7 +17,6 @@ from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     _block_losses,
-    _head_and_tail,
     _make_context,
     efficiency_study,
     lower_bound_study,
@@ -29,7 +28,7 @@ from hetreg.experiments import (
     write_csv,
 )
 from hetreg.models import NoiseSpec, substreams
-from hetreg.selection import estimate, select_rows, tail_energy
+from hetreg.selection import estimate, head_and_tail, select_rows, tail_energy
 from hetreg.theory import cell_integrals, oracle_index
 from hetreg.weights import default_sequences, pinsker_weights, weight_family
 
@@ -302,7 +301,7 @@ class TestHeadOnlyBlock:
         ctx = study_context(small_config(n_grid=[n]), n, ESTIMATOR_KINDS)
         rng = np.random.default_rng(seed)
         Y = level * (np.cos(2.0 * np.pi * 3.0 * DesignGrid(n).points) + rng.standard_normal((rows, n)))
-        head, tail, energy = _head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
+        head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
         theta_hat = fourier_rows(Y)
         d = ctx.analysis.shape[1]
         assert max(ctx.L.shape[1], ctx.seqs.l_n) == d <= n
@@ -555,24 +554,71 @@ class TestBayesOnePass:
         assert calls == {"substream": 2, "substreams": 2, "bayes_risk_mc": 2}
         assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
 
-    def test_one_fourier_transform_per_block(self, monkeypatch):
-        # the projection and the adaptive estimator share each block's theta_hat
-        from hetreg import experiments, lowerbound
+    def test_one_analysis_matrix_per_n(self, monkeypatch):
+        # every block takes theta_hat's head from one analysis matrix per n, with no FFT
+        from hetreg import lowerbound
 
-        calls = []
+        calls = {"fourier_rows": [], "basis_eval_matrix": []}
+        evaluate = lowerbound.basis_eval_matrix
 
-        def counted(Y):
-            calls.append(np.shape(Y))
-            return fourier_rows(Y)
+        def counted(d, x):
+            calls["basis_eval_matrix"].append(len(x))
+            return evaluate(d, x)
 
-        for module in (experiments, lowerbound):  # wherever a Bayes estimator could look it up
-            monkeypatch.setattr(module, "fourier_rows", counted, raising=False)
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)
+        monkeypatch.setattr(lowerbound, "fourier_rows", lambda Y: calls["fourier_rows"].append(np.shape(Y)),
+                            raising=False)
+        monkeypatch.setattr(lowerbound, "basis_eval_matrix", counted)
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)  # 5 blocks over the two n
         cfg = small_config(n_grid=[51, 101], reps=9,
                            lowerbound={"prior_mc": 5, "bayes_estimators": ["zero", "projection", "adaptive"]})
         lower_bound_study(cfg)
-        # BLOCK_ENTRIES // n replicates per block: 5 at n = 51, 3 at n = 101
-        assert calls == [(5, 51), (4, 51), (3, 101), (3, 101), (3, 101)]
+        assert calls == {"fourier_rows": [], "basis_eval_matrix": [51, 101]}
+
+    @pytest.mark.parametrize("n", [51, 101, 1001])
+    def test_losses_equal_the_fft_formulas(self, monkeypatch, n):
+        # every replicate's losses and pick against the full spectrum of the same
+        # draws: |th|^2 - 2 th . C t + t'Gt, and the taper rows with the FFT tail
+        from hetreg import lowerbound
+        from hetreg.basis import row_dots, serial_matmul
+        from hetreg.models import econometric_scale
+        from hetreg.selection import taper_losses
+
+        rows, picks = [], []
+        select = lowerbound.select_rows
+
+        def recorded(*args):
+            pick, costs = select(*args)
+            picks.append(pick)
+            return pick, costs
+
+        monkeypatch.setattr(lowerbound, "mean_se", lambda row: rows.append(row.copy()) or (0.0, 0.0))
+        monkeypatch.setattr(lowerbound, "select_rows", recorded)
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 16 * n)  # several blocks at every n
+        reps, seed = 40, 9
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        prior = lowerbound.least_favorable_prior(1, 1.0, n, eps=0.2)
+        seqs = default_sequences(n)
+        lowerbound.bayes_risk_mc(["zero", "projection", "adaptive"], prior, scale, seqs, reps=reps, seed=seed)
+
+        D, gram, cross = prior.family_arrays
+        T, xi = np.empty((reps, len(D))), np.empty((reps, n))
+        for i, rng in enumerate(substreams(seed, 13, n, reps=range(reps))):
+            rng.standard_normal(out=T[i])
+            rng.standard_normal(out=xi[i])
+        T *= prior.t.ravel()
+        s = serial_matmul(T, D)
+        tGt = row_dots(serial_matmul(T, gram), T)
+        th = fourier_rows(s + np.sqrt(scale.g2(DesignGrid(n).points, s, tGt[:, None])) * xi)
+        Tc = serial_matmul(T, cross.T)
+        W = weight_family(n, seqs).W
+        m = W.shape[1]
+        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        expected = [tGt, row_dots(th, th) - 2.0 * row_dots(th, Tc) + tGt,
+                    taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None])[np.arange(reps), pick]]
+        np.testing.assert_array_equal(np.concatenate(picks), pick)
+        assert len(rows) == 3
+        for got, want in zip(rows, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_family_integrals_once_per_n(self, monkeypatch):
         # the bound and the Bayes risks share one prior, so one (G, C), per n
@@ -879,6 +925,10 @@ class TestCli:
         ({"test_function": {"preset": "S4"}}, "test_function preset must be S1, S2 or S3, got 'S4'"),
         ({"test_function": {"preset": None, "trig_coeffs": [1.0]}},
          "test_function preset must be S1, S2 or S3, got None"),
+        ({"n_grid": [11], "test_function": {"trig_coeffs": [0.0, 1e200]}},
+         "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [0.0, 1e+200]"),
+        ({"n_grid": [11], "test_function": {"trig_coeffs": [1e160]}},
+         "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [1e+160]"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"
@@ -1008,17 +1058,36 @@ class TestCli:
         assert not data_path.exists()
 
     def test_simulate_refuses_non_finite_coefficients(self, tmp_path):
-        # a nan coefficient would write nan for every y and s_true
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"test_function": {"trig_coeffs": [0.0, math.nan, 1.0]}}))
-        data_path = tmp_path / "data.csv"
+        # a nan coefficient would write nan for every y and s_true, and one whose
+        # square overflows would write +-inf
+        cases = [
+            ({"test_function": {"trig_coeffs": [0.0, math.nan, 1.0]}},
+             "test_function trig_coeffs must be a nonempty list of finite numbers, got [0.0, nan, 1.0]"),
+            ({"n_grid": [11], "test_function": {"trig_coeffs": [0.0, 1e200]}},
+             "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [0.0, 1e+200]"),
+            ({"n_grid": [11], "test_function": {"trig_coeffs": [1e160]}},
+             "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [1e+160]"),
+        ]
         env = {**os.environ, "PYTHONPATH": str(Path(__import__("hetreg").__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-m", "hetreg.cli", "simulate", "--config", str(cfg_path),
-                               "--out", str(data_path)], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 1
-        assert done.stderr.splitlines()[-1] == ("hetreg simulate: test_function trig_coeffs must be a nonempty "
-                                                "list of finite numbers, got [0.0, nan, 1.0]")
-        assert not data_path.exists()
+        for cfg, message in cases:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            data_path = tmp_path / "data.csv"
+            done = subprocess.run([sys.executable, "-m", "hetreg.cli", "simulate", "--config", str(cfg_path),
+                                   "--out", str(data_path)], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 1
+            assert done.stderr.splitlines()[-1] == f"hetreg simulate: {message}"
+            assert not data_path.exists()
+
+    def test_simulate_zero_custom_function_is_s3(self, tmp_path):
+        # a zero custom function without ball.r takes S3's r = 1, and draws S3's data
+        outputs = []
+        for tf in ({"trig_coeffs": [0.0]}, {"preset": "S3"}):
+            cfg_path, data_path = tmp_path / "cfg.json", tmp_path / f"data{len(outputs)}.csv"
+            cfg_path.write_text(json.dumps({"n_grid": [11], "test_function": tf}))
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(data_path)]) == 0
+            outputs.append(data_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flag", ["--reps", "--workers"])
     def test_simulate_has_no_study_knobs(self, tmp_path, flag):
