@@ -4,12 +4,11 @@ Replicate r of a study always draws from the substream keyed by (seed, study
 tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
 most `BLOCK_ENTRIES` observations, and are reduced in replicate order; the
 `workers` setting is still accepted but changes neither scheduling nor any
-output byte.  Every study estimator but the full projection is a taper row of
-one stack cut to its support, so a block needs only the head of theta_hat:
-`selection.head_and_tail`, which the Bayes risk's blocks call too, gives it by
-one matmul against the first basis vectors, and the tail energy the selector
-needs by Parseval.  A block's two losses for every estimator, and the family
-sweep that every study keeps, are a few more matmuls, with no FFT.
+output byte.  Every study estimator but the full projection is a row of one
+taper stack cut to its support, and `selection.score_block`, which scores the
+Bayes risk's blocks too, gives a block's two losses for every row, for the
+full projection and for the adaptive pick, from the head of theta_hat and
+Parseval, with no FFT per block; the family sweep every study keeps is among them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .basis import (
     TrigPolynomial,
     basis_eval_matrix,
     fourier_rows,
-    serial_matmul,
 )
 from .lowerbound import (
     BAYES_ESTIMATORS,
@@ -39,7 +37,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, mean_se, smooth_cutoff, substreams
-from .selection import head_and_tail, select_rows, taper_losses
+from .selection import score_block
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -125,6 +123,8 @@ class ExperimentConfig:
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, int) or n % 2 == 0 or n < 3:
                 raise ValueError(f"all n must be odd integers >= 3, got {n!r}")
+        if len(set(self.n_grid)) < len(self.n_grid):  # a study keys its cells by (n, label)
+            raise ValueError(f"n_grid values must be unique, got {self.n_grid}")
         for key, low in (("reps", 1), ("workers", 1), ("seed", 0)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -169,16 +169,18 @@ class ExperimentConfig:
                 raise ValueError(f"ball k must be an integer >= 1, got {k!r}")
             if r is not None and not (_finite(r) and r > 0.0):
                 raise ValueError(f"ball r must be a positive finite number or null, got {r!r}")
-        k = (self.ball or {}).get("k", 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1.8e308 are inf
-            if not np.isfinite(ellipsoid_norm_sq(coeffs, k)):
-                raise ValueError(f"test_function trig_coeffs must have a finite ellipsoid norm at k = {k}, "
-                                 f"got {coeffs!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an a_j or a square past 1.8e308 is inf
+            _, ball, margin = resolve_test_function(self)
+        if not math.isfinite(margin):  # r is finite, or the norm itself
+            what = "trig_coeffs" if "trig_coeffs" in tf else f"preset {tf.get('preset', 'S1')}"
+            got = f", got {coeffs!r}" if "trig_coeffs" in tf else ""
+            raise ValueError(f"test_function {what} must have a finite ellipsoid norm at k = {ball.k}{got}")
         if not self.noise_menu:
             raise ValueError(f"noise_menu must hold at least one noise, got {self.noise_menu!r}")
         labels = []
         for nspec in self.noise_menu:
-            _check_keys("noise", nspec, ("kind", "df"))
+            student = isinstance(nspec, dict) and nspec.get("kind") == "student_t"
+            _check_keys("noise", nspec, ("kind", "df") if student else ("kind",))
             labels.append(NoiseSpec(**nspec).label)  # refuses an unknown kind or a bad df
         if len(set(labels)) < len(labels):  # a study keys its cells by (n, label)
             raise ValueError(f"noise labels must be unique, got {labels}")
@@ -250,8 +252,8 @@ class _StudyContext:
     """Per-n quantities shared by every noise of the menu and every replicate.
 
     L: the family's tapers, then the fixed estimators' weights, cut to their
-    support; `columns`: each named estimator's row of L, -1 for the adaptive
-    pick and len(L) for the full projection, whose losses come from Y itself."""
+    support; `columns`: each named estimator's column of `score_block`'s
+    losses, -1 for the adaptive pick and len(L) for the full projection."""
 
     grid: DesignGrid
     seqs: object
@@ -262,10 +264,9 @@ class _StudyContext:
     L: np.ndarray
     columns: np.ndarray
     analysis: np.ndarray  # (n, d): Y @ analysis = theta_hat_1..theta_hat_d, d = max(w, l_n)
-    targets: np.ndarray   # (2, w): theta_n, and n * fourier_rows(int S per cell)
+    on_design: np.ndarray  # (2, n): the targets on the design, S and n * int S per cell
+    targets: np.ndarray   # (2, w): their first w coefficients
     consts: np.ndarray    # (2,): ||theta_n||^2 over all n coefficients, ||S||^2
-    cell_int_s: np.ndarray  # (n,): int S over every cell, for the full projection's L2 loss
-    identity: bool        # the full projection is among the estimators
 
 
 def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: SampledFunction,
@@ -275,7 +276,6 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     family = weight_family(n, seqs)
     K, m = family.W.shape
     S_design = S.on_grid(grid)
-    theta_n = fourier_rows(S_design)
     fixed, columns = [], []  # the fixed estimators' weights at length n
     for name in estimators:
         if name in ("adaptive", "projection"):
@@ -297,27 +297,25 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     columns[columns == -2] = len(L)
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
+    # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis matrix's rounded 2 pi
+    theta_n, theta_cells = fourier_rows(np.stack([S_design, cell_int_s]))
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        g_design=scale.g(grid.points, S), seed=cfg.seed,
-        L=L, columns=columns,
+        g_design=scale.g(grid.points, S), seed=cfg.seed, L=L, columns=columns,
         analysis=basis_eval_matrix(max(w, seqs.l_n), grid.points) / n,
-        targets=np.stack([theta_n, n * fourier_rows(cell_int_s)])[:, :w],
+        on_design=np.stack([S_design, n * cell_int_s]),
+        targets=np.stack([theta_n, n * theta_cells])[:, :w],
         consts=np.array([np.sum(theta_n**2), s_l2_sq]),
-        cell_int_s=cell_int_s, identity="projection" in estimators,
     )
 
 
 def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: int, rep_hi: int):
     """Losses for replicates [rep_lo, rep_hi) of one noise: (B, E, 2) plus family sweep (B, K).
 
-    Every estimator but the full projection is a row lam of ctx.L, so both of
-    its losses are `taper_losses` of that row: the empiric ||S_lam - S||_n^2
-    with t = theta_n, c = |theta_n|^2, and the step extension's
-    ||T(S_lam) - S||^2 with t_j = sum_l phi_j(l/n) int_cell_l S, c = ||S||^2.
-    One call gives both for every row; the adaptive estimator is its pick's
-    row.  The full projection is the identity on the grid: its losses are
-    mean((Y - S)^2) and |Y|^2 / n - 2 Y . int_cell S + ||S||^2.
+    One `score_block` call scores every row of ctx.L and the full projection
+    against both targets: S on the design for the empiric ||S_lam - S||_n^2,
+    and n int_cell S for the step extension's ||T(S_lam) - S||^2, whose
+    constant is ||S||^2.  The adaptive estimator is its pick's row.
     """
     n = ctx.grid.n
     B = rep_hi - rep_lo
@@ -327,16 +325,10 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
         Y[i] = noise.draw(rng, n)
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
-    head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
-    K, w = len(ctx.family), ctx.L.shape[1]
-    loss = taper_losses(ctx.L, head[:, :w], ctx.targets[:, None, :], ctx.consts[:, None, None])
-    if ctx.identity:
-        identity = [np.mean((Y - ctx.S_design) ** 2, axis=1),
-                    energy - 2.0 * serial_matmul(Y, ctx.cell_int_s[:, None])[:, 0] + ctx.consts[1]]
-        loss = np.concatenate([loss, np.stack(identity)[:, :, None]], axis=2)
-    pick, _ = select_rows(ctx.family.W, head, tail, n, ctx.seqs)
+    loss, pick = score_block(Y, ctx.analysis, ctx.L, ctx.targets[:, None], ctx.on_design[:, None],
+                             ctx.consts[:, None, None], ctx.family.W, ctx.seqs)
     cols = np.where(ctx.columns < 0, pick[:, None], ctx.columns)
-    return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, :K]
+    return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, : len(ctx.family)]
 
 
 def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):

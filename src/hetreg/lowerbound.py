@@ -5,7 +5,7 @@ M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh, each carry a mollified loca
 trigonometric expansion; they cover only M 2h of [0, 1] (0.62 to 0.80 on S3 for
 n = 101 to 100001).  An independent centered Gaussian prior over the coefficients
 turns the minimax problem into a Bayesian one that van Trees bounds from below.
-The Monte Carlo Bayes risk takes theta_hat from `selection.head_and_tail`, as
+The Monte Carlo Bayes risk scores its blocks by `selection.score_block`, as
 the studies do, with no FFT per block.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BLOCK_ENTRIES, DesignGrid, basis_eval_matrix, grid_values, pack_spectrum, row_dots, serial_matmul
 from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
-from .selection import head_and_tail, select_rows, taper_losses
+from .selection import score_block
 from .theory import pinsker_constant
 from .weights import TuningSequences, weight_family
 
@@ -428,13 +428,12 @@ def bayes_risk_mc(
     Replicate r draws its prior coefficients t, then its noise, from its own
     substream; `substreams` seeds a block of them at once.  A block, at most
     BLOCK_ENTRIES design entries, is one (B, n) stack Y = T @ D + g * noise on
-    the prior's design (n = prior.n; D, G, C its `family_arrays`); as in a study,
-    `head_and_tail` gives theta_hat's head, tail energy and |Y|^2 / n, with no FFT.
-    Coefficients c lose ||c||^2 - 2 c'C t + t'Gt: `zero` loses t'Gt, `projection`
-    keeps all of theta_hat (its cross term is Y . grid_values(C t) / n), and
-    `adaptive` is the `taper_losses` row that `select_rows` picks from
-    `weight_family(n, seqs)`.  Its products are `serial_matmul`s and `row_dots`,
-    so a row's loss does not depend on its block.
+    the prior's design (n = prior.n; D, G, C its `family_arrays`), scored as a
+    study's block by `selection.score_block` against the target coefficients
+    C t, on the design grid_values(C t), and t'Gt: `adaptive` is the pick's
+    column of `weight_family(n, seqs)`, `zero` a zero taper row's (t'Gt) and
+    `projection` the full projection's.  Every product is a `serial_matmul` or
+    a `row_dots`, so a row's loss does not depend on its block.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -446,7 +445,9 @@ def bayes_risk_mc(
     D, gram, cross = prior.family_arrays
     grid, n = DesignGrid(prior.n), prior.n
     W = weight_family(n, seqs).W
-    m = W.shape[1]
+    K, m = W.shape
+    L = np.vstack([W, np.zeros(m)])
+    columns = np.array([{"adaptive": -1, "zero": K, "projection": K + 1}[name] for name in names])
     analysis = basis_eval_matrix(max(m, seqs.l_n), grid.points) / n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
     losses = np.empty((len(names), reps))
@@ -462,14 +463,8 @@ def bayes_risk_mc(
         s = serial_matmul(T, D)
         norm_sq = row_dots(serial_matmul(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        head, tail, energy = head_and_tail(Y, analysis, seqs.l_n)
-        pick, _ = select_rows(W, head, tail, n, seqs)
-        by_name = {
-            "zero": norm_sq,
-            "projection": energy - 2.0 * row_dots(Y, serial_matmul(T, on_design)) / n + norm_sq,
-            "adaptive": taper_losses(W, head[:, :m], serial_matmul(T, cross[:m].T),
-                                     norm_sq[:, None])[np.arange(B), pick],
-        }
-        for e, name in enumerate(names):
-            losses[e, lo : lo + B] = by_name[name]
+        loss, pick = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T), serial_matmul(T, on_design),
+                                 norm_sq[:, None], W, seqs)
+        cols = np.where(columns < 0, pick[:, None], columns)
+        losses[:, lo : lo + B] = loss[np.arange(B)[:, None], cols].T
     return [mean_se(row) for row in losses]

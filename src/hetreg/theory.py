@@ -58,11 +58,12 @@ class SobolevBall:
 
 
 def ellipsoid_coeff(j: int, k: int) -> float:
-    """a_j = sum_{i=0}^k (2 pi [j/2])^(2i); a_1 = 1 for every k."""
+    """a_j = sum_{i=0}^k (2 pi [j/2])^(2i); a_1 = 1 for every k, and an a_j past 1.8e308 is inf."""
     if j < 1 or k < 1:
         raise ValueError("need j >= 1 and k >= 1")
-    w = 2.0 * math.pi * (j // 2)
-    return float(sum(w ** (2 * i) for i in range(k + 1)))
+    w = np.float64(2.0 * math.pi * (j // 2))
+    with np.errstate(over="ignore"):
+        return float(sum(w ** (2 * i) for i in range(k + 1)))
 
 
 def ellipsoid_norm_sq(theta, k: int) -> float:

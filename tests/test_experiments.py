@@ -317,7 +317,7 @@ class TestHeadOnlyBlock:
     def test_block_equals_fft_reference(self, monkeypatch, n, preset):
         # the reference draws the same stack, takes the full FFT and scores
         # every estimator's full-length weights
-        from hetreg import experiments
+        from hetreg import selection
 
         cfg = small_config(n_grid=[n], test_function={"preset": preset})
         ctx = study_context(cfg, n, ESTIMATOR_KINDS)
@@ -330,7 +330,7 @@ class TestHeadOnlyBlock:
             picks.append(best)
             return best, costs
 
-        monkeypatch.setattr(experiments, "select_rows", recorded)
+        monkeypatch.setattr(selection, "select_rows", recorded)
         gaussian = NoiseSpec("gaussian")
         losses, sweep = _block_losses(ctx, gaussian, 0, 5, 45)
 
@@ -578,13 +578,13 @@ class TestBayesOnePass:
     def test_losses_equal_the_fft_formulas(self, monkeypatch, n):
         # every replicate's losses and pick against the full spectrum of the same
         # draws: |th|^2 - 2 th . C t + t'Gt, and the taper rows with the FFT tail
-        from hetreg import lowerbound
+        from hetreg import lowerbound, selection
         from hetreg.basis import row_dots, serial_matmul
         from hetreg.models import econometric_scale
         from hetreg.selection import taper_losses
 
         rows, picks = [], []
-        select = lowerbound.select_rows
+        select = selection.select_rows
 
         def recorded(*args):
             pick, costs = select(*args)
@@ -592,7 +592,7 @@ class TestBayesOnePass:
             return pick, costs
 
         monkeypatch.setattr(lowerbound, "mean_se", lambda row: rows.append(row.copy()) or (0.0, 0.0))
-        monkeypatch.setattr(lowerbound, "select_rows", recorded)
+        monkeypatch.setattr(selection, "select_rows", recorded)
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 16 * n)  # several blocks at every n
         reps, seed = 40, 9
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
@@ -617,6 +617,7 @@ class TestBayesOnePass:
                     taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None])[np.arange(reps), pick]]
         np.testing.assert_array_equal(np.concatenate(picks), pick)
         assert len(rows) == 3
+        np.testing.assert_array_equal(rows[0], tGt)  # `zero` is a taper row of zeros: exactly t'Gt
         for got, want in zip(rows, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -929,6 +930,9 @@ class TestCli:
          "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [0.0, 1e+200]"),
         ({"n_grid": [11], "test_function": {"trig_coeffs": [1e160]}},
          "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [1e+160]"),
+        ({"n_grid": [11], "ball": {"k": 200}}, "test_function preset S1 must have a finite ellipsoid norm at k = 200"),
+        ({"n_grid": [11], "test_function": {"preset": "S2"}, "ball": {"k": 80}, "reps": 2},
+         "test_function preset S2 must have a finite ellipsoid norm at k = 80"),
     ])
     def test_nested_config_is_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"
@@ -947,6 +951,8 @@ class TestCli:
         ({"k_bar": None}, "k_bar must be a finite number, got None"),
         ({"omega_bar": -100},
          "every taper is zero: the largest cutoff omega is -95.0912 <= 1 (omega_bar=-100)"),
+        ({"n_grid": [11, 11]}, "n_grid values must be unique, got [11, 11]"),
+        ({"n_grid": [51, 101, 51]}, "n_grid values must be unique, got [51, 101, 51]"),
     ])
     def test_grid_and_tuning_are_validated(self, tmp_path, section, message):
         cfg_path = tmp_path / "cfg.json"
@@ -962,8 +968,10 @@ class TestCli:
         ({"kind": "student_t", "df": 3}, "student_t requires df >= 5, got 3"),
         ({"kind": "student_t", "df": "8"}, "student_t requires df >= 5, got '8'"),
         ({"kind": ["gaussian"]}, "noise kind must be a string, got ['gaussian']"),
-        ({"kind": "gaussian", "df": 5}, "noise labels must be unique, got ['gaussian', 'gaussian']"),
+        ({"kind": "gaussian"}, "noise labels must be unique, got ['gaussian', 'gaussian']"),
         ({"kind": "student_t", "df": float("inf")}, "student_t requires df >= 5, got inf"),
+        ({"kind": "gaussian", "df": "x"}, "unknown noise keys: ['df']"),
+        ({"kind": "rademacher", "df": 12}, "unknown noise keys: ['df']"),
     ])
     def test_noise_menu_is_refused_before_any_replicate(self, tmp_path, monkeypatch, entry, message):
         from hetreg import experiments
@@ -1067,6 +1075,7 @@ class TestCli:
              "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [0.0, 1e+200]"),
             ({"n_grid": [11], "test_function": {"trig_coeffs": [1e160]}},
              "test_function trig_coeffs must have a finite ellipsoid norm at k = 1, got [1e+160]"),
+            ({"n_grid": [11], "ball": {"k": 200}}, "test_function preset S1 must have a finite ellipsoid norm at k = 200"),
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(__import__("hetreg").__file__).resolve().parents[1])}
         for cfg, message in cases:

@@ -1,0 +1,34 @@
+"""Both Monte Carlo engines score their blocks through `selection.score_block`.
+
+The studies (`experiments`) and the Bayes risk (`lowerbound`) import none of
+the scorer's parts, so a second block scorer cannot come back unnoticed; the
+studies take an FFT only for their targets, once per n, and the Bayes risk
+none at all.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hetreg
+
+SCORER_PARTS = {"fourier_rows", "head_and_tail", "family_costs", "taper_losses", "select_rows"}
+
+
+def module_tree(name: str) -> ast.Module:
+    return ast.parse((Path(hetreg.__file__).parent / f"{name}.py").read_text())
+
+
+@pytest.mark.parametrize("name, allowed", [("experiments", {"fourier_rows"}), ("lowerbound", set())])
+def test_engines_import_the_scorer_and_none_of_its_parts(name, allowed):
+    imported = {alias.name for node in ast.walk(module_tree(name)) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "score_block" in imported
+    assert imported & SCORER_PARTS == allowed
+
+
+def test_studies_take_an_fft_only_for_their_targets():
+    users = {fn.name for fn in ast.walk(module_tree("experiments")) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "fourier_rows"}
+    assert users == {"_make_context"}

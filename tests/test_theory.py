@@ -47,6 +47,12 @@ class TestEllipsoid:
         assert ellipsoid_coeff(2, 1) == ellipsoid_coeff(3, 1)
         assert ellipsoid_coeff(5, 3) > ellipsoid_coeff(5, 2)
 
+    def test_overflow_reads_inf(self):
+        # (2 pi)^400 is past 1.8e308; a_1 has no power to overflow
+        assert ellipsoid_coeff(3, 200) == math.inf
+        assert ellipsoid_coeff(1, 200) == 1.0
+        assert ellipsoid_coeff(65, 40) < math.inf
+
     def test_membership(self):
         # the margin r - sum a_j theta_j^2 of the ball (1, 4)
         assert 4.0 - ellipsoid_norm_sq(np.zeros(5), 1) == 4.0
