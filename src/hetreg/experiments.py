@@ -7,8 +7,9 @@ most `BLOCK_ENTRIES` observations, and are reduced in replicate order; the
 output byte.  Every study estimator but the full projection is a row of one
 taper stack cut to its support, and `selection.score_block`, which scores the
 Bayes risk's blocks too, gives a block's two losses for every row, for the
-full projection and for the adaptive pick, from the head of theta_hat and
-Parseval, with no FFT per block; the family sweep every study keeps is among them.
+full projection and for the adaptive estimator, from the head of theta_hat and
+Parseval, with no FFT per block; every estimator is a fixed column of them,
+and the family sweep every study keeps is among them.
 """
 
 from __future__ import annotations
@@ -253,7 +254,8 @@ class _StudyContext:
 
     L: the family's tapers, then the fixed estimators' weights, cut to their
     support; `columns`: each named estimator's column of `score_block`'s
-    losses, -1 for the adaptive pick and len(L) for the full projection."""
+    losses, a row of L, len(L) for the full projection and len(L) + 1 for
+    the adaptive estimator."""
 
     grid: DesignGrid
     seqs: object
@@ -276,25 +278,21 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     family = weight_family(n, seqs)
     K, m = family.W.shape
     S_design = S.on_grid(grid)
-    fixed, columns = [], []  # the fixed estimators' weights at length n
+    fixed = {}  # the fixed estimators' weights at length n
     for name in estimators:
-        if name in ("adaptive", "projection"):
-            columns.append(-1 if name == "adaptive" else -2)  # -2: set to len(L) below
-            continue
         if name == "oracle_weight":
-            fixed.append(pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs))
-        else:  # zero or projection:d, as ExperimentConfig checked
+            fixed[name] = pinsker_weights(oracle_index(ball, scale.varsigma(S), n, seqs), n, seqs)
+        elif name not in ("adaptive", "projection"):  # zero or projection:d, as ExperimentConfig checked
             d = 0 if name == "zero" else int(name.split(":", 1)[1])
-            fixed.append((np.arange(n) < d).astype(float))  # keeps the first d coefficients
-        columns.append(K + len(fixed) - 1)
+            fixed[name] = (np.arange(n) < d).astype(float)  # keeps the first d coefficients
     # every weight is 0 past column w, the width of L
-    w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed])
+    w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed.values()])
     L = np.zeros((K + len(fixed), w))
     L[:K, :m] = family.W
-    for i, lam in enumerate(fixed):
+    for i, lam in enumerate(fixed.values()):
         L[K + i] = lam[:w]
-    columns = np.array(columns, dtype=int)
-    columns[columns == -2] = len(L)
+    index = {name: K + i for i, name in enumerate([*fixed, "projection", "adaptive"])}
+    columns = np.array([index[name] for name in estimators])
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis matrix's rounded 2 pi
@@ -315,7 +313,7 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
     One `score_block` call scores every row of ctx.L and the full projection
     against both targets: S on the design for the empiric ||S_lam - S||_n^2,
     and n int_cell S for the step extension's ||T(S_lam) - S||^2, whose
-    constant is ||S||^2.  The adaptive estimator is its pick's row.
+    constant is ||S||^2.
     """
     n = ctx.grid.n
     B = rep_hi - rep_lo
@@ -325,10 +323,9 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
         Y[i] = noise.draw(rng, n)
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
-    loss, pick = score_block(Y, ctx.analysis, ctx.L, ctx.targets[:, None], ctx.on_design[:, None],
-                             ctx.consts[:, None, None], ctx.family.W, ctx.seqs)
-    cols = np.where(ctx.columns < 0, pick[:, None], ctx.columns)
-    return np.moveaxis(loss[:, np.arange(B)[:, None], cols], 0, -1), loss[0, :, : len(ctx.family)]
+    loss, _ = score_block(Y, ctx.analysis, ctx.L, ctx.targets[:, None], ctx.on_design[:, None],
+                          ctx.consts[:, None, None], ctx.family.W, ctx.seqs)
+    return np.moveaxis(loss[..., ctx.columns], 0, -1), loss[0, :, : len(ctx.family)]
 
 
 def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):

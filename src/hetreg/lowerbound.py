@@ -430,9 +430,9 @@ def bayes_risk_mc(
     BLOCK_ENTRIES design entries, is one (B, n) stack Y = T @ D + g * noise on
     the prior's design (n = prior.n; D, G, C its `family_arrays`), scored as a
     study's block by `selection.score_block` against the target coefficients
-    C t, on the design grid_values(C t), and t'Gt: `adaptive` is the pick's
-    column of `weight_family(n, seqs)`, `zero` a zero taper row's (t'Gt) and
-    `projection` the full projection's.  Every product is a `serial_matmul` or
+    C t, on the design grid_values(C t), and t'Gt: `zero` is the column of a
+    zero taper row (t'Gt) after `weight_family(n, seqs)`, `projection` the full
+    projection's and `adaptive` the last.  Every product is a `serial_matmul` or
     a `row_dots`, so a row's loss does not depend on its block.
     """
     for name in names:
@@ -447,7 +447,7 @@ def bayes_risk_mc(
     W = weight_family(n, seqs).W
     K, m = W.shape
     L = np.vstack([W, np.zeros(m)])
-    columns = np.array([{"adaptive": -1, "zero": K, "projection": K + 1}[name] for name in names])
+    columns = [{"zero": K, "projection": K + 1, "adaptive": K + 2}[name] for name in names]
     analysis = basis_eval_matrix(max(m, seqs.l_n), grid.points) / n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
     losses = np.empty((len(names), reps))
@@ -463,8 +463,7 @@ def bayes_risk_mc(
         s = serial_matmul(T, D)
         norm_sq = row_dots(serial_matmul(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        loss, pick = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T), serial_matmul(T, on_design),
-                                 norm_sq[:, None], W, seqs)
-        cols = np.where(columns < 0, pick[:, None], columns)
-        losses[:, lo : lo + B] = loss[np.arange(B)[:, None], cols].T
+        loss, _ = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T), serial_matmul(T, on_design),
+                              norm_sq[:, None], W, seqs)
+        losses[:, lo : lo + B] = loss[:, columns].T
     return [mean_se(row) for row in losses]

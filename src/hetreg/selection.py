@@ -100,18 +100,21 @@ def select_rows(W: np.ndarray, head, tail, n: int,
 
 def score_block(Y: np.ndarray, analysis: np.ndarray, L: np.ndarray, targets, on_design, consts,
                 W: np.ndarray, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (..., B, len(L) + 1) and adaptive pick (B,) of every row of one block Y (B, n).
+    """Losses (..., B, len(L) + 2) and adaptive pick (B,) of every row of one block Y (B, n).
 
     Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) on the head
-    of `head_and_tail(Y, analysis, seqs.l_n)`; the last is the full projection's,
+    of `head_and_tail(Y, analysis, seqs.l_n)`; column len(L) is the full projection's,
     |Y|^2 / n - 2 Y . f / n + c by Parseval, f (`on_design`, broadcast against Y) the
-    target on the design and c `consts[..., 0]`.  The pick is `select_rows` on W."""
+    target on the design and c `consts[..., 0]`; the last, len(L) + 1, is the adaptive
+    estimator's, column `pick` of the first.  The pick is `select_rows` on W, whose
+    rows are the first len(W) rows of L."""
     n = Y.shape[1]
     head, tail, energy = head_and_tail(Y, analysis, seqs.l_n)
     taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
     full = energy - 2.0 * row_dots(Y, on_design) / n + consts[..., 0]
     pick, _ = select_rows(W, head, tail, n, seqs)
-    return np.concatenate([taper, full[..., None]], axis=-1), pick
+    adaptive = taper[..., np.arange(len(pick)), pick]
+    return np.concatenate([taper, full[..., None], adaptive[..., None]], axis=-1), pick
 
 
 def select(family: WeightFamily, theta_hat, seqs: TuningSequences) -> EstimatorOutput:

@@ -32,3 +32,12 @@ def test_studies_take_an_fft_only_for_their_targets():
     users = {fn.name for fn in ast.walk(module_tree("experiments")) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "fourier_rows"}
     assert users == {"_make_context"}
+
+
+@pytest.mark.parametrize("name", ["experiments", "lowerbound"])
+def test_engines_take_every_estimator_as_a_fixed_column(name):
+    # score_block's columns hold every estimator, the adaptive one last: no
+    # engine gathers the pick's loss by np.where of its own
+    calls = [node for node in ast.walk(module_tree(name)) if isinstance(node, ast.Attribute)
+             and node.attr == "where" and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert calls == []

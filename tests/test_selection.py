@@ -6,13 +6,23 @@ from hypothesis import strategies as st
 from hetreg.basis import (
     DesignGrid,
     TrigPolynomial,
+    basis_matrix,
     discrete_fourier,
     fourier_rows,
     trig_basis_eval,
     trig_series,
 )
 from hetreg.models import NoiseSpec, generate_observations, homogeneous_scale, substream
-from hetreg.selection import estimate, family_costs, select, select_rows, tail_energy
+from hetreg.selection import (
+    estimate,
+    family_costs,
+    head_and_tail,
+    score_block,
+    select,
+    select_rows,
+    tail_energy,
+    taper_losses,
+)
 from hetreg.weights import WeightFamily, WeightIndex, default_sequences, pinsker_weights, weight_family
 
 
@@ -95,6 +105,36 @@ class TestFamilyCosts:
             np.testing.assert_array_equal(cut_best, full_best)
         np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs), full[0],
                                    rtol=1e-12, atol=1e-15)
+
+
+class TestScoreBlock:
+    @pytest.mark.parametrize("study", [True, False], ids=["study", "bayes"])
+    @pytest.mark.parametrize("n", [51, 301])
+    def test_last_column_is_the_picked_taper(self, n, study):
+        # the adaptive estimator's loss is column len(L) + 1: the taper loss at
+        # the pick, bit for bit, after the taper rows and the full projection
+        seqs = default_sequences(n)
+        grid = DesignGrid(n)
+        W = weight_family(n, seqs).W
+        L = np.vstack([W, np.zeros(W.shape[1]), np.ones(W.shape[1])])
+        rng = np.random.default_rng(n)
+        S = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])(grid.points)
+        Y = S + rng.standard_normal((16, n))
+        analysis = basis_matrix(grid)[:, : max(L.shape[1], seqs.l_n)] / n
+        if study:  # (2, B) losses: two targets shared by every row
+            on_design = np.stack([S, 0.5 * S])[:, None]
+            consts = np.array([5.0, 1.25])[:, None, None]
+        else:  # (B,) losses: one target per row
+            on_design = S + 0.1 * rng.standard_normal((16, n))
+            consts = np.sum(fourier_rows(on_design) ** 2, axis=1)[:, None]
+        targets = fourier_rows(on_design)[..., : L.shape[1]]
+        loss, pick = score_block(Y, analysis, L, targets, on_design, consts, W, seqs)
+        head, tail, _ = head_and_tail(Y, analysis, seqs.l_n)
+        taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
+        assert loss.shape == taper.shape[:-1] + (len(L) + 2,)
+        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs)[0])
+        np.testing.assert_array_equal(loss[..., : len(L)], taper)
+        np.testing.assert_array_equal(loss[..., -1], taper[..., np.arange(len(Y)), pick])
 
 
 class TestVarsigmaHat:
