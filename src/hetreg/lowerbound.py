@@ -344,8 +344,10 @@ def van_trees_bound(
         c = serial_matmul(z, gram)
         g2 = scale.g2(x, s, row_dots(c, z)[:, None])
         a, b = (p / g2 for p in scale.frechet(x, s))
-        terms = c * (2.0 * serial_matmul(a * b, D.T) + c * row_dots(b, b)[:, None])
-        np.concatenate([1.0 / g2, a**2, terms], axis=1, out=rows[1 : len(z) + 1])
+        block = rows[1 : len(z) + 1]
+        np.divide(1.0, g2, out=block[:, : grid.n])
+        np.square(a, out=block[:, grid.n : 2 * grid.n])
+        np.multiply(c, 2.0 * serial_matmul(a * b, D.T) + c * row_dots(b, b)[:, None], out=block[:, 2 * grid.n :])
         rows[0] = np.add.reduce(rows[: len(z) + 1])
     ginv2, a2, cross = np.split(rows[0] / mc_reps, [grid.n, 2 * grid.n])
     D2 = D**2
@@ -454,12 +456,10 @@ def bayes_risk_mc(
     step = max(1, BLOCK_ENTRIES // n)
     for lo in range(0, reps, step):
         B = min(step, reps - lo)
-        T = np.empty((B, len(D)))
-        xi = np.empty((B, n))
+        draws = np.empty((B, len(D) + n))  # replicate r's t, then its noise, in one call
         for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, lo + B))):
-            rng.standard_normal(out=T[i])
-            rng.standard_normal(out=xi[i])
-        T *= prior.t.ravel()
+            rng.standard_normal(out=draws[i])
+        T, xi = draws[:, : len(D)] * prior.t.ravel(), draws[:, len(D) :]
         s = serial_matmul(T, D)
         norm_sq = row_dots(serial_matmul(T, gram), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
