@@ -108,21 +108,27 @@ def trig_basis_eval(j: int, x):
     return np.sqrt(2.0) * (np.cos(arg) if j % 2 == 0 else np.sin(arg))
 
 
-def basis_eval_matrix(n: int, x) -> np.ndarray:
-    """(len(x), n) matrix of phi_1..phi_n at arbitrary points: the one dense evaluator."""
-    x = np.asarray(x, dtype=float).ravel()
-    angles = 2.0 * np.pi * np.outer(x, np.arange(1, n // 2 + 1, dtype=float))
-    mat = np.empty((len(x), n))
+def basis_eval_matrix(d: int, x) -> np.ndarray:
+    """(len(x), d) matrix of phi_1..phi_d at points x or on a DesignGrid x: the one dense evaluator."""
+    q = np.arange(1, d // 2 + 1)
+    if isinstance(x, DesignGrid):  # phi_j(l/n) at the exact phase (q l mod n) / n, from n angles
+        turns = 2.0 * np.pi * np.arange(x.n) / x.n
+        phase = np.outer(np.arange(1, x.n + 1), q) % x.n
+        cos, sin = np.cos(turns)[phase], np.sin(turns)[phase[:, : (d - 1) // 2]]
+    else:
+        angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
+        cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])
+    mat = np.empty((len(cos), d))
     mat[:, 0] = 1.0
-    mat[:, 1::2] = np.sqrt(2.0) * np.cos(angles)
-    mat[:, 2::2] = np.sqrt(2.0) * np.sin(angles[:, : (n - 1) // 2])
+    mat[:, 1::2] = np.sqrt(2.0) * cos
+    mat[:, 2::2] = np.sqrt(2.0) * sin
     return mat
 
 
 @lru_cache(maxsize=3)
 def _basis_matrix(n: int) -> np.ndarray:
     # column j-1 holds phi_j sampled on the grid; n odd so columns are orthonormal
-    mat = basis_eval_matrix(n, np.arange(1, n + 1, dtype=float) / n)
+    mat = basis_eval_matrix(n, DesignGrid(n))
     mat.flags.writeable = False
     return mat
 

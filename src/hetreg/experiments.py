@@ -287,10 +287,7 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
             fixed[name] = (np.arange(n) < d).astype(float)  # keeps the first d coefficients
     # every weight is 0 past column w, the width of L
     w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed.values()])
-    L = np.zeros((K + len(fixed), w))
-    L[:K, :m] = family.W
-    for i, lam in enumerate(fixed.values()):
-        L[K + i] = lam[:w]
+    L = np.vstack([np.pad(family.W, ((0, 0), (0, w - m))), *(lam[:w] for lam in fixed.values())])
     index = {name: K + i for i, name in enumerate([*fixed, "projection", "adaptive"])}
     columns = np.array([index[name] for name in estimators])
     # the step-extension L2 loss needs int S per cell and int S^2 only once
@@ -300,7 +297,7 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
         g_design=scale.g(grid.points, S), seed=cfg.seed, L=L, columns=columns,
-        analysis=basis_eval_matrix(max(w, seqs.l_n), grid.points) / n,
+        analysis=basis_eval_matrix(max(w, seqs.l_n), grid) / n,
         on_design=np.stack([S_design, n * cell_int_s]),
         targets=np.stack([theta_n, n * theta_cells])[:, :w],
         consts=np.array([np.sum(theta_n**2), s_l2_sq]),
@@ -316,8 +313,7 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
     constant is ||S||^2.
     """
     n = ctx.grid.n
-    B = rep_hi - rep_lo
-    Y = np.empty((B, n))
+    Y = np.empty((rep_hi - rep_lo, n))
     streams = substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(rep_lo, rep_hi))
     for i, rng in enumerate(streams):
         Y[i] = noise.draw(rng, n)

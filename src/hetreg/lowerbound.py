@@ -450,7 +450,7 @@ def bayes_risk_mc(
     K, m = W.shape
     L = np.vstack([W, np.zeros(m)])
     columns = [{"zero": K, "projection": K + 1, "adaptive": K + 2}[name] for name in names]
-    analysis = basis_eval_matrix(max(m, seqs.l_n), grid.points) / n
+    analysis = basis_eval_matrix(max(m, seqs.l_n), grid) / n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
     losses = np.empty((len(names), reps))
     step = max(1, BLOCK_ENTRIES // n)

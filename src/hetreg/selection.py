@@ -105,9 +105,8 @@ def score_block(Y: np.ndarray, analysis: np.ndarray, L: np.ndarray, targets, on_
     Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) on the head
     of `head_and_tail(Y, analysis, seqs.l_n)`; column len(L) is the full projection's,
     |Y|^2 / n - 2 Y . f / n + c by Parseval, f (`on_design`, broadcast against Y) the
-    target on the design and c `consts[..., 0]`; the last, len(L) + 1, is the adaptive
-    estimator's, column `pick` of the first.  The pick is `select_rows` on W, whose
-    rows are the first len(W) rows of L."""
+    target on the design and c `consts[..., 0]`; the last is the adaptive estimator's,
+    column `pick` of the first, `select_rows` on W (the first len(W) rows of L)."""
     n = Y.shape[1]
     head, tail, energy = head_and_tail(Y, analysis, seqs.l_n)
     taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)

@@ -48,6 +48,22 @@ class TestTrigBasis:
         gram = Phi.T @ Phi / n
         assert np.max(np.abs(gram - np.eye(n))) < 1e-10
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than float64")
+    @pytest.mark.parametrize("n, d", [(1001, 24), (1001, 25), (100001, 96)])
+    def test_design_grid_phases_are_exact(self, n, d):
+        # on a DesignGrid phi_j(l/n) takes the phase (q l mod n) / n: within a few
+        # ulps of a long-double reference, where 2 pi q l / n in float64 is off
+        # by 1.9e-14 at n = 1001 and 1.1e-13 at n = 100001
+        mat = basis_eval_matrix(d, DesignGrid(n))
+        assert mat.shape == (n, d)
+        assert np.all(mat[:, 0] == 1.0)
+        turn = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(n) / n
+        ref = np.sqrt(np.longdouble(2)) * np.stack([np.cos(turn), np.sin(turn)])  # at phase k / n
+        l = np.arange(1, n + 1)
+        for j in range(2, d + 1):
+            assert np.max(np.abs(mat[:, j - 1] - ref[j % 2, (j // 2) * l % n])) < 4e-15
+
     def test_even_design_rejected(self):
         with pytest.raises(ValueError):
             DesignGrid(10)

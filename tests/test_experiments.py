@@ -562,7 +562,7 @@ class TestBayesOnePass:
         evaluate = lowerbound.basis_eval_matrix
 
         def counted(d, x):
-            calls["basis_eval_matrix"].append(len(x))
+            calls["basis_eval_matrix"].append(x.n)
             return evaluate(d, x)
 
         monkeypatch.setattr(lowerbound, "fourier_rows", lambda Y: calls["fourier_rows"].append(np.shape(Y)),
