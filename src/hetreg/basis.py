@@ -112,9 +112,9 @@ def basis_eval_matrix(d: int, x) -> np.ndarray:
     """(len(x), d) matrix of phi_1..phi_d at points x or on a DesignGrid x: the one dense evaluator."""
     q = np.arange(1, d // 2 + 1)
     if isinstance(x, DesignGrid):  # phi_j(l/n) at the exact phase (q l mod n) / n, from n angles
-        turns = 2.0 * np.pi * np.arange(x.n) / x.n
+        angles = 2.0 * np.pi * np.arange(x.n) / x.n
         phase = np.outer(np.arange(1, x.n + 1), q) % x.n
-        cos, sin = np.cos(turns)[phase], np.sin(turns)[phase[:, : (d - 1) // 2]]
+        cos, sin = np.cos(angles)[phase], np.sin(angles)[phase[:, : (d - 1) // 2]]
     else:
         angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
         cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])

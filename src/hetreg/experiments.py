@@ -292,7 +292,7 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     columns = np.array([index[name] for name in estimators])
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
-    # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis matrix's rounded 2 pi
+    # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis product's rounding
     theta_n, theta_cells = fourier_rows(np.stack([S_design, cell_int_s]))
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,

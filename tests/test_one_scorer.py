@@ -3,7 +3,8 @@
 The studies (`experiments`) and the Bayes risk (`lowerbound`) import none of
 the scorer's parts, so a second block scorer cannot come back unnoticed; the
 studies take an FFT only for their targets, once per n, and the Bayes risk
-none at all.
+none at all.  Each engine reads every estimator as a fixed column of the
+scorer's losses.
 """
 
 import ast
