@@ -289,7 +289,7 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     w = max([m] + [int(np.max(np.flatnonzero(lam), initial=-1)) + 1 for lam in fixed.values()])
     L = np.vstack([np.pad(family.W, ((0, 0), (0, w - m))), *(lam[:w] for lam in fixed.values())])
     index = {name: K + i for i, name in enumerate([*fixed, "projection", "adaptive"])}
-    columns = np.array([index[name] for name in estimators])
+    columns = np.array([index[name] for name in estimators], dtype=int)
     # the step-extension L2 loss needs int S per cell and int S^2 only once
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis product's rounding

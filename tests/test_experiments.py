@@ -785,6 +785,21 @@ class TestCli:
         assert (out_dir / "risk.csv").exists()
         assert (out_dir / "risk.json").exists()
 
+    @pytest.mark.parametrize("estimators", [["per_family"], []], ids=["per_family", "none"])
+    def test_risk_without_named_estimators(self, tmp_path, estimators):
+        # no named estimator leaves an empty column list: the study still writes
+        # the family sweep's rows, or a header alone
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(small_config(reps=4, estimators=estimators).__dict__)))
+        out_dir = tmp_path / "out"
+        assert cli_main(["risk", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        with open(out_dir / "risk.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        s = default_sequences(51)
+        assert table[0] == list(CSV_COLUMNS)
+        assert len(table) == 1 + (s.k_star * s.m if estimators else 0)
+        assert all(row[0].startswith("lambda[") for row in table[1:])
+
     @pytest.mark.parametrize("argv, message", [
         (["--reps", "0"], "hetreg risk: reps must be an integer >= 1, got 0"),
         (["--workers", "-3"], "hetreg risk: workers must be an integer >= 1, got -3"),
