@@ -35,7 +35,9 @@ __all__ = [
     "as_sampled",
 ]
 
-BLOCK_ENTRIES = 2**20  # entries per block of a chunked evaluation (8 MiB of float64)
+# entries per block of a chunked evaluation or a Monte Carlo block: 2 MiB of
+# float64, one core's L2 cache on a 2-vCPU host
+BLOCK_ENTRIES = 2**18
 # OpenBLAS multiplies in the calling thread up to 2^18 multiply-adds a product
 # (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4), and up to 10000
 # entries a dot product
@@ -109,15 +111,28 @@ def trig_basis_eval(j: int, x):
 
 
 def basis_eval_matrix(d: int, x) -> np.ndarray:
-    """(len(x), d) matrix of phi_1..phi_d at points x or on a DesignGrid x: the one dense evaluator."""
+    """(len(x), d) matrix of phi_1..phi_d at points x or on a DesignGrid x: the one dense evaluator.
+
+    On a DesignGrid, phi_j(l/n) is read at the exact phase (q l mod n) / n from
+    tables of the n angles, in row chunks of at most BLOCK_ENTRIES entries,
+    straight into the result.
+    """
     q = np.arange(1, d // 2 + 1)
-    if isinstance(x, DesignGrid):  # phi_j(l/n) at the exact phase (q l mod n) / n, from n angles
-        angles = 2.0 * np.pi * np.arange(x.n) / x.n
-        phase = np.outer(np.arange(1, x.n + 1), q) % x.n
-        cos, sin = np.cos(angles)[phase], np.sin(angles)[phase[:, : (d - 1) // 2]]
-    else:
-        angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
-        cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])
+    if isinstance(x, DesignGrid):
+        n = x.n
+        angles = 2.0 * np.pi * np.arange(n) / n
+        cos, sin = np.sqrt(2.0) * np.cos(angles), np.sqrt(2.0) * np.sin(angles)
+        mat = np.empty((n, d))
+        mat[:, 0] = 1.0
+        rows = max(1, BLOCK_ENTRIES // d)
+        for lo in range(0, n, rows):
+            phase = np.outer(np.arange(lo + 1, min(lo + rows, n) + 1), q)
+            np.remainder(phase, n, out=phase)
+            np.take(cos, phase, out=mat[lo : lo + rows, 1::2], mode="clip")
+            np.take(sin, phase[:, : (d - 1) // 2], out=mat[lo : lo + rows, 2::2], mode="clip")
+        return mat
+    angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
+    cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])
     mat = np.empty((len(cos), d))
     mat[:, 0] = 1.0
     mat[:, 1::2] = np.sqrt(2.0) * cos
@@ -138,31 +153,35 @@ def basis_matrix(grid: DesignGrid) -> np.ndarray:
     return _basis_matrix(grid.n)
 
 
-def serial_matmul(a, b) -> np.ndarray:
+def serial_matmul(a, b, first: int = 0) -> np.ndarray:
     """a (..., B, k) @ b (k, d) in row blocks of <= SERIAL_ROWS rows and SERIAL_MULADDS multiply-adds.
 
     BLAS then computes every block in the calling thread, unless one row alone
     exceeds SERIAL_MULADDS: such a one-row block runs as gemv, which OpenBLAS
     threads.  On a shared 2-vCPU machine a threaded product of a study block's
     size can wait milliseconds for its second thread, far longer than the
-    product itself takes.  A short last block is padded with zero rows to the
-    full height, so a row gets the same bits however many rows follow it:
-    numpy runs a one-row product as gemv, and OpenBLAS rounds gemm differently
-    at different row counts.  The row cap bounds that padding for a narrow
+    product itself takes.  Every block has one fixed height, padded with zero
+    rows, and the blocks are aligned at multiples of it counting a's rows from
+    `first`, so row i gets the same bits wherever a starts and however many
+    rows follow it: numpy runs a one-row product as gemv, OpenBLAS rounds gemm
+    differently at different row counts, and it rounds the last (height mod 4)
+    rows of a block differently from the others.  A Monte Carlo block passes
+    its first replicate's index.  The row cap bounds the padding for a narrow
     product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return a @ b
     rows = min(SERIAL_ROWS, max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1])))
-    B = a.shape[-2]
-    out = np.empty(a.shape[:-2] + (-(-B // rows) * rows,) + b.shape[-1:])
-    for lo in range(0, B, rows):
-        block = a[..., lo : lo + rows, :]
-        if lo + rows > B:
-            block = np.concatenate([block, np.zeros(a.shape[:-2] + (lo + rows - B, a.shape[-1]))], axis=-2)
-        np.matmul(block, b, out=out[..., lo : lo + rows, :])
-    return out[..., :B, :]
+    B, lead = a.shape[-2], first % rows
+    out = np.empty(a.shape[:-2] + (-(-(lead + B) // rows) * rows,) + b.shape[-1:])
+    for lo in range(-lead, B, rows):
+        block = a[..., max(lo, 0) : lo + rows, :]
+        if block.shape[-2] < rows:
+            pad = [np.zeros(a.shape[:-2] + (k, a.shape[-1])) for k in (max(-lo, 0), max(lo + rows - B, 0))]
+            block = np.concatenate([pad[0], block, pad[1]], axis=-2)
+        np.matmul(block, b, out=out[..., lead + lo : lead + lo + rows, :])
+    return out[..., lead : lead + B, :]
 
 
 def row_dots(a, b) -> np.ndarray:

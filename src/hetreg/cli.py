@@ -33,17 +33,41 @@ _STUDIES = {
 
 
 def _estimator_output_json(out: EstimatorOutput, grid: DesignGrid) -> dict:
+    """The `hetreg estimate` record; its three n-length fields stay numpy arrays for `_json_text`."""
     return {
         "n": grid.n,
         "selected": {"beta": out.selected.beta, "t": out.selected.t},
         "varsigma_hat": out.varsigma_hat,
-        "theta_hat": out.theta_hat.tolist(),
-        "lambda_hat": out.lambda_hat.tolist(),
+        "theta_hat": out.theta_hat,
+        "lambda_hat": out.lambda_hat,
         "costs": [
             {"beta": a.beta, "t": a.t, "cost": c} for a, c in out.costs.items()
         ],
-        "estimate_at_grid": grid_values(out.lambda_hat * out.theta_hat).tolist(),
+        "estimate_at_grid": grid_values(out.lambda_hat * out.theta_hat),
     }
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) plus a newline, byte
+    for byte, for a mapping of JSON values and nonempty 1-d float arrays.
+
+    An array is written by one join of its values' float reprs, as json writes each
+    float, instead of json's pure-Python encoder, which `indent` selects and which
+    takes one call per value; a non-finite value is refused with json's own error.
+    """
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, np.ndarray):
+            bad = ~np.isfinite(value)
+            if bad.any():
+                json.dumps(float(value[bad][0]), allow_nan=False)  # raises json's ValueError
+            values = ",\n    ".join(map(float.__repr__, value.tolist()))
+            text = f"[\n    {values}\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _cmd_estimate(args) -> int:
@@ -55,8 +79,7 @@ def _cmd_estimate(args) -> int:
             y = np.loadtxt(fh, delimiter=",", usecols=names.index("y"), ndmin=1)
         grid = DesignGrid(len(y))
         out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
-        payload = _estimator_output_json(out, grid)
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(_estimator_output_json(out, grid))
     except (OSError, ValueError) as err:
         raise SystemExit(f"hetreg estimate: {err}") from err
     if args.out:

@@ -2,9 +2,9 @@
 
 Replicate r of a study always draws from the substream keyed by (seed, study
 tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
-most `BLOCK_ENTRIES` observations, and are reduced in replicate order; the
-`workers` setting is still accepted but changes neither scheduling nor any
-output byte.  Every study estimator but the full projection is a row of one
+most `BLOCK_ENTRIES` observations, and are reduced in replicate order; neither
+the block size nor the `workers` setting, still accepted, changes any output
+byte.  Every study estimator but the full projection is a row of one
 taper stack cut to its support, and `selection.score_block`, which scores the
 Bayes risk's blocks too, gives a block's two losses for every row, for the
 full projection and for the adaptive estimator, from the head of theta_hat and
@@ -294,10 +294,11 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     cell_int_s, s_l2_sq = cell_integrals(S, n)
     # targets by FFT: a loss cancels ||S||^2, so t must not carry the analysis product's rounding
     theta_n, theta_cells = fourier_rows(np.stack([S_design, cell_int_s]))
+    analysis = basis_eval_matrix(max(w, seqs.l_n), grid)
+    analysis /= n
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        g_design=scale.g(grid.points, S), seed=cfg.seed, L=L, columns=columns,
-        analysis=basis_eval_matrix(max(w, seqs.l_n), grid) / n,
+        g_design=scale.g(grid.points, S), seed=cfg.seed, L=L, columns=columns, analysis=analysis,
         on_design=np.stack([S_design, n * cell_int_s]),
         targets=np.stack([theta_n, n * theta_cells])[:, :w],
         consts=np.array([np.sum(theta_n**2), s_l2_sq]),
@@ -316,11 +317,11 @@ def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: 
     Y = np.empty((rep_hi - rep_lo, n))
     streams = substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(rep_lo, rep_hi))
     for i, rng in enumerate(streams):
-        Y[i] = noise.draw(rng, n)
+        noise.draw(rng, n, out=Y[i])
     Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
     Y += ctx.S_design
     loss, _ = score_block(Y, ctx.analysis, ctx.L, ctx.targets[:, None], ctx.on_design[:, None],
-                          ctx.consts[:, None, None], ctx.family.W, ctx.seqs)
+                          ctx.consts[:, None, None], ctx.family.W, ctx.seqs, rep_lo)
     return np.moveaxis(loss[..., ctx.columns], 0, -1), loss[0, :, : len(ctx.family)]
 
 

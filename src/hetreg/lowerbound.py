@@ -340,14 +340,15 @@ def van_trees_bound(
     rows = np.zeros((min(step, mc_reps) + 1, 2 * grid.n + P))
     for lo in range(0, mc_reps, step):
         z = Z[lo : lo + step]
-        s = serial_matmul(z, D)
-        c = serial_matmul(z, gram)
+        s = serial_matmul(z, D, lo)
+        c = serial_matmul(z, gram, lo)
         g2 = scale.g2(x, s, row_dots(c, z)[:, None])
         a, b = (p / g2 for p in scale.frechet(x, s))
         block = rows[1 : len(z) + 1]
         np.divide(1.0, g2, out=block[:, : grid.n])
         np.square(a, out=block[:, grid.n : 2 * grid.n])
-        np.multiply(c, 2.0 * serial_matmul(a * b, D.T) + c * row_dots(b, b)[:, None], out=block[:, 2 * grid.n :])
+        np.multiply(c, 2.0 * serial_matmul(a * b, D.T, lo) + c * row_dots(b, b)[:, None],
+                    out=block[:, 2 * grid.n :])
         rows[0] = np.add.reduce(rows[: len(z) + 1])
     ginv2, a2, cross = np.split(rows[0] / mc_reps, [grid.n, 2 * grid.n])
     D2 = D**2
@@ -434,8 +435,9 @@ def bayes_risk_mc(
     study's block by `selection.score_block` against the target coefficients
     C t, on the design grid_values(C t), and t'Gt: `zero` is the column of a
     zero taper row (t'Gt) after `weight_family(n, seqs)`, `projection` the full
-    projection's and `adaptive` the last.  Every product is a `serial_matmul` or
-    a `row_dots`, so a row's loss does not depend on its block.
+    projection's and `adaptive` the last.  Every product is a `serial_matmul`
+    aligned at the block's first replicate, or a `row_dots`, so a row's loss
+    does not depend on its block.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -450,7 +452,8 @@ def bayes_risk_mc(
     K, m = W.shape
     L = np.vstack([W, np.zeros(m)])
     columns = [{"zero": K, "projection": K + 1, "adaptive": K + 2}[name] for name in names]
-    analysis = basis_eval_matrix(max(m, seqs.l_n), grid) / n
+    analysis = basis_eval_matrix(max(m, seqs.l_n), grid)
+    analysis /= n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
     losses = np.empty((len(names), reps))
     step = max(1, BLOCK_ENTRIES // n)
@@ -460,10 +463,10 @@ def bayes_risk_mc(
         for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, lo + B))):
             rng.standard_normal(out=draws[i])
         T, xi = draws[:, : len(D)] * prior.t.ravel(), draws[:, len(D) :]
-        s = serial_matmul(T, D)
-        norm_sq = row_dots(serial_matmul(T, gram), T)
+        s = serial_matmul(T, D, lo)
+        norm_sq = row_dots(serial_matmul(T, gram, lo), T)
         Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        loss, _ = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T), serial_matmul(T, on_design),
-                              norm_sq[:, None], W, seqs)
+        loss, _ = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T, lo),
+                              serial_matmul(T, on_design, lo), norm_sq[:, None], W, seqs, lo)
         losses[:, lo : lo + B] = loss[:, columns].T
     return [mean_se(row) for row in losses]

@@ -313,14 +313,21 @@ class NoiseSpec:
         if self.kind == "student_t" and not (isinstance(self.df, (int, float)) and 5 <= self.df < math.inf):
             raise ValueError(f"student_t requires df >= 5, got {self.df!r}")
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
+        """`size` draws, written into `out` (of that size) when given: gaussian noise is
+        drawn there in place, the other kinds are copied there, with the same bits."""
         if self.kind == "gaussian":
-            return rng.standard_normal(size)
+            return rng.standard_normal(size, out=out)
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=size) * 2.0 - 1.0
-        if self.kind == "uniform":
-            return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
-        return rng.standard_t(self.df, size=size) * math.sqrt((self.df - 2.0) / self.df)
+            xi = rng.integers(0, 2, size=size) * 2.0 - 1.0
+        elif self.kind == "uniform":
+            xi = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
+        else:
+            xi = rng.standard_t(self.df, size=size) * math.sqrt((self.df - 2.0) / self.df)
+        if out is None:
+            return xi
+        out[...] = xi
+        return out
 
     @property
     def label(self) -> str:

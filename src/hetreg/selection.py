@@ -44,16 +44,17 @@ def tail_energy(theta_hat, l_n: int) -> np.ndarray:
         return np.sum(theta_hat[..., l_n:] ** 2, axis=-1)
 
 
-def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int):
+def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int, first: int = 0):
     """For every row of Y (B, n), with `analysis` (n, d) = phi_1..phi_d on the design / n:
     theta_hat_1..theta_hat_d, the tail energy sum_{j > l_n} theta_hat_j^2 and the energy
-    sum_j theta_hat_j^2 = |Y|^2 / n, both by Parseval, with no FFT."""
-    head = serial_matmul(Y, analysis)
+    sum_j theta_hat_j^2 = |Y|^2 / n, both by Parseval, with no FFT.  `first` is Y's first
+    row index for `serial_matmul`, as in every product of this module."""
+    head = serial_matmul(Y, analysis, first)
     energy = row_dots(Y, Y) / Y.shape[1]
     return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
-def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np.ndarray:
+def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first: int = 0) -> np.ndarray:
     """J_n (..., K) of every taper row of W (K, m) for every row of coefficients.
 
     `head` (..., d) holds theta_hat_1..theta_hat_d of length-n rows, d >= m, and
@@ -69,8 +70,8 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np
     with np.errstate(over="ignore", invalid="ignore"):
         th2 = head[..., :m] ** 2
         vs = np.asarray(tail, dtype=float)[..., None]
-        quadratic = serial_matmul(th2, W2.T)
-        cross = -2.0 * serial_matmul(th2 - vs / n, W.T)
+        quadratic = serial_matmul(th2, W2.T, first)
+        cross = -2.0 * serial_matmul(th2 - vs / n, W.T, first)
         costs = quadratic + cross + seqs.rho * W2.sum(axis=1) * vs / n
     if not np.isfinite(costs).all():
         raise ValueError(
@@ -80,38 +81,39 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np
     return costs
 
 
-def taper_losses(L: np.ndarray, th, targets, consts) -> np.ndarray:
+def taper_losses(L: np.ndarray, th, targets, consts, first: int = 0) -> np.ndarray:
     """Loss (..., K) of every taper row of L (K, m) on every row of th (..., m): by
     Parseval, sum_j L_kj^2 th_j^2 - 2 sum_j L_kj th_j t_j + c against a target with
     coefficients t (`targets`, broadcast against th) and squared norm c (`consts`,
     broadcast against the loss)."""
-    return serial_matmul(th**2, (L**2).T) - 2.0 * serial_matmul(th * targets, L.T) + consts
+    return serial_matmul(th**2, (L**2).T, first) - 2.0 * serial_matmul(th * targets, L.T, first) + consts
 
 
-def select_rows(W: np.ndarray, head, tail, n: int,
-                seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
+def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences,
+                first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Selected row of W (...) and costs J_n (..., K), with the arguments of `family_costs`.
 
     Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
     """
-    costs = family_costs(W, head, tail, n, seqs)
+    costs = family_costs(W, head, tail, n, seqs, first)
     return np.argmin(costs, axis=-1), costs
 
 
 def score_block(Y: np.ndarray, analysis: np.ndarray, L: np.ndarray, targets, on_design, consts,
-                W: np.ndarray, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
+                W: np.ndarray, seqs: TuningSequences, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Losses (..., B, len(L) + 2) and adaptive pick (B,) of every row of one block Y (B, n).
 
     Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) on the head
     of `head_and_tail(Y, analysis, seqs.l_n)`; column len(L) is the full projection's,
     |Y|^2 / n - 2 Y . f / n + c by Parseval, f (`on_design`, broadcast against Y) the
     target on the design and c `consts[..., 0]`; the last is the adaptive estimator's,
-    column `pick` of the first, `select_rows` on W (the first len(W) rows of L)."""
+    column `pick` of the first, `select_rows` on W (the first len(W) rows of L).  `first`,
+    the index of Y's first replicate, keeps every row's bits whatever the block size."""
     n = Y.shape[1]
-    head, tail, energy = head_and_tail(Y, analysis, seqs.l_n)
-    taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
+    head, tail, energy = head_and_tail(Y, analysis, seqs.l_n, first)
+    taper = taper_losses(L, head[:, : L.shape[1]], targets, consts, first)
     full = energy - 2.0 * row_dots(Y, on_design) / n + consts[..., 0]
-    pick, _ = select_rows(W, head, tail, n, seqs)
+    pick, _ = select_rows(W, head, tail, n, seqs, first)
     adaptive = taper[..., np.arange(len(pick)), pick]
     return np.concatenate([taper, full[..., None], adaptive[..., None]], axis=-1), pick
 

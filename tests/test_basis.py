@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hetreg.basis import (
+    BLOCK_ENTRIES,
     DesignGrid,
     SampledFunction,
     TrigPolynomial,
@@ -63,6 +64,15 @@ class TestTrigBasis:
         l = np.arange(1, n + 1)
         for j in range(2, d + 1):
             assert np.max(np.abs(mat[:, j - 1] - ref[j % 2, (j // 2) * l % n])) < 4e-15
+
+    def test_design_grid_matrix_is_built_in_place(self):
+        # the phase table and the gathered values take row chunks of at most
+        # BLOCK_ENTRIES entries (2 MiB of float64) beside the (n, d) result
+        tracemalloc.start()
+        mat = basis_eval_matrix(64, DesignGrid(30001))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= mat.nbytes + 4 * BLOCK_ENTRIES * 8 <= mat.nbytes + 2**23
 
     def test_even_design_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +183,17 @@ class TestSerialMatmul:
         full = serial_matmul(a, b)
         for rows in (1, 2, 3, 5, 69):
             np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
+
+    @given(lead=st.sampled_from([(), (2,)]), k=st.sampled_from([1, 8, 56, 3001]), d=st.integers(1, 300),
+           rows=st.integers(1, 70), seed=seeds)
+    def test_a_row_does_not_follow_where_its_block_starts(self, lead, k, d, rows, seed):
+        # blocks of `rows` rows, each given its first row's index, give the one-block
+        # product bit for bit: OpenBLAS rounds the last (height mod 4) rows of a
+        # gemm apart from the others, so the padded blocks keep one alignment
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(lead + (70, k)), rng.standard_normal((k, d))
+        parts = [serial_matmul(a[..., lo : lo + rows, :], b, lo) for lo in range(0, 70, rows)]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=-2), serial_matmul(a, b))
 
     def test_narrow_product_takes_capped_blocks(self):
         # (2500, 1) @ (1, 1) runs as ten padded blocks of 256 rows, not one of 2^18

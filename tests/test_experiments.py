@@ -469,6 +469,19 @@ class TestEfficiencyStudy:
         assert summary["varsigma"] == pytest.approx(1.0)
         assert summary["gamma_k"] == pytest.approx(pinsker_constant(k, r, 1.0))
 
+    def test_criterion_5_config_peaks_below_5_mib(self):
+        # 200 replicates at n = 3001 run in blocks of BLOCK_ENTRIES // n = 87 rows,
+        # each drawn in place: 2 MiB of observations at a time
+        import tracemalloc
+
+        cfg = small_config(n_grid=[101, 301, 1001, 3001], reps=200, seed=505, workers=2,
+                           estimators=["adaptive", "oracle_weight"])
+        tracemalloc.start()
+        efficiency_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 5 * 2**20
+
 
 class TestLowerBoundStudy:
     def test_records(self):
@@ -702,6 +715,27 @@ class TestDeterminism:
         for few, more in ((1, 2), (3, 4), (7, 12)):
             short, long = losses(few), losses(more)
             assert short == {key: long[key] for key in short}
+
+    @pytest.mark.parametrize("n", [101, 3001, 20001])
+    def test_blocks_do_not_change_the_losses(self, monkeypatch, n):
+        # blocks of 3 or 16 replicates give the one-block losses bit for bit; 70
+        # replicates reach the tail rows (height mod 4) of the taper products'
+        # padded row blocks (heights 62 at n = 3001, 15 at 20001), which OpenBLAS
+        # rounds apart from the others: at n = 20001, projection:5's losses moved
+        # with their block while the blocks were not aligned to the replicate index
+        from hetreg import experiments
+
+        cfg = small_config(n_grid=[n], reps=70, save_losses=True,
+                           estimators=["adaptive", "oracle_weight", "projection", "zero", "projection:5"],
+                           noise_menu=[{"kind": "gaussian"}, {"kind": "student_t", "df": 12}])
+
+        def losses(rows):
+            monkeypatch.setattr(experiments, "BLOCK_ENTRIES", rows * n)
+            return risk_study(cfg)[2]
+
+        whole = losses(70)
+        for rows in (3, 16):
+            assert losses(rows) == whole
 
     def test_csv_bytes_identical(self, tmp_path):
         paths = []
@@ -1172,6 +1206,35 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
         assert str(exc.value.code).startswith(message)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    def test_estimate_bytes_equal_json_dumps(self, tmp_path, n):
+        # the three n-length arrays go through a joined float repr, the rest through json
+        import hetreg.cli
+
+        y = np.sin(np.arange(float(n))) + 0.3 * np.cos(np.arange(float(n)) ** 2)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in y))
+        out_path = tmp_path / "est.json"
+        assert cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)]) == 0
+        payload = hetreg.cli._estimator_output_json(estimate(y, DesignGrid(n)), DesignGrid(n))
+        arrays = {key for key, v in payload.items() if isinstance(v, np.ndarray)}
+        assert arrays == {"estimate_at_grid", "lambda_hat", "theta_hat"}
+        plain = {key: v.tolist() if key in arrays else v for key, v in payload.items()}
+        expected = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert out_path.read_bytes() == expected.encode()
+
+    def test_estimate_refuses_a_non_finite_array_value(self, tmp_path, monkeypatch):
+        import hetreg.cli
+
+        monkeypatch.setattr(hetreg.cli, "grid_values", lambda c: np.where(np.arange(len(c)) == 3, np.inf, c))
+        data_path = tmp_path / "ok.csv"
+        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in np.sin(np.arange(51.0))) + "\n")
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+        assert str(exc.value.code).startswith("hetreg estimate: Out of range float values")
         assert not out_path.exists()
 
     def test_estimate_never_writes_nan_tokens(self, tmp_path, monkeypatch):

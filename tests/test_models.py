@@ -277,6 +277,15 @@ class TestNoise:
         se_m4 = np.std(x**4, ddof=1) / math.sqrt(len(x))
         assert abs(float(np.mean(x**4)) - exact_m4[kind]) <= 4.0 * se_m4 + 1e-12
 
+    @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
+    def test_draw_into_a_row_keeps_the_bits(self, kind):
+        spec = NoiseSpec(kind, df=12)
+        block = np.zeros((3, 101))
+        row = block[1]
+        assert spec.draw(np.random.default_rng(5), 101, out=row) is row
+        assert row.tobytes() == spec.draw(np.random.default_rng(5), 101).tobytes()
+        assert not block[[0, 2]].any()
+
     def test_rademacher_support(self):
         spec = NoiseSpec("rademacher")
         x = spec.draw(np.random.default_rng(3), 1000)
