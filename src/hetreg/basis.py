@@ -153,7 +153,7 @@ def basis_matrix(grid: DesignGrid) -> np.ndarray:
     return _basis_matrix(grid.n)
 
 
-def serial_matmul(a, b, first: int = 0) -> np.ndarray:
+def serial_matmul(a, b, first: int) -> np.ndarray:
     """a (..., B, k) @ b (k, d) in row blocks of <= SERIAL_ROWS rows and SERIAL_MULADDS multiply-adds.
 
     BLAS then computes every block in the calling thread, unless one row alone
@@ -166,8 +166,8 @@ def serial_matmul(a, b, first: int = 0) -> np.ndarray:
     rows follow it: numpy runs a one-row product as gemv, OpenBLAS rounds gemm
     differently at different row counts, and it rounds the last (height mod 4)
     rows of a block differently from the others.  A Monte Carlo block passes
-    its first replicate's index.  The row cap bounds the padding for a narrow
-    product; a 1-d `a` is one product.
+    its first replicate's index, any other caller 0.  The row cap bounds the
+    padding for a narrow product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:

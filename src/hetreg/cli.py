@@ -51,8 +51,8 @@ def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) plus a newline, byte
     for byte, for a mapping of JSON values and nonempty 1-d float arrays.
 
-    An array is written by one join of its values' float reprs, as json writes each
-    float, instead of json's pure-Python encoder, which `indent` selects and which
+    An array is written from the repr of its list, whose floats read as json writes
+    them, instead of by json's pure-Python encoder, which `indent` selects and which
     takes one call per value; a non-finite value is refused with json's own error.
     """
     fields = []
@@ -62,8 +62,7 @@ def _json_text(payload: dict) -> str:
             bad = ~np.isfinite(value)
             if bad.any():
                 json.dumps(float(value[bad][0]), allow_nan=False)  # raises json's ValueError
-            values = ",\n    ".join(map(float.__repr__, value.tolist()))
-            text = f"[\n    {values}\n  ]"
+            text = "[\n    " + repr(value.tolist())[1:-1].replace(", ", ",\n    ") + "\n  ]"
         else:
             text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
         fields.append(f"  {json.dumps(key)}: {text}")

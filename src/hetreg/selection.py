@@ -44,7 +44,7 @@ def tail_energy(theta_hat, l_n: int) -> np.ndarray:
         return np.sum(theta_hat[..., l_n:] ** 2, axis=-1)
 
 
-def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int, first: int = 0):
+def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int, first: int):
     """For every row of Y (B, n), with `analysis` (n, d) = phi_1..phi_d on the design / n:
     theta_hat_1..theta_hat_d, the tail energy sum_{j > l_n} theta_hat_j^2 and the energy
     sum_j theta_hat_j^2 = |Y|^2 / n, both by Parseval, with no FFT.  `first` is Y's first
@@ -54,7 +54,7 @@ def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int, first: int = 0)
     return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
 
 
-def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first: int = 0) -> np.ndarray:
+def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first: int) -> np.ndarray:
     """J_n (..., K) of every taper row of W (K, m) for every row of coefficients.
 
     `head` (..., d) holds theta_hat_1..theta_hat_d of length-n rows, d >= m, and
@@ -81,7 +81,7 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first
     return costs
 
 
-def taper_losses(L: np.ndarray, th, targets, consts, first: int = 0) -> np.ndarray:
+def taper_losses(L: np.ndarray, th, targets, consts, first: int) -> np.ndarray:
     """Loss (..., K) of every taper row of L (K, m) on every row of th (..., m): by
     Parseval, sum_j L_kj^2 th_j^2 - 2 sum_j L_kj th_j t_j + c against a target with
     coefficients t (`targets`, broadcast against th) and squared norm c (`consts`,
@@ -90,7 +90,7 @@ def taper_losses(L: np.ndarray, th, targets, consts, first: int = 0) -> np.ndarr
 
 
 def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences,
-                first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                first: int) -> tuple[np.ndarray, np.ndarray]:
     """Selected row of W (...) and costs J_n (..., K), with the arguments of `family_costs`.
 
     Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
@@ -100,11 +100,11 @@ def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences,
 
 
 def score_block(Y: np.ndarray, analysis: np.ndarray, L: np.ndarray, targets, on_design, consts,
-                W: np.ndarray, seqs: TuningSequences, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                W: np.ndarray, seqs: TuningSequences, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Losses (..., B, len(L) + 2) and adaptive pick (B,) of every row of one block Y (B, n).
 
     Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) on the head
-    of `head_and_tail(Y, analysis, seqs.l_n)`; column len(L) is the full projection's,
+    of `head_and_tail(Y, analysis, seqs.l_n, first)`; column len(L) is the full projection's,
     |Y|^2 / n - 2 Y . f / n + c by Parseval, f (`on_design`, broadcast against Y) the
     target on the design and c `consts[..., 0]`; the last is the adaptive estimator's,
     column `pick` of the first, `select_rows` on W (the first len(W) rows of L).  `first`,
@@ -130,7 +130,7 @@ def select(family: WeightFamily, theta_hat, seqs: TuningSequences) -> EstimatorO
     th = np.asarray(theta_hat, dtype=float)
     n = len(th)
     vs = float(tail_energy(th, seqs.l_n))
-    best, costs_vec = select_rows(family.W, th, vs, n, seqs)
+    best, costs_vec = select_rows(family.W, th, vs, n, seqs, 0)
     alpha_hat, lam_cut = family[int(best)]
     lam_hat = np.zeros(n)
     lam_hat[: len(lam_cut)] = lam_cut

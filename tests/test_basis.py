@@ -172,7 +172,7 @@ class TestSerialMatmul:
         # row blocks of at most 2^18 multiply-adds and 1024 rows give the single product's values
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal(lead + (rows, k)), rng.standard_normal((k, d))
-        np.testing.assert_allclose(serial_matmul(a, b), a @ b, rtol=1e-13, atol=1e-13 * np.sqrt(k))
+        np.testing.assert_allclose(serial_matmul(a, b, 0), a @ b, rtol=1e-13, atol=1e-13 * np.sqrt(k))
 
     @given(k=st.sampled_from([1, 8, 101, 3001]), d=st.integers(1, 40), seed=seeds)
     def test_a_row_does_not_follow_the_row_count(self, k, d, seed):
@@ -180,9 +180,9 @@ class TestSerialMatmul:
         # gemv, or to a gemm of another height
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((70, k)), rng.standard_normal((k, d))
-        full = serial_matmul(a, b)
+        full = serial_matmul(a, b, 0)
         for rows in (1, 2, 3, 5, 69):
-            np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
+            np.testing.assert_array_equal(serial_matmul(a[:rows], b, 0), full[:rows])
 
     @given(lead=st.sampled_from([(), (2,)]), k=st.sampled_from([1, 8, 56, 3001]), d=st.integers(1, 300),
            rows=st.integers(1, 70), seed=seeds)
@@ -193,18 +193,18 @@ class TestSerialMatmul:
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal(lead + (70, k)), rng.standard_normal((k, d))
         parts = [serial_matmul(a[..., lo : lo + rows, :], b, lo) for lo in range(0, 70, rows)]
-        np.testing.assert_array_equal(np.concatenate(parts, axis=-2), serial_matmul(a, b))
+        np.testing.assert_array_equal(np.concatenate(parts, axis=-2), serial_matmul(a, b, 0))
 
     def test_narrow_product_takes_capped_blocks(self):
         # (2500, 1) @ (1, 1) runs as ten padded blocks of 256 rows, not one of 2^18
         rng = np.random.default_rng(8)
         a, b = rng.standard_normal((2500, 1)), rng.standard_normal((1, 1))
-        full = serial_matmul(a, b)
+        full = serial_matmul(a, b, 0)
         np.testing.assert_allclose(full, a @ b, rtol=1e-15)
         for rows in (1, 256, 257, 513, 1024, 1025, 2049):
-            np.testing.assert_array_equal(serial_matmul(a[:rows], b), full[:rows])
+            np.testing.assert_array_equal(serial_matmul(a[:rows], b, 0), full[:rows])
         tracemalloc.start()
-        serial_matmul(a[:1], b)
+        serial_matmul(a[:1], b, 0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2**14  # a padded block of 256 rows takes some 6 KiB; of 1024 rows, 24 KiB
@@ -212,7 +212,7 @@ class TestSerialMatmul:
     def test_vector_is_one_product(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal(501), rng.standard_normal((501, 40))
-        np.testing.assert_array_equal(serial_matmul(a, b), a @ b)
+        np.testing.assert_array_equal(serial_matmul(a, b, 0), a @ b)
 
 
 class TestRowDots:

@@ -301,7 +301,7 @@ class TestHeadOnlyBlock:
         ctx = study_context(small_config(n_grid=[n]), n, ESTIMATOR_KINDS)
         rng = np.random.default_rng(seed)
         Y = level * (np.cos(2.0 * np.pi * 3.0 * DesignGrid(n).points) + rng.standard_normal((rows, n)))
-        head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n)
+        head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n, 0)
         theta_hat = fourier_rows(Y)
         d = ctx.analysis.shape[1]
         assert max(ctx.L.shape[1], ctx.seqs.l_n) == d <= n
@@ -337,7 +337,7 @@ class TestHeadOnlyBlock:
         Y = np.stack([gaussian.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(5, 45))])
         Y = ctx.S_design + ctx.g_design * Y
         theta_hat = fourier_rows(Y)
-        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs)
+        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs, 0)
         np.testing.assert_array_equal(picks[0], pick)
         cell_int_s, s_l2_sq = cell_integrals(S, n)
         theta_n, t = fourier_rows(S.on_grid(DesignGrid(n))), n * fourier_rows(cell_int_s)
@@ -619,15 +619,15 @@ class TestBayesOnePass:
             rng.standard_normal(out=T[i])
             rng.standard_normal(out=xi[i])
         T *= prior.t.ravel()
-        s = serial_matmul(T, D)
-        tGt = row_dots(serial_matmul(T, gram), T)
+        s = serial_matmul(T, D, 0)
+        tGt = row_dots(serial_matmul(T, gram, 0), T)
         th = fourier_rows(s + np.sqrt(scale.g2(DesignGrid(n).points, s, tGt[:, None])) * xi)
-        Tc = serial_matmul(T, cross.T)
+        Tc = serial_matmul(T, cross.T, 0)
         W = weight_family(n, seqs).W
         m = W.shape[1]
-        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
         expected = [tGt, row_dots(th, th) - 2.0 * row_dots(th, Tc) + tGt,
-                    taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None])[np.arange(reps), pick]]
+                    taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None], 0)[np.arange(reps), pick]]
         np.testing.assert_array_equal(np.concatenate(picks), pick)
         assert len(rows) == 3
         np.testing.assert_array_equal(rows[0], tGt)  # `zero` is a taper row of zeros: exactly t'Gt
@@ -1210,7 +1210,7 @@ class TestCli:
 
     @pytest.mark.parametrize("n", [101, 1001])
     def test_estimate_bytes_equal_json_dumps(self, tmp_path, n):
-        # the three n-length arrays go through a joined float repr, the rest through json
+        # the three n-length arrays go through their list's repr, the rest through json
         import hetreg.cli
 
         y = np.sin(np.arange(float(n))) + 0.3 * np.cos(np.arange(float(n)) ** 2)

@@ -56,8 +56,8 @@ class TestFamilyCosts:
         seqs = default_sequences(n)
         W = weight_family(n, seqs).W
         th = noisy_rows(n, 3, seed)
-        base = family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs)
-        np.testing.assert_allclose(family_costs(W, s * th, tail_energy(s * th, seqs.l_n), n, seqs),
+        base = family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
+        np.testing.assert_allclose(family_costs(W, s * th, tail_energy(s * th, seqs.l_n), n, seqs, 0),
                                    s**2 * base,
                                    rtol=1e-9, atol=1e-12 * s**2 * np.abs(base).max())
 
@@ -70,15 +70,15 @@ class TestFamilyCosts:
         th = noisy_rows(n, 3, seed)
         scaled = 2.0**k * th
         np.testing.assert_array_equal(
-            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs)[0],
-            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)[0])
+            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs, 0)[0],
+            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)[0])
 
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1))
     def test_batched_argmin_equals_select(self, n, seed):
         seqs = default_sequences(n)
         fam = weight_family(n, seqs)
         th = noisy_rows(n, 8, seed)
-        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
+        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
         for row, b, c in zip(th, best, costs):
             out = select(fam, row, seqs)
             assert out.selected == fam[b][0]
@@ -98,12 +98,12 @@ class TestFamilyCosts:
         m = min(n, int(np.flatnonzero(W.any(axis=0))[-1]) + 1 + extra)
         th = noisy_rows(n, 8, seed)
         tail = tail_energy(th, seqs.l_n)
-        full_best, full = select_rows(full_W, th, tail, n, seqs)
+        full_best, full = select_rows(full_W, th, tail, n, seqs, 0)
         for cut_W in (W, np.ascontiguousarray(full_W[:, :m])):
-            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs)
+            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs, 0)
             np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(cut_best, full_best)
-        np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs), full[0],
+        np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs, 0), full[0],
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -128,11 +128,11 @@ class TestScoreBlock:
             on_design = S + 0.1 * rng.standard_normal((16, n))
             consts = np.sum(fourier_rows(on_design) ** 2, axis=1)[:, None]
         targets = fourier_rows(on_design)[..., : L.shape[1]]
-        loss, pick = score_block(Y, analysis, L, targets, on_design, consts, W, seqs)
-        head, tail, _ = head_and_tail(Y, analysis, seqs.l_n)
-        taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
+        loss, pick = score_block(Y, analysis, L, targets, on_design, consts, W, seqs, 0)
+        head, tail, _ = head_and_tail(Y, analysis, seqs.l_n, 0)
+        taper = taper_losses(L, head[:, : L.shape[1]], targets, consts, 0)
         assert loss.shape == taper.shape[:-1] + (len(L) + 2,)
-        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs)[0])
+        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs, 0)[0])
         np.testing.assert_array_equal(loss[..., : len(L)], taper)
         np.testing.assert_array_equal(loss[..., -1], taper[..., np.arange(len(Y)), pick])
 
@@ -179,7 +179,7 @@ class TestCost:
         g = DesignGrid(11)
         theta_hat = discrete_fourier(np.arange(11.0), g)
         seqs = default_sequences(11, rho=0.25)
-        assert family_costs(np.zeros((1, 11)), theta_hat, 1.0, 11, seqs)[0] == 0.0
+        assert family_costs(np.zeros((1, 11)), theta_hat, 1.0, 11, seqs, 0)[0] == 0.0
 
     def test_full_weights_identity(self):
         # lam == 1: J = -sum theta_hat^2 + 2 vs + rho vs
@@ -188,7 +188,7 @@ class TestCost:
         theta_hat = discrete_fourier(rng.standard_normal(51), g)
         vs, rho = 0.7, 0.2
         expected = -float(np.sum(theta_hat**2)) + 2.0 * vs + rho * vs
-        cost = family_costs(np.ones((1, 51)), theta_hat, vs, 51, default_sequences(51, rho=rho))
+        cost = family_costs(np.ones((1, 51)), theta_hat, vs, 51, default_sequences(51, rho=rho), 0)
         assert cost[0] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_loss_identity(self):
@@ -201,7 +201,7 @@ class TestCost:
         theta_n = discrete_fourier(S.on_grid(g), g)
         fam = weight_family(n, seqs)
         m = fam.W.shape[1]
-        costs = family_costs(fam.W, theta_n, 0.0, n, seqs)
+        costs = family_costs(fam.W, theta_n, 0.0, n, seqs, 0)
         for (alpha, lam), c in zip(fam, costs):
             loss = float(np.sum((lam * theta_n[:m] - theta_n[:m]) ** 2) + np.sum(theta_n[m:] ** 2))
             assert c + float(np.sum(theta_n**2)) == pytest.approx(loss, abs=1e-10), alpha
@@ -211,7 +211,7 @@ class TestCost:
         g = DesignGrid(11)
         theta_hat = discrete_fourier(np.zeros(11), g)
         with pytest.raises(ValueError, match="head has width 9, narrower than the taper stack's width 11"):
-            family_costs(np.ones((1, 11)), theta_hat[:9], 1.0, 11, default_sequences(11, rho=0.2))
+            family_costs(np.ones((1, 11)), theta_hat[:9], 1.0, 11, default_sequences(11, rho=0.2), 0)
 
 
 class TestSelect:
