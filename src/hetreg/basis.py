@@ -165,9 +165,10 @@ def serial_matmul(a, b, first: int) -> np.ndarray:
     `first`, so row i gets the same bits wherever a starts and however many
     rows follow it: numpy runs a one-row product as gemv, OpenBLAS rounds gemm
     differently at different row counts, and it rounds the last (height mod 4)
-    rows of a block differently from the others.  A Monte Carlo block passes
-    its first replicate's index, any other caller 0.  The row cap bounds the
-    padding for a narrow product; a 1-d `a` is one product.
+    rows of a block differently from the others.  A Monte Carlo block's n-length
+    product passes its first replicate's index; a product over a whole cell's
+    replicates, as in `selection`, and any other caller pass 0.  The row cap
+    bounds the padding for a narrow product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:

@@ -2,14 +2,14 @@
 
 Replicate r of a study always draws from the substream keyed by (seed, study
 tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
-most `BLOCK_ENTRIES` observations, and are reduced in replicate order; neither
-the block size nor the `workers` setting, still accepted, changes any output
-byte.  Every study estimator but the full projection is a row of one
-taper stack cut to its support, and `selection.score_block`, which scores the
-Bayes risk's blocks too, gives a block's two losses for every row, for the
-full projection and for the adaptive estimator, from the head of theta_hat and
-Parseval, with no FFT per block; every estimator is a fixed column of them,
-and the family sweep every study keeps is among them.
+most `BLOCK_ENTRIES` observations that keep only their n-length products;
+neither the block size nor the `workers` setting, still accepted, changes any
+output byte.  Every study estimator but the full projection is a row of one
+taper stack cut to its support, and `selection.score_cell`, which scores the
+Bayes risk too, gives each (n, noise) cell's two losses for every row, for the
+full projection and for the adaptive estimator, by Parseval, with no FFT; every
+estimator is a fixed column of them, and the family sweep every study keeps is
+among them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .basis import (
     TrigPolynomial,
     basis_eval_matrix,
     fourier_rows,
+    row_dots,
+    serial_matmul,
 )
 from .lowerbound import (
     BAYES_ESTIMATORS,
@@ -38,7 +40,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, mean_se, smooth_cutoff, substreams
-from .selection import score_block
+from .selection import score_cell
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -253,7 +255,7 @@ class _StudyContext:
     """Per-n quantities shared by every noise of the menu and every replicate.
 
     L: the family's tapers, then the fixed estimators' weights, cut to their
-    support; `columns`: each named estimator's column of `score_block`'s
+    support; `columns`: each named estimator's column of `score_cell`'s
     losses, a row of L, len(L) for the full projection and len(L) + 1 for
     the adaptive estimator."""
 
@@ -305,31 +307,31 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     )
 
 
-def _block_losses(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, rep_lo: int, rep_hi: int):
-    """Losses for replicates [rep_lo, rep_hi) of one noise: (B, E, 2) plus family sweep (B, K).
+def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):
+    """Losses (reps, E, 2) of every replicate of one noise, plus the family sweep (reps, K).
 
-    One `score_block` call scores every row of ctx.L and the full projection
-    against both targets: S on the design for the empiric ||S_lam - S||_n^2,
-    and n int_cell S for the step extension's ||T(S_lam) - S||^2, whose
-    constant is ||S||^2.
+    Blocks of Y = S + g * xi, drawn into one buffer, keep the head Y @ analysis,
+    |Y|^2 / n and Y . f for both targets (S on the design for ||S_lam - S||_n^2, n
+    int_cell S for the step extension's ||T(S_lam) - S||^2, whose constant is ||S||^2);
+    one `score_cell` call scores the cell, and the sweep is a copy, so no view keeps its table.
     """
     n = ctx.grid.n
-    Y = np.empty((rep_hi - rep_lo, n))
-    streams = substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(rep_lo, rep_hi))
-    for i, rng in enumerate(streams):
-        noise.draw(rng, n, out=Y[i])
-    Y *= ctx.g_design  # Y = S + g * xi, in place over the whole stack
-    Y += ctx.S_design
-    loss, _ = score_block(Y, ctx.analysis, ctx.L, ctx.targets[:, None], ctx.on_design[:, None],
-                          ctx.consts[:, None, None], ctx.family.W, ctx.seqs, rep_lo)
-    return np.moveaxis(loss[..., ctx.columns], 0, -1), loss[0, :, : len(ctx.family)]
-
-
-def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):
-    rows = max(1, BLOCK_ENTRIES // ctx.grid.n)  # observations per block <= BLOCK_ENTRIES
-    results = [_block_losses(ctx, noise, noise_idx, lo, min(lo + rows, reps))
-               for lo in range(0, reps, rows)]
-    return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
+    rows = max(1, BLOCK_ENTRIES // n)  # observations per block <= BLOCK_ENTRIES
+    head, energy, dots = np.empty((reps, ctx.analysis.shape[1])), np.empty(reps), np.empty((2, reps))
+    buffer = np.empty((min(rows, reps), n))
+    for lo in range(0, reps, rows):
+        Y = buffer[: min(rows, reps - lo)]
+        for i, rng in enumerate(substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(lo, lo + len(Y)))):
+            noise.draw(rng, n, out=Y[i])
+        Y *= ctx.g_design  # Y = S + g * xi, in place over the whole block
+        Y += ctx.S_design
+        head[lo : lo + len(Y)] = serial_matmul(Y, ctx.analysis, lo)
+        energy[lo : lo + len(Y)] = row_dots(Y, Y) / n
+        dots[:, lo : lo + len(Y)] = row_dots(Y, ctx.on_design[:, None])
+    del buffer, Y  # freed before the scorer builds its loss tables
+    loss, _ = score_cell(head, energy, dots, n, ctx.L, ctx.targets[:, None], ctx.consts[:, None, None],
+                         ctx.family.W, ctx.seqs)
+    return np.moveaxis(loss[..., ctx.columns], 0, -1), loss[0, :, : len(ctx.family)].copy()
 
 
 def oracle_coefficient(rho: float) -> float:

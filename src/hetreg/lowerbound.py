@@ -5,8 +5,8 @@ M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh, each carry a mollified loca
 trigonometric expansion; they cover only M 2h of [0, 1] (0.62 to 0.80 on S3 for
 n = 101 to 100001).  An independent centered Gaussian prior over the coefficients
 turns the minimax problem into a Bayesian one that van Trees bounds from below.
-The Monte Carlo Bayes risk scores its blocks by `selection.score_block`, as
-the studies do, with no FFT per block.
+The Monte Carlo Bayes risk scores its cell, one n, by `selection.score_cell`,
+as the studies do, with no FFT.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BLOCK_ENTRIES, DesignGrid, basis_eval_matrix, grid_values, pack_spectrum, row_dots, serial_matmul
 from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
-from .selection import score_block
+from .selection import score_cell
 from .theory import pinsker_constant
 from .weights import TuningSequences, weight_family
 
@@ -429,15 +429,15 @@ def bayes_risk_mc(
     standard error) per name, in order.
 
     Replicate r draws its prior coefficients t, then its noise, from its own
-    substream; `substreams` seeds a block of them at once.  A block, at most
-    BLOCK_ENTRIES design entries, is one (B, n) stack Y = T @ D + g * noise on
-    the prior's design (n = prior.n; D, G, C its `family_arrays`), scored as a
-    study's block by `selection.score_block` against the target coefficients
-    C t, on the design grid_values(C t), and t'Gt: `zero` is the column of a
-    zero taper row (t'Gt) after `weight_family(n, seqs)`, `projection` the full
-    projection's and `adaptive` the last.  Every product is a `serial_matmul`
-    aligned at the block's first replicate, or a `row_dots`, so a row's loss
-    does not depend on its block.
+    substream; `substreams` seeds a block of them at once, drawn into one buffer
+    of at most BLOCK_ENTRIES design entries.  A block is one (B, n) stack
+    Y = T @ D + g * noise on the prior's design (n = prior.n; D, G, C its
+    `family_arrays`) and keeps its head, |Y|^2 / n and Y . grid_values(C t).  One
+    `selection.score_cell` call then scores every replicate as a study's cell,
+    against C t and t'Gt: `zero` is the column of a zero taper row (t'Gt) after
+    `weight_family(n, seqs)`, `projection` the full projection's and `adaptive`
+    the last.  Every product is a `serial_matmul` aligned at its first replicate,
+    or a `row_dots`, so a row's loss does not depend on its block.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -455,18 +455,22 @@ def bayes_risk_mc(
     analysis = basis_eval_matrix(max(m, seqs.l_n), grid)
     analysis /= n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
-    losses = np.empty((len(names), reps))
+    T, norm_sq, energy, dots = np.empty((reps, len(D))), np.empty(reps), np.empty(reps), np.empty(reps)
+    head = np.empty((reps, analysis.shape[1]))
     step = max(1, BLOCK_ENTRIES // n)
+    draws = np.empty((min(step, reps), len(D) + n))  # replicate r's t, then its noise, in one call
     for lo in range(0, reps, step):
-        B = min(step, reps - lo)
-        draws = np.empty((B, len(D) + n))  # replicate r's t, then its noise, in one call
-        for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, lo + B))):
-            rng.standard_normal(out=draws[i])
-        T, xi = draws[:, : len(D)] * prior.t.ravel(), draws[:, len(D) :]
-        s = serial_matmul(T, D, lo)
-        norm_sq = row_dots(serial_matmul(T, gram, lo), T)
-        Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[:, None])) * xi
-        loss, _ = score_block(Y, analysis, L, serial_matmul(T, cross[:m].T, lo),
-                              serial_matmul(T, on_design, lo), norm_sq[:, None], W, seqs, lo)
-        losses[:, lo : lo + B] = loss[:, columns].T
-    return [mean_se(row) for row in losses]
+        block = draws[: min(step, reps - lo)]
+        hi = lo + len(block)
+        for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, hi))):
+            rng.standard_normal(out=block[i])
+        t = np.multiply(block[:, : len(D)], prior.t.ravel(), out=T[lo:hi])
+        s = serial_matmul(t, D, lo)
+        norm_sq[lo:hi] = row_dots(serial_matmul(t, gram, lo), t)
+        Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[lo:hi, None])) * block[:, len(D) :]
+        head[lo:hi] = serial_matmul(Y, analysis, lo)
+        energy[lo:hi] = row_dots(Y, Y) / n
+        dots[lo:hi] = row_dots(Y, serial_matmul(t, on_design, lo))
+    del draws, block, s, Y  # freed before the scorer builds its loss table
+    loss, _ = score_cell(head, energy, dots, n, L, serial_matmul(T, cross[:m].T, 0), norm_sq[:, None], W, seqs)
+    return [mean_se(loss[:, c]) for c in columns]

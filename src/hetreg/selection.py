@@ -1,4 +1,4 @@
-"""Penalized cost J_n, tail-energy noise proxy and argmin selection of the adaptive estimator."""
+"""Penalized cost J_n, tail-energy noise proxy, the adaptive estimator's selection and the Monte Carlo scorer."""
 
 from __future__ import annotations
 
@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, discrete_fourier, row_dots, serial_matmul, trig_series
+from .basis import DesignGrid, SampledFunction, discrete_fourier, serial_matmul, trig_series
 from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
 
 __all__ = [
     "EstimatorOutput",
     "tail_energy",
-    "head_and_tail",
     "family_costs",
     "taper_losses",
     "select_rows",
-    "score_block",
+    "score_cell",
     "select",
     "estimate",
 ]
@@ -44,17 +43,7 @@ def tail_energy(theta_hat, l_n: int) -> np.ndarray:
         return np.sum(theta_hat[..., l_n:] ** 2, axis=-1)
 
 
-def head_and_tail(Y: np.ndarray, analysis: np.ndarray, l_n: int, first: int):
-    """For every row of Y (B, n), with `analysis` (n, d) = phi_1..phi_d on the design / n:
-    theta_hat_1..theta_hat_d, the tail energy sum_{j > l_n} theta_hat_j^2 and the energy
-    sum_j theta_hat_j^2 = |Y|^2 / n, both by Parseval, with no FFT.  `first` is Y's first
-    row index for `serial_matmul`, as in every product of this module."""
-    head = serial_matmul(Y, analysis, first)
-    energy = row_dots(Y, Y) / Y.shape[1]
-    return head, energy - np.sum(head[:, :l_n] ** 2, axis=1), energy
-
-
-def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first: int) -> np.ndarray:
+def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> np.ndarray:
     """J_n (..., K) of every taper row of W (K, m) for every row of coefficients.
 
     `head` (..., d) holds theta_hat_1..theta_hat_d of length-n rows, d >= m, and
@@ -70,8 +59,8 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first
     with np.errstate(over="ignore", invalid="ignore"):
         th2 = head[..., :m] ** 2
         vs = np.asarray(tail, dtype=float)[..., None]
-        quadratic = serial_matmul(th2, W2.T, first)
-        cross = -2.0 * serial_matmul(th2 - vs / n, W.T, first)
+        quadratic = serial_matmul(th2, W2.T, 0)
+        cross = -2.0 * serial_matmul(th2 - vs / n, W.T, 0)
         costs = quadratic + cross + seqs.rho * W2.sum(axis=1) * vs / n
     if not np.isfinite(costs).all():
         raise ValueError(
@@ -81,39 +70,43 @@ def family_costs(W: np.ndarray, head, tail, n: int, seqs: TuningSequences, first
     return costs
 
 
-def taper_losses(L: np.ndarray, th, targets, consts, first: int) -> np.ndarray:
+def taper_losses(L: np.ndarray, th, targets, consts) -> np.ndarray:
     """Loss (..., K) of every taper row of L (K, m) on every row of th (..., m): by
     Parseval, sum_j L_kj^2 th_j^2 - 2 sum_j L_kj th_j t_j + c against a target with
     coefficients t (`targets`, broadcast against th) and squared norm c (`consts`,
     broadcast against the loss)."""
-    return serial_matmul(th**2, (L**2).T, first) - 2.0 * serial_matmul(th * targets, L.T, first) + consts
+    return serial_matmul(th**2, (L**2).T, 0) - 2.0 * serial_matmul(th * targets, L.T, 0) + consts
 
 
-def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences,
-                first: int) -> tuple[np.ndarray, np.ndarray]:
+def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
     """Selected row of W (...) and costs J_n (..., K), with the arguments of `family_costs`.
 
     Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
     """
-    costs = family_costs(W, head, tail, n, seqs, first)
+    costs = family_costs(W, head, tail, n, seqs)
     return np.argmin(costs, axis=-1), costs
 
 
-def score_block(Y: np.ndarray, analysis: np.ndarray, L: np.ndarray, targets, on_design, consts,
-                W: np.ndarray, seqs: TuningSequences, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (..., B, len(L) + 2) and adaptive pick (B,) of every row of one block Y (B, n).
+def score_cell(head, energy, dots, n: int, L: np.ndarray, targets, consts, W: np.ndarray,
+               seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (..., R, len(L) + 2) and adaptive pick (R,) of the R replicates of one cell.
 
-    Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) on the head
-    of `head_and_tail(Y, analysis, seqs.l_n, first)`; column len(L) is the full projection's,
-    |Y|^2 / n - 2 Y . f / n + c by Parseval, f (`on_design`, broadcast against Y) the
-    target on the design and c `consts[..., 0]`; the last is the adaptive estimator's,
-    column `pick` of the first, `select_rows` on W (the first len(W) rows of L).  `first`,
-    the index of Y's first replicate, keeps every row's bits whatever the block size."""
-    n = Y.shape[1]
-    head, tail, energy = head_and_tail(Y, analysis, seqs.l_n, first)
-    taper = taper_losses(L, head[:, : L.shape[1]], targets, consts, first)
-    full = energy - 2.0 * row_dots(Y, on_design) / n + consts[..., 0]
-    pick, _ = select_rows(W, head, tail, n, seqs, first)
+    Replicate r observed Y_r (n,): `head` (R, d) holds its theta_hat_1..theta_hat_d, d >= l_n,
+    `energy` (R,) |Y_r|^2 / n and `dots` (..., R) Y_r . f, f the target on the design.
+    Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) against the
+    target's coefficients t (`targets`) and squared norm c (`consts`); column len(L) is the
+    full projection's, |Y|^2 / n - 2 Y . f / n + c by Parseval, c `consts[..., 0]`; the last
+    is the adaptive estimator's, column `pick` of the first, `select_rows` on W (the first
+    len(W) rows of L) with the tail energy past l_n by Parseval."""
+    if head.shape[-1] < seqs.l_n:
+        raise ValueError(f"coefficient head has width {head.shape[-1]}, narrower than l_n = {seqs.l_n}")
+    if energy.shape != head.shape[:1] or dots.shape[-1:] != head.shape[:1]:
+        raise ValueError(f"energy {energy.shape} and dots {dots.shape} must hold one value per replicate "
+                         f"of the head {head.shape}")
+    tail = energy - np.sum(head[:, : seqs.l_n] ** 2, axis=1)
+    taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
+    full = energy - 2.0 * dots / n + consts[..., 0]
+    pick, _ = select_rows(W, head, tail, n, seqs)
     adaptive = taper[..., np.arange(len(pick)), pick]
     return np.concatenate([taper, full[..., None], adaptive[..., None]], axis=-1), pick
 
@@ -130,7 +123,7 @@ def select(family: WeightFamily, theta_hat, seqs: TuningSequences) -> EstimatorO
     th = np.asarray(theta_hat, dtype=float)
     n = len(th)
     vs = float(tail_energy(th, seqs.l_n))
-    best, costs_vec = select_rows(family.W, th, vs, n, seqs, 0)
+    best, costs_vec = select_rows(family.W, th, vs, n, seqs)
     alpha_hat, lam_cut = family[int(best)]
     lam_hat = np.zeros(n)
     lam_hat[: len(lam_cut)] = lam_cut

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetreg.basis import DesignGrid, fourier_rows
+from hetreg.basis import DesignGrid, fourier_rows, row_dots, serial_matmul
 from hetreg.cli import main as cli_main
 from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _block_losses,
     _make_context,
+    _run_replicates,
     efficiency_study,
     lower_bound_study,
     oracle_coefficient,
@@ -28,7 +28,7 @@ from hetreg.experiments import (
     write_csv,
 )
 from hetreg.models import NoiseSpec, substreams
-from hetreg.selection import estimate, head_and_tail, select_rows, tail_energy
+from hetreg.selection import estimate, select_rows, tail_energy
 from hetreg.theory import cell_integrals, oracle_index
 from hetreg.weights import default_sequences, pinsker_weights, weight_family
 
@@ -290,7 +290,8 @@ def study_context(cfg, n, estimators):
 
 
 class TestHeadOnlyBlock:
-    """A block computes theta_hat only up to the taper support, and no FFT."""
+    """A block computes theta_hat only up to the taper support, and no FFT; the cell
+    scores every replicate from the blocks' heads, energies and dots."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.one_of(st.sampled_from([3, 101, 3001]),
@@ -301,7 +302,8 @@ class TestHeadOnlyBlock:
         ctx = study_context(small_config(n_grid=[n]), n, ESTIMATOR_KINDS)
         rng = np.random.default_rng(seed)
         Y = level * (np.cos(2.0 * np.pi * 3.0 * DesignGrid(n).points) + rng.standard_normal((rows, n)))
-        head, tail, energy = head_and_tail(Y, ctx.analysis, ctx.seqs.l_n, 0)
+        head, energy = serial_matmul(Y, ctx.analysis, 0), row_dots(Y, Y) / n
+        tail = energy - np.sum(head[:, : ctx.seqs.l_n] ** 2, axis=1)  # as `score_cell` takes it
         theta_hat = fourier_rows(Y)
         d = ctx.analysis.shape[1]
         assert max(ctx.L.shape[1], ctx.seqs.l_n) == d <= n
@@ -316,8 +318,8 @@ class TestHeadOnlyBlock:
     @pytest.mark.parametrize("preset", ["S1", "S2"])
     def test_block_equals_fft_reference(self, monkeypatch, n, preset):
         # the reference draws the same stack, takes the full FFT and scores
-        # every estimator's full-length weights
-        from hetreg import selection
+        # every estimator's full-length weights; the cell runs in blocks of 16
+        from hetreg import experiments, selection
 
         cfg = small_config(n_grid=[n], test_function={"preset": preset})
         ctx = study_context(cfg, n, ESTIMATOR_KINDS)
@@ -331,13 +333,15 @@ class TestHeadOnlyBlock:
             return best, costs
 
         monkeypatch.setattr(selection, "select_rows", recorded)
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16 * n)
         gaussian = NoiseSpec("gaussian")
-        losses, sweep = _block_losses(ctx, gaussian, 0, 5, 45)
+        losses, sweep = _run_replicates(ctx, gaussian, 0, 45)
 
-        Y = np.stack([gaussian.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(5, 45))])
+        Y = np.stack([gaussian.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(45))])
         Y = ctx.S_design + ctx.g_design * Y
         theta_hat = fourier_rows(Y)
-        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs, 0)
+        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs)
+        assert len(picks) == 1
         np.testing.assert_array_equal(picks[0], pick)
         cell_int_s, s_l2_sq = cell_integrals(S, n)
         theta_n, t = fourier_rows(S.on_grid(DesignGrid(n))), n * fourier_rows(cell_int_s)
@@ -592,7 +596,6 @@ class TestBayesOnePass:
         # every replicate's losses and pick against the full spectrum of the same
         # draws: |th|^2 - 2 th . C t + t'Gt, and the taper rows with the FFT tail
         from hetreg import lowerbound, selection
-        from hetreg.basis import row_dots, serial_matmul
         from hetreg.models import econometric_scale
         from hetreg.selection import taper_losses
 
@@ -625,9 +628,9 @@ class TestBayesOnePass:
         Tc = serial_matmul(T, cross.T, 0)
         W = weight_family(n, seqs).W
         m = W.shape[1]
-        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
+        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
         expected = [tGt, row_dots(th, th) - 2.0 * row_dots(th, Tc) + tGt,
-                    taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None], 0)[np.arange(reps), pick]]
+                    taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None])[np.arange(reps), pick]]
         np.testing.assert_array_equal(np.concatenate(picks), pick)
         assert len(rows) == 3
         np.testing.assert_array_equal(rows[0], tGt)  # `zero` is a taper row of zeros: exactly t'Gt

@@ -1,10 +1,10 @@
-"""Both Monte Carlo engines score their blocks through `selection.score_block`.
+"""Both Monte Carlo engines score their cells through `selection.score_cell`.
 
 The studies (`experiments`) and the Bayes risk (`lowerbound`) import none of
-the scorer's parts, so a second block scorer cannot come back unnoticed; the
+the scorer's parts, so a second scorer cannot come back unnoticed; the
 studies take an FFT only for their targets, once per n, and the Bayes risk
 none at all.  Each engine reads every estimator as a fixed column of the
-scorer's losses.
+scorer's losses, and scores a cell once, however many blocks it runs in.
 """
 
 import ast
@@ -14,7 +14,7 @@ import pytest
 
 import hetreg
 
-SCORER_PARTS = {"fourier_rows", "head_and_tail", "family_costs", "taper_losses", "select_rows"}
+SCORER_PARTS = {"fourier_rows", "family_costs", "taper_losses", "select_rows"}
 
 
 def module_tree(name: str) -> ast.Module:
@@ -25,7 +25,7 @@ def module_tree(name: str) -> ast.Module:
 def test_engines_import_the_scorer_and_none_of_its_parts(name, allowed):
     imported = {alias.name for node in ast.walk(module_tree(name)) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert "score_block" in imported
+    assert "score_cell" in imported
     assert imported & SCORER_PARTS == allowed
 
 
@@ -37,8 +37,31 @@ def test_studies_take_an_fft_only_for_their_targets():
 
 @pytest.mark.parametrize("name", ["experiments", "lowerbound"])
 def test_engines_take_every_estimator_as_a_fixed_column(name):
-    # score_block's columns hold every estimator, the adaptive one last: no
+    # score_cell's columns hold every estimator, the adaptive one last: no
     # engine gathers the pick's loss by np.where of its own
     calls = [node for node in ast.walk(module_tree(name)) if isinstance(node, ast.Attribute)
              and node.attr == "where" and isinstance(node.value, ast.Name) and node.value.id == "np"]
     assert calls == []
+
+
+def test_a_cell_is_scored_once_whatever_its_blocks(monkeypatch):
+    # the scorer's products run over the whole cell: blocks of 3 replicates make
+    # as many of them as one block does
+    from hetreg import experiments, selection
+    from hetreg.experiments import ExperimentConfig, risk_study
+
+    n, calls = 101, []
+    product = selection.serial_matmul
+    monkeypatch.setattr(selection, "serial_matmul", lambda *args: calls.append(args[-1]) or product(*args))
+    cfg = ExperimentConfig.from_dict({"n_grid": [n], "reps": 20, "seed": 5,
+                                      "estimators": ["adaptive", "oracle_weight", "projection"]})
+
+    def count(rows):
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", rows * n)
+        calls.clear()
+        risk_study(cfg)
+        return list(calls)
+
+    whole = count(20)
+    assert whole and set(whole) == {0}
+    assert count(3) == whole

@@ -9,6 +9,8 @@ from hetreg.basis import (
     basis_matrix,
     discrete_fourier,
     fourier_rows,
+    row_dots,
+    serial_matmul,
     trig_basis_eval,
     trig_series,
 )
@@ -16,8 +18,7 @@ from hetreg.models import NoiseSpec, generate_observations, homogeneous_scale, s
 from hetreg.selection import (
     estimate,
     family_costs,
-    head_and_tail,
-    score_block,
+    score_cell,
     select,
     select_rows,
     tail_energy,
@@ -56,8 +57,8 @@ class TestFamilyCosts:
         seqs = default_sequences(n)
         W = weight_family(n, seqs).W
         th = noisy_rows(n, 3, seed)
-        base = family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
-        np.testing.assert_allclose(family_costs(W, s * th, tail_energy(s * th, seqs.l_n), n, seqs, 0),
+        base = family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        np.testing.assert_allclose(family_costs(W, s * th, tail_energy(s * th, seqs.l_n), n, seqs),
                                    s**2 * base,
                                    rtol=1e-9, atol=1e-12 * s**2 * np.abs(base).max())
 
@@ -70,15 +71,15 @@ class TestFamilyCosts:
         th = noisy_rows(n, 3, seed)
         scaled = 2.0**k * th
         np.testing.assert_array_equal(
-            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs, 0)[0],
-            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs, 0)[0])
+            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs)[0],
+            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)[0])
 
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1))
     def test_batched_argmin_equals_select(self, n, seed):
         seqs = default_sequences(n)
         fam = weight_family(n, seqs)
         th = noisy_rows(n, 8, seed)
-        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs, 0)
+        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
         for row, b, c in zip(th, best, costs):
             out = select(fam, row, seqs)
             assert out.selected == fam[b][0]
@@ -98,12 +99,12 @@ class TestFamilyCosts:
         m = min(n, int(np.flatnonzero(W.any(axis=0))[-1]) + 1 + extra)
         th = noisy_rows(n, 8, seed)
         tail = tail_energy(th, seqs.l_n)
-        full_best, full = select_rows(full_W, th, tail, n, seqs, 0)
+        full_best, full = select_rows(full_W, th, tail, n, seqs)
         for cut_W in (W, np.ascontiguousarray(full_W[:, :m])):
-            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs, 0)
+            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs)
             np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(cut_best, full_best)
-        np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs, 0), full[0],
+        np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs), full[0],
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -128,13 +129,46 @@ class TestScoreBlock:
             on_design = S + 0.1 * rng.standard_normal((16, n))
             consts = np.sum(fourier_rows(on_design) ** 2, axis=1)[:, None]
         targets = fourier_rows(on_design)[..., : L.shape[1]]
-        loss, pick = score_block(Y, analysis, L, targets, on_design, consts, W, seqs, 0)
-        head, tail, _ = head_and_tail(Y, analysis, seqs.l_n, 0)
-        taper = taper_losses(L, head[:, : L.shape[1]], targets, consts, 0)
+        head, energy = serial_matmul(Y, analysis, 0), row_dots(Y, Y) / n
+        loss, pick = score_cell(head, energy, row_dots(Y, on_design), n, L, targets, consts, W, seqs)
+        tail = energy - np.sum(head[:, : seqs.l_n] ** 2, axis=1)
+        taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
         assert loss.shape == taper.shape[:-1] + (len(L) + 2,)
-        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs, 0)[0])
+        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs)[0])
         np.testing.assert_array_equal(loss[..., : len(L)], taper)
         np.testing.assert_array_equal(loss[..., -1], taper[..., np.arange(len(Y)), pick])
+
+    @staticmethod
+    def cell(n: int, reps: int, d: int):
+        seqs = default_sequences(n)
+        W = weight_family(n, seqs).W
+        rng = np.random.default_rng(n)
+        head, energy, dots = rng.standard_normal((reps, d)), rng.uniform(1.0, 2.0, reps), rng.standard_normal(reps)
+        return head, energy, dots, n, W, np.zeros(W.shape[1]), np.ones((reps, 1)), W, seqs
+
+    def test_refuses_a_head_narrower_than_l_n(self):
+        # a head cut short would sum a shorter tail and select on it
+        seqs = default_sequences(301)
+        head, energy, dots, *rest = self.cell(301, 4, seqs.l_n - 1)
+        with pytest.raises(ValueError, match=rf"head has width {seqs.l_n - 1}, narrower than l_n = {seqs.l_n}"):
+            score_cell(head, energy, dots, *rest)
+
+    @pytest.mark.parametrize("which", ["energy", "dots"])
+    def test_refuses_a_replicate_count_unlike_the_head(self, which):
+        head, energy, dots, *rest = self.cell(301, 4, 301)
+        energy, dots = (energy[:3], dots) if which == "energy" else (energy, dots[:3])
+        with pytest.raises(ValueError, match=r"must hold one value per replicate of the head \(4, 301\)"):
+            score_cell(head, energy, dots, *rest)
+
+
+def test_no_selection_function_takes_first():
+    # only basis.serial_matmul and the block loops know a block's first replicate
+    import inspect
+
+    from hetreg import selection
+
+    public = [getattr(selection, name) for name in selection.__all__]
+    assert [f.__name__ for f in public if callable(f) and "first" in inspect.signature(f).parameters] == []
 
 
 class TestVarsigmaHat:
@@ -179,7 +213,7 @@ class TestCost:
         g = DesignGrid(11)
         theta_hat = discrete_fourier(np.arange(11.0), g)
         seqs = default_sequences(11, rho=0.25)
-        assert family_costs(np.zeros((1, 11)), theta_hat, 1.0, 11, seqs, 0)[0] == 0.0
+        assert family_costs(np.zeros((1, 11)), theta_hat, 1.0, 11, seqs)[0] == 0.0
 
     def test_full_weights_identity(self):
         # lam == 1: J = -sum theta_hat^2 + 2 vs + rho vs
@@ -188,7 +222,7 @@ class TestCost:
         theta_hat = discrete_fourier(rng.standard_normal(51), g)
         vs, rho = 0.7, 0.2
         expected = -float(np.sum(theta_hat**2)) + 2.0 * vs + rho * vs
-        cost = family_costs(np.ones((1, 51)), theta_hat, vs, 51, default_sequences(51, rho=rho), 0)
+        cost = family_costs(np.ones((1, 51)), theta_hat, vs, 51, default_sequences(51, rho=rho))
         assert cost[0] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_loss_identity(self):
@@ -201,7 +235,7 @@ class TestCost:
         theta_n = discrete_fourier(S.on_grid(g), g)
         fam = weight_family(n, seqs)
         m = fam.W.shape[1]
-        costs = family_costs(fam.W, theta_n, 0.0, n, seqs, 0)
+        costs = family_costs(fam.W, theta_n, 0.0, n, seqs)
         for (alpha, lam), c in zip(fam, costs):
             loss = float(np.sum((lam * theta_n[:m] - theta_n[:m]) ** 2) + np.sum(theta_n[m:] ** 2))
             assert c + float(np.sum(theta_n**2)) == pytest.approx(loss, abs=1e-10), alpha
@@ -211,7 +245,7 @@ class TestCost:
         g = DesignGrid(11)
         theta_hat = discrete_fourier(np.zeros(11), g)
         with pytest.raises(ValueError, match="head has width 9, narrower than the taper stack's width 11"):
-            family_costs(np.ones((1, 11)), theta_hat[:9], 1.0, 11, default_sequences(11, rho=0.2), 0)
+            family_costs(np.ones((1, 11)), theta_hat[:9], 1.0, 11, default_sequences(11, rho=0.2))
 
 
 class TestSelect:
