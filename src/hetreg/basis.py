@@ -167,7 +167,7 @@ def serial_matmul(a, b, first: int) -> np.ndarray:
     differently at different row counts, and it rounds the last (height mod 4)
     rows of a block differently from the others.  A Monte Carlo block's n-length
     product passes its first replicate's index; a product over a whole cell's
-    replicates, as in `selection`, and any other caller pass 0.  The row cap
+    replicates, as in `score_cell`, and any other caller pass 0.  The row cap
     bounds the padding for a narrow product; a 1-d `a` is one product.
     """
     a = np.asarray(a, dtype=float)

@@ -1,15 +1,14 @@
 """Monte Carlo risk studies: oracle inequality, efficiency trend, lower bound.
 
 Replicate r of a study always draws from the substream keyed by (seed, study
-tag, n, noise index, r).  Replicates run in the calling thread, in blocks of at
-most `BLOCK_ENTRIES` observations that keep only their n-length products;
-neither the block size nor the `workers` setting, still accepted, changes any
+tag, n, noise index, r).  Each (n, noise) cell is observed by
+`selection.observe_cell` and scored by `selection.score_cell`, as the Bayes risk
+is, in the calling thread; the `workers` setting, still accepted, changes no
 output byte.  Every study estimator but the full projection is a row of one
-taper stack cut to its support, and `selection.score_cell`, which scores the
-Bayes risk too, gives each (n, noise) cell's two losses for every row, for the
-full projection and for the adaptive estimator, by Parseval, with no FFT; every
-estimator is a fixed column of them, and the family sweep every study keeps is
-among them.
+taper stack cut to its support, and the cell's two losses for every row, for
+the full projection and for the adaptive estimator come by Parseval, with no
+FFT; every estimator is a fixed column of them, and the family sweep every
+study keeps is among them.
 """
 
 from __future__ import annotations
@@ -21,16 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (
-    BLOCK_ENTRIES,
-    DesignGrid,
-    SampledFunction,
-    TrigPolynomial,
-    basis_eval_matrix,
-    fourier_rows,
-    row_dots,
-    serial_matmul,
-)
+from .basis import DesignGrid, SampledFunction, TrigPolynomial, basis_eval_matrix, fourier_rows
 from .lowerbound import (
     BAYES_ESTIMATORS,
     bayes_risk_mc,
@@ -40,7 +30,7 @@ from .lowerbound import (
     prior_van_trees_bound,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, homogeneous_scale, mean_se, smooth_cutoff, substreams
-from .selection import score_cell
+from .selection import observe_cell, score_cell
 from .theory import (
     SobolevBall,
     cell_integrals,
@@ -310,25 +300,14 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
 def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: int):
     """Losses (reps, E, 2) of every replicate of one noise, plus the family sweep (reps, K).
 
-    Blocks of Y = S + g * xi, drawn into one buffer, keep the head Y @ analysis,
-    |Y|^2 / n and Y . f for both targets (S on the design for ||S_lam - S||_n^2, n
-    int_cell S for the step extension's ||T(S_lam) - S||^2, whose constant is ||S||^2);
-    one `score_cell` call scores the cell, and the sweep is a copy, so no view keeps its table.
+    Y = S + g * xi is observed against both targets (S on the design for ||S_lam - S||_n^2,
+    n int_cell S for the step extension's ||T(S_lam) - S||^2, whose constant is ||S||^2);
+    the sweep is a copy, so no view keeps the cell's loss table.
     """
     n = ctx.grid.n
-    rows = max(1, BLOCK_ENTRIES // n)  # observations per block <= BLOCK_ENTRIES
-    head, energy, dots = np.empty((reps, ctx.analysis.shape[1])), np.empty(reps), np.empty((2, reps))
-    buffer = np.empty((min(rows, reps), n))
-    for lo in range(0, reps, rows):
-        Y = buffer[: min(rows, reps - lo)]
-        for i, rng in enumerate(substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(lo, lo + len(Y)))):
-            noise.draw(rng, n, out=Y[i])
-        Y *= ctx.g_design  # Y = S + g * xi, in place over the whole block
-        Y += ctx.S_design
-        head[lo : lo + len(Y)] = serial_matmul(Y, ctx.analysis, lo)
-        energy[lo : lo + len(Y)] = row_dots(Y, Y) / n
-        dots[:, lo : lo + len(Y)] = row_dots(Y, ctx.on_design[:, None])
-    del buffer, Y  # freed before the scorer builds its loss tables
+    head, energy, dots = observe_cell(substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(reps)), noise,
+                                      lambda lo, hi: (ctx.S_design, ctx.g_design, ctx.on_design[:, None]),
+                                      reps, ctx.analysis)
     loss, _ = score_cell(head, energy, dots, n, ctx.L, ctx.targets[:, None], ctx.consts[:, None, None],
                          ctx.family.W, ctx.seqs)
     return np.moveaxis(loss[..., ctx.columns], 0, -1), loss[0, :, : len(ctx.family)].copy()

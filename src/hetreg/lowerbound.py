@@ -5,8 +5,8 @@ M = [1/(2h)] - 1 blocks of width 2h, centred at 2mh, each carry a mollified loca
 trigonometric expansion; they cover only M 2h of [0, 1] (0.62 to 0.80 on S3 for
 n = 101 to 100001).  An independent centered Gaussian prior over the coefficients
 turns the minimax problem into a Bayesian one that van Trees bounds from below.
-The Monte Carlo Bayes risk scores its cell, one n, by `selection.score_cell`,
-as the studies do, with no FFT.
+The Monte Carlo Bayes risk observes its cell, one n, by `selection.observe_cell`
+and scores it by `selection.score_cell`, as the studies do, with no FFT.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import BLOCK_ENTRIES, DesignGrid, basis_eval_matrix, grid_values, pack_spectrum, row_dots, serial_matmul
-from .models import ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
-from .selection import score_cell
+from .models import NoiseSpec, ScaleModel, mean_se, mollifier_cdf, simpson_integral, substream, substreams
+from .selection import observe_cell, score_cell
 from .theory import pinsker_constant
 from .weights import TuningSequences, weight_family
 
@@ -318,7 +318,7 @@ def van_trees_bound(
     averages over the prior the squared response a f_p + b (Gz)_p of g^2 in
     direction f_p, (a, b) = frechet(x, s) the partials of g^2: products
     against D^2, D and ones.  The `mc_reps` draws, from a fixed substream, run
-    as in `bayes_risk_mc`, BLOCK_ENTRIES // n at a time.
+    BLOCK_ENTRIES // n at a time, with G z taken once for all of them.
     """
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be >= 1, got {mc_reps}")
@@ -338,10 +338,10 @@ def van_trees_bound(
     # rows[1 + r]: draw r's g^-2 and a^2 on x, then c_p (2 <a b, f_p> + c_p |b|^2), a, b over g^2;
     # rows[0]: their sum, added row after row (axis 0 is not the fast axis), so blocks change no bit
     rows = np.zeros((min(step, mc_reps) + 1, 2 * grid.n + P))
+    ZG = serial_matmul(Z, gram, 0)
     for lo in range(0, mc_reps, step):
-        z = Z[lo : lo + step]
+        z, c = Z[lo : lo + step], ZG[lo : lo + step]
         s = serial_matmul(z, D, lo)
-        c = serial_matmul(z, gram, lo)
         g2 = scale.g2(x, s, row_dots(c, z)[:, None])
         a, b = (p / g2 for p in scale.frechet(x, s))
         block = rows[1 : len(z) + 1]
@@ -429,15 +429,11 @@ def bayes_risk_mc(
     standard error) per name, in order.
 
     Replicate r draws its prior coefficients t, then its noise, from its own
-    substream; `substreams` seeds a block of them at once, drawn into one buffer
-    of at most BLOCK_ENTRIES design entries.  A block is one (B, n) stack
-    Y = T @ D + g * noise on the prior's design (n = prior.n; D, G, C its
-    `family_arrays`) and keeps its head, |Y|^2 / n and Y . grid_values(C t).  One
-    `selection.score_cell` call then scores every replicate as a study's cell,
-    against C t and t'Gt: `zero` is the column of a zero taper row (t'Gt) after
-    `weight_family(n, seqs)`, `projection` the full projection's and `adaptive`
-    the last.  Every product is a `serial_matmul` aligned at its first replicate,
-    or a `row_dots`, so a row's loss does not depend on its block.
+    substream, every t first.  `selection.observe_cell` observes Y = T @ D + g * noise
+    on the prior's design (n = prior.n; D, G, C its `family_arrays`) against
+    grid_values(C t), and `selection.score_cell` scores the cell against C t and t'Gt:
+    `zero` is the column of a zero taper row (t'Gt) after `weight_family(n, seqs)`,
+    `projection` the full projection's and `adaptive` the last.
     """
     for name in names:
         if name not in BAYES_ESTIMATORS:
@@ -455,22 +451,16 @@ def bayes_risk_mc(
     analysis = basis_eval_matrix(max(m, seqs.l_n), grid)
     analysis /= n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
-    T, norm_sq, energy, dots = np.empty((reps, len(D))), np.empty(reps), np.empty(reps), np.empty(reps)
-    head = np.empty((reps, analysis.shape[1]))
-    step = max(1, BLOCK_ENTRIES // n)
-    draws = np.empty((min(step, reps), len(D) + n))  # replicate r's t, then its noise, in one call
-    for lo in range(0, reps, step):
-        block = draws[: min(step, reps - lo)]
-        hi = lo + len(block)
-        for i, rng in enumerate(substreams(seed, 13, n, reps=range(lo, hi))):
-            rng.standard_normal(out=block[i])
-        t = np.multiply(block[:, : len(D)], prior.t.ravel(), out=T[lo:hi])
-        s = serial_matmul(t, D, lo)
-        norm_sq[lo:hi] = row_dots(serial_matmul(t, gram, lo), t)
-        Y = s + np.sqrt(scale.g2(grid.points, s, norm_sq[lo:hi, None])) * block[:, len(D) :]
-        head[lo:hi] = serial_matmul(Y, analysis, lo)
-        energy[lo:hi] = row_dots(Y, Y) / n
-        dots[lo:hi] = row_dots(Y, serial_matmul(t, on_design, lo))
-    del draws, block, s, Y  # freed before the scorer builds its loss table
+    rngs, T = list(substreams(seed, 13, n, reps=range(reps))), np.empty((reps, len(D)))
+    for t, rng in zip(T, rngs):
+        rng.standard_normal(out=t)
+    T *= prior.t.ravel()
+    norm_sq = row_dots(serial_matmul(T, gram, 0), T)
+
+    def truth(lo, hi):
+        s = serial_matmul(T[lo:hi], D, lo)
+        return s, np.sqrt(scale.g2(grid.points, s, norm_sq[lo:hi, None])), serial_matmul(T[lo:hi], on_design, lo)
+
+    head, energy, dots = observe_cell(rngs, NoiseSpec("gaussian"), truth, reps, analysis)
     loss, _ = score_cell(head, energy, dots, n, L, serial_matmul(T, cross[:m].T, 0), norm_sq[:, None], W, seqs)
     return [mean_se(loss[:, c]) for c in columns]

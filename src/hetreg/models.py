@@ -316,8 +316,8 @@ class NoiseSpec:
     def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
         """`size` draws, written into `out` (of that size) when given: gaussian noise is
         drawn there in place, the other kinds are copied there, with the same bits."""
-        if self.kind == "gaussian":
-            return rng.standard_normal(size, out=out)
+        if self.kind == "gaussian":  # numpy checks a size given beside `out` on every call
+            return rng.standard_normal(size) if out is None else rng.standard_normal(out=out)
         if self.kind == "rademacher":
             xi = rng.integers(0, 2, size=size) * 2.0 - 1.0
         elif self.kind == "uniform":

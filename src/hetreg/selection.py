@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DesignGrid, SampledFunction, discrete_fourier, serial_matmul, trig_series
+from .basis import BLOCK_ENTRIES, DesignGrid, SampledFunction, discrete_fourier, row_dots, serial_matmul, trig_series
 from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "family_costs",
     "taper_losses",
     "select_rows",
+    "observe_cell",
     "score_cell",
     "select",
     "estimate",
@@ -85,6 +86,33 @@ def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> tup
     """
     costs = family_costs(W, head, tail, n, seqs)
     return np.argmin(costs, axis=-1), costs
+
+
+def observe_cell(rngs, noise, truth, reps: int, analysis: np.ndarray):
+    """The head (reps, d), |Y|^2 / n (reps,) and Y . f (..., reps) of one cell's observations, for `score_cell`.
+
+    Replicate r observes Y = s + g * xi on the n design points, its noise xi drawn by
+    `noise.draw` from the r-th generator of `rngs` into a buffer of at most BLOCK_ENTRIES // n
+    rows.  `truth(lo, hi)` gives s, g and the target f on the design for replicates lo..hi-1,
+    each (n,) or one row per replicate.  The head Y @ analysis is a `serial_matmul` aligned at
+    lo and the rest are `row_dots`, so no replicate's bits depend on its block.
+    """
+    n = len(analysis)
+    rows = max(1, BLOCK_ENTRIES // n)
+    rngs, buffer = iter(rngs), np.empty((min(rows, reps), n))
+    head, energy, dots = np.empty((reps, analysis.shape[1])), np.empty(reps), []
+    for lo in range(0, reps, rows):
+        Y = buffer[: min(rows, reps - lo)]
+        hi = lo + len(Y)
+        for y, rng in zip(Y, rngs):
+            noise.draw(rng, n, out=y)
+        s, g, f = truth(lo, hi)
+        Y *= g  # Y = s + g * xi, in place over the whole block
+        Y += s
+        head[lo:hi] = serial_matmul(Y, analysis, lo)
+        energy[lo:hi] = row_dots(Y, Y) / n
+        dots.append(row_dots(Y, f))
+    return head, energy, np.concatenate(dots, axis=-1)
 
 
 def score_cell(head, energy, dots, n: int, L: np.ndarray, targets, consts, W: np.ndarray,

@@ -319,7 +319,7 @@ class TestHeadOnlyBlock:
     def test_block_equals_fft_reference(self, monkeypatch, n, preset):
         # the reference draws the same stack, takes the full FFT and scores
         # every estimator's full-length weights; the cell runs in blocks of 16
-        from hetreg import experiments, selection
+        from hetreg import selection
 
         cfg = small_config(n_grid=[n], test_function={"preset": preset})
         ctx = study_context(cfg, n, ESTIMATOR_KINDS)
@@ -333,7 +333,7 @@ class TestHeadOnlyBlock:
             return best, costs
 
         monkeypatch.setattr(selection, "select_rows", recorded)
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", 16 * n)
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", 16 * n)
         gaussian = NoiseSpec("gaussian")
         losses, sweep = _run_replicates(ctx, gaussian, 0, 45)
 
@@ -573,7 +573,7 @@ class TestBayesOnePass:
 
     def test_one_analysis_matrix_per_n(self, monkeypatch):
         # every block takes theta_hat's head from one analysis matrix per n, with no FFT
-        from hetreg import lowerbound
+        from hetreg import lowerbound, selection
 
         calls = {"fourier_rows": [], "basis_eval_matrix": []}
         evaluate = lowerbound.basis_eval_matrix
@@ -585,7 +585,8 @@ class TestBayesOnePass:
         monkeypatch.setattr(lowerbound, "fourier_rows", lambda Y: calls["fourier_rows"].append(np.shape(Y)),
                             raising=False)
         monkeypatch.setattr(lowerbound, "basis_eval_matrix", counted)
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)  # 5 blocks over the two n
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", 3 * 101)  # 5 Bayes blocks over the two n
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)  # and 3 van Trees blocks
         cfg = small_config(n_grid=[51, 101], reps=9,
                            lowerbound={"prior_mc": 5, "bayes_estimators": ["zero", "projection", "adaptive"]})
         lower_bound_study(cfg)
@@ -609,7 +610,7 @@ class TestBayesOnePass:
 
         monkeypatch.setattr(lowerbound, "mean_se", lambda row: rows.append(row.copy()) or (0.0, 0.0))
         monkeypatch.setattr(selection, "select_rows", recorded)
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 16 * n)  # several blocks at every n
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", 16 * n)  # several blocks at every n
         reps, seed = 40, 9
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
         prior = lowerbound.least_favorable_prior(1, 1.0, n, eps=0.2)
@@ -683,15 +684,19 @@ class TestDeterminism:
 
     def test_lower_bound_bytes_do_not_follow_blas_threads(self, tmp_path):
         # a threaded BLAS dot sums one partial dot per thread; every dot of the
-        # lower-bound path, and a study's row dots at n >= 10001, are taken in fixed chunks instead
+        # lower-bound path, and a study's row dots at n >= 10001, are taken in fixed chunks instead;
+        # at n = 20001 the Bayes risk's one-row head products (n d > 2^18) run as threaded gemv
         (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
         (tmp_path / "large.json").write_text(json.dumps({"n_grid": [10001], "reps": 3}))
+        (tmp_path / "large_lb.json").write_text(json.dumps(
+            {**TINY_LOWER_BOUND, "n_grid": [20001], "reps": 4, "lowerbound": {"prior_mc": 4}}))
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             out.mkdir()
             files = []
-            for study, cfg in (("lower-bound", "cfg.json"), ("efficiency", "large.json")):
+            for study, cfg in (("lower-bound", "cfg.json"), ("efficiency", "large.json"),
+                               ("lower-bound", "large_lb.json")):
                 run_cli_process([study, "--config", cfg, "--out", out.name], tmp_path,
                                 OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
                 stem = study.replace("-", "_")
@@ -726,14 +731,14 @@ class TestDeterminism:
         # padded row blocks (heights 62 at n = 3001, 15 at 20001), which OpenBLAS
         # rounds apart from the others: at n = 20001, projection:5's losses moved
         # with their block while the blocks were not aligned to the replicate index
-        from hetreg import experiments
+        from hetreg import selection
 
         cfg = small_config(n_grid=[n], reps=70, save_losses=True,
                            estimators=["adaptive", "oracle_weight", "projection", "zero", "projection:5"],
                            noise_menu=[{"kind": "gaussian"}, {"kind": "student_t", "df": 12}])
 
         def losses(rows):
-            monkeypatch.setattr(experiments, "BLOCK_ENTRIES", rows * n)
+            monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * n)
             return risk_study(cfg)[2]
 
         whole = losses(70)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from hetreg import lowerbound
+from hetreg import lowerbound, selection
 from hetreg.basis import (
     DesignGrid,
     SampledFunction,
@@ -371,7 +371,8 @@ class TestBayesRisk:
             return risk, report.bound, report.fisher.tolist(), report.bias.tolist()
 
         whole = run()
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * 1001)  # the Bayes risk's blocks
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)  # the van Trees draws'
         assert run() == whole
 
     def test_adaptive_beats_bound(self):

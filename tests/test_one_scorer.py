@@ -4,7 +4,8 @@ The studies (`experiments`) and the Bayes risk (`lowerbound`) import none of
 the scorer's parts, so a second scorer cannot come back unnoticed; the
 studies take an FFT only for their targets, once per n, and the Bayes risk
 none at all.  Each engine reads every estimator as a fixed column of the
-scorer's losses, and scores a cell once, however many blocks it runs in.
+scorer's losses, and scores a cell once, however many blocks
+`selection.observe_cell`, the one loop that observes a cell, runs it in.
 """
 
 import ast
@@ -46,18 +47,33 @@ def test_engines_take_every_estimator_as_a_fixed_column(name):
 
 def test_a_cell_is_scored_once_whatever_its_blocks(monkeypatch):
     # the scorer's products run over the whole cell: blocks of 3 replicates make
-    # as many of them as one block does
+    # as many of them as one block does (the head products of `observe_cell`,
+    # one per block, are not the scorer's)
     from hetreg import experiments, selection
     from hetreg.experiments import ExperimentConfig, risk_study
 
-    n, calls = 101, []
-    product = selection.serial_matmul
-    monkeypatch.setattr(selection, "serial_matmul", lambda *args: calls.append(args[-1]) or product(*args))
+    n, calls, scoring = 101, [], []
+    product, score = selection.serial_matmul, experiments.score_cell
+
+    def counted(*args):
+        if scoring:
+            calls.append(args[-1])
+        return product(*args)
+
+    def scored(*args):
+        scoring.append(True)
+        try:
+            return score(*args)
+        finally:
+            scoring.clear()
+
+    monkeypatch.setattr(selection, "serial_matmul", counted)
+    monkeypatch.setattr(experiments, "score_cell", scored)
     cfg = ExperimentConfig.from_dict({"n_grid": [n], "reps": 20, "seed": 5,
                                       "estimators": ["adaptive", "oracle_weight", "projection"]})
 
     def count(rows):
-        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", rows * n)
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * n)
         calls.clear()
         risk_study(cfg)
         return list(calls)
@@ -65,3 +81,15 @@ def test_a_cell_is_scored_once_whatever_its_blocks(monkeypatch):
     whole = count(20)
     assert whole and set(whole) == {0}
     assert count(3) == whole
+
+
+def test_one_loop_observes_every_cell():
+    # `selection.observe_cell` is the one block loop: the studies keep none of
+    # its parts, and the Bayes risk leaves its block size to it
+    imported = {alias.name for node in ast.walk(module_tree("experiments")) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "observe_cell" in imported
+    assert imported & {"BLOCK_ENTRIES", "serial_matmul", "row_dots"} == set()
+    [bayes] = [fn for fn in ast.walk(module_tree("lowerbound"))
+               if isinstance(fn, ast.FunctionDef) and fn.name == "bayes_risk_mc"]
+    assert not any(isinstance(node, ast.Name) and node.id == "BLOCK_ENTRIES" for node in ast.walk(bayes))
