@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,6 +134,7 @@ def _cmd_study(name: str, cfg: ExperimentConfig) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hetreg",

@@ -306,7 +306,7 @@ def _run_replicates(ctx: _StudyContext, noise: NoiseSpec, noise_idx: int, reps: 
     """
     n = ctx.grid.n
     head, energy, dots = observe_cell(substreams(ctx.seed, _TAG_RISK, n, noise_idx, reps=range(reps)), noise,
-                                      lambda lo, hi: (ctx.S_design, ctx.g_design, ctx.on_design[:, None]),
+                                      lambda lo, hi, z: (ctx.S_design, ctx.g_design, ctx.on_design[:, None]),
                                       reps, ctx.analysis)
     loss, _ = score_cell(head, energy, dots, n, ctx.L, ctx.targets[:, None], ctx.consts[:, None, None],
                          ctx.family.W, ctx.seqs)

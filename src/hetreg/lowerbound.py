@@ -428,10 +428,11 @@ def bayes_risk_mc(
     `BAYES_ESTIMATORS`, over one set of prior draws and Gaussian noise; (mean,
     standard error) per name, in order.
 
-    Replicate r draws its prior coefficients t, then its noise, from its own
-    substream, every t first.  `selection.observe_cell` observes Y = T @ D + g * noise
-    on the prior's design (n = prior.n; D, G, C its `family_arrays`) against
-    grid_values(C t), and `selection.score_cell` scores the cell against C t and t'Gt:
+    Replicate r draws its prior coefficients t, then its noise, in one call to its own
+    substream, each generator made as it is drawn from.  `selection.observe_cell` observes
+    Y = t @ D + g * noise on the prior's design (n = prior.n; D, G, C its `family_arrays`)
+    against grid_values(C t), t'Gt taken per block, and `selection.score_cell` scores the
+    cell against C t and t'Gt:
     `zero` is the column of a zero taper row (t'Gt) after `weight_family(n, seqs)`,
     `projection` the full projection's and `adaptive` the last.
     """
@@ -451,16 +452,15 @@ def bayes_risk_mc(
     analysis = basis_eval_matrix(max(m, seqs.l_n), grid)
     analysis /= n
     on_design = grid_values(cross.T)  # (P, n): each direction's projection on phi_1..phi_n
-    rngs, T = list(substreams(seed, 13, n, reps=range(reps))), np.empty((reps, len(D)))
-    for t, rng in zip(T, rngs):
-        rng.standard_normal(out=t)
-    T *= prior.t.ravel()
-    norm_sq = row_dots(serial_matmul(T, gram, 0), T)
+    T, norm_sq = np.empty((reps, len(D))), np.empty(reps)
 
-    def truth(lo, hi):
-        s = serial_matmul(T[lo:hi], D, lo)
-        return s, np.sqrt(scale.g2(grid.points, s, norm_sq[lo:hi, None])), serial_matmul(T[lo:hi], on_design, lo)
+    def truth(lo, hi, z):
+        t = np.multiply(z, prior.t.ravel(), out=T[lo:hi])
+        norm_sq[lo:hi] = row_dots(serial_matmul(t, gram, lo), t)
+        s = serial_matmul(t, D, lo)
+        return s, np.sqrt(scale.g2(grid.points, s, norm_sq[lo:hi, None])), serial_matmul(t, on_design, lo)
 
-    head, energy, dots = observe_cell(rngs, NoiseSpec("gaussian"), truth, reps, analysis)
+    head, energy, dots = observe_cell(substreams(seed, 13, n, reps=range(reps)), NoiseSpec("gaussian"), truth,
+                                      reps, analysis, lead=len(D))
     loss, _ = score_cell(head, energy, dots, n, L, serial_matmul(T, cross[:m].T, 0), norm_sq[:, None], W, seqs)
     return [mean_se(loss[:, c]) for c in columns]

@@ -88,25 +88,29 @@ def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> tup
     return np.argmin(costs, axis=-1), costs
 
 
-def observe_cell(rngs, noise, truth, reps: int, analysis: np.ndarray):
+def observe_cell(rngs, noise, truth, reps: int, analysis: np.ndarray, lead: int = 0):
     """The head (reps, d), |Y|^2 / n (reps,) and Y . f (..., reps) of one cell's observations, for `score_cell`.
 
-    Replicate r observes Y = s + g * xi on the n design points, its noise xi drawn by
-    `noise.draw` from the r-th generator of `rngs` into a buffer of at most BLOCK_ENTRIES // n
-    rows.  `truth(lo, hi)` gives s, g and the target f on the design for replicates lo..hi-1,
-    each (n,) or one row per replicate.  The head Y @ analysis is a `serial_matmul` aligned at
-    lo and the rest are `row_dots`, so no replicate's bits depend on its block.
+    Replicate r observes Y = s + g * xi on the n design points.  One `noise.draw` from the r-th
+    generator of `rngs`, taken as it is needed, writes `lead` values z, then xi, into a buffer of
+    at most BLOCK_ENTRIES // n rows; a lead needs Gaussian noise.  `truth(lo, hi, z)` gives s, g
+    and the target f on the design for replicates lo..hi-1, each (n,) or one row per replicate,
+    from their z (hi - lo, lead).  The head Y @ analysis is a `serial_matmul` aligned at lo and
+    the rest are `row_dots`, so no replicate's bits depend on its block.
     """
+    if lead and noise.kind != "gaussian":
+        raise ValueError(f"leading draws need gaussian noise, got {noise.label}")
     n = len(analysis)
     rows = max(1, BLOCK_ENTRIES // n)
-    rngs, buffer = iter(rngs), np.empty((min(rows, reps), n))
+    rngs, buffer = iter(rngs), np.empty((min(rows, reps), lead + n))
     head, energy, dots = np.empty((reps, analysis.shape[1])), np.empty(reps), []
     for lo in range(0, reps, rows):
-        Y = buffer[: min(rows, reps - lo)]
-        hi = lo + len(Y)
-        for y, rng in zip(Y, rngs):
-            noise.draw(rng, n, out=y)
-        s, g, f = truth(lo, hi)
+        block = buffer[: min(rows, reps - lo)]
+        hi = lo + len(block)
+        for row, rng in zip(block, rngs):
+            noise.draw(rng, lead + n, out=row)
+        s, g, f = truth(lo, hi, block[:, :lead])
+        Y = block[:, lead:]
         Y *= g  # Y = s + g * xi, in place over the whole block
         Y += s
         head[lo:hi] = serial_matmul(Y, analysis, lo)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetreg.basis import DesignGrid, fourier_rows, row_dots, serial_matmul
-from hetreg.cli import main as cli_main
+from hetreg.cli import build_parser, main as cli_main
 from hetreg.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -685,11 +685,12 @@ class TestDeterminism:
     def test_lower_bound_bytes_do_not_follow_blas_threads(self, tmp_path):
         # a threaded BLAS dot sums one partial dot per thread; every dot of the
         # lower-bound path, and a study's row dots at n >= 10001, are taken in fixed chunks instead;
-        # at n = 20001 the Bayes risk's one-row head products (n d > 2^18) run as threaded gemv
+        # at n = 20001 the Bayes risk's one-row head products (n d > 2^18) run as threaded gemv,
+        # and its 14 replicates span two blocks of 13, so the second block's products start at 13
         (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
         (tmp_path / "large.json").write_text(json.dumps({"n_grid": [10001], "reps": 3}))
         (tmp_path / "large_lb.json").write_text(json.dumps(
-            {**TINY_LOWER_BOUND, "n_grid": [20001], "reps": 4, "lowerbound": {"prior_mc": 4}}))
+            {**TINY_LOWER_BOUND, "n_grid": [20001], "reps": 14, "lowerbound": {"prior_mc": 4}}))
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -1109,6 +1110,24 @@ class TestCli:
         assert cli_main(["efficiency", "--config", str(cfg_path), "--seed", "2", "--reps", "6",
                          "--out", str(tmp_path / "out")]) == 0
         assert calls == [2]
+
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path, monkeypatch):
+        # the parser is built once per process; a flag given to one call is not seen by the next
+        assert build_parser() is build_parser()
+        seeds = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counted(self):
+            seeds.append(self.seed)
+            post_init(self)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+        (tmp_path / "lb.json").write_text(json.dumps({**TINY_LOWER_BOUND, "seed": 5}))
+        (tmp_path / "oracle.json").write_text(json.dumps({"n_grid": [51], "reps": 4, "seed": 11}))
+        assert cli_main(["lower-bound", "--config", str(tmp_path / "lb.json"), "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert cli_main(["oracle", "--config", str(tmp_path / "oracle.json"), "--out", str(tmp_path)]) == 0
+        assert seeds == [3, 11]
 
     def test_simulate_refuses_infinite_df(self, tmp_path):
         # an infinite df would draw nan for every y

@@ -35,6 +35,7 @@ from hetreg.lowerbound import (
 )
 from hetreg.models import (
     SIMPSON_PANELS,
+    NoiseSpec,
     ScaleModel,
     econometric_scale,
     homogeneous_scale,
@@ -374,6 +375,65 @@ class TestBayesRisk:
         monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * 1001)  # the Bayes risk's blocks
         monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", rows * 1001)  # the van Trees draws'
         assert run() == whole
+
+    def test_blocks_do_not_move_a_replicates_scores(self, monkeypatch):
+        # the scorer gets the one-block inputs bit for bit, replicate by replicate.  P = 34
+        # directions (M = 2 blocks of N = 17) take tG in padded row blocks of 226 replicates,
+        # whose last two rows OpenBLAS rounds apart from the others; t'Gt mostly absorbs that,
+        # but not for replicate 225 at seed 6, so blocks of 7 catch a tG product that is not
+        # aligned at its block's first replicate
+        pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
+        family = KernelFamily(pr.family.h, 17, pr.family.eta)
+        wide = dataclasses.replace(pr, family=family, t=np.full((family.M, family.N), 0.05))
+        scale, score = econometric_scale(1.0, 1.0, 0.5, 0.5), lowerbound.score_cell
+
+        def scored(rows):
+            monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * 101)
+            inputs = []
+            monkeypatch.setattr(lowerbound, "score_cell", lambda *args: inputs.append(args) or score(*args))
+            risk = bayes_risk_mc(["zero", "projection", "adaptive"], wide, scale, default_sequences(101),
+                                 reps=230, seed=6)
+            [args] = inputs
+            return risk, [a for a in args if isinstance(a, np.ndarray)]
+
+        whole_risk, whole = scored(230)
+        risk, blocks = scored(7)
+        assert risk == whole_risk and len(blocks) == len(whole)
+        for got, want in zip(blocks, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_generators_are_made_as_they_are_drawn(self, monkeypatch):
+        # one draw per replicate, t then its noise, from a generator made as it is needed:
+        # a block's truth runs when exactly the generators of its replicates so far are made
+        n, reps, made, draws, seen = 101, 10, [], [], []
+        streams, draw, observe = lowerbound.substreams, NoiseSpec.draw, lowerbound.observe_cell
+
+        def counted_streams(*key, reps):
+            for rng in streams(*key, reps=reps):
+                made.append(rng)
+                yield rng
+
+        def counted_draw(self, rng, size, out=None):
+            draws.append(size)
+            return draw(self, rng, size, out=out)
+
+        def observed(rngs, noise, truth, reps, analysis, lead=0):
+            def counted_truth(lo, hi, z):
+                seen.append((hi, len(made)))
+                return truth(lo, hi, z)
+
+            return observe(rngs, noise, counted_truth, reps, analysis, lead=lead)
+
+        pr = least_favorable_prior(1, 1.0, n, eps=0.2)
+        scale, seqs = econometric_scale(1.0, 1.0, 0.5, 0.5), default_sequences(n)
+        whole = bayes_risk_mc(["zero", "adaptive"], pr, scale, seqs, reps=reps, seed=8)
+        monkeypatch.setattr(lowerbound, "substreams", counted_streams)
+        monkeypatch.setattr(NoiseSpec, "draw", counted_draw)
+        monkeypatch.setattr(lowerbound, "observe_cell", observed)
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", 3 * n)
+        assert bayes_risk_mc(["zero", "adaptive"], pr, scale, seqs, reps=reps, seed=8) == whole
+        assert seen == [(3, 3), (6, 6), (9, 9), (10, 10)]
+        assert draws == [pr.t.size + n] * reps
 
     def test_adaptive_beats_bound(self):
         scale = homogeneous_scale(1.0)

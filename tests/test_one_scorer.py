@@ -11,6 +11,7 @@ scorer's losses, and scores a cell once, however many blocks
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hetreg
@@ -93,3 +94,37 @@ def test_one_loop_observes_every_cell():
     [bayes] = [fn for fn in ast.walk(module_tree("lowerbound"))
                if isinstance(fn, ast.FunctionDef) and fn.name == "bayes_risk_mc"]
     assert not any(isinstance(node, ast.Name) and node.id == "BLOCK_ENTRIES" for node in ast.walk(bayes))
+
+
+def test_each_block_is_aligned_at_its_first_replicate(monkeypatch):
+    # n = 1001 points on 26 columns take the head in padded row blocks of 10
+    # replicates, whose last two rows OpenBLAS rounds apart from the others, so
+    # blocks of 3 give the one-block head bit for bit only when each block's
+    # product is aligned at its first replicate
+    from hetreg import selection
+    from hetreg.models import NoiseSpec, substreams
+
+    n, reps = 1001, 20
+    analysis = np.random.default_rng(1).standard_normal((n, 26))
+
+    def observe(rows):
+        monkeypatch.setattr(selection, "BLOCK_ENTRIES", rows * n)
+        return selection.observe_cell(substreams(7, 1, n, reps=range(reps)), NoiseSpec(),
+                                      lambda lo, hi, z: (0.0, 1.0, np.ones((1, n))), reps, analysis)
+
+    whole = observe(reps)
+    for got, want in zip(observe(3), whole):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_lead_needs_gaussian_noise():
+    # leading draws stand for Gaussian prior coefficients: any other noise is refused before a draw
+    from hetreg.models import NoiseSpec
+    from hetreg.selection import observe_cell
+
+    def refuse():
+        raise AssertionError("no generator should be drawn from")
+        yield
+
+    with pytest.raises(ValueError, match="leading draws need gaussian noise, got student_t12"):
+        observe_cell(refuse(), NoiseSpec("student_t", 12), None, 4, np.ones((5, 2)), lead=2)
