@@ -134,7 +134,7 @@ def basis_eval_matrix(d: int, x) -> np.ndarray:
     angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
     cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])
     mat = np.empty((len(cos), d))
-    mat[:, 0] = 1.0
+    mat[:, :1] = 1.0
     mat[:, 1::2] = np.sqrt(2.0) * cos
     mat[:, 2::2] = np.sqrt(2.0) * sin
     return mat
@@ -261,7 +261,7 @@ def trig_series(coeffs, x):
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     xf = x.ravel()
-    chunk = max(1, BLOCK_ENTRIES // len(coeffs))
+    chunk = max(1, BLOCK_ENTRIES // max(1, len(coeffs)))
     out = np.empty(x.size)
     for lo in range(0, x.size, chunk):
         out[lo : lo + chunk] = basis_eval_matrix(len(coeffs), xf[lo : lo + chunk]) @ coeffs

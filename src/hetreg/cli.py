@@ -49,8 +49,8 @@ def _estimator_output_json(out: EstimatorOutput, grid: DesignGrid) -> dict:
 
 
 def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) plus a newline, byte
-    for byte, for a mapping of JSON values and nonempty 1-d float arrays.
+    """The text of every JSON file: json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    and a newline, byte for byte, for a mapping of JSON values and nonempty 1-d float arrays.
 
     An array is written from the repr of its list, whose floats read as json writes
     them, instead of by json's pure-Python encoder, which `indent` selects and which
@@ -83,7 +83,7 @@ def _cmd_estimate(args) -> int:
     except (OSError, ValueError) as err:
         raise SystemExit(f"hetreg estimate: {err}") from err
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, newline="\n")
     else:
         sys.stdout.write(text)
     return 0
@@ -99,10 +99,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     y = generate_observations(S, scale, noise, grid, rng)
     s_true = S.on_grid(grid)
     out = out or "dataset.csv"
-    with open(out, "w", newline="\n") as fh:
-        fh.write("x,y,s_true\n")
-        for x, yy, ss in zip(grid.points, y, s_true):
-            fh.write(f"{float(x)!r},{float(yy)!r},{float(ss)!r}\n")
+    write_csv(zip(grid.points, y, s_true), out, ("x", "y", "s_true"))
     print(f"wrote {n} observations to {out}")
     return 0
 
@@ -119,17 +116,14 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_study(name: str, cfg: ExperimentConfig) -> int:
     rows, summary, losses = _STUDIES[name](cfg)
+    text = _json_text(summary)  # refuses a non-finite value before any file is written
     out_dir = Path(cfg.output_path)
     stem = name.replace("-", "_")
     write_csv(rows, out_dir / f"{stem}.csv")
-    with open(out_dir / f"{stem}.json", "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / f"{stem}.json").write_text(text, newline="\n")
     if losses is not None:
-        with open(out_dir / f"{stem}_losses.csv", "w", newline="\n") as fh:
-            fh.write("estimator,noise,n,rep,loss_empiric,loss_l2\n")
-            for est, noise, n, rep, l_n, l_2 in losses:
-                fh.write(f"{est},{noise},{n},{rep},{float(l_n)!r},{float(l_2)!r}\n")
+        write_csv(losses, out_dir / f"{stem}_losses.csv",
+                  ("estimator", "noise", "n", "rep", "loss_empiric", "loss_l2"))
     print(f"wrote {out_dir / (stem + '.csv')} and {out_dir / (stem + '.json')}")
     return 0
 

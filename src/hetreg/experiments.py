@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,12 +207,6 @@ def resolve_scale(spec: dict) -> ScaleModel:
     return econometric_scale(**{"c0": 1.0, **spec})  # c1, c2 and c3 default to 0
 
 
-def _bump_preset() -> SampledFunction:
-    chi = smooth_cutoff(0.3, 0.7)
-    chi.name = "S2-bump"
-    return chi
-
-
 def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, SobolevBall, float]:
     """Test function, its smoothness ball, and the membership margin.
 
@@ -231,7 +226,8 @@ def resolve_test_function(cfg: ExperimentConfig) -> tuple[SampledFunction, Sobol
         r = (cfg.ball or {}).get("r") or exact or 1.0
         return S, SobolevBall(k, r), r - exact
     if preset == "S2":
-        S = _bump_preset()
+        S = smooth_cutoff(0.3, 0.7)
+        S.name = "S2-bump"
         k = (cfg.ball or {}).get("k", 2)
         theta = np.array([exact_fourier_coeff(S, j) for j in range(1, 65)])
         measured = ellipsoid_norm_sq(theta, k)
@@ -320,8 +316,7 @@ def oracle_coefficient(rho: float) -> float:
     return (1.0 + 3.0 * rho - 2.0 * rho**2) / (1.0 - 3.0 * rho)
 
 
-@dataclass
-class RiskRow:
+class RiskRow(NamedTuple):
     estimator: str
     noise: str
     n: int
@@ -334,16 +329,18 @@ class RiskRow:
     seed: int
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(RiskRow))
+CSV_COLUMNS = RiskRow._fields
 
 
-def write_csv(rows: list[RiskRow], path) -> None:
+def write_csv(rows, path, columns=CSV_COLUMNS) -> None:
+    """The one CSV writer: a header of `columns`, then one line per tuple of `rows`, each ended by
+    a bare newline; a float, numpy's too, is written as its repr. Creates the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")  # quotes a field with a comma, such as lambda[1,0.25]
-        out.writerow(CSV_COLUMNS)
-        out.writerows([float(v) if isinstance(v, float) else v for v in astuple(row)] for row in rows)
+        out.writerow(columns)
+        out.writerows([float(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _study_rows(cfg: ExperimentConfig, estimators: list[str], losses_sink: list | None = None):

@@ -14,7 +14,6 @@ __all__ = [
     "tail_energy",
     "family_costs",
     "taper_losses",
-    "select_rows",
     "observe_cell",
     "score_cell",
     "select",
@@ -79,15 +78,6 @@ def taper_losses(L: np.ndarray, th, targets, consts) -> np.ndarray:
     return serial_matmul(th**2, (L**2).T, 0) - 2.0 * serial_matmul(th * targets, L.T, 0) + consts
 
 
-def select_rows(W: np.ndarray, head, tail, n: int, seqs: TuningSequences) -> tuple[np.ndarray, np.ndarray]:
-    """Selected row of W (...) and costs J_n (..., K), with the arguments of `family_costs`.
-
-    Ties go to the first minimizer, i.e. the smaller (beta, t) when W is in that order.
-    """
-    costs = family_costs(W, head, tail, n, seqs)
-    return np.argmin(costs, axis=-1), costs
-
-
 def observe_cell(rngs, noise, truth, reps: int, analysis: np.ndarray, lead: int = 0):
     """The head (reps, d), |Y|^2 / n (reps,) and Y . f (..., reps) of one cell's observations, for `score_cell`.
 
@@ -128,8 +118,8 @@ def score_cell(head, energy, dots, n: int, L: np.ndarray, targets, consts, W: np
     Column k < len(L) is `taper_losses` of row k of the taper stack L (K, w) against the
     target's coefficients t (`targets`) and squared norm c (`consts`); column len(L) is the
     full projection's, |Y|^2 / n - 2 Y . f / n + c by Parseval, c `consts[..., 0]`; the last
-    is the adaptive estimator's, column `pick` of the first, `select_rows` on W (the first
-    len(W) rows of L) with the tail energy past l_n by Parseval."""
+    is the adaptive estimator's, column `pick` of the first, the argmin of `family_costs` on W
+    (the first len(W) rows of L, ties to the first) with the tail energy past l_n by Parseval."""
     if head.shape[-1] < seqs.l_n:
         raise ValueError(f"coefficient head has width {head.shape[-1]}, narrower than l_n = {seqs.l_n}")
     if energy.shape != head.shape[:1] or dots.shape[-1:] != head.shape[:1]:
@@ -138,7 +128,7 @@ def score_cell(head, energy, dots, n: int, L: np.ndarray, targets, consts, W: np
     tail = energy - np.sum(head[:, : seqs.l_n] ** 2, axis=1)
     taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
     full = energy - 2.0 * dots / n + consts[..., 0]
-    pick, _ = select_rows(W, head, tail, n, seqs)
+    pick = np.argmin(family_costs(W, head, tail, n, seqs), axis=-1)
     adaptive = taper[..., np.arange(len(pick)), pick]
     return np.concatenate([taper, full[..., None], adaptive[..., None]], axis=-1), pick
 
@@ -155,8 +145,8 @@ def select(family: WeightFamily, theta_hat, seqs: TuningSequences) -> EstimatorO
     th = np.asarray(theta_hat, dtype=float)
     n = len(th)
     vs = float(tail_energy(th, seqs.l_n))
-    best, costs_vec = select_rows(family.W, th, vs, n, seqs)
-    alpha_hat, lam_cut = family[int(best)]
+    costs_vec = family_costs(family.W, th, vs, n, seqs)
+    alpha_hat, lam_cut = family[int(np.argmin(costs_vec))]
     lam_hat = np.zeros(n)
     lam_hat[: len(lam_cut)] = lam_cut
     # every taper is zero past its support: the series sums up to its last nonzero weight

@@ -297,6 +297,13 @@ class TestTrigPolynomial:
         x = np.linspace(0, 1, 17)
         np.testing.assert_allclose(S(x), 1.0 + 0.5 * np.sqrt(2) * np.cos(2 * np.pi * x))
 
+    def test_no_coefficients_is_the_zero_function(self):
+        S = TrigPolynomial([])
+        assert S(0.3) == 0.0 and isinstance(S(0.3), float)
+        x = np.linspace(0, 1, 17).reshape(1, 17)
+        np.testing.assert_array_equal(S(x), np.zeros((1, 17)))
+        assert S.l2_norm_sq() == 0.0 and S.fourier_coeff(1) == 0.0
+
 
 class TestGridCache:
     """`on_grid` samples a SampledFunction at the grid points; a call evaluates at the points given."""

@@ -28,7 +28,7 @@ from hetreg.experiments import (
     write_csv,
 )
 from hetreg.models import NoiseSpec, substreams
-from hetreg.selection import estimate, select_rows, tail_energy
+from hetreg.selection import estimate, family_costs, tail_energy
 from hetreg.theory import cell_integrals, oracle_index
 from hetreg.weights import default_sequences, pinsker_weights, weight_family
 
@@ -328,11 +328,11 @@ class TestHeadOnlyBlock:
         picks = []
 
         def recorded(*args):
-            best, costs = select_rows(*args)
-            picks.append(best)
-            return best, costs
+            costs = family_costs(*args)
+            picks.append(np.argmin(costs, axis=-1))
+            return costs
 
-        monkeypatch.setattr(selection, "select_rows", recorded)
+        monkeypatch.setattr(selection, "family_costs", recorded)
         monkeypatch.setattr(selection, "BLOCK_ENTRIES", 16 * n)
         gaussian = NoiseSpec("gaussian")
         losses, sweep = _run_replicates(ctx, gaussian, 0, 45)
@@ -340,7 +340,7 @@ class TestHeadOnlyBlock:
         Y = np.stack([gaussian.draw(rng, n) for rng in substreams(cfg.seed, 3, n, 0, reps=range(45))])
         Y = ctx.S_design + ctx.g_design * Y
         theta_hat = fourier_rows(Y)
-        pick, _ = select_rows(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs)
+        pick = np.argmin(family_costs(family.W, theta_hat, tail_energy(theta_hat, seqs.l_n), n, seqs), axis=-1)
         assert len(picks) == 1
         np.testing.assert_array_equal(picks[0], pick)
         cell_int_s, s_l2_sq = cell_integrals(S, n)
@@ -601,15 +601,15 @@ class TestBayesOnePass:
         from hetreg.selection import taper_losses
 
         rows, picks = [], []
-        select = selection.select_rows
+        costs_of = selection.family_costs
 
         def recorded(*args):
-            pick, costs = select(*args)
-            picks.append(pick)
-            return pick, costs
+            costs = costs_of(*args)
+            picks.append(np.argmin(costs, axis=-1))
+            return costs
 
         monkeypatch.setattr(lowerbound, "mean_se", lambda row: rows.append(row.copy()) or (0.0, 0.0))
-        monkeypatch.setattr(selection, "select_rows", recorded)
+        monkeypatch.setattr(selection, "family_costs", recorded)
         monkeypatch.setattr(selection, "BLOCK_ENTRIES", 16 * n)  # several blocks at every n
         reps, seed = 40, 9
         scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
@@ -629,7 +629,7 @@ class TestBayesOnePass:
         Tc = serial_matmul(T, cross.T, 0)
         W = weight_family(n, seqs).W
         m = W.shape[1]
-        pick, _ = select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)
+        pick = np.argmin(family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs), axis=-1)
         expected = [tGt, row_dots(th, th) - 2.0 * row_dots(th, Tc) + tGt,
                     taper_losses(W, th[:, :m], Tc[:, :m], tGt[:, None])[np.arange(reps), pick]]
         np.testing.assert_array_equal(np.concatenate(picks), pick)
@@ -1292,3 +1292,100 @@ class TestCli:
         lines = (out_dir / "risk_losses.csv").read_text().splitlines()
         assert lines[0] == "estimator,noise,n,rep,loss_empiric,loss_l2"
         assert len(lines) == 1 + 5 * 3  # reps x estimators
+
+
+class TestOneWriterPerFormat:
+    """Every CSV goes through `write_csv` and every JSON file through `cli._json_text`."""
+
+    def test_cli_neither_dumps_json_nor_opens_a_file_to_write(self):
+        import ast
+
+        import hetreg.cli
+
+        def mode(call):  # open(file, mode) or path.open(mode); a mode that is no literal counts as a write
+            given = [kw.value for kw in call.keywords if kw.arg == "mode"]
+            given += call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+            if not given:
+                return "r"
+            return given[0].value if isinstance(given[0], ast.Constant) else "w"
+
+        calls = [node for node in ast.walk(ast.parse(Path(hetreg.cli.__file__).read_text()))
+                 if isinstance(node, ast.Call)]
+        dumps = [c for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "dump"]
+        opens = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == "open"]
+        assert dumps == []
+        assert [mode(c) for c in opens if set(mode(c)) & set("wax+")] == []
+
+    def test_simulate_columns_read_back_bit_for_bit(self, tmp_path):
+        from hetreg.models import generate_observations, substream
+
+        cfg = small_config(n_grid=[101], seed=91, test_function={"preset": "S2"},
+                           noise_menu=[{"kind": "student_t", "df": 7}])
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(cfg.__dict__)))
+        data = tmp_path / "missing" / "data.csv"  # its directory is created
+        assert cli_main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)]) == 0
+        with open(data, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["x", "y", "s_true"]
+        S, _, _ = resolve_test_function(cfg)
+        grid = DesignGrid(101)
+        y = generate_observations(S, resolve_scale(cfg.scale), NoiseSpec("student_t", 7), grid,
+                                  substream(91, 1, 101, 0, 0))
+        got = np.array([[float(v) for v in line] for line in table[1:]])
+        assert got.tobytes() == np.stack([grid.points, y, S.on_grid(grid)], axis=1).tobytes()
+
+    def test_losses_read_back_bit_for_bit(self, tmp_path):
+        cfg = small_config(reps=5, save_losses=True, estimators=ESTIMATOR_KINDS,
+                           noise_menu=[{"kind": "gaussian"}, {"kind": "student_t", "df": 12}])
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(cfg.__dict__)))
+        assert cli_main(["risk", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "risk_losses.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        _, _, losses = risk_study(cfg)
+        assert table[0] == ["estimator", "noise", "n", "rep", "loss_empiric", "loss_l2"]
+        assert [line[:4] for line in table[1:]] == [[e, noise, str(n), str(rep)] for e, noise, n, rep, *_ in losses]
+        got = np.array([[float(v) for v in line[4:]] for line in table[1:]])
+        assert got.tobytes() == np.array([row[4:] for row in losses], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("study, run", [
+        ("risk", risk_study), ("oracle", oracle_study), ("efficiency", efficiency_study),
+        ("lower-bound", lower_bound_study),
+    ])
+    def test_study_json_bytes_equal_json_dumps(self, tmp_path, study, run):
+        cfg = dict(TINY_LOWER_BOUND) if study == "lower-bound" else dict(small_config(n_grid=[51, 101], reps=6).__dict__)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli_main([study, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+        _, summary, _ = run(ExperimentConfig.from_dict(cfg))
+        expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / f"{study.replace('-', '_')}.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_summary_writes_no_file(self, tmp_path, monkeypatch, bad):
+        import hetreg.cli
+
+        def spoiled(cfg):
+            rows, summary, losses = risk_study(cfg)
+            return rows, {**summary, "extra": {"value": [1.0, bad]}}, losses
+
+        monkeypatch.setitem(hetreg.cli._STUDIES, "risk", spoiled)
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(small_config(reps=4, save_losses=True).__dict__)))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["risk", "--config", str(tmp_path / "cfg.json"), "--out", str(out_dir)])
+        assert str(exc.value.code).startswith("hetreg risk: Out of range float values")
+        assert not out_dir.exists()
+
+    def test_no_output_holds_a_carriage_return(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(small_config(reps=4, save_losses=True).__dict__)))
+        (tmp_path / "lb.json").write_text(json.dumps(TINY_LOWER_BOUND))
+        out = tmp_path / "out"
+        cli_main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out / "data.csv")])
+        cli_main(["estimate", "--data", str(out / "data.csv"), "--out", str(out / "fit.json")])
+        for study in ("risk", "oracle", "efficiency"):
+            cli_main([study, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        cli_main(["lower-bound", "--config", str(tmp_path / "lb.json"), "--out", str(out)])
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(["data.csv", "fit.json", "risk.csv", "risk.json", "risk_losses.csv", "oracle.csv",
+                                  "oracle.json", "efficiency.csv", "efficiency.json", "lower_bound.csv",
+                                  "lower_bound.json"])
+        assert [name for name in written if b"\r" in (out / name).read_bytes()] == []

@@ -16,7 +16,7 @@ import pytest
 
 import hetreg
 
-SCORER_PARTS = {"fourier_rows", "family_costs", "taper_losses", "select_rows"}
+SCORER_PARTS = {"fourier_rows", "family_costs", "taper_losses"}
 
 
 def module_tree(name: str) -> ast.Module:

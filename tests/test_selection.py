@@ -20,7 +20,6 @@ from hetreg.selection import (
     family_costs,
     score_cell,
     select,
-    select_rows,
     tail_energy,
     taper_losses,
 )
@@ -71,15 +70,16 @@ class TestFamilyCosts:
         th = noisy_rows(n, 3, seed)
         scaled = 2.0**k * th
         np.testing.assert_array_equal(
-            select_rows(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs)[0],
-            select_rows(W, th, tail_energy(th, seqs.l_n), n, seqs)[0])
+            np.argmin(family_costs(W, scaled, tail_energy(scaled, seqs.l_n), n, seqs), axis=-1),
+            np.argmin(family_costs(W, th, tail_energy(th, seqs.l_n), n, seqs), axis=-1))
 
     @given(n=st.sampled_from([11, 51, 101, 301]), seed=st.integers(0, 2**32 - 1))
     def test_batched_argmin_equals_select(self, n, seed):
         seqs = default_sequences(n)
         fam = weight_family(n, seqs)
         th = noisy_rows(n, 8, seed)
-        best, costs = select_rows(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
+        costs = family_costs(fam.W, th, tail_energy(th, seqs.l_n), n, seqs)
+        best = np.argmin(costs, axis=-1)
         for row, b, c in zip(th, best, costs):
             out = select(fam, row, seqs)
             assert out.selected == fam[b][0]
@@ -99,9 +99,11 @@ class TestFamilyCosts:
         m = min(n, int(np.flatnonzero(W.any(axis=0))[-1]) + 1 + extra)
         th = noisy_rows(n, 8, seed)
         tail = tail_energy(th, seqs.l_n)
-        full_best, full = select_rows(full_W, th, tail, n, seqs)
+        full = family_costs(full_W, th, tail, n, seqs)
+        full_best = np.argmin(full, axis=-1)
         for cut_W in (W, np.ascontiguousarray(full_W[:, :m])):
-            cut_best, cut = select_rows(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs)
+            cut = family_costs(cut_W, th[:, : cut_W.shape[1]], tail, n, seqs)
+            cut_best = np.argmin(cut, axis=-1)
             np.testing.assert_allclose(cut, full, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(cut_best, full_best)
         np.testing.assert_allclose(family_costs(W, th[0], tail[0], n, seqs), full[0],
@@ -134,7 +136,7 @@ class TestScoreBlock:
         tail = energy - np.sum(head[:, : seqs.l_n] ** 2, axis=1)
         taper = taper_losses(L, head[:, : L.shape[1]], targets, consts)
         assert loss.shape == taper.shape[:-1] + (len(L) + 2,)
-        np.testing.assert_array_equal(pick, select_rows(W, head, tail, n, seqs)[0])
+        np.testing.assert_array_equal(pick, np.argmin(family_costs(W, head, tail, n, seqs), axis=-1))
         np.testing.assert_array_equal(loss[..., : len(L)], taper)
         np.testing.assert_array_equal(loss[..., -1], taper[..., np.arange(len(Y)), pick])
 
