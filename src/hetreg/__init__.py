@@ -7,12 +7,11 @@ from .basis import (
     SampledFunction,
     TrigPolynomial,
     discrete_fourier,
-    synthesize,
     trig_basis_eval,
 )
 from .models import NoiseSpec, ScaleModel, econometric_scale, generate_observations, homogeneous_scale
 from .selection import EstimatorOutput, estimate
-from .theory import SobolevBall, asymptotic_upper_risk, pinsker_constant
+from .theory import SobolevBall, pinsker_constant
 from .weights import TuningSequences, WeightIndex, default_sequences, pinsker_weights, weight_family
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ __all__ = [
     "grid_values",
     "discrete_fourier",
     "trig_series",
-    "synthesize",
     "as_sampled",
 ]
 
@@ -246,9 +245,8 @@ def grid_values(c) -> np.ndarray:
 def discrete_fourier(Y, grid: DesignGrid) -> np.ndarray:
     """theta_hat_j = (Y, phi_j)_n for j = 1..n, as an (n,) array.
 
-    Exact inverse of synthesis with unit weights: the sampled basis is an
-    orthonormal basis of R^n, so the round trip reproduces Y at the design
-    points to rounding error.
+    `grid_values` inverts it: the sampled basis is an orthonormal basis of R^n,
+    so the round trip reproduces Y at the design points to rounding error.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (grid.n,):
@@ -267,19 +265,3 @@ def trig_series(coeffs, x):
         out[lo : lo + chunk] = basis_eval_matrix(len(coeffs), xf[lo : lo + chunk]) @ coeffs
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-
-def synthesize(lam, theta_hat, x):
-    """Weighted series S_lam(x) = sum_j lam_j theta_hat_j phi_j(x).
-
-    `x` may be a scalar, an array of points, or a DesignGrid (inverse FFT).
-    """
-    lam = np.asarray(lam, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if lam.shape != theta_hat.shape:
-        raise ValueError(f"weight vector must have length n={len(theta_hat)}")
-    weighted = lam * theta_hat
-    if isinstance(x, DesignGrid):
-        if x.n != len(theta_hat):
-            raise ValueError("grid size does not match coefficients")
-        return grid_values(weighted)
-    return trig_series(weighted, x)

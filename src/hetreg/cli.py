@@ -67,23 +67,22 @@ def _json_text(payload: dict) -> str:
         else:
             text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
         fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        with open(args.data) as fh:
-            names = [name.strip() for name in fh.readline().split(",")]  # the header line
-            if "y" not in names:
-                raise SystemExit("dataset must be a CSV with a 'y' column")
-            y = np.loadtxt(fh, delimiter=",", usecols=names.index("y"), ndmin=1)
-        grid = DesignGrid(len(y))
-        out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
-        text = _json_text(_estimator_output_json(out, grid))
-    except (OSError, ValueError) as err:
-        raise SystemExit(f"hetreg estimate: {err}") from err
+    with open(args.data) as fh:
+        names = [name.strip() for name in fh.readline().split(",")]  # the header line
+        if "y" not in names:
+            raise ValueError("dataset must be a CSV with a 'y' column")
+        y = np.loadtxt(fh, delimiter=",", usecols=names.index("y"), ndmin=1)
+    grid = DesignGrid(len(y))
+    out = estimate(y, grid, default_sequences(grid.n, rho=args.rho))
+    text = _json_text(_estimator_output_json(out, grid))
     if args.out:
-        Path(args.out).write_text(text, newline="\n")
+        path = Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline="\n")
     else:
         sys.stdout.write(text)
     return 0
@@ -159,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
     try:
+        if args.command == "estimate":
+            return _cmd_estimate(args)
         cfg = _load_config(args)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.out)

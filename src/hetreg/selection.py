@@ -6,8 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BLOCK_ENTRIES, DesignGrid, SampledFunction, discrete_fourier, row_dots, serial_matmul, trig_series
+from .basis import BLOCK_ENTRIES, DesignGrid, TrigPolynomial, discrete_fourier, row_dots, serial_matmul
 from .weights import TuningSequences, WeightFamily, WeightIndex, default_sequences, weight_family
+
+# trig_series is unused here but stays importable from this module:
+# bench/tracing.py patches it at this lookup site.
+from .basis import trig_series  # noqa: F401
 
 __all__ = [
     "EstimatorOutput",
@@ -30,7 +34,7 @@ class EstimatorOutput:
     lambda_hat: np.ndarray
     varsigma_hat: float
     costs: dict[WeightIndex, float]
-    estimate: SampledFunction
+    estimate: TrigPolynomial
 
 
 def tail_energy(theta_hat, l_n: int) -> np.ndarray:
@@ -151,15 +155,13 @@ def select(family: WeightFamily, theta_hat, seqs: TuningSequences) -> EstimatorO
     lam_hat[: len(lam_cut)] = lam_cut
     # every taper is zero past its support: the series sums up to its last nonzero weight
     m = int(np.max(np.flatnonzero(lam_hat), initial=0)) + 1
-    weighted = lam_hat[:m] * th[:m]
-    est = SampledFunction(lambda x: trig_series(weighted, x), name="adaptive")
     return EstimatorOutput(
         theta_hat=th,
         selected=alpha_hat,
         lambda_hat=lam_hat,
         varsigma_hat=vs,
         costs={alpha: float(c) for (alpha, _), c in zip(family, costs_vec)},
-        estimate=est,
+        estimate=TrigPolynomial(lam_hat[:m] * th[:m], name="adaptive"),
     )
 
 

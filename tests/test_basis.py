@@ -17,7 +17,6 @@ from hetreg.basis import (
     grid_values,
     row_dots,
     serial_matmul,
-    synthesize,
     trig_basis_eval,
     trig_series,
 )
@@ -120,7 +119,7 @@ class TestDiscreteFourier:
         g = DesignGrid(101)
         Y = rng.standard_normal(101)
         theta_hat = discrete_fourier(Y, g)
-        np.testing.assert_allclose(synthesize(np.ones(101), theta_hat, g), Y, atol=1e-10)
+        np.testing.assert_allclose(grid_values(theta_hat), Y, atol=1e-10)
 
 
 class TestFourierTransforms:
@@ -257,18 +256,13 @@ class TestRowDots:
 
 
 class TestSynthesize:
-    def test_zero_weights(self):
-        g = DesignGrid(11)
-        theta_hat = discrete_fourier(np.arange(11.0), g)
-        np.testing.assert_array_equal(synthesize(np.zeros(11), theta_hat, g), 0.0)
-
     def test_projection_onto_constant(self):
         g = DesignGrid(21)
         Y = 3.0 * trig_basis_eval(1, g.points) + trig_basis_eval(2, g.points)
         theta_hat = discrete_fourier(Y, g)
         lam = np.zeros(21)
         lam[0] = 1.0
-        np.testing.assert_allclose(synthesize(lam, theta_hat, g), 3.0, atol=1e-12)
+        np.testing.assert_allclose(grid_values(lam * theta_hat), 3.0, atol=1e-12)
 
     def test_off_grid_evaluation_matches_series(self):
         g = DesignGrid(11)
@@ -276,13 +270,7 @@ class TestSynthesize:
         theta_hat = discrete_fourier(Y, g)
         x = np.array([0.1, 0.33, 0.97])
         expected = trig_basis_eval(4, x) - 0.3 * trig_basis_eval(7, x)
-        np.testing.assert_allclose(synthesize(np.ones(11), theta_hat, x), expected, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        g = DesignGrid(11)
-        theta_hat = discrete_fourier(np.zeros(11), g)
-        with pytest.raises(ValueError):
-            synthesize(np.ones(9), theta_hat, g)
+        np.testing.assert_allclose(trig_series(theta_hat, x), expected, atol=1e-10)
 
 
 class TestTrigPolynomial:

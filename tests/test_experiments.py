@@ -57,8 +57,9 @@ def direct_losses(cfg):
     from hetreg.basis import discrete_fourier, trig_series
     from hetreg.experiments import resolve_scale
     from hetreg.models import NoiseSpec, substream
-    from hetreg.theory import oracle_index, step_l2_distance_sq
+    from hetreg.theory import oracle_index
     from hetreg.weights import pinsker_weights
+    from oracles import step_l2_distance_sq
 
     S, ball, _ = resolve_test_function(cfg)
     scale = resolve_scale(cfg.scale)
@@ -801,6 +802,21 @@ class TestNoiseMenuEnvelope:
         ]
 
 
+def y_text(y) -> str:
+    """A dataset of one column y, each value written as its repr."""
+    return "y\n" + "".join(f"{float(v)!r}\n" for v in y)
+
+
+def refused_estimate(tmp_path, text):
+    """The exit code of `hetreg estimate --out` on a dataset file holding `text`; it writes no file."""
+    data_path, out_path = tmp_path / "data.csv", tmp_path / "est.json"
+    data_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
+    assert not out_path.exists()
+    return exc.value.code
+
+
 class TestCli:
     def test_simulate_then_estimate_roundtrip(self, tmp_path):
         cfg = dict(small_config(n_grid=[51]).__dict__)
@@ -1183,32 +1199,17 @@ class TestCli:
     def test_estimate_rejects_nan(self, tmp_path):
         y = np.sin(np.arange(51.0))
         y[7] = np.nan
-        data_path = tmp_path / "nan.csv"
-        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
-        out_path = tmp_path / "est.json"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
-        assert exc.value.code not in (0, None)
-        assert "must be finite" in str(exc.value.code)
-        assert "index 7" in str(exc.value.code)
-        assert not out_path.exists()
+        code = refused_estimate(tmp_path, y_text(y))
+        assert code not in (0, None)
+        assert "must be finite" in str(code)
+        assert "index 7" in str(code)
 
     def test_estimate_rejects_overflowing_costs(self, tmp_path):
-        data_path = tmp_path / "huge.csv"
-        y = 1e200 * np.linspace(1.0, 2.0, 51)
-        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
-        out_path = tmp_path / "est.json"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
-        assert "hetreg estimate: cost J_n is not finite" in str(exc.value.code)
-        assert not out_path.exists()
+        code = refused_estimate(tmp_path, y_text(1e200 * np.linspace(1.0, 2.0, 51)))
+        assert "hetreg estimate: cost J_n is not finite" in str(code)
 
     def test_estimate_rejects_one_row(self, tmp_path):
-        data_path = tmp_path / "one.csv"
-        data_path.write_text("y\n1.0\n")
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path)])
-        assert str(exc.value.code) == "hetreg estimate: need odd n >= 3, got 1"
+        assert refused_estimate(tmp_path, "y\n1.0\n") == "hetreg estimate: need odd n >= 3, got 1"
 
     def test_estimate_header_names_are_stripped(self, tmp_path):
         y = np.sin(np.arange(51.0))
@@ -1224,16 +1225,10 @@ class TestCli:
 
     @pytest.mark.parametrize("text, message", [
         ("x,y\n0.1,1.0\n0.2,\n0.3,2.0\n", "hetreg estimate: could not convert string '' to float64"),
-        ("x,z\n0.1,1.0\n", "dataset must be a CSV with a 'y' column"),
+        ("x,z\n0.1,1.0\n", "hetreg estimate: dataset must be a CSV with a 'y' column"),
     ])
     def test_estimate_refuses_empty_field_and_missing_column(self, tmp_path, text, message):
-        data_path = tmp_path / "bad.csv"
-        data_path.write_text(text)
-        out_path = tmp_path / "est.json"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
-        assert str(exc.value.code).startswith(message)
-        assert not out_path.exists()
+        assert refused_estimate(tmp_path, text).startswith(message)
 
     @pytest.mark.parametrize("n", [101, 1001])
     def test_estimate_bytes_equal_json_dumps(self, tmp_path, n):
@@ -1242,7 +1237,7 @@ class TestCli:
 
         y = np.sin(np.arange(float(n))) + 0.3 * np.cos(np.arange(float(n)) ** 2)
         data_path = tmp_path / "data.csv"
-        data_path.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in y))
+        data_path.write_text(y_text(y))
         out_path = tmp_path / "est.json"
         assert cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)]) == 0
         payload = hetreg.cli._estimator_output_json(estimate(y, DesignGrid(n)), DesignGrid(n))
@@ -1252,17 +1247,23 @@ class TestCli:
         expected = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
         assert out_path.read_bytes() == expected.encode()
 
+    def test_estimate_out_into_a_new_directory_writes_the_stdout_bytes(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(y_text(np.sin(np.arange(51.0))))
+        assert cli_main(["estimate", "--data", str(data_path)]) == 0
+        out_path = tmp_path / "new" / "dir" / "fit.json"
+        assert cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == capsys.readouterr().out.encode()
+        with pytest.raises(SystemExit) as exc:  # a write that fails takes the one error path
+            cli_main(["estimate", "--data", str(data_path), "--out", str(data_path / "fit.json")])
+        assert str(exc.value.code).startswith("hetreg estimate: [Errno")
+
     def test_estimate_refuses_a_non_finite_array_value(self, tmp_path, monkeypatch):
         import hetreg.cli
 
         monkeypatch.setattr(hetreg.cli, "grid_values", lambda c: np.where(np.arange(len(c)) == 3, np.inf, c))
-        data_path = tmp_path / "ok.csv"
-        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in np.sin(np.arange(51.0))) + "\n")
-        out_path = tmp_path / "est.json"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
-        assert str(exc.value.code).startswith("hetreg estimate: Out of range float values")
-        assert not out_path.exists()
+        code = refused_estimate(tmp_path, y_text(np.sin(np.arange(51.0))))
+        assert code.startswith("hetreg estimate: Out of range float values")
 
     def test_estimate_never_writes_nan_tokens(self, tmp_path, monkeypatch):
         import hetreg.cli
@@ -1275,13 +1276,7 @@ class TestCli:
             return out
 
         monkeypatch.setattr(hetreg.cli, "estimate", nan_level)
-        data_path = tmp_path / "ok.csv"
-        data_path.write_text("y\n" + "\n".join(repr(float(v)) for v in np.sin(np.arange(51.0))) + "\n")
-        out_path = tmp_path / "est.json"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["estimate", "--data", str(data_path), "--out", str(out_path)])
-        assert "not JSON compliant" in str(exc.value.code)
-        assert not out_path.exists()
+        assert "not JSON compliant" in str(refused_estimate(tmp_path, y_text(np.sin(np.arange(51.0)))))
 
     def test_save_losses(self, tmp_path):
         cfg = dict(small_config(reps=5, save_losses=True).__dict__)
@@ -1358,6 +1353,12 @@ class TestOneWriterPerFormat:
         _, summary, _ = run(ExperimentConfig.from_dict(cfg))
         expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / f"{study.replace('-', '_')}.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("payload", [{}, {"a": {}, "b": []}, {"b": [1.5, {}], "a": "x"}])
+    def test_json_text_bytes_equal_json_dumps(self, payload):
+        import hetreg.cli
+
+        assert hetreg.cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_summary_writes_no_file(self, tmp_path, monkeypatch, bad):

@@ -14,14 +14,13 @@ from hetreg.models import (
     generate_observations,
     homogeneous_scale,
     mollifier,
-    nonperiodic_transform,
     simpson_integral,
     simpson_rule,
     smooth_cutoff,
     substream,
     substreams,
 )
-from scales import scale_models
+from scales import nonperiodic_transform, scale_models
 
 S1 = TrigPolynomial([0.0, 2.0, 0.0, 0.0, 1.0])
 

@@ -7,26 +7,22 @@ from hetreg.basis import DesignGrid, SampledFunction, TrigPolynomial
 from hetreg.models import simpson_integral
 from hetreg.theory import (
     SobolevBall,
-    asymptotic_upper_risk,
     cell_integrals,
     ellipsoid_coeff,
     ellipsoid_norm_sq,
     exact_fourier_coeff,
-    coeff_gap_bound,
-    norm_transfer_bound,
-    tail_energy_bound,
     oracle_index,
     pinsker_constant,
-    step_l2_distance_sq,
 )
 from hetreg.weights import WeightIndex, default_sequences
-
-
-def random_ball_member(rng, k, r, degree, fill=0.9):
-    """Random trig polynomial scaled to occupy `fill` of the ellipsoid."""
-    raw = rng.standard_normal(degree) / np.arange(1, degree + 1) ** (k + 1)
-    total = ellipsoid_norm_sq(raw, k)
-    return TrigPolynomial(raw * math.sqrt(fill * r / total))
+from oracles import (
+    asymptotic_upper_risk,
+    coeff_gap_bound,
+    norm_transfer_bound,
+    random_ball_member,
+    step_l2_distance_sq,
+    tail_energy_bound,
+)
 
 
 class TestEllipsoid:
