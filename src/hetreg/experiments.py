@@ -502,7 +502,7 @@ def lower_bound_study(cfg: ExperimentConfig):
     for n in cfg.n_grid:
         prior = least_favorable_prior(ball.k, ball.r, n, eps=lb["eps"], g0=g0, eta=lb["eta"])
         gamma0 = pinsker_constant(ball.k, ball.r, prior.varsigma_zero)
-        report = prior_van_trees_bound(prior, scale, mc_reps=lb["prior_mc"], seed=cfg.seed)
+        report = prior_van_trees_bound(prior, scale)
         names = lb["bayes_estimators"]
         risks = dict(zip(names, bayes_risk_mc(names, prior, scale, cfg.sequences(n),
                                               reps=cfg.reps, seed=cfg.seed)))

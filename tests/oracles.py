@@ -1,13 +1,15 @@
 """Test oracles: the inequalities behind the upper-bound proof (criterion 2), each
-reporting its worst slack, and the Pinsker constant's second assembly (criterion 3)."""
+reporting its worst slack, the Pinsker constant's second assembly (criterion 3) and
+the van Trees bound's Fisher and bias terms by Monte Carlo and by quadrature."""
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
-from hetreg.basis import DesignGrid, TrigPolynomial, as_sampled, discrete_fourier
-from hetreg.models import simpson_integral
+from hetreg.basis import BLOCK_ENTRIES, DesignGrid, TrigPolynomial, as_sampled, discrete_fourier
+from hetreg.models import ScaleModel, simpson_integral, substream
 from hetreg.theory import SobolevBall, cell_integrals, ellipsoid_norm_sq, exact_fourier_coeff
 from hetreg.weights import a_beta
 
@@ -87,3 +89,40 @@ def norm_transfer_bound(f_hat, S, delta: float, r: float, grid: DesignGrid) -> B
     rhs = (1.0 - delta) * step_l2_distance_sq(f_hat, S, grid) - (1.0 / delta - 1.0) * r / grid.n**2
     slack = lhs - rhs
     return BoundReport(slack >= 0.0, slack, (delta,))
+
+
+def van_trees_terms(D, gram, Z, scale: ScaleModel, grid: DesignGrid):
+    """The Fisher and bias terms (rows, P) of `lowerbound.van_trees_bound` at each row z
+    of Z (rows, P): F_p = sum_x D_p^2 / g^2 and B_p = sum_x (a D_p + b (Gz)_p)^2 / (2 g^4),
+    with (a, b) = frechet(x, s) and s = z'D, in blocks of BLOCK_ENTRIES // n rows."""
+    D, gram, Z = (np.asarray(a, dtype=float) for a in (D, gram, Z))
+    fisher, bias = np.empty(Z.shape), np.empty(Z.shape)
+    step = max(1, BLOCK_ENTRIES // grid.n)
+    for lo in range(0, len(Z), step):
+        z = Z[lo : lo + step]
+        s, c = z @ D, z @ gram
+        g2 = scale.g2(grid.points, s, np.sum(c * z, axis=1)[:, None])
+        a, b = (np.broadcast_to(p, s.shape) / g2 for p in scale.frechet(grid.points, s))
+        fisher[lo : lo + step] = (1.0 / g2) @ (D**2).T
+        bias[lo : lo + step] = 0.5 * ((a * a) @ (D**2).T + 2.0 * c * ((a * b) @ D.T)
+                                      + c**2 * np.sum(b * b, axis=1)[:, None])
+    return fisher, bias
+
+
+def van_trees_draws(D, gram, prior_sd, scale: ScaleModel, grid: DesignGrid, draws: int, seed: int = 0):
+    """`van_trees_terms` at `draws` prior draws z ~ N(0, diag(prior_sd^2)) from
+    substream(seed, 11, n, P), the Monte Carlo that the closed form replaced: their
+    means estimate F_p and B_p."""
+    P = len(D)
+    Z = substream(seed, 11, grid.n, P).standard_normal((draws, P)) * np.asarray(prior_sd, dtype=float)
+    return van_trees_terms(D, gram, Z, scale, grid)
+
+
+def van_trees_quadrature(D, gram, prior_sd, scale: ScaleModel, grid: DesignGrid, nodes: int = 60):
+    """F_p and B_p as prior means by a tensor Gauss-Hermite rule of `nodes` points per
+    direction, for a few directions: exact up to the rule's error, with no draws."""
+    y, w = hermegauss(nodes)
+    P = len(D)
+    Z = np.stack([g.ravel() for g in np.meshgrid(*[y] * P, indexing="ij")], axis=1) * np.asarray(prior_sd, dtype=float)
+    weight = np.prod(np.stack(np.meshgrid(*[w / math.sqrt(2.0 * math.pi)] * P, indexing="ij")), axis=0).ravel()
+    return tuple(weight @ terms for terms in van_trees_terms(D, gram, Z, scale, grid))

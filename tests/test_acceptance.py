@@ -182,7 +182,7 @@ def test_criterion_6_van_trees_sanity():
     exact_ok = True
     for t in (0.2, 1.0, 3.0):
         rep = van_trees_bound(np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([t]),
-                              homogeneous_scale(1.0), grid, mc_reps=5, seed=0)
+                              homogeneous_scale(1.0), grid)
         exact_ok &= abs(rep.bound - t**2 / (51 * t**2 + 1.0)) <= 1e-12
 
     scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
@@ -195,7 +195,7 @@ def test_criterion_6_van_trees_sanity():
     details = []
     for n in (51, 101):
         prior = least_favorable_prior(1, 1.0, n, eps=0.2, g0=g0)
-        bound = prior_van_trees_bound(prior, scale, mc_reps=500, seed=606).bound
+        bound = prior_van_trees_bound(prior, scale).bound
         names = ("zero", "projection", "adaptive")
         risks = bayes_risk_mc(names, prior, scale, default_sequences(n), reps=2000, seed=607)
         for name, (risk, se) in zip(names, risks):

@@ -567,9 +567,9 @@ class TestBayesOnePass:
         cfg = small_config(n_grid=[51, 101], reps=9,
                            lowerbound={"prior_mc": 5, "bayes_estimators": names})
         _, summary, _ = lower_bound_study(cfg)
-        # for each n: one substream for the van Trees draws and one block of
-        # replicate substreams, seeded at once, for the single Bayes-risk pass
-        assert calls == {"substream": 2, "substreams": 2, "bayes_risk_mc": 2}
+        # for each n: one block of replicate substreams, seeded at once, for the
+        # single Bayes-risk pass; the van Trees bound draws nothing
+        assert calls == {"substream": 0, "substreams": 2, "bayes_risk_mc": 2}
         assert [list(rec["bayes_risks"]) for rec in summary["records"]] == [names, names]
 
     def test_one_analysis_matrix_per_n(self, monkeypatch):
@@ -587,7 +587,7 @@ class TestBayesOnePass:
                             raising=False)
         monkeypatch.setattr(lowerbound, "basis_eval_matrix", counted)
         monkeypatch.setattr(selection, "BLOCK_ENTRIES", 3 * 101)  # 5 Bayes blocks over the two n
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)  # and 3 van Trees blocks
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 3 * 101)  # and the van Trees slabs
         cfg = small_config(n_grid=[51, 101], reps=9,
                            lowerbound={"prior_mc": 5, "bayes_estimators": ["zero", "projection", "adaptive"]})
         lower_bound_study(cfg)

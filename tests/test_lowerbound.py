@@ -45,6 +45,7 @@ from hetreg.models import (
 )
 from hetreg.selection import estimate
 from hetreg.weights import default_sequences, weight_family
+from oracles import van_trees_draws, van_trees_quadrature
 from scales import scale_models
 
 
@@ -226,14 +227,14 @@ class TestVanTrees:
         for t in (0.3, 1.0, 2.5):
             rep = van_trees_bound(
                 np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([t]),
-                homogeneous_scale(1.0), grid, mc_reps=5, seed=0,
+                homogeneous_scale(1.0), grid,
             )
             assert rep.bound == pytest.approx(t**2 / (51 * t**2 + 1.0), abs=1e-12)
 
     def test_constant_scale_has_zero_bias_term(self):
         grid = DesignGrid(101)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        rep = prior_van_trees_bound(pr, homogeneous_scale(2.0), mc_reps=5, seed=0)
+        rep = prior_van_trees_bound(pr, homogeneous_scale(2.0))
         np.testing.assert_array_equal(rep.bias, 0.0)
         # F = sigma^-2 sum_i D^2(x_i)
         D = pr.family.design_tensor(grid.points).reshape(pr.t.size, -1)
@@ -251,7 +252,7 @@ class TestVanTrees:
         grid = DesignGrid(51)
         with pytest.raises(ValueError, match="prior standard deviation must be positive"):
             van_trees_bound(np.ones((2, 51)), np.eye(2), np.ones(2), np.array([1.0, sd]),
-                            homogeneous_scale(1.0), grid, mc_reps=5)
+                            homogeneous_scale(1.0), grid)
         with pytest.raises(ValueError, match="prior standard deviation must be positive"):
             van_trees_term(1.0, 10.0, 1.0, sd)
 
@@ -259,19 +260,6 @@ class TestVanTrees:
         # the Frechet derivative is a required field: a model without one is never built
         with pytest.raises(TypeError, match="frechet"):
             ScaleModel(g2=lambda x, s, norm_sq: np.ones_like(np.asarray(x, dtype=float)))
-
-    def test_draws_are_one_array_of_the_per_draw_stream(self):
-        # (mc_reps, P) normals from one generator are the mc_reps size-P draws, bit for bit
-        rng = substream(606, 11, 101, 7)
-        rows = np.stack([rng.standard_normal(7) for _ in range(50)])
-        np.testing.assert_array_equal(substream(606, 11, 101, 7).standard_normal((50, 7)), rows)
-
-    @pytest.mark.parametrize("mc_reps", [0, -3])
-    def test_refuses_no_draws(self, mc_reps):
-        grid = DesignGrid(51)
-        with pytest.raises(ValueError, match="mc_reps must be >= 1"):
-            van_trees_bound(np.ones((1, 51)), np.ones((1, 1)), np.array([1.0]), np.array([1.0]),
-                            homogeneous_scale(1.0), grid, mc_reps=mc_reps)
 
     @pytest.mark.parametrize("D, gram", [
         (np.ones((1, 50)), np.ones((1, 1))),   # design values off the grid's length
@@ -289,7 +277,7 @@ class TestVanTrees:
         zero_fn = TrigPolynomial([0.0])
         g0 = lambda x: scale.g(x, zero_fn)
         pr = least_favorable_prior(1, 1.0, 51, eps=0.2, g0=g0)
-        bound = prior_van_trees_bound(pr, scale, mc_reps=300, seed=1).bound
+        bound = prior_van_trees_bound(pr, scale).bound
         [(risk, se)] = bayes_risk_mc(["zero"], pr, scale, default_sequences(51), reps=500, seed=2)
         assert risk >= bound - 5.0 * se
         # analytic sanity for the zero estimator
@@ -297,31 +285,95 @@ class TestVanTrees:
 
 
 class TestVanTreesAlgebra:
-    """F and B from frechet's two partials against the direct (draws, P, n) sum."""
+    """The closed-form F_p and B_p against the Monte Carlo they replaced (`van_trees_draws`)."""
+
+    DRAWS = 40_000
 
     @staticmethod
-    def reference(D, gram, sd, scale, grid, mc_reps, seed):
-        """F_p and B_p with every draw's response L = a D + b Gz over all P directions at once."""
-        P = len(D)
-        Z = substream(seed, 11, grid.n, P).standard_normal((mc_reps, P)) * sd
-        s, Gz = Z @ D, Z @ gram
-        g2 = scale.g2(grid.points, s, np.sum(Gz * Z, axis=1)[:, None])
-        a, b = (np.broadcast_to(p, s.shape)[:, None, :] for p in scale.frechet(grid.points, s))
-        L = a * D + b * Gz[:, :, None]
-        fisher = D**2 @ np.mean(1.0 / g2, axis=0)
-        bias = np.mean(0.5 * np.sum(L**2 / g2[:, None, :] ** 2, axis=2), axis=0)
-        return fisher, bias
-
-    @pytest.mark.parametrize("n", [101, 1001])
-    @pytest.mark.parametrize("scale", scale_models(), ids=lambda m: m.name)
-    def test_fisher_and_bias_match_the_broadcast(self, scale, n):
+    def directions(n):
         pr = least_favorable_prior(1, 1.0, n, eps=0.2)
         D, gram, _ = pr.family_arrays
-        sd, grid = pr.t.ravel(), DesignGrid(n)
-        rep = van_trees_bound(D, gram, np.ones(len(sd)), sd, scale, grid, mc_reps=40, seed=5)
-        fisher, bias = self.reference(D, gram, sd, scale, grid, mc_reps=40, seed=5)
-        np.testing.assert_allclose(rep.fisher, fisher, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(rep.bias, bias, rtol=1e-12, atol=0)
+        return D, gram, pr.t.ravel(), DesignGrid(n)
+
+    @pytest.mark.parametrize("n, scale", [(n, scale) for n in (51, 101) for scale in scale_models()]
+                             + [(1001, econometric_scale(1.0, 1.0, 0.5, 0.5))],
+                             ids=lambda a: getattr(a, "name", a))
+    def test_fisher_and_bias_within_4_se_of_monte_carlo(self, n, scale):
+        D, gram, sd, grid = self.directions(n)
+        rep = van_trees_bound(D, gram, np.ones(len(sd)), sd, scale, grid)
+        for exact, draws in zip(rep[1:], van_trees_draws(D, gram, sd, scale, grid, self.DRAWS, seed=5)):
+            mean, se = draws.mean(axis=0), draws.std(axis=0, ddof=1) / math.sqrt(self.DRAWS)
+            # the homogeneous scale draws one value: se is 0 there, up to the mean's rounding
+            assert np.all(np.abs(exact - mean) <= 4.0 * se + 1e-12 * np.abs(mean)), (exact, mean, se)
+
+    @pytest.mark.parametrize("scale", scale_models(), ids=lambda m: m.name)
+    def test_fisher_and_bias_match_gauss_hermite(self, scale):
+        # two coupled directions under a prior whose load (beta E s^2 + gamma E ||S||^2) / alpha
+        # reaches 0.33, some 17 times the least favorable priors', so that every term of
+        # the closed form shows; the 24 Laguerre nodes still hold it to 4e-9 there
+        grid = DesignGrid(51)
+        D = np.stack([np.sin(np.pi * grid.points), np.cos(3.0 * np.pi * grid.points) + 0.5])
+        gram, sd = np.array([[0.5, 0.2], [0.2, 0.9]]), np.array([0.2, 0.15])
+        rep = van_trees_bound(D, gram, np.ones(2), sd, scale, grid)
+        for exact, reference in zip(rep[1:], van_trees_quadrature(D, gram, sd, scale, grid)):
+            np.testing.assert_allclose(exact, reference, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("n", [51, 101, 1001])
+    def test_doubling_the_nodes_moves_nothing(self, monkeypatch, n):
+        pr = least_favorable_prior(1, 1.0, n, eps=0.2)
+
+        def reports(nodes):
+            monkeypatch.setattr(lowerbound, "LAGUERRE_NODES", nodes)
+            return [prior_van_trees_bound(pr, scale) for scale in scale_models()]
+
+        for rule, doubled in zip(reports(lowerbound.LAGUERRE_NODES), reports(2 * lowerbound.LAGUERRE_NODES)):
+            for a, b in zip(rule, doubled):  # the bound, every F_p and every B_p
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("g2, frechet", [
+        (lambda x, s, norm_sq: 1.0 + s**4 + 0.0 * x, lambda x, s: (4.0 * s**3, 0.0)),  # not affine in s^2
+        (lambda x, s, norm_sq: 0.5 * s**2 + norm_sq + 0.0 * x, lambda x, s: (1.0 * s, 2.0)),  # no noise floor
+    ])
+    def test_refuses_a_scale_of_another_form(self, g2, frechet):
+        pr = least_favorable_prior(1, 1.0, 51, eps=0.2)
+        with pytest.raises(ValueError, match="scale 'odd' is not g\\^2 = alpha"):
+            prior_van_trees_bound(pr, ScaleModel(g2=g2, frechet=frechet, name="odd"))
+
+    def test_groups_match_one_group(self, monkeypatch):
+        # at n = 10001 the P = 12 directions fall into M = 4 groups of N = 3, which give the
+        # one-group bound to rounding, and slabs of 37 points move no bit of it
+        pr, scale = least_favorable_prior(1, 1.0, 10_001, eps=0.2), econometric_scale(1.0, 1.0, 0.5, 0.5)
+        D, gram, _ = pr.family_arrays
+        groups, _ = lowerbound._direction_groups(D, gram)
+        assert [list(J) for J in groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+        grouped = prior_van_trees_bound(pr, scale)
+        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 37 * lowerbound.LAGUERRE_NODES * 12)
+        slabs = prior_van_trees_bound(pr, scale)
+        assert slabs.bound == grouped.bound
+        np.testing.assert_array_equal(slabs.fisher, grouped.fisher)
+        np.testing.assert_array_equal(slabs.bias, grouped.bias)
+        monkeypatch.setattr(lowerbound, "ONE_GROUP", 12)
+        for a, b in zip(prior_van_trees_bound(pr, scale), grouped):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    def test_a_point_meeting_two_directions_joins_their_groups(self, monkeypatch):
+        # G couples no two directions, but points meet pairs (0, 5) and (5, 9): the groups
+        # are [0, 5, 9] and one per other direction, out of order in x, and they give the
+        # one-group bound to rounding
+        n, P = 51, 10
+        D = np.zeros((P, n))
+        for p in range(P):
+            D[p, 5 * p : 5 * p + 3] = 1.0 + p
+        D[5, 1], D[9, 27] = 0.5, 0.25
+        gram = np.diag(np.linspace(0.5, 2.0, P))
+        groups, owner = lowerbound._direction_groups(D, gram)
+        assert [list(J) for J in groups] == [[0, 5, 9], *([p] for p in range(1, P) if p not in (5, 9))]
+        assert owner[1] == 0 and owner[27] == 0 and owner[50] == 0  # x = 50 meets no direction
+        args = (D, gram, np.ones(P), np.linspace(0.1, 0.3, P), econometric_scale(1.0, 1.0, 0.5, 0.5), DesignGrid(n))
+        grouped = van_trees_bound(*args)
+        monkeypatch.setattr(lowerbound, "ONE_GROUP", P)
+        for a, b in zip(van_trees_bound(*args), grouped):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
 
 
 class TestBayesRisk:
@@ -368,7 +420,7 @@ class TestBayesRisk:
         def run():
             risk = bayes_risk_mc(["zero", "projection", "adaptive"], pr, scale,
                                  default_sequences(1001), reps=10, seed=9)
-            report = prior_van_trees_bound(pr, scale, mc_reps=10, seed=9)
+            report = prior_van_trees_bound(pr, scale)
             return risk, report.bound, report.fisher.tolist(), report.bias.tolist()
 
         whole = run()
@@ -438,7 +490,7 @@ class TestBayesRisk:
     def test_adaptive_beats_bound(self):
         scale = homogeneous_scale(1.0)
         pr = least_favorable_prior(1, 1.0, 101, eps=0.2)
-        bound = prior_van_trees_bound(pr, scale, mc_reps=100, seed=5).bound
+        bound = prior_van_trees_bound(pr, scale).bound
         [(risk, se)] = bayes_risk_mc(["adaptive"], pr, scale, default_sequences(101), reps=400, seed=6)
         assert risk >= bound - 5.0 * se
 
@@ -448,7 +500,7 @@ class TestNormalizedCorridor:
         # finite-n sanity corridor around the eps-deflated Pinsker target
         n = 100_001
         pr = least_favorable_prior(1, 1.0, n, eps=0.2)
-        rep = prior_van_trees_bound(pr, homogeneous_scale(1.0), mc_reps=30, seed=7)
+        rep = prior_van_trees_bound(pr, homogeneous_scale(1.0))
         target = lower_bound_target(pr)
         normalized = n ** (2.0 / 3.0) * rep.bound
         assert 0.5 * target <= normalized <= 1.1 * target
@@ -627,27 +679,15 @@ class TestDesignCache:
             kernel = kernel_function(z.reshape(pr.t.shape), pr.family, grid.points)
             np.testing.assert_allclose(row, kernel, rtol=1e-14, atol=0)
 
-    def reference(self, pr, grid, mc_reps, reps):
-        """The bound and the risks by a plain loop: one draw at a time, S_z on the
-        design by `kernel_function`, no block and no shared design sample."""
+    def reference(self, pr, grid, reps):
+        """The bound and the risks by a plain loop: the bound's directions element by
+        element, one replicate at a time, S_z on the design by `kernel_function`, no block
+        and no shared design sample."""
         fam, x, n = pr.family, grid.points, grid.n
         fns = element_fns(fam)
         G, C = _family_integrals(fam, n)
-        sd = pr.t.ravel()
-        rng = substream(606, 11, n, len(fns))
-        ginv2, bias = np.zeros(n), np.zeros(len(fns))
-        for _ in range(mc_reps):
-            z = rng.standard_normal(len(fns)) * sd
-            s = kernel_function(z.reshape(pr.t.shape), fam, x)
-            g2 = self.SCALE.g2(x, s, z @ G @ z)
-            ginv2 += 1.0 / g2 / mc_reps
-            a, b = self.SCALE.frechet(x, s)
-            for p, fp in enumerate(fns):
-                L = a * fp(x) + b * (G[p] @ z)
-                bias[p] += 0.5 * np.sum(L**2 / g2**2) / mc_reps
-        fisher = np.array([fp(x) ** 2 @ ginv2 for fp in fns])
         tau = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
-        bound = float(np.sum(tau**2 / (fisher + bias + sd**-2.0)))
+        bound = van_trees_bound(np.stack([fp(x) for fp in fns]), G, tau, pr.t.ravel(), self.SCALE, grid).bound
         risks = {}
         for name, est in self.estimators(n).items():
             losses = []
@@ -666,8 +706,8 @@ class TestDesignCache:
     def test_bound_and_risks_match_uncached_path(self, n):
         grid = DesignGrid(n)
         pr = self.prior(n)
-        ref_bound, ref_risks = self.reference(pr, grid, mc_reps=40, reps=40)
-        bound = prior_van_trees_bound(pr, self.SCALE, mc_reps=40, seed=606).bound
+        ref_bound, ref_risks = self.reference(pr, grid, reps=40)
+        bound = prior_van_trees_bound(pr, self.SCALE).bound
         assert bound == pytest.approx(ref_bound, rel=1e-9)
         names = list(self.estimators(n))
         risks = bayes_risk_mc(names, pr, self.SCALE, default_sequences(n), reps=40, seed=607)
@@ -692,7 +732,7 @@ class TestDesignCache:
         def count(reps):
             calls.update(design_tensor=0, block=0, g2=0, frechet=0)
             pr = self.prior(51)
-            prior_van_trees_bound(pr, scale, mc_reps=reps, seed=1)
+            prior_van_trees_bound(pr, scale)
             bayes_risk_mc(["projection"], pr, scale, default_sequences(51), reps=reps, seed=2)
             return dict(calls)
 
@@ -700,9 +740,9 @@ class TestDesignCache:
         assert few == count(12)
         # one prior samples the family once on the design and once on the rule's
         # nodes, each a block at a time, for both the bound and the risk; the
-        # bound takes frechet's two partials once per block of draws
+        # bound reads g2 twice and frechet twice for the scale's coefficients
         M = self.prior(51).family.M
-        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 2, "frechet": 1}
+        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 3, "frechet": 2}
 
     def test_family_integrals_once_per_prior(self, monkeypatch):
         # the bound, the Bayes risk and E ||S||^2 of one prior share one (D, G, C)
@@ -715,7 +755,7 @@ class TestDesignCache:
 
         monkeypatch.setattr(lowerbound, "_family_integrals", counted)
         pr = self.prior(51)
-        prior_van_trees_bound(pr, self.SCALE, mc_reps=3, seed=1)
+        prior_van_trees_bound(pr, self.SCALE)
         bayes_risk_mc(["zero"], pr, self.SCALE, default_sequences(51), reps=3, seed=2)
         prior_expected_norm_sq(pr)
         assert sizes == [51]
@@ -725,7 +765,7 @@ class TestDesignCache:
         # a prior at even n is valid, but it has no design to run on
         pr = least_favorable_prior(1, 1.0, 1000, eps=0.2)
         run = {
-            "bound": lambda: prior_van_trees_bound(pr, self.SCALE, mc_reps=3),
+            "bound": lambda: prior_van_trees_bound(pr, self.SCALE),
             # even n has no tuning either; the missing design is refused first
             "risk": lambda: bayes_risk_mc(["zero"], pr, self.SCALE, default_sequences(1001), reps=3),
             "norm": lambda: prior_expected_norm_sq(pr),
