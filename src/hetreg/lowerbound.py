@@ -371,13 +371,13 @@ def van_trees_bound(D, gram, tau_bar, prior_sd, scale: ScaleModel, grid: DesignG
     The u integrals are a LAGUERRE_NODES-point Gauss-Laguerre sum in y = u alpha; with
     the prior's load L = max_x (beta E s^2 + gamma E ||S||^2) / alpha, it holds F_p and
     B_p to about 1e-13 at the least favorable priors (L <= 0.02), to 4e-9 at L = 0.33
-    and to 6e-4 at L = 2.6.  The work runs group by group (`_direction_groups`): U is block diagonal over the groups, so
-    a point's v and (E Lambda rho v) live in its own group's directions, and only the
-    determinant and (E Lambda^2 rho E')_pp take every eigenvalue.  A group's points run in
-    slabs of BLOCK_ENTRIES // (nodes P); every product is a `serial_matmul` aligned at the
-    slab's first point or a `row_dots`, node and direction sums run in order, and the sums
-    over x wait for the last slab, so the bits follow neither the slab nor the BLAS
-    thread count.
+    and to 6e-4 at L = 2.6.  The work runs group by group (`_direction_groups`): U is
+    block diagonal over the groups, so a point's v and (E Lambda rho v) live in its own
+    group's directions, and only the determinant and (E Lambda^2 rho E')_pp take every
+    eigenvalue.  A group's points run in slabs of BLOCK_ENTRIES // (nodes P); every
+    product is a `serial_matmul` aligned at the slab's first point or a `row_dots`, node
+    and direction sums run in order, and the sums over x wait for the last slab, so the
+    bits follow neither the slab nor the BLAS thread count.
     """
     D = np.asarray(D, dtype=float)
     gram = np.asarray(gram, dtype=float)
