@@ -113,8 +113,8 @@ def basis_eval_matrix(d: int, x) -> np.ndarray:
     """(len(x), d) matrix of phi_1..phi_d at points x or on a DesignGrid x: the one dense evaluator.
 
     On a DesignGrid, phi_j(l/n) is read at the exact phase (q l mod n) / n from
-    tables of the n angles, in row chunks of at most BLOCK_ENTRIES entries,
-    straight into the result.
+    tables of the n angles, in row chunks of at most BLOCK_ENTRIES entries; the
+    phases q l are int32 while q n < 2^31.
     """
     q = np.arange(1, d // 2 + 1)
     if isinstance(x, DesignGrid):
@@ -124,11 +124,12 @@ def basis_eval_matrix(d: int, x) -> np.ndarray:
         mat = np.empty((n, d))
         mat[:, 0] = 1.0
         rows = max(1, BLOCK_ENTRIES // d)
+        q = q.astype(np.int32 if len(q) * n < 2**31 else np.int64)  # every phase q l <= q n fits
         for lo in range(0, n, rows):
-            phase = np.outer(np.arange(lo + 1, min(lo + rows, n) + 1), q)
+            phase = np.outer(np.arange(lo + 1, min(lo + rows, n) + 1, dtype=q.dtype), q)
             np.remainder(phase, n, out=phase)
-            np.take(cos, phase, out=mat[lo : lo + rows, 1::2], mode="clip")
-            np.take(sin, phase[:, : (d - 1) // 2], out=mat[lo : lo + rows, 2::2], mode="clip")
+            mat[lo : lo + rows, 1::2] = cos[phase]
+            mat[lo : lo + rows, 2::2] = sin[phase[:, : (d - 1) // 2]]
         return mat
     angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float).ravel(), q)
     cos, sin = np.cos(angles), np.sin(angles[:, : (d - 1) // 2])
@@ -159,9 +160,10 @@ def serial_matmul(a, b, first: int) -> np.ndarray:
     exceeds SERIAL_MULADDS: such a one-row block runs as gemv, which OpenBLAS
     threads.  On a shared 2-vCPU machine a threaded product of a study block's
     size can wait milliseconds for its second thread, far longer than the
-    product itself takes.  Every block has one fixed height, padded with zero
-    rows, and the blocks are aligned at multiples of it counting a's rows from
-    `first`, so row i gets the same bits wherever a starts and however many
+    product itself takes.  Every block has one fixed height (a partial first or
+    last block is padded with zero rows in one reused zero block), and the blocks
+    are aligned at multiples of it counting a's rows from `first`, so row i gets
+    the same bits wherever a starts and however many
     rows follow it: numpy runs a one-row product as gemv, OpenBLAS rounds gemm
     differently at different row counts, and it rounds the last (height mod 4)
     rows of a block differently from the others.  A Monte Carlo block's n-length
@@ -173,15 +175,20 @@ def serial_matmul(a, b, first: int) -> np.ndarray:
     if a.ndim == 1:
         return a @ b
     rows = min(SERIAL_ROWS, max(1, SERIAL_MULADDS // (a.shape[-1] * b.shape[-1])))
-    B, lead = a.shape[-2], first % rows
-    out = np.empty(a.shape[:-2] + (-(-(lead + B) // rows) * rows,) + b.shape[-1:])
-    for lo in range(-lead, B, rows):
-        block = a[..., max(lo, 0) : lo + rows, :]
-        if block.shape[-2] < rows:
-            pad = [np.zeros(a.shape[:-2] + (k, a.shape[-1])) for k in (max(-lo, 0), max(lo + rows - B, 0))]
-            block = np.concatenate([pad[0], block, pad[1]], axis=-2)
-        np.matmul(block, b, out=out[..., lead + lo : lead + lo + rows, :])
-    return out[..., lead : lead + B, :]
+    B = a.shape[-2]
+    out, pad = np.empty(a.shape[:-2] + (B,) + b.shape[-1:]), None
+    for lo in range(-(first % rows), B, rows):
+        top, bottom = max(lo, 0), min(lo + rows, B)
+        if bottom - top == rows:
+            np.matmul(a[..., top:bottom, :], b, out=out[..., top:bottom, :])
+            continue
+        if pad is None:  # one zero block for the partial first and last blocks
+            pad = np.zeros(a.shape[:-2] + (rows, a.shape[-1]))
+        held = (..., slice(top - lo, bottom - lo), slice(None))
+        pad[held] = a[..., top:bottom, :]
+        out[..., top:bottom, :] = (pad @ b)[held]
+        pad[held] = 0.0  # zero rows again: a stale row could raise a floating-point warning of its own
+    return out
 
 
 def row_dots(a, b) -> np.ndarray:

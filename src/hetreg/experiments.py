@@ -286,7 +286,8 @@ def _make_context(cfg: ExperimentConfig, n: int, estimators: list[str], S: Sampl
     analysis /= n
     return _StudyContext(
         grid=grid, seqs=seqs, family=family, S_design=S_design,
-        g_design=scale.g(grid.points, S), seed=cfg.seed, L=L, columns=columns, analysis=analysis,
+        g_design=np.sqrt(scale.g2(grid.points, S_design, S.l2_norm_sq())),  # scale.g without evaluating S again
+        seed=cfg.seed, L=L, columns=columns, analysis=analysis,
         on_design=np.stack([S_design, n * cell_int_s]),
         targets=np.stack([theta_n, n * theta_cells])[:, :w],
         consts=np.array([np.sum(theta_n**2), s_l2_sq]),

@@ -64,7 +64,11 @@ def mollified_indicator(eta: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     upper = (1.0 - eta - x) / eta
     lower = (-1.0 + eta - x) / eta
-    return mollifier_cdf(upper) - mollifier_cdf(lower)
+    # the CDF reads exactly 1 at upper >= 1 and 0 at lower <= -1, so the plateau needs no lookup
+    chi = np.ones_like(upper)
+    ramp = ~((upper >= 1.0) & (lower <= -1.0))
+    chi[ramp] = mollifier_cdf(upper[ramp]) - mollifier_cdf(lower[ramp])
+    return chi
 
 
 def local_basis(j: int, x) -> np.ndarray:
@@ -112,12 +116,11 @@ class KernelFamily:
         each supported on block m."""
         v = self.local_coord(m, x)
         out = np.zeros((self.N, len(v)))
-        inside = np.abs(v) < 1.0
-        if np.any(inside):
-            vi = v[inside]
-            chi = mollified_indicator(self.eta, vi)
-            for j in range(1, self.N + 1):
-                out[j - 1, inside] = local_basis(j, vi) * chi
+        inside = np.flatnonzero(np.abs(v) < 1.0)
+        vi = v[inside]
+        chi = mollified_indicator(self.eta, vi)
+        for j in range(1, self.N + 1):
+            out[j - 1, inside] = local_basis(j, vi) * chi
         return out
 
     def design_tensor(self, x) -> np.ndarray:
@@ -441,27 +444,32 @@ def van_trees_bound(D, gram, tau_bar, prior_sd, scale: ScaleModel, grid: DesignG
 
 def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     """L2 Gram matrix G (P, P) of the flattened D_{m,j} and their inner products
-    C (n, P) with phi_1..phi_n, from one sample of the family.
+    C (n, P) with phi_1..phi_n, from one sample of block 1.
 
     The rule is equal weights 1/K on the periodic nodes k/K, k = 0..K-1, with K
-    the smallest power of two >= max(2^14, 2n).  Every D_{m,j} is smooth with
+    the smallest power of two >= max(2^13, 2n).  Every D_{m,j} is smooth with
     support inside (0, 1), so on the circle this rule is spectrally accurate
-    (Trefethen & Weideman, SIAM Review 2014).  Each block's sample S_m (N, K)
-    gives its diagonal block S_m S_m' / K of G and, by one real FFT, its N
-    columns of C, `pack_spectrum` of the bins sum_k S_pk exp(-2 pi i q k / K) / K
-    for q < K / 2; one block is sampled at a time.  The phi_j are orthonormal
-    on these nodes, so C obeys Bessel's inequality sum_j C_jp^2 <= G_pp at
-    every n; blocks meet only where chi = 0, so G is block diagonal.
+    (Trefethen & Weideman, SIAM Review 2014).  Block 1's sample S (N, K) gives
+    its diagonal block S S' / K of G and, by one real FFT, its bins
+    F_q = sum_k S_k exp(-2 pi i q k / K) / K for q < K / 2.  Block m is block 1
+    translated by c_m - c_1, so every diagonal block of G is block 1's, and
+    block m's N columns of C are `pack_spectrum` of F_q exp(-2 pi i q (c_m - c_1)),
+    the translate's coefficients to the rule's accuracy.  The phi_j are
+    orthonormal on the nodes, so block 1's columns obey Bessel's inequality
+    sum_j C_jp^2 <= G_pp at every n, and so, to rounding, do the others; blocks
+    meet only where chi = 0, so G is block diagonal.
     """
     N, P = family.N, family.M * family.N
-    K = max(2**14, 1 << (2 * n - 1).bit_length())
-    x = np.arange(K) / K
-    gram = np.zeros((P, P))
-    cross = np.empty((n, P))
-    for m, lo in enumerate(range(0, P, N), start=1):
-        S = family.block(m, x)
-        gram[lo : lo + N, lo : lo + N] = row_dots(S[:, None, :], S[None, :, :]) / K
-        cross[:, lo : lo + N] = pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T
+    K = max(2**13, 1 << (2 * n - 1).bit_length())
+    S = family.block(1, np.arange(K) / K)
+    gram, cross = np.zeros((P, P)), np.empty((n, P))
+    block_gram = row_dots(S[:, None, :], S[None, :, :]) / K
+    F = np.fft.rfft(S, axis=1, norm="forward")[:, : (n + 1) // 2]
+    # q (c_m - c_1) mod 1 keeps each phase's angle below 2 pi
+    turns = np.remainder(np.outer(family.centers - family.centers[0], np.arange(F.shape[1])), 1.0)
+    for lo, phase in zip(range(0, P, N), np.exp(-2j * np.pi * turns)):
+        gram[lo : lo + N, lo : lo + N] = block_gram
+        cross[:, lo : lo + N] = pack_spectrum(F * phase, n).T
     return gram, cross
 
 

@@ -143,9 +143,13 @@ def family_cutoffs(n: int, seqs: TuningSequences) -> tuple[list[WeightIndex], np
 
     Refuses a family whose every taper is zero, i.e. max omega <= 1.
     """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
     indices = [WeightIndex(beta, i * seqs.eps)
                for beta in range(1, seqs.k_star + 1) for i in range(1, seqs.m + 1)]
-    om = np.array([omega(alpha, n, seqs) for alpha in indices])
+    # `omega` with A_beta and 1/(2 beta + 1) taken once per beta; Python's ** keeps its bits
+    powers = {beta: (a_beta(beta), 1.0 / (2.0 * beta + 1.0)) for beta in range(1, seqs.k_star + 1)}
+    om = np.array([seqs.omega_bar + (powers[beta][0] * t * n) ** powers[beta][1] for beta, t in indices])
     if om.max() <= 1.0:  # then every weight, from j = 1 on, is 0
         raise ValueError(f"every taper is zero: the largest cutoff omega is {om.max():.6g} <= 1 "
                          f"(omega_bar={seqs.omega_bar!r})")

@@ -13,7 +13,6 @@ from hetreg.basis import (
     basis_eval_matrix,
     basis_matrix,
     pack_spectrum,
-    trig_basis_eval,
     trig_series,
 )
 from hetreg.lowerbound import (
@@ -572,26 +571,29 @@ class TestExactAlgebra:
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_fft_cross_matrix_equals_dense(self, n):
-        # on the rule's own nodes (K = 2^14 up to n = 8191): the dense basis product
+        # on the rule's own nodes (K = 2^13 up to n = 4095): block 1's columns are
+        # the dense basis product and its Gram block the sample's
         fam = self.prior(n).family
-        x = np.arange(2**14) / 2**14
-        S = fam.design_tensor(x).reshape(fam.M * fam.N, -1)
+        N, x = fam.N, np.arange(2**13) / 2**13
+        S = fam.block(1, x)
         gram, cross = _family_integrals(fam, n)
-        dense = basis_eval_matrix(n, x).T @ S.T / 2**14
-        np.testing.assert_allclose(cross, dense, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(gram, S @ S.T / 2**14, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cross[:, :N], basis_eval_matrix(n, x).T @ S.T / 2**13, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gram[:N, :N], S @ S.T / 2**13, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [51, 101, 1001])
     def test_blocks_equal_the_whole_family_sample(self, n):
-        # one block at a time gives the whole (P, K) sample's C exactly and its G to rounding
+        # every block is block 1's translate: G's diagonal blocks are block 1's
+        # bits and the rest is 0, and C is the whole (P, K) family sample's to
+        # the rule's accuracy
         fam = self.prior(n).family
-        K = max(2**14, 1 << (2 * n - 1).bit_length())
+        N, K = fam.N, max(2**13, 1 << (2 * n - 1).bit_length())
         S = fam.design_tensor(np.arange(K) / K).reshape(fam.M * fam.N, K)
         gram, cross = _family_integrals(fam, n)
-        np.testing.assert_array_equal(cross, pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T)
-        np.testing.assert_allclose(gram, S @ S.T / K, rtol=1e-14, atol=1e-16)
-        block = np.kron(np.eye(fam.M), np.ones((fam.N, fam.N))) == 1
+        block = np.kron(np.eye(fam.M), np.ones((N, N))) == 1
+        np.testing.assert_array_equal(gram[block], np.tile(gram[:N, :N].ravel(), fam.M))
         assert np.all(gram[~block] == 0.0)
+        np.testing.assert_allclose(cross, pack_spectrum(np.fft.rfft(S, axis=1, norm="forward"), n).T,
+                                   rtol=0, atol=2e-11)
 
     @pytest.mark.parametrize("n", [51, 101])
     def test_expected_norm_is_the_gram_diagonal(self, n):
@@ -605,19 +607,53 @@ class TestExactAlgebra:
 
 
 def gauss_cross(fam, js, panels=1024, order=16):
-    """Rows js - 1 of C, int D_p phi_j, by composite Gauss-Legendre on each block,
-    phi_j evaluated one basis column at a time (no dense (nodes, n) basis)."""
+    """Rows js - 1 of C, int D_p phi_j, by composite Gauss-Legendre on each block.
+
+    phi_j takes exp(2 pi i q x), q = [j/2], as exp(2 pi i 64 a x) exp(2 pi i b x) with
+    q = 64 a + b, from two tables of np.exp per block: no FFT, no translation and no
+    dense (nodes, n) basis."""
     g, gw = np.polynomial.legendre.leggauss(order)
     half = 1.0 / panels
     v = (np.linspace(-1.0 + half, 1.0 - half, panels)[:, None] + half * g).ravel()
-    w = np.tile(half * gw, panels)
-    E = np.stack([local_basis(j, v) * mollified_indicator(fam.eta, v) for j in range(1, fam.N + 1)])
+    hw = fam.h * np.tile(half * gw, panels)
+    E = np.stack([local_basis(j, v) * mollified_indicator(fam.eta, v) for j in range(1, fam.N + 1)]) * hw
+    js = np.asarray(js)[:, None]
+    a, row = np.unique(js // 128, return_inverse=True)
     ref = np.empty((len(js), fam.M * fam.N))
     for m, c in enumerate(fam.centers):
         x = c + fam.h * v
-        for r, j in enumerate(js):
-            ref[r, m * fam.N : (m + 1) * fam.N] = fam.h * E @ (trig_basis_eval(int(j), x) * w)
+        coarse, fine = (np.exp(2j * np.pi * np.outer(k, x)) for k in (64 * a, np.arange(64)))
+        F = np.stack([coarse @ (E * f).T for f in fine], axis=1)[row.ravel(), js[:, 0] // 2 % 64]
+        ref[:, m * fam.N : (m + 1) * fam.N] = np.where(
+            js == 1, F.real, math.sqrt(2.0) * np.where(js % 2 == 0, F.real, F.imag))
     return ref
+
+
+class TestFamilyIntegrals:
+    """G and C from one sample of block 1, against an independent reference."""
+
+    @pytest.mark.parametrize("n, atol", [(51, 2e-11), (101, 2e-11), (1001, 2e-11), (4095, 1e-10)])
+    def test_cross_matches_gauss_at_every_j(self, n, atol):
+        fam = least_favorable_prior(1, 1.0, n, eps=0.2).family
+        _, cross = _family_integrals(fam, n)
+        js = np.arange(1, n + 1)
+        np.testing.assert_allclose(cross, gauss_cross(fam, js), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n, K", [(51, 2**13), (1001, 2**13), (4095, 2**13), (4097, 2**14)])
+    def test_one_block_sample_on_K_nodes(self, monkeypatch, n, K):
+        # K is the smallest power of two >= max(2^13, 2n), and only block 1 is
+        # sampled, whatever M (1, 2, 4 and 4 here)
+        sampled = []
+        block = KernelFamily.block
+
+        def counted(self, m, x):
+            sampled.append((m, len(x)))
+            return block(self, m, x)
+
+        monkeypatch.setattr(KernelFamily, "block", counted)
+        fam = least_favorable_prior(1, 1.0, n, eps=0.2).family
+        _family_integrals(fam, n)
+        assert sampled == [(1, K)]
 
 
 class TestCrossMatrixAtLargeN:
@@ -738,11 +774,11 @@ class TestDesignCache:
 
         few = count(3)
         assert few == count(12)
-        # one prior samples the family once on the design and once on the rule's
-        # nodes, each a block at a time, for both the bound and the risk; the
+        # one prior samples the family once on the design, a block at a time, and
+        # block 1 once on the rule's nodes, for both the bound and the risk; the
         # bound reads g2 twice and frechet twice for the scale's coefficients
         M = self.prior(51).family.M
-        assert few == {"design_tensor": 1, "block": 2 * M, "g2": 3, "frechet": 2}
+        assert few == {"design_tensor": 1, "block": M + 1, "g2": 3, "frechet": 2}
 
     def test_family_integrals_once_per_prior(self, monkeypatch):
         # the bound, the Bayes risk and E ||S||^2 of one prior share one (D, G, C)

@@ -11,6 +11,7 @@ from hetreg.weights import (
     WeightIndex,
     a_beta,
     default_sequences,
+    family_cutoffs,
     omega,
     pinsker_weights,
     weight_family,
@@ -87,6 +88,13 @@ class TestOmega:
     def test_monotone_in_t(self, beta, t1, bump):
         s = default_sequences(1001)
         assert omega(WeightIndex(beta, t1 + bump), 1001, s) > omega(WeightIndex(beta, t1), 1001, s)
+
+    @pytest.mark.parametrize("n, omega_bar", [(3, 0.0), (101, 0.0), (1001, 2.75), (100001, 0.1)])
+    def test_family_cutoffs_are_omega_bit_for_bit(self, n, omega_bar):
+        s = default_sequences(n, k_bar=2.0, omega_bar=omega_bar)
+        indices, om = family_cutoffs(n, s)
+        assert len(indices) == s.k_star * s.m and s.k_star >= 3
+        np.testing.assert_array_equal(om, [omega(alpha, n, s) for alpha in indices])
 
 
 class TestPinskerWeights:
