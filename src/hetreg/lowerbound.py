@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -226,6 +225,8 @@ def least_favorable_prior(
     if g0 is None:
         g0 = lambda x: np.ones_like(np.asarray(x, dtype=float))
     varsigma_zero = simpson_integral(lambda x: np.asarray(g0(x), dtype=float) ** 2)
+    if not 0.0 < varsigma_zero < math.inf:
+        raise ValueError(f"g0 must have a finite positive integral of g0^2, got {varsigma_zero}")
     two_k1 = 2.0 * k + 1.0
     c_eps = 2.0**two_k1 * (1.0 - eps) * r / (math.pi ** (2 * k) * varsigma_zero)
     upsilon = (1.0 + eps) * k / (c_eps * (k + 1.0) * two_k1)
@@ -242,6 +243,8 @@ def least_favorable_prior(
 
     family = KernelFamily(h=h, N=N, eta=eta)
     g0_centers = np.asarray(g0(family.centers), dtype=float)
+    if not ((g0_centers > 0.0) & (g0_centers < math.inf)).all():
+        raise ValueError(f"g0 must be finite and positive at the block centres, got {g0_centers}")
     ghat0 = 2.0 * h * float(np.sum(g0_centers**2))
     R_star = 2.0**two_k1 * (1.0 - eps) * r * n * h**two_k1 / (math.pi ** (2 * k) * ghat0)
 
@@ -300,7 +303,7 @@ def check_conditions_A(prior: LeastFavorablePrior) -> ConditionsReport:
 
 
 def _check_prior_sd(prior_sd) -> None:
-    if np.any(np.asarray(prior_sd) <= 0.0):
+    if not (np.asarray(prior_sd) > 0.0).all():
         raise ValueError("prior standard deviation must be positive")
 
 
@@ -317,29 +320,11 @@ class VanTreesReport(NamedTuple):
 
 
 LAGUERRE_NODES = 24  # Gauss-Laguerre nodes of the bound's u integrals; 48 move no term by 1e-12
-ONE_GROUP = 8  # up to this many directions the bound takes them as one group
 
 
 @lru_cache(maxsize=2)
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return laggauss(nodes)
-
-
-def _direction_groups(D, gram) -> tuple[list[np.ndarray], np.ndarray]:
-    """The directions in groups, no two of them coupled by G or met by one design point,
-    and each point's group (group 0 for a point that meets none): the connected
-    components of "G couples them or a point meets both", or one group up to ONE_GROUP
-    directions, where a group's loop would cost more than it saves."""
-    P, n = D.shape
-    if P <= ONE_GROUP:
-        return [np.arange(P)], np.zeros(n, dtype=int)
-    met = (D != 0).astype(float)
-    linked = ((gram != 0) | (met @ met.T > 0) | np.eye(P, dtype=bool)).astype(float)
-    for _ in range(P.bit_length()):  # squaring closes it over paths of up to 2^P.bit_length() links
-        linked = (linked @ linked > 0).astype(float)
-    label = np.argmax(linked, axis=1)  # the first direction of each one's component
-    first = np.unique(label)
-    return [np.flatnonzero(label == f) for f in first], np.searchsorted(first, label[np.argmax(met, axis=0)])
 
 
 def _scale_coefficients(scale: ScaleModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,8 +335,8 @@ def _scale_coefficients(scale: ScaleModel, x: np.ndarray) -> tuple[np.ndarray, n
     alpha, beta, gamma = (np.asarray(c, dtype=float) * ones for c in (
         scale.g2(x, 0.0, 0.0), scale.frechet(x, 1.0)[0] / 2.0, scale.frechet(x, 0.0)[1] / 2.0))
     probe = np.asarray(scale.g2(x, 2.0, 3.0), dtype=float)
-    if not np.all((np.abs(probe - (alpha + 4.0 * beta + 3.0 * gamma)) <= 1e-12 * np.abs(probe))
-                  & (alpha > 0.0) & (beta >= 0.0) & (gamma >= 0.0)):
+    if not ((np.abs(probe - (alpha + 4.0 * beta + 3.0 * gamma)) <= 1e-12 * np.abs(probe))
+            & (alpha > 0.0) & (beta >= 0.0) & (gamma >= 0.0)).all():
         raise ValueError(f"scale {scale.name!r} is not g^2 = alpha + beta S(x)^2 + gamma ||S||^2 "
                          "with alpha > 0 and beta, gamma >= 0")
     return alpha, beta, gamma
@@ -361,8 +346,9 @@ def van_trees_bound(D, gram, tau_bar, prior_sd, scale: ScaleModel, grid: DesignG
     """Bayes-risk lower bound for the linear family S_z = sum_p z_p f_p with independent
     centered Gaussian prior z ~ N(0, Sigma), Sigma = diag(prior_sd^2), in closed form.
 
-    D (P, n) holds the directions f_p on the design and `gram` (P, P) their L2 Gram
-    matrix G.  With g^2 = alpha + beta s^2 + gamma z'Gz and s = d_x'z at x
+    D (M, N, n) holds the directions f_p, p = m N + j, on the design in M groups of N,
+    and `gram` (P, P), P = M N, their L2 Gram matrix G; a (P, n) D is one group.  With
+    g^2 = alpha + beta s^2 + gamma z'Gz and s = d_x'z at x
     (`_scale_coefficients`), F_p = sum_x D_p^2 E g^-2 and B_p = sum_x E L_p^2 / (2 g^4),
     L_p = 2 beta s D_p + 2 gamma (Gz)_p the response of g^2 in direction f_p.  Write
     g^-2 = int_0^inf e^(-u g^2) du and g^-4 = int_0^inf u e^(-u g^2) du, diagonalise
@@ -374,70 +360,82 @@ def van_trees_bound(D, gram, tau_bar, prior_sd, scale: ScaleModel, grid: DesignG
     The u integrals are a LAGUERRE_NODES-point Gauss-Laguerre sum in y = u alpha; with
     the prior's load L = max_x (beta E s^2 + gamma E ||S||^2) / alpha, it holds F_p and
     B_p to about 1e-13 at the least favorable priors (L <= 0.02), to 4e-9 at L = 0.33
-    and to 6e-4 at L = 2.6.  The work runs group by group (`_direction_groups`): U is
-    block diagonal over the groups, so a point's v and (E Lambda rho v) live in its own
-    group's directions, and only the determinant and (E Lambda^2 rho E')_pp take every
-    eigenvalue.  A group's points run in slabs of BLOCK_ENTRIES // (nodes P); every
-    product is a `serial_matmul` aligned at the slab's first point or a `row_dots`, node
-    and direction sums run in order, and the sums over x wait for the last slab, so the
-    bits follow neither the slab nor the BLAS thread count.
+    and to 6e-4 at L = 2.6.  G must couple no two groups and no design point may meet two,
+    as holds for the prior's kernel blocks; then U is block diagonal, a point's v and
+    (E Lambda rho v) live in its own group's directions (group 0's for a point that meets
+    none), and only the determinant and (E Lambda^2 rho E')_pp take every eigenvalue.  A
+    group's points run in slabs of BLOCK_ENTRIES // (nodes P); the products over a group's
+    directions are `np.einsum` sums in a fixed order, node and direction sums run in order,
+    and the sums over x are one `row_dots` after the last slab, so the bits follow neither
+    the slab nor the BLAS thread count.  Non-finite input, a non-positive prior_sd, a G
+    that is not symmetric to 1e-12 or has an eigenvalue below -1e-12 times its largest,
+    and groups that G couples or a design point meets are refused with a ValueError.
     """
     D = np.asarray(D, dtype=float)
-    gram = np.asarray(gram, dtype=float)
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    prior_sd = np.asarray(prior_sd, dtype=float)
-    P, n = len(D), grid.n
-    if D.shape != (P, n) or gram.shape != (P, P):
-        raise ValueError(f"need design values (P, {n}) and a (P, P) Gram matrix, "
+    D = D[None] if D.ndim == 2 else D
+    gram, tau_bar, prior_sd = (np.asarray(a, dtype=float) for a in (gram, tau_bar, prior_sd))
+    (M, N), n = D.shape[:2] if D.ndim == 3 else (0, 0), grid.n
+    P = M * N
+    if P < 1 or D.shape != (M, N, n) or gram.shape != (P, P):
+        raise ValueError(f"need design values (M, N, {n}) or (P, {n}), P >= 1, and a (P, P) Gram matrix, "
                          f"got {D.shape} and {gram.shape}")
     if tau_bar.shape != (P,) or prior_sd.shape != (P,):
         raise ValueError("tau_bar and prior_sd must match the number of directions")
+    if not (np.isfinite(D).all() and np.isfinite(gram).all() and np.isfinite(tau_bar).all()
+            and np.isfinite(prior_sd).all()):
+        raise ValueError("design values, Gram matrix, tau_bar and prior_sd must be finite")
     _check_prior_sd(prior_sd)
-    alpha, beta, gamma = _scale_coefficients(scale, grid.points)
+    if np.abs(gram - gram.T).max() > 1e-12 * np.abs(gram).max():
+        raise ValueError("the Gram matrix is not symmetric to 1e-12")
+    blocks = gram.reshape(M, N, M, N).swapaxes(1, 2)[np.arange(M), np.arange(M)]  # (M, N, N)
+    if np.count_nonzero(blocks) < np.count_nonzero(gram):
+        raise ValueError("the Gram matrix couples two groups of directions")
+    met = (D != 0.0).any(axis=1)  # (M, n): the groups each point meets
+    if met.sum(axis=0).max() > 1:
+        raise ValueError("a design point meets two groups of directions")
+    # Sigma^1/2 G Sigma^1/2 = U Lambda U' per group; EL and EL2 hold its E Lambda and E^2 Lambda^2
+    sd = prior_sd.reshape(M, N)
+    lam, U = np.linalg.eigh(sd[:, :, None] * blocks * sd[:, None, :])
+    if lam.min() < -1e-12 * np.abs(lam).max():
+        raise ValueError("the Gram matrix has a negative eigenvalue")
+    EL = np.swapaxes(U / sd[:, :, None] * lam[:, None, :], 1, 2)
+    EL2 = EL * EL
+    # points in group order, so that each group's points are a block of columns
+    owner = np.argmax(met, axis=0)
+    pts = np.argsort(owner, kind="stable")
+    cols = np.searchsorted(owner[pts], np.arange(M + 1))
+    alpha, beta, gamma = (coef[pts] for coef in _scale_coefficients(scale, grid.points))
     y, w = _laguerre_rule(LAGUERRE_NODES)
     y, w, wy = y[:, None], w[:, None], (w * y)[:, None]
-    # directions and points in group order, so that each group is a block of rows and of columns
-    groups, owner = _direction_groups(D, gram)
-    dirs, pts = np.concatenate(groups), np.argsort(owner, kind="stable")
-    Dg, sd, alpha, beta, gamma = D[dirs][:, pts], prior_sd[dirs], alpha[pts], beta[pts], gamma[pts]
-    rows = [0, *accumulate(len(J) for J in groups)]
-    cols = np.searchsorted(owner[pts], np.arange(len(groups) + 1))
-    # Sigma^1/2 G Sigma^1/2 = U Lambda U' group by group; lam holds every group's eigenvalues,
-    # EL each group's E Lambda and EL2 all of E^2 Lambda^2, as right factors
-    eig = [np.linalg.eigh(sd[i:j, None] * gram[J][:, J] * sd[i:j]) for J, i, j in zip(groups, rows, rows[1:])]
-    lam = np.concatenate([val for val, _ in eig])
-    EL = [(U / sd[i:j, None] * val).T for (val, U), i, j in zip(eig, rows, rows[1:])]
-    EL2 = np.zeros((P, P))
-    for M, i, j in zip(EL, rows, rows[1:]):
-        EL2[i:j, i:j] = M * M
     # terms[:P] sum to F_p and terms[P:] to B_p over x.  numpy adds a (nodes, P, s) slab over
     # nodes or directions in order when its last axis has >= 2 entries, so a group's slabs
     # have >= 2 points unless it meets only one
     terms, step = np.zeros((2 * P, n)), max(2, BLOCK_ENTRIES // (len(y) * P))
-    for (_, U), M, i, j, start, stop in zip(eig, EL, rows, rows[1:], cols, cols[1:]):
-        to_v, starts = sd[i:j, None] * U, range(0, stop - start - 1, step) or range(stop - start)
+    for m, start, stop in zip(range(M), cols, cols[1:]):
+        i, j, Dm, to_v = m * N, m * N + N, D[m][:, pts[start:stop]], sd[m, :, None] * U[m]
+        starts = range(0, stop - start - 1, step) or range(stop - start)
         for lo, hi in zip(starts, [*starts[1:], stop - start]):
             x = slice(start + lo, start + hi)
-            a, b, c, Dx = alpha[x], beta[x], gamma[x], Dg[i:j, x]
-            v = serial_matmul(Dx.T, to_v, lo).T                          # (N, s), zero off the group
-            u = y / a                                                    # (nodes, s)
-            rho = 1.0 / (1.0 + (2.0 * u * c)[:, None] * lam[:, None])    # (nodes, P, s)
+            a, b, c, Dx = alpha[x], beta[x], gamma[x], Dm[:, lo:hi]
+            v = np.einsum("px,pi->ix", Dx, to_v)                         # (N, s)
+            u2 = 2.0 * (y / a)                                           # 2 u, (nodes, s)
+            rho = 1.0 / (1.0 + (u2 * c)[:, None] * lam.reshape(P, 1))   # (nodes, P, s)
             X = rho[:, i:j] * v
             kappa = np.add.reduce(X * v, axis=1)
-            d = 1.0 + 2.0 * u * b * kappa
+            u2b = u2 * b
+            d = 1.0 + u2b * kappa
             h = np.sqrt(np.multiply.reduce(rho, axis=1) / d)            # E e^(-u (g^2 - alpha))
             q = wy * h / a**2                                            # the g^-4 moments' weights
-            T = serial_matmul(X.transpose(0, 2, 1), M, lo).transpose(0, 2, 1).copy()  # (E Lambda rho v)_p
+            T = np.einsum("kix,ip->kpx", X, EL[m])                       # (E Lambda rho v)_p
             qT = (q / d)[:, None] * T
             rho *= q[:, None]
-            Gz2 = serial_matmul(np.add.reduce(rho, axis=0).T, EL2, lo).T  # E (Gz)_p^2 g^-4, here and
-            Gz2[i:j] -= np.add.reduce((2.0 * u * b)[:, None] * qT * T, axis=0)  # in the group
+            Gz2 = np.einsum("lix,lip->lpx", np.add.reduce(rho, axis=0).reshape(M, N, -1), EL2)  # E (Gz)_p^2 g^-4,
+            Gz2[m] -= np.add.reduce(u2b[:, None] * qT * T, axis=0)  # here and in the group
             ss, sGz = np.add.reduce(q * kappa / d, axis=0), np.add.reduce(qT, axis=0)  # E s^2 g^-4, E s (Gz)_p g^-4
             terms[i:j, x] = Dx**2 * np.add.reduce(w * h / a, axis=0)    # D_p^2 E g^-2
-            terms[P:, x] = 2.0 * c * c * Gz2
+            terms[P:, x] = 2.0 * c * c * Gz2.reshape(P, -1)
             terms[P + i : P + j, x] += 2.0 * (b * b * ss * Dx**2 + 2.0 * b * c * Dx * sGz)
-    sums, fisher, bias = row_dots(terms, np.ones(n)), np.empty(P), np.empty(P)
-    fisher[dirs], bias[dirs] = sums[:P], sums[P:]
+    fisher, bias = row_dots(terms, np.ones(n)).reshape(2, P)
     bound = float(np.sum(van_trees_term(tau_bar, fisher, bias, prior_sd)))
     return VanTreesReport(bound, fisher, bias)
 
@@ -475,11 +473,12 @@ def _family_integrals(family: KernelFamily, n: int) -> tuple[np.ndarray, np.ndar
 
 def prior_van_trees_bound(prior: LeastFavorablePrior, scale: ScaleModel) -> VanTreesReport:
     """Double-sum bound sum_{m,j} h ebar_j(chi)^2 / (F_{m,j} + B_{m,j} + t^-2)
-    on the prior's design, from its `family_arrays` D and G."""
+    on the prior's design, from its `family_arrays` D and G, one group per block."""
     fam = prior.family
     tau_bar = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
     D, gram, _ = prior.family_arrays
-    return van_trees_bound(D, gram, tau_bar, prior.t.ravel(), scale, DesignGrid(prior.n))
+    return van_trees_bound(D.reshape(fam.M, fam.N, prior.n), gram, tau_bar, prior.t.ravel(), scale,
+                           DesignGrid(prior.n))
 
 
 def prior_expected_norm_sq(prior: LeastFavorablePrior) -> float:

@@ -61,21 +61,15 @@ def ellipsoid_norm_sq(theta, k: int) -> float:
     return float(np.sum(a * theta**2))
 
 
-def pinsker_constant(k: int, r: float, varsigma: float, as_printed: bool = False) -> float:
-    """Sharp asymptotic constant for the normalized minimax risk over the ball.
-
-    The default exponents are (2k+1)^(1/(2k+1)) and r^(1/(2k+1)); the
-    `as_printed` variant with exponents -(2k+1) is kept for diagnostic
-    comparison only and is dimensionally inconsistent with the upper-bound
-    limit, which the tests assemble from its bias and variance parts.
+def pinsker_constant(k: int, r: float, varsigma: float) -> float:
+    """Sharp asymptotic constant for the normalized minimax risk over the ball,
+    with the exponents (2k+1)^(1/(2k+1)) and r^(1/(2k+1)) of the upper-bound limit,
+    which the tests assemble from its bias and variance parts.
     """
     if varsigma <= 0.0:
         raise ValueError("varsigma must be positive")
     ball = SobolevBall(k, r)
     base = (ball.k / (math.pi * (ball.k + 1.0))) ** (2.0 * k / (2.0 * k + 1.0))
-    if as_printed:
-        gamma_star = (2.0 * k + 1.0) ** (-(2.0 * k + 1.0)) * base
-        return gamma_star * r ** (-(2.0 * k + 1.0)) * varsigma ** (2.0 * k / (2.0 * k + 1.0))
     gamma_star = (2.0 * k + 1.0) ** (1.0 / (2.0 * k + 1.0)) * base
     return gamma_star * r ** (1.0 / (2.0 * k + 1.0)) * varsigma ** (2.0 * k / (2.0 * k + 1.0))
 

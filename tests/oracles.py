@@ -38,6 +38,15 @@ def asymptotic_upper_risk(k: int, r: float, varsigma: float) -> float:
     return bias + variance
 
 
+def printed_pinsker_constant(k: int, r: float, varsigma: float) -> float:
+    """The Pinsker constant with the exponents -(2k+1) of its printed form, kept for
+    comparison only: it is dimensionally inconsistent with `asymptotic_upper_risk`."""
+    SobolevBall(k, r)
+    base = (k / (math.pi * (k + 1.0))) ** (2.0 * k / (2.0 * k + 1.0))
+    gamma_star = (2.0 * k + 1.0) ** (-(2.0 * k + 1.0)) * base
+    return gamma_star * r ** (-(2.0 * k + 1.0)) * varsigma ** (2.0 * k / (2.0 * k + 1.0))
+
+
 def step_l2_distance_sq(values, S, grid: DesignGrid) -> float:
     """||T(f) - S||^2 over [0,1] with per-cell Gauss quadrature.
 

@@ -24,7 +24,14 @@ from hetreg.lowerbound import (
 from hetreg.models import econometric_scale, homogeneous_scale
 from hetreg.theory import SobolevBall, pinsker_constant
 from hetreg.weights import default_sequences
-from oracles import asymptotic_upper_risk, coeff_gap_bound, norm_transfer_bound, random_ball_member, tail_energy_bound
+from oracles import (
+    asymptotic_upper_risk,
+    coeff_gap_bound,
+    norm_transfer_bound,
+    printed_pinsker_constant,
+    random_ball_member,
+    tail_energy_bound,
+)
 
 
 def report(criterion, passed, detail=""):
@@ -113,7 +120,7 @@ def test_criterion_3_constant_consistency():
             worst_rel = max(worst_rel, abs(pc - aur) / abs(pc))
     ref = pinsker_constant(1, 1.0, 1.0)
     ref_ok = abs(ref - 0.42357) <= 1e-4
-    printed = pinsker_constant(1, 1.0, 1.0, as_printed=True)
+    printed = printed_pinsker_constant(1, 1.0, 1.0)
     printed_differs = abs(printed - ref) / ref > 0.5
     report(
         "3 pinsker-constant",

@@ -687,8 +687,9 @@ class TestDeterminism:
         # a threaded BLAS dot sums one partial dot per thread; every dot of the
         # lower-bound path, and a study's row dots at n >= 10001, are taken in fixed chunks instead;
         # at n = 20001 the Bayes risk's one-row head products (n d > 2^18) run as threaded gemv,
-        # and its 14 replicates span two blocks of 13, so the second block's products start at 13
-        (tmp_path / "cfg.json").write_text(json.dumps(TINY_LOWER_BOUND))
+        # and its 14 replicates span two blocks of 13, so the second block's products start at 13;
+        # at n = 1001 the van Trees bound runs two groups of N = 2 directions through its einsum sums
+        (tmp_path / "cfg.json").write_text(json.dumps({**TINY_LOWER_BOUND, "n_grid": [51, 101, 1001]}))
         (tmp_path / "large.json").write_text(json.dumps({"n_grid": [10001], "reps": 3}))
         (tmp_path / "large_lb.json").write_text(json.dumps(
             {**TINY_LOWER_BOUND, "n_grid": [20001], "reps": 14, "lowerbound": {"prior_mc": 4}}))
@@ -950,6 +951,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["lower-bound", "--config", str(cfg_path), "--out", str(out_dir)])
         assert str(exc.value.code) == f"hetreg lower-bound: {message}"
+        assert not out_dir.exists()
+
+    def test_lower_bound_refuses_an_overflowing_g0(self, tmp_path):
+        # c0 = c1 = 1e308 are finite and pass the scale's checks, but g0^2 = c0 + c1 x overflows:
+        # the prior's c_eps read 0 and `least_favorable_prior` raised ZeroDivisionError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [51], "reps": 4, "scale": {"c0": 1e308, "c1": 1e308}}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc, np.errstate(over="ignore"):
+            cli_main(["lower-bound", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert str(exc.value.code) == "hetreg lower-bound: g0 must have a finite positive integral of g0^2, got inf"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("section, message", [

@@ -188,6 +188,17 @@ class TestLeastFavorablePrior:
         with pytest.raises(ValueError):
             least_favorable_prior(1, 1.0, 1001, eps=1.5)
 
+    @pytest.mark.parametrize("g0, match", [
+        (lambda x: np.full_like(x, np.nan), "g0 must have a finite positive integral of g0\\^2, got nan"),
+        (lambda x: 0.0 * x, "g0 must have a finite positive integral of g0\\^2, got 0.0"),
+        (lambda x: np.cos(2.0 * np.pi * x), "g0 must be finite and positive at the block centres"),
+    ])
+    def test_refuses_a_bad_g0(self, g0, match):
+        # a NaN g0 used to end in "cannot convert float NaN to integer"; cos(2 pi x) is
+        # negative at two of the three block centres it gives at n = 1001
+        with pytest.raises(ValueError, match=match):
+            least_favorable_prior(1, 1.0, 1001, eps=0.2, g0=g0)
+
 
 class TestSamplePrior:
     def test_zero_scale(self):
@@ -255,6 +266,25 @@ class TestVanTrees:
         with pytest.raises(ValueError, match="prior standard deviation must be positive"):
             van_trees_term(1.0, 10.0, 1.0, sd)
 
+    @pytest.mark.parametrize("D, gram, tau_bar, sd, scale, match", [
+        (np.r_[np.ones(50), np.nan][None], [[1.0]], [1.0], [1.0], homogeneous_scale(1.0), "must be finite"),
+        (np.ones((1, 51)), [[np.inf]], [1.0], [1.0], homogeneous_scale(1.0), "must be finite"),
+        (np.ones((1, 51)), [[1.0]], [np.nan], [1.0], homogeneous_scale(1.0), "must be finite"),
+        (np.ones((1, 51)), [[1.0]], [1.0], [np.nan], homogeneous_scale(1.0), "must be finite"),
+        (np.ones((1, 51)), [[-1.0]], [1.0], [1.0], econometric_scale(1.0, 0.0, 0.0, 1.0), "negative eigenvalue"),
+        (np.ones((2, 51)), [[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0], [1.0, 1.0], homogeneous_scale(1.0),
+         "not symmetric"),
+    ], ids=["nan_D", "inf_gram", "nan_tau_bar", "nan_prior_sd", "negative_gram", "asymmetric_gram"])
+    def test_refuses_bad_input(self, D, gram, tau_bar, sd, scale, match):
+        # each of these used to give a NaN bound, a sqrt warning, or (an asymmetric G, of
+        # which eigh reads one triangle) the bound of another G
+        with pytest.raises(ValueError, match=match):
+            van_trees_bound(D, gram, tau_bar, sd, scale, DesignGrid(51))
+
+    def test_term_refuses_a_nan_prior_sd(self):
+        with pytest.raises(ValueError, match="prior standard deviation must be positive"):
+            van_trees_term(1.0, 10.0, 1.0, np.nan)
+
     def test_missing_frechet_rejected(self):
         # the Frechet derivative is a required field: a model without one is never built
         with pytest.raises(TypeError, match="frechet"):
@@ -265,6 +295,7 @@ class TestVanTrees:
         (np.ones(51), np.ones((1, 1))),        # one direction not given as a (1, n) row
         (np.ones((1, 51)), np.ones((2, 2))),   # Gram matrix of other directions
         (np.ones((1, 51)), np.ones(1)),
+        (np.ones((0, 51)), np.ones((0, 0))),   # no direction
     ])
     def test_refuses_misshapen_directions(self, D, gram):
         with pytest.raises(ValueError, match="design values"):
@@ -339,40 +370,52 @@ class TestVanTreesAlgebra:
             prior_van_trees_bound(pr, ScaleModel(g2=g2, frechet=frechet, name="odd"))
 
     def test_groups_match_one_group(self, monkeypatch):
-        # at n = 10001 the P = 12 directions fall into M = 4 groups of N = 3, which give the
-        # one-group bound to rounding, and slabs of 37 points move no bit of it
-        pr, scale = least_favorable_prior(1, 1.0, 10_001, eps=0.2), econometric_scale(1.0, 1.0, 0.5, 0.5)
-        D, gram, _ = pr.family_arrays
-        groups, _ = lowerbound._direction_groups(D, gram)
-        assert [list(J) for J in groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-        grouped = prior_van_trees_bound(pr, scale)
-        monkeypatch.setattr(lowerbound, "BLOCK_ENTRIES", 37 * lowerbound.LAGUERRE_NODES * 12)
-        slabs = prior_van_trees_bound(pr, scale)
-        assert slabs.bound == grouped.bound
-        np.testing.assert_array_equal(slabs.fisher, grouped.fisher)
-        np.testing.assert_array_equal(slabs.bias, grouped.bias)
-        monkeypatch.setattr(lowerbound, "ONE_GROUP", 12)
-        for a, b in zip(prior_van_trees_bound(pr, scale), grouped):
+        # the prior's M blocks as M groups of N directions (M = N = 2 at n = 1001, M = 4 and
+        # N = 3 at 10001) give the bound of the same D taken as one group of P to rounding,
+        # and slabs of 37 points move no bit of it
+        scale = econometric_scale(1.0, 1.0, 0.5, 0.5)
+        for n in (1001, 10_001):
+            pr = least_favorable_prior(1, 1.0, n, eps=0.2)
+            fam, (D, gram, _) = pr.family, pr.family_arrays
+            assert fam.M >= 2 and fam.N >= 2
+            tau_bar = np.tile([math.sqrt(fam.h) * ebar(j, fam.eta) for j in range(1, fam.N + 1)], fam.M)
+            grouped = prior_van_trees_bound(pr, scale)
+            for a, b in zip(van_trees_bound(D, gram, tau_bar, pr.t.ravel(), scale, DesignGrid(n)), grouped):
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(lowerbound, "BLOCK_ENTRIES", 37 * lowerbound.LAGUERRE_NODES * pr.t.size)
+                slabs = prior_van_trees_bound(pr, scale)
+            assert slabs.bound == grouped.bound
+            np.testing.assert_array_equal(slabs.fisher, grouped.fisher)
+            np.testing.assert_array_equal(slabs.bias, grouped.bias)
+
+    def test_groups_out_of_order_in_x_match_one_group(self):
+        # three groups of two directions, each on points scattered over the design and out of
+        # order in x, and points that meet none: the groups give the one-group bound to rounding
+        n, M, N = 51, 3, 2
+        D = np.zeros((M, N, n))
+        for m, pts in enumerate([[40, 3, 17, 4], [0, 30, 31, 12], [8, 50, 22, 23]]):
+            D[m, 0, pts], D[m, 1, pts[1:]] = 1.0 + m, np.linspace(-0.5, 0.5, 3)
+        gram = np.zeros((M * N, M * N))
+        for m in range(M):
+            gram[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = [[0.5 + m, 0.2], [0.2, 0.9]]
+        args = (np.ones(M * N), np.linspace(0.1, 0.3, M * N), econometric_scale(1.0, 1.0, 0.5, 0.5), DesignGrid(n))
+        for a, b in zip(van_trees_bound(D.reshape(M * N, n), gram, *args), van_trees_bound(D, gram, *args)):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
 
-    def test_a_point_meeting_two_directions_joins_their_groups(self, monkeypatch):
-        # G couples no two directions, but points meet pairs (0, 5) and (5, 9): the groups
-        # are [0, 5, 9] and one per other direction, out of order in x, and they give the
-        # one-group bound to rounding
-        n, P = 51, 10
-        D = np.zeros((P, n))
-        for p in range(P):
-            D[p, 5 * p : 5 * p + 3] = 1.0 + p
-        D[5, 1], D[9, 27] = 0.5, 0.25
-        gram = np.diag(np.linspace(0.5, 2.0, P))
-        groups, owner = lowerbound._direction_groups(D, gram)
-        assert [list(J) for J in groups] == [[0, 5, 9], *([p] for p in range(1, P) if p not in (5, 9))]
-        assert owner[1] == 0 and owner[27] == 0 and owner[50] == 0  # x = 50 meets no direction
-        args = (D, gram, np.ones(P), np.linspace(0.1, 0.3, P), econometric_scale(1.0, 1.0, 0.5, 0.5), DesignGrid(n))
-        grouped = van_trees_bound(*args)
-        monkeypatch.setattr(lowerbound, "ONE_GROUP", P)
-        for a, b in zip(van_trees_bound(*args), grouped):
-            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+    def test_refuses_a_point_meeting_two_groups(self):
+        D = np.zeros((2, 1, 51))
+        D[0, 0, :30], D[1, 0, 25:] = 1.0, 2.0  # x_26..x_30 meet both groups
+        with pytest.raises(ValueError, match="a design point meets two groups"):
+            van_trees_bound(D, np.eye(2), np.ones(2), np.ones(2), homogeneous_scale(1.0), DesignGrid(51))
+
+    def test_refuses_a_gram_coupling_two_groups(self):
+        D = np.zeros((2, 2, 51))
+        D[0, :, :25], D[1, :, 25:] = 1.0, 2.0
+        gram = np.eye(4)
+        gram[1, 2] = gram[2, 1] = 0.1  # the second direction of group 0 and the first of group 1
+        with pytest.raises(ValueError, match="the Gram matrix couples two groups"):
+            van_trees_bound(D, gram, np.ones(4), np.ones(4), homogeneous_scale(1.0), DesignGrid(51))
 
 
 class TestBayesRisk:

@@ -19,6 +19,7 @@ from oracles import (
     asymptotic_upper_risk,
     coeff_gap_bound,
     norm_transfer_bound,
+    printed_pinsker_constant,
     random_ball_member,
     step_l2_distance_sq,
     tail_energy_bound,
@@ -84,7 +85,7 @@ class TestPinskerConstant:
                 )
 
     def test_printed_form_differs(self):
-        assert pinsker_constant(1, 1.0, 1.0, as_printed=True) != pytest.approx(
+        assert printed_pinsker_constant(1, 1.0, 1.0) != pytest.approx(
             pinsker_constant(1, 1.0, 1.0), rel=1e-3
         )
 
